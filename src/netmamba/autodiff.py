@@ -221,12 +221,7 @@ def exp(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    z[~pos] = e / (1.0 + e)
-    return z
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def silu(a) -> Tensor:

@@ -9,6 +9,7 @@ the magic, every indexed name/shape, and the total byte length.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -21,6 +22,8 @@ MAGIC = b"NMCKPT01"
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write a temporary file beside ``path`` and rename it over ``path``, so
+    a crash mid-write leaves any previous checkpoint there intact."""
     index = []
     blobs = []
     offset = 0
@@ -30,12 +33,16 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         blobs.append(arr.tobytes())
         offset += len(blobs[-1])
     header = json.dumps({"meta": meta, "tensors": index}).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(header)) + header)
+            fh.writelines(blobs)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -2,8 +2,8 @@
 
 The block follows the standard gated layout: normalize, project to an
 expanded width, causal depthwise conv + SiLU, input-dependent (B, C, dt),
-zero-order-hold discretization, sequential scan, SiLU self-gating, output
-projection with a residual connection.
+a sequential scan that applies the zero-order-hold discretization step by
+step, SiLU self-gating, output projection with a residual connection.
 """
 
 from __future__ import annotations
@@ -109,98 +109,60 @@ def init_mamba_block(
     )
 
 
-def discretize(delta: Tensor, a: Tensor, b_in: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero-order hold: Abar = exp(dt*A); Bbar = dt*B (first-order in B).
+def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Tensor:
+    """Zero-order-hold selective scan, discretization included:
+    h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
 
-    delta (B, L, E) must be positive; a (E, N); b_in (B, L, N). Both outputs
-    are (B, L, E, N).
+    dt (B, L, E) must be positive; a (E, N); b, c (B, L, N); x (B, L, E);
+    returns (B, L, E). Strictly causal; the recurrence is sequential per
+    (batch, channel) lane. exp(dt_t*A) is formed one step at a time and
+    recomputed in the backward pass; the per-step states are kept only when
+    the result will be differentiated.
     """
-    if delta.ndim != 3 or a.ndim != 2 or b_in.ndim != 3:
+    B, L, E = dt.shape
+    N = a.shape[-1]
+    if (a.shape != (E, N) or b.shape != (B, L, N) or c.shape != (B, L, N)
+            or x.shape != (B, L, E)):
         raise ShapeError(
-            f"discretize: expected (B,L,E), (E,N), (B,L,N); got "
-            f"{delta.shape}, {a.shape}, {b_in.shape}")
-    B, L, E = delta.shape
-    N = a.shape[1]
-    if a.shape[0] != E or b_in.shape != (B, L, N):
-        raise ShapeError(
-            f"discretize: inconsistent dims {delta.shape}, {a.shape}, {b_in.shape}")
-    d4 = ad.reshape(delta, (B, L, E, 1))
-    abar = ad.exp(ad.mul(d4, a))
-    bbar = ad.mul(d4, ad.reshape(b_in, (B, L, 1, N)))
-    return abar, bbar
-
-
-def selective_scan(abar: Tensor, bbar: Tensor, c: Tensor, x: Tensor) -> Tensor:
-    """Run h_t = Abar_t * h_{t-1} + Bbar_t * x_t; y_t = <C_t, h_t> over t.
-
-    abar, bbar: (B, L, E, N); c: (B, L, N); x: (B, L, E); returns (B, L, E).
-    Strictly causal; the recurrence is sequential per (batch, channel) lane.
-    All per-step states are kept for the backward pass.
-    """
-    B, L, E, N = abar.shape
-    if bbar.shape != (B, L, E, N) or c.shape != (B, L, N) or x.shape != (B, L, E):
-        raise ShapeError(
-            f"selective_scan: got {abar.shape}, {bbar.shape}, {c.shape}, {x.shape}")
-    A = np.ascontiguousarray(np.moveaxis(abar.data, 1, 0))       # (L, B, E, N)
-    Bx = np.ascontiguousarray(
-        np.moveaxis(bbar.data * x.data[..., None], 1, 0))        # (L, B, E, N)
-    C = np.ascontiguousarray(np.moveaxis(c.data, 1, 0))          # (L, B, N)
-
-    H = np.empty_like(A)
-    h = np.zeros((B, E, N), dtype=A.dtype)
-    y = np.empty((L, B, E), dtype=A.dtype)
+            f"selective_scan: expected (B,L,E), (E,N), (B,L,N), (B,L,N), (B,L,E); "
+            f"got {dt.shape}, {a.shape}, {b.shape}, {c.shape}, {x.shape}")
+    parents = (dt, a, b, c, x)
+    A = a.data
+    # time-major views: D and U = dt*x are (L, B, E); Bm and C are (L, B, N)
+    D, U, Bm, C = (np.moveaxis(v, 1, 0)
+                   for v in (dt.data, dt.data * x.data, b.data, c.data))
+    keep = ad.grad_enabled() and any(p.requires_grad for p in parents)
+    h = np.zeros((B, E, N), dtype=np.result_type(*(p.data for p in parents)))
+    H = np.empty((L, B, E, N), dtype=h.dtype) if keep else None
+    y = np.empty((L, B, E), dtype=h.dtype)
     for t in range(L):
-        h = A[t] * h + Bx[t]
-        H[t] = h
+        h = np.exp(D[t][..., None] * A) * h + U[t][..., None] * Bm[t][:, None, :]
+        if keep:
+            H[t] = h
         y[t] = np.einsum("ben,bn->be", h, C[t])
     out = np.ascontiguousarray(np.moveaxis(y, 0, 1))
 
     def vjp(g):
         gy = np.moveaxis(g, 1, 0)                                # (L, B, E)
-        G = np.empty_like(A)
-        acc = np.zeros((B, E, N), dtype=A.dtype)
+        g_u = np.empty((L, B, E), dtype=h.dtype)
+        g_dt = np.empty_like(g_u)
+        g_b = np.empty((L, B, N), dtype=h.dtype)
+        g_a, acc = np.zeros_like(h), np.zeros_like(h)            # acc: dloss/dh_t
         for t in range(L - 1, -1, -1):
             acc = gy[t][..., None] * C[t][:, None, :] + acc
-            G[t] = acc
-            acc = acc * A[t]
-        h_prev = np.empty_like(H)
-        h_prev[0] = 0.0
-        h_prev[1:] = H[:-1]
-        g_abar = np.moveaxis(G * h_prev, 0, 1)
-        g_bbar = np.moveaxis(G * np.moveaxis(x.data, 1, 0)[..., None], 0, 1)
-        g_c = np.moveaxis(np.einsum("lbe,lben->lbn", gy, H), 0, 1)
-        g_x = np.moveaxis((G * np.moveaxis(bbar.data, 1, 0)).sum(-1), 0, 1)
-        return g_abar, g_bbar, g_c, g_x
+            g_u[t] = np.einsum("ben,bn->be", acc, Bm[t])
+            g_b[t] = np.einsum("ben,be->bn", acc, U[t])
+            abar = np.exp(D[t][..., None] * A)
+            s = acc * abar * (H[t - 1] if t else 0.0)            # dloss/d(dt_t*A)
+            g_dt[t] = np.einsum("ben,en->be", s, A)
+            g_a += s * D[t][..., None]
+            acc = acc * abar
+        g_dt += g_u * np.moveaxis(x.data, 1, 0)
+        g_c = np.einsum("lbe,lben->lbn", gy, H)
+        return (np.moveaxis(g_dt, 0, 1), g_a.sum(0), np.moveaxis(g_b, 0, 1),
+                np.moveaxis(g_c, 0, 1), np.moveaxis(g_u * D, 0, 1))
 
-    return ad.custom_op(out, (abar, bbar, c, x), vjp)
-
-
-def conv_form_oracle(abar: np.ndarray, bbar: np.ndarray, c: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """Convolutional form of the recurrence, valid only when the discrete
-    parameters are constant along the sequence axis: materializes the kernel
-    (C Bbar, C Abar Bbar, ..., C Abar^{L-1} Bbar) and convolves. Test-only
-    reference; raises on time-varying inputs.
-    """
-    abar = np.asarray(abar, dtype=np.float64)
-    bbar = np.asarray(bbar, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    B, L, E, N = abar.shape
-    for name, arr in (("abar", abar), ("bbar", bbar), ("c", c)):
-        if not np.array_equal(arr, np.broadcast_to(arr[:, :1], arr.shape)):
-            raise ContractError(f"conv_form_oracle requires time-invariant {name}")
-    a0, b0, c0 = abar[:, 0], bbar[:, 0], c[:, 0]   # (B,E,N), (B,E,N), (B,N)
-    powers = np.ones_like(a0)
-    kernel = np.empty((L, B, E))
-    for j in range(L):
-        kernel[j] = np.einsum("bn,ben->be", c0, powers * b0)
-        powers = powers * a0
-    y = np.zeros((B, L, E))
-    for t in range(L):
-        for j in range(t + 1):
-            y[:, t] += kernel[j] * x[:, t - j]
-    return y
+    return ad.custom_op(out, parents, vjp)
 
 
 def block_forward(x_prev: Tensor, params: MambaBlockParams,
@@ -220,8 +182,7 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     dt = ad.softplus(ad.add(ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up),
                             p.dt_bias))
     a = ad.neg(ad.exp(p.a_log))
-    abar, bbar = discretize(dt, a, b_in)
-    y = selective_scan(abar, bbar, c, xc)
+    y = selective_scan(dt, a, b_in, c, xc)
     if p.state_skip is not None:
         y = ad.add(y, ad.mul(xc, p.state_skip))
     gated = ad.mul(y, ad.silu(z))

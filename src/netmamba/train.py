@@ -96,10 +96,11 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     """Masked-reconstruction training over (n, n_strides, stride_len) bytes.
 
     Draws a fresh batch and fresh per-sample mask plans every step. Saves
-    ``best.nmckpt`` (lowest logged loss) and ``last.nmckpt`` (with optimizer
-    state, for exact resume) when ``out_dir`` is given. ``stop_at`` ends the
-    run early while keeping the schedule of the full ``tcfg.steps``, so a
-    later resume replays the uninterrupted run exactly.
+    ``best.nmckpt`` (after the step with the lowest single-batch loss, logged
+    or not; the earliest on ties) and ``last.nmckpt`` (with optimizer state,
+    for exact resume) when ``out_dir`` is given. ``stop_at`` ends the run
+    early while keeping the schedule of the full ``tcfg.steps``, so a later
+    resume replays the uninterrupted run exactly.
     """
     n = len(strides)
     if n == 0:
@@ -190,8 +191,10 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
         if name not in splits:
             raise ConfigError(f"missing split {name!r}")
     train_x, train_y = splits["train"]
-    if len(train_x) == 0:
-        raise ConfigError("training split is empty")
+    val_x, val_y = splits["val"]
+    for name, xs in (("training", train_x), ("validation", val_x)):
+        if len(xs) == 0:
+            raise ConfigError(f"{name} split is empty")
     train_y = np.asarray(train_y, dtype=np.int64)
     _check_labels(train_y, cfg.num_classes)
 
@@ -224,9 +227,7 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
             adamw_step(tensors, state, sched.lr_at(step))
             losses.append(loss.item())
             step += 1
-        val_x, val_y = splits["val"]
-        val_acc = (evaluate(params, val_x, val_y, tcfg.batch_size).accuracy
-                   if len(val_x) else 0.0)
+        val_acc = evaluate(params, val_x, val_y, tcfg.batch_size).accuracy
         history.append((epoch, float(np.mean(losses)), val_acc))
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch

@@ -25,7 +25,8 @@ from netmamba.traffic import ReprConfig, assemble_flows, build_sample
 from helpers import (eth_frame, ipv4_packet, max_rel_err, raw, tcp_segment,
                      udp_datagram)
 from test_metrics import brute_force
-from test_ssm import direct_scan_oracle, random_instance
+from test_ssm import (conv_form_oracle, direct_scan_oracle,
+                      discretize_loop_oracle, random_instance)
 
 
 def _report(n: int, text: str) -> None:
@@ -43,12 +44,10 @@ def test_criterion_1_ssm_oracle_equivalence():
         N = int(rng.integers(1, 5))
         delta, a, b_in, c, x = random_instance(rng, B, L, E, N,
                                                time_invariant=True)
-        abar_t, bbar_t = ssm.discretize(ad.Tensor(delta), ad.Tensor(a),
-                                        ad.Tensor(b_in))
-        abar, bbar = abar_t.data, bbar_t.data
-        y = ssm.selective_scan(ad.Tensor(abar), ad.Tensor(bbar),
+        abar, bbar = discretize_loop_oracle(delta, a, b_in)
+        y = ssm.selective_scan(ad.Tensor(delta), ad.Tensor(a), ad.Tensor(b_in),
                                ad.Tensor(c), ad.Tensor(x)).data
-        y_conv = ssm.conv_form_oracle(abar, bbar, c, x)
+        y_conv = conv_form_oracle(abar, bbar, c, x)
         y_direct = direct_scan_oracle(abar, bbar, c, x)
         worst = max(worst, np.abs(y - y_conv).max(), np.abs(y - y_direct).max())
     elapsed = time.perf_counter() - started

@@ -26,6 +26,26 @@ def test_container_round_trip(tmp_path):
     assert loaded["a"].dtype == np.float32
 
 
+def test_save_leaves_old_file_when_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "last.nmckpt"
+    ckpt.save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)}, {"step": 1})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("simulated crash")
+
+    with monkeypatch.context() as m:
+        m.setattr(ckpt.os, "replace", fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            ckpt.save_checkpoint(path, {"w": np.zeros((8, 8), dtype=np.float32)},
+                                 {"step": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["last.nmckpt"]
+    ckpt.save_checkpoint(path, {"w": np.zeros((8, 8), dtype=np.float32)}, {"step": 2})
+    assert ckpt.load_checkpoint(path)[0] == {"step": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["last.nmckpt"]
+
+
 def test_container_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE0000" + bytes(20))

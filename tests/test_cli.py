@@ -167,6 +167,20 @@ def test_finetune_requires_init_choice(extracted):
     assert run(["finetune", "--data", dataset, "--output", tmp / "x",
                 "--config", cfg]) == 2
 
+def test_finetune_empty_val_split_is_usage_error(workspace, capsys):
+    tmp, pcaps, _ = workspace
+    cfg = tmp / "no_val.cfg"
+    cfg.write_text(SMALL_CFG + "train_ratio = 0.8\nval_ratio = 0\ntest_ratio = 0.2\n")
+    dataset = tmp / "dataset"
+    assert run(["extract", "--input", pcaps, "--output", dataset,
+                "--config", cfg, "--seed", 11]) == 0
+    assert len(read_samples(dataset / "val.nmstride").labels) == 0
+    out = tmp / "ft"
+    assert run(["finetune", "--data", dataset, "--output", out, "--config", cfg,
+                "--from-scratch", "--epochs", 1, "--batch", 8]) == 2
+    assert "validation split is empty" in capsys.readouterr().err
+    assert not (out / "best.nmckpt").exists()
+
 def test_checkpoint_mismatch_exit_code(extracted):
     tmp, dataset, cfg = extracted
     pre_dir = tmp / "pre2"
@@ -211,9 +225,12 @@ def test_thread_cap_env(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 def test_console_entry_point():
-    import subprocess, sys
+    import os, subprocess, sys
+    # the child imports netmamba from wherever this process does, so the
+    # test also runs from a checkout that was never installed
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "netmamba.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "extract" in proc.stdout and "bench" in proc.stdout
 

@@ -1,6 +1,8 @@
 """Training-loop behavior at miniature scale: learning, determinism, the
 best-checkpoint rule, and exact resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,23 @@ def test_pretrain_deterministic_logs():
     a = train.pretrain(strides, TINY_MODEL, tcfg)
     b = train.pretrain(strides, TINY_MODEL, tcfg)
     assert a.log == b.log
+
+
+def test_pretrain_best_is_lowest_loss_of_any_step(tmp_path):
+    data, _ = tiny_dataset()
+    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    tcfg = train.pretrain_defaults(steps=12, batch_size=4, seed=5, log_every=1)
+    every = train.pretrain(strides, TINY_MODEL, tcfg)
+    losses = [row[1] for row in every.log]
+    assert every.best_step == every.log[int(np.argmin(losses))][0]
+    assert every.best_loss == min(losses)
+    # sparse logging does not change which step is best, and best.nmckpt
+    # is taken after that step
+    sparse = train.pretrain(strides, TINY_MODEL, replace(tcfg, log_every=5),
+                            out_dir=tmp_path)
+    assert (sparse.best_step, sparse.best_loss) == (every.best_step, every.best_loss)
+    meta, _ = ckpt.load_checkpoint(tmp_path / "best.nmckpt")
+    assert meta["step"] == every.best_step
 
 
 def test_pretrain_resume_matches_uninterrupted(tmp_path):
@@ -132,6 +151,17 @@ def test_finetune_rejects_bad_labels():
     tcfg = train.finetune_defaults(epochs=1, batch_size=4)
     with pytest.raises(DataError, match="sample 1"):
         train.finetune(splits, TINY_MODEL, tcfg)
+
+
+def test_finetune_rejects_empty_val_split(tmp_path):
+    data, labels = tiny_dataset(per_class=6)
+    splits = splits_for(data, labels)
+    val_x, val_y = splits["val"]
+    splits["val"] = (val_x[:0], val_y[:0])
+    tcfg = train.finetune_defaults(epochs=1, batch_size=4)
+    with pytest.raises(ConfigError, match="validation split is empty"):
+        train.finetune(splits, TINY_MODEL, tcfg, out_dir=tmp_path)
+    assert not (tmp_path / "best.nmckpt").exists()
 
 
 def test_evaluate_checkpoint_round_trip(tmp_path):
