@@ -15,6 +15,7 @@ __all__ = [
     "config",
     "data",
     "errors",
+    "fileio",
     "metrics",
     "model",
     "optim",

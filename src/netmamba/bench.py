@@ -12,6 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as nm
 from . import ssm
+from .fileio import atomic_write
 
 CSV_HEADER = "batch,seq_len,samples_per_sec,peak_bytes"
 
@@ -72,7 +73,7 @@ def scaling_exponent(cfg: nm.ModelConfig, lengths=(400, 800, 1600),
 
 
 def write_bench_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
             fh.write(f"{r['batch']},{r['seq_len']},"

@@ -9,21 +9,21 @@ the magic, every indexed name/shape, and the total byte length.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointMismatchError, ParseError
+from .fileio import atomic_write
 from .model import ModelConfig, ModelParams, init_params
 
 MAGIC = b"NMCKPT01"
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Write a temporary file beside ``path`` and rename it over ``path``, so
-    a crash mid-write leaves any previous checkpoint there intact."""
+    """Written atomically: a crash mid-write leaves any previous checkpoint
+    at ``path`` intact."""
     index = []
     blobs = []
     offset = 0
@@ -33,16 +33,9 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         blobs.append(arr.tobytes())
         offset += len(blobs[-1])
     header = json.dumps({"meta": meta, "tensors": index}).encode()
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<I", len(header)) + header)
-            fh.writelines(blobs)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(MAGIC + struct.pack("<I", len(header)) + header)
+        fh.writelines(blobs)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -39,6 +39,7 @@ from .errors import (
     CheckpointMismatchError, ConfigError, DataError, EmptyFlowError,
     NumericFaultError, ParseError, UnsupportedFormatError,
 )
+from .fileio import atomic_write
 from .pcap import parse_capture
 
 _USAGE_ERRORS = (ConfigError, DataError, ParseError, UnsupportedFormatError,
@@ -167,7 +168,8 @@ def cmd_extract(args) -> int:
         summary[f"{name}_samples"] = len(part)
     datamod.write_manifest(out_dir / "manifest.json",
                            [d.name for d in class_dirs])
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with atomic_write(out_dir / "summary.json", "w") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     print(f"extracted {len(samples)} flows from {n_classes} classes "
           f"-> {out_dir}")
     return EXIT_OK
@@ -241,7 +243,8 @@ def cmd_evaluate(args) -> int:
     text = report.to_json(indent=2)
     print(text)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        with atomic_write(args.output, "w") as fh:
+            fh.write(text + "\n")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+from .fileio import atomic_write
 from .traffic import ReprConfig, StrideSample
 
 MAGIC = b"NMSTRIDE"
@@ -113,7 +114,9 @@ class StrideFile:
 
 
 def write_samples(path, samples, cfg: ReprConfig, num_classes: int) -> None:
-    with open(path, "wb") as fh:
+    """Written atomically: a bad sample raises ``DataError`` and leaves any
+    previous file at ``path`` as it was."""
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         fh.write(struct.pack(
@@ -160,7 +163,8 @@ def read_samples(path) -> StrideFile:
 def write_manifest(path, class_names) -> None:
     """JSON object mapping class index -> class name."""
     mapping = {str(i): name for i, name in enumerate(class_names)}
-    Path(path).write_text(json.dumps(mapping, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path, "w") as fh:
+        fh.write(json.dumps(mapping, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> dict[int, str]:

@@ -3,7 +3,8 @@
 The block follows the standard gated layout: normalize, project to an
 expanded width, causal depthwise conv + SiLU, input-dependent (B, C, dt),
 a sequential scan that applies the zero-order-hold discretization step by
-step, SiLU self-gating, output projection with a residual connection.
+step to a (batch, state, channel) state, SiLU self-gating, output
+projection with a residual connection.
 """
 
 from __future__ import annotations
@@ -115,9 +116,12 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
 
     dt (B, L, E) must be positive; a (E, N); b, c (B, L, N); x (B, L, E);
     returns (B, L, E). Strictly causal; the recurrence is sequential per
-    (batch, channel) lane. exp(dt_t*A) is formed one step at a time and
-    recomputed in the backward pass; the per-step states are kept only when
-    the result will be differentiated.
+    (batch, channel) lane. The state is (B, N, E), channels innermost, and
+    each step writes into buffers allocated once per call. exp(dt_t*A) is
+    formed per step and recomputed in the backward pass. The (L, B, N, E)
+    state history is kept only when grad mode is on and an input requires
+    grad; the backward pass reads it and the other saved arrays, never
+    writing into them, so repeated backward calls accumulate.
     """
     B, L, E = dt.shape
     N = a.shape[-1]
@@ -127,39 +131,45 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
             f"selective_scan: expected (B,L,E), (E,N), (B,L,N), (B,L,N), (B,L,E); "
             f"got {dt.shape}, {a.shape}, {b.shape}, {c.shape}, {x.shape}")
     parents = (dt, a, b, c, x)
-    A = a.data
+    dtype = np.result_type(*(p.data for p in parents))
+    At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
     # time-major views: D and U = dt*x are (L, B, E); Bm and C are (L, B, N)
     D, U, Bm, C = (np.moveaxis(v, 1, 0)
                    for v in (dt.data, dt.data * x.data, b.data, c.data))
     keep = ad.grad_enabled() and any(p.requires_grad for p in parents)
-    h = np.zeros((B, E, N), dtype=np.result_type(*(p.data for p in parents)))
-    H = np.empty((L, B, E, N), dtype=h.dtype) if keep else None
-    y = np.empty((L, B, E), dtype=h.dtype)
+    H = np.empty((L, B, N, E), dtype=dtype) if keep else None
+    h = np.zeros((B, N, E), dtype=dtype)
+    abar, bx = np.empty_like(h), np.empty_like(h)
+    y = np.empty((L, B, E), dtype=dtype)
     for t in range(L):
-        h = np.exp(D[t][..., None] * A) * h + U[t][..., None] * Bm[t][:, None, :]
-        if keep:
-            H[t] = h
-        y[t] = np.einsum("ben,bn->be", h, C[t])
+        np.exp(np.multiply(D[t][:, None, :], At, out=abar), out=abar)
+        np.multiply(Bm[t][:, :, None], U[t][:, None, :], out=bx)
+        h = np.multiply(abar, h, out=H[t] if keep else h)
+        h += bx
+        np.matmul(C[t][:, None, :], h, out=y[t][:, None, :])
     out = np.ascontiguousarray(np.moveaxis(y, 0, 1))
 
     def vjp(g):
         gy = np.moveaxis(g, 1, 0)                                # (L, B, E)
-        g_u = np.empty((L, B, E), dtype=h.dtype)
-        g_dt = np.empty_like(g_u)
-        g_b = np.empty((L, B, N), dtype=h.dtype)
-        g_a, acc = np.zeros_like(h), np.zeros_like(h)            # acc: dloss/dh_t
+        g_u = np.empty((L, B, E), dtype=dtype)
+        g_dt = np.zeros_like(g_u)                                # 0 at t = 0
+        g_b = np.empty((L, B, N), dtype=dtype)
+        acc = np.zeros((B, N, E), dtype=dtype)                   # dloss/dh_t
+        g_a, abar, s = np.zeros_like(acc), np.empty_like(acc), np.empty_like(acc)
         for t in range(L - 1, -1, -1):
-            acc = gy[t][..., None] * C[t][:, None, :] + acc
-            g_u[t] = np.einsum("ben,bn->be", acc, Bm[t])
-            g_b[t] = np.einsum("ben,be->bn", acc, U[t])
-            abar = np.exp(D[t][..., None] * A)
-            s = acc * abar * (H[t - 1] if t else 0.0)            # dloss/d(dt_t*A)
-            g_dt[t] = np.einsum("ben,en->be", s, A)
-            g_a += s * D[t][..., None]
-            acc = acc * abar
+            acc += np.multiply(C[t][:, :, None], gy[t][:, None, :], out=s)
+            np.matmul(Bm[t][:, None, :], acc, out=g_u[t][:, None, :])
+            np.matmul(acc, U[t][:, :, None], out=g_b[t][:, :, None])
+            np.exp(np.multiply(D[t][:, None, :], At, out=abar), out=abar)
+            if t:
+                np.multiply(np.multiply(acc, abar, out=s), H[t - 1], out=s)
+                np.einsum("bne,ne->be", s, At, out=g_dt[t])  # s: dloss/d(dt_t*A)
+                g_a += np.multiply(s, D[t][:, None, :], out=s)
+            acc *= abar
         g_dt += g_u * np.moveaxis(x.data, 1, 0)
-        g_c = np.einsum("lbe,lben->lbn", gy, H)
-        return (np.moveaxis(g_dt, 0, 1), g_a.sum(0), np.moveaxis(g_b, 0, 1),
+        g_c = np.matmul(H, gy[..., None])[..., 0]               # (L, B, N)
+        g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
+        return (np.moveaxis(g_dt, 0, 1), g_a, np.moveaxis(g_b, 0, 1),
                 np.moveaxis(g_c, 0, 1), np.moveaxis(g_u * D, 0, 1))
 
     return ad.custom_op(out, parents, vjp)

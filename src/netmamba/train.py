@@ -16,6 +16,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as nm
 from .errors import ConfigError, DataError
+from .fileio import atomic_write
 from .metrics import MetricsReport, compute_metrics
 from .optim import OptimState, Schedule, adamw_step, clip_global_norm, zero_grads
 
@@ -85,7 +86,7 @@ def _restore(params: nm.ModelParams, snap: dict[str, np.ndarray]) -> None:
 
 
 def write_loss_log(path, rows) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, "w") as fh:
         fh.write("step,loss,lr\n")
         for step, loss, lr in rows:
             fh.write(f"{step},{loss:.8g},{lr:.8g}\n")
@@ -242,8 +243,9 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         ckpt.save_model(out_dir / "best.nmckpt", params, step=best_epoch)
-        Path(out_dir / "metrics.json").write_text(report.to_json(indent=2) + "\n")
-        with open(out_dir / "history.csv", "w") as fh:
+        with atomic_write(out_dir / "metrics.json", "w") as fh:
+            fh.write(report.to_json(indent=2) + "\n")
+        with atomic_write(out_dir / "history.csv", "w") as fh:
             fh.write("epoch,train_loss,val_accuracy\n")
             for epoch, loss, acc in history:
                 fh.write(f"{epoch},{loss:.8g},{acc:.8g}\n")

@@ -1,5 +1,7 @@
 """Checkpoint container round trips and mismatch detection."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def test_save_leaves_old_file_when_replace_fails(tmp_path, monkeypatch):
         raise OSError("simulated crash")
 
     with monkeypatch.context() as m:
-        m.setattr(ckpt.os, "replace", fail)
+        m.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="simulated crash"):
             ckpt.save_checkpoint(path, {"w": np.zeros((8, 8), dtype=np.float32)},
                                  {"step": 2})

@@ -147,6 +147,26 @@ def test_nmstride_rejects_bad_label(tmp_path):
         write_samples(tmp_path / "x.bin", samples, CFG, num_classes=2)
 
 
+def test_nmstride_bad_last_sample_leaves_previous_file(tmp_path):
+    path = tmp_path / "train.nmstride"
+    write_samples(path, make_samples(0, 2), CFG, 1)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="sample 3 label 4"):
+        write_samples(path, make_samples(0, 3) + make_samples(4, 1), CFG,
+                      num_classes=2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["train.nmstride"]
+
+
+def test_nmstride_bad_last_sample_leaves_no_new_file(tmp_path):
+    short = StrideSample(strides=np.zeros((CFG.n_strides - 1, CFG.stride_len),
+                                          dtype=np.uint8), label=0)
+    with pytest.raises(DataError, match="sample 2 holds"):
+        write_samples(tmp_path / "train.nmstride", make_samples(0, 2) + [short],
+                      CFG, 1)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, ["chat", "video"])

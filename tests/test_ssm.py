@@ -236,6 +236,40 @@ def test_scan_output_identical_with_and_without_grad():
     np.testing.assert_array_equal(graded.data, plain.data)
 
 
+def test_scan_backward_twice_accumulates_exactly():
+    # the vjp reads the saved state history; writing into it would make the
+    # second pass differ from the first
+    rng = np.random.default_rng(21)
+    inputs = [ad.Tensor(v, requires_grad=True)
+              for v in random_instance(rng, B=2, L=9, E=3, N=2)]
+    w = rng.standard_normal((2, 9, 3))
+    loss = ad.sum(ad.mul(ssm.selective_scan(*inputs), w))
+    ad.backward(loss)
+    once = [t.grad.copy() for t in inputs]
+    ad.backward(loss)
+    for t, g in zip(inputs, once):
+        np.testing.assert_array_equal(t.grad, 2 * g)
+
+
+def test_scan_float32_matches_float64_at_wide_shape():
+    rng = np.random.default_rng(22)
+    B, L, E, N = 2, 64, 32, 16
+    _, a, b_in, c, x = random_instance(rng, B=B, L=L, E=E, N=N)
+    delta = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=(B, L, E)))
+    w = rng.standard_normal((B, L, E))
+
+    def run(dtype):
+        inputs = [ad.Tensor(v.astype(dtype), requires_grad=True)
+                  for v in (delta, a, b_in, c, x)]
+        y = ssm.selective_scan(*inputs)
+        ad.backward(ad.sum(ad.mul(y, w.astype(dtype))))
+        return [y.data] + [t.grad for t in inputs]
+
+    for got, ref in zip(run(np.float32), run(np.float64)):
+        assert got.dtype == np.float32
+        assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
 def test_scan_keeps_no_state_history_without_grad():
     # the (L, B, E, N) state history is 4 MB here; every other array the
     # scan allocates is (L, B, E) or smaller
