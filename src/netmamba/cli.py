@@ -235,10 +235,22 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, _, _ = ckpt.load_model(args.checkpoint)
-    sf = datamod.read_samples(_resolve_data(args.data, "test"))
+    params, meta, _ = ckpt.load_model(args.checkpoint)
+    if params.head_w1 is None:
+        raise CheckpointMismatchError(
+            f"{args.checkpoint} is a {meta.get('kind', 'pretrain')} checkpoint "
+            "without a classification head; evaluate needs a fine-tuning one")
+    data_path = _resolve_data(args.data, "test")
+    sf = datamod.read_samples(data_path)
     values = cfgmod.merge(_load_file_config(args.config), {})
-    report = trainmod.evaluate(params, _tokens(sf, values), sf.labels,
+    tokens = _tokens(sf, values)
+    cfg = params.cfg
+    if tokens.shape[1:] != (cfg.n_strides, cfg.stride_len):
+        raise CheckpointMismatchError(
+            f"{args.checkpoint} expects {cfg.n_strides} strides of "
+            f"{cfg.stride_len} bytes, but {data_path} has {tokens.shape[1]} "
+            f"of {tokens.shape[2]}")
+    report = trainmod.evaluate(params, tokens, sf.labels,
                                batch_size=args.batch or 64)
     text = report.to_json(indent=2)
     print(text)

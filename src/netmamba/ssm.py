@@ -5,6 +5,9 @@ expanded width, causal depthwise conv + SiLU, input-dependent (B, C, dt),
 a sequential scan that applies the zero-order-hold discretization step by
 step to a (batch, state, channel) state, SiLU self-gating, output
 projection with a residual connection.
+
+For training the scan keeps only the state entering each chunk of _CHUNK
+steps; its backward pass recomputes each chunk from the arrays it saved.
 """
 
 from __future__ import annotations
@@ -110,6 +113,9 @@ def init_mamba_block(
     )
 
 
+_CHUNK = 16  # scan steps per stored state in grad mode
+
+
 def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Tensor:
     """Zero-order-hold selective scan, discretization included:
     h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
@@ -117,11 +123,12 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
     dt (B, L, E) must be positive; a (E, N); b, c (B, L, N); x (B, L, E);
     returns (B, L, E). Strictly causal; the recurrence is sequential per
     (batch, channel) lane. The state is (B, N, E), channels innermost, and
-    each step writes into buffers allocated once per call. exp(dt_t*A) is
-    formed per step and recomputed in the backward pass. The (L, B, N, E)
-    state history is kept only when grad mode is on and an input requires
-    grad; the backward pass reads it and the other saved arrays, never
-    writing into them, so repeated backward calls accumulate.
+    each step writes into buffers allocated once per call. Only when grad
+    mode is on and an input requires grad are states kept: the one entering
+    each chunk of _CHUNK steps. The backward pass walks the chunks last to
+    first and recomputes each chunk's states and exp(dt_t*A) factors with
+    the forward's own step. It reads the saved arrays, never writing into
+    them, so repeated backward calls accumulate.
     """
     B, L, E = dt.shape
     N = a.shape[-1]
@@ -136,16 +143,24 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
     # time-major views: D and U = dt*x are (L, B, E); Bm and C are (L, B, N)
     D, U, Bm, C = (np.moveaxis(v, 1, 0)
                    for v in (dt.data, dt.data * x.data, b.data, c.data))
+    K = _CHUNK
     keep = ad.grad_enabled() and any(p.requires_grad for p in parents)
-    H = np.empty((L, B, N, E), dtype=dtype) if keep else None
+    entry = np.empty((-(-L // K), B, N, E), dtype=dtype) if keep else None
     h = np.zeros((B, N, E), dtype=dtype)
     abar, bx = np.empty_like(h), np.empty_like(h)
+
+    def step(t, h_prev, h_out, abar):
+        # h_out = exp(dt_t*A) * h_prev + B_t (dt_t*x_t); abar keeps exp(dt_t*A)
+        np.exp(np.einsum("be,ne->bne", D[t], At, out=abar), out=abar)
+        np.einsum("bn,be->bne", Bm[t], U[t], out=bx)
+        np.multiply(abar, h_prev, out=h_out)
+        h_out += bx
+
     y = np.empty((L, B, E), dtype=dtype)
     for t in range(L):
-        np.exp(np.multiply(D[t][:, None, :], At, out=abar), out=abar)
-        np.multiply(Bm[t][:, :, None], U[t][:, None, :], out=bx)
-        h = np.multiply(abar, h, out=H[t] if keep else h)
-        h += bx
+        if keep and t % K == 0:
+            entry[t // K] = h
+        step(t, h, h, abar)
         np.matmul(C[t][:, None, :], h, out=y[t][:, None, :])
     out = np.ascontiguousarray(np.moveaxis(y, 0, 1))
 
@@ -153,21 +168,29 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
         gy = np.moveaxis(g, 1, 0)                                # (L, B, E)
         g_u = np.empty((L, B, E), dtype=dtype)
         g_dt = np.zeros_like(g_u)                                # 0 at t = 0
-        g_b = np.empty((L, B, N), dtype=dtype)
+        g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((L, B, N), dtype=dtype)
         acc = np.zeros((B, N, E), dtype=dtype)                   # dloss/dh_t
-        g_a, abar, s = np.zeros_like(acc), np.empty_like(acc), np.empty_like(acc)
-        for t in range(L - 1, -1, -1):
-            acc += np.multiply(C[t][:, :, None], gy[t][:, None, :], out=s)
-            np.matmul(Bm[t][:, None, :], acc, out=g_u[t][:, None, :])
-            np.matmul(acc, U[t][:, :, None], out=g_b[t][:, :, None])
-            np.exp(np.multiply(D[t][:, None, :], At, out=abar), out=abar)
-            if t:
-                np.multiply(np.multiply(acc, abar, out=s), H[t - 1], out=s)
-                np.einsum("bne,ne->be", s, At, out=g_dt[t])  # s: dloss/d(dt_t*A)
-                g_a += np.multiply(s, D[t][:, None, :], out=s)
-            acc *= abar
+        g_a, s = np.zeros_like(acc), np.empty_like(acc)
+        hs = np.empty((K + 1, B, N, E), dtype=dtype)             # hs[j] = h_{t0+j-1}
+        abars = np.empty((K, B, N, E), dtype=dtype)
+        for t0 in reversed(range(0, L, K)):
+            n = min(K, L - t0)
+            hs[0] = entry[t0 // K]
+            for j in range(n):
+                step(t0 + j, hs[j], hs[j + 1], abars[j])
+            np.matmul(hs[1:n + 1], gy[t0:t0 + n, :, :, None],
+                      out=g_c[t0:t0 + n, :, :, None])
+            for j in range(n - 1, -1, -1):
+                t = t0 + j
+                acc += np.einsum("bn,be->bne", C[t], gy[t], out=s)
+                np.matmul(Bm[t][:, None, :], acc, out=g_u[t][:, None, :])
+                np.matmul(acc, U[t][:, :, None], out=g_b[t][:, :, None])
+                acc *= abars[j]
+                if t:
+                    np.multiply(acc, hs[j], out=s)           # s: dloss/d(dt_t*A)
+                    np.einsum("bne,ne->be", s, At, out=g_dt[t])
+                    g_a += np.multiply(s, D[t][:, None, :], out=s)
         g_dt += g_u * np.moveaxis(x.data, 1, 0)
-        g_c = np.matmul(H, gy[..., None])[..., 0]               # (L, B, N)
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
         return (np.moveaxis(g_dt, 0, 1), g_a, np.moveaxis(g_b, 0, 1),
                 np.moveaxis(g_c, 0, 1), np.moveaxis(g_u * D, 0, 1))

@@ -194,6 +194,42 @@ def test_checkpoint_mismatch_exit_code(extracted):
                 "--epochs", 1, "--batch", 4])
     assert code == 3
 
+def test_evaluate_pretrain_checkpoint_is_mismatch(extracted, capsys):
+    tmp, dataset, cfg = extracted
+    pre_dir = tmp / "pre_eval"
+    assert run(["pretrain", "--data", dataset, "--output", pre_dir,
+                "--config", cfg, "--steps", 2, "--batch", 4, "--seed", 0]) == 0
+    capsys.readouterr()
+    ckpt_path = pre_dir / "best.nmckpt"
+    assert run(["evaluate", "--data", dataset, "--checkpoint", ckpt_path,
+                "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(ckpt_path) in err and "classification head" in err
+    assert "Traceback" not in err
+
+def test_evaluate_stride_geometry_mismatch(extracted, capsys):
+    tmp, dataset, cfg = extracted
+    fine_dir = tmp / "fine_eval"
+    assert run(["finetune", "--data", dataset, "--output", fine_dir,
+                "--config", cfg, "--from-scratch", "--epochs", 1,
+                "--batch", 8, "--seed", 4]) == 0
+    longer = tmp / "longer.cfg"
+    longer.write_text(SMALL_CFG.replace("packets_per_flow = 2",
+                                        "packets_per_flow = 3"))
+    other = tmp / "longer_dataset"
+    assert run(["extract", "--input", tmp / "pcaps", "--output", other,
+                "--config", longer, "--seed", 11]) == 0
+    capsys.readouterr()
+    ckpt_path = fine_dir / "best.nmckpt"
+    assert run(["evaluate", "--data", other, "--checkpoint", ckpt_path,
+                "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(ckpt_path) in err and "16 strides of 4 bytes" in err
+    assert "has 24 of 4" in err
+    assert "Traceback" not in err
+
 def test_flag_overrides_config_file(extracted, capsys):
     tmp, dataset, cfg = extracted
     pre_dir = tmp / "pre3"
