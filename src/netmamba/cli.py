@@ -36,14 +36,14 @@ from . import traffic
 from . import train as trainmod
 from .errors import (
     EXIT_CHECKPOINT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-    CheckpointMismatchError, ConfigError, DataError, EmptyFlowError,
-    NumericFaultError, ParseError, UnsupportedFormatError,
+    CheckpointMismatchError, ConfigError, DataError, NumericFaultError,
+    ParseError, UnsupportedFormatError,
 )
 from .fileio import atomic_write
 from .pcap import parse_capture
 
 _USAGE_ERRORS = (ConfigError, DataError, ParseError, UnsupportedFormatError,
-                 EmptyFlowError, FileNotFoundError, NotADirectoryError)
+                 FileNotFoundError, NotADirectoryError)
 
 
 def _load_file_config(path) -> dict:
@@ -135,10 +135,7 @@ def cmd_extract(args) -> int:
                 dropped += 1
                 continue
             flow.label = label
-            try:
-                kept.append(traffic.build_sample(flow, repr_cfg))
-            except EmptyFlowError:
-                dropped += 1
+            kept.append(traffic.build_sample(flow, repr_cfg))
         per_class[label] = kept
         summary["classes"][class_dir.name] = {
             "flows_kept": len(kept), "flows_dropped": dropped}

@@ -147,17 +147,14 @@ def read_samples(path) -> StrideFile:
     if len(blob) != expected:
         raise ParseError(
             f"{path}: file is {len(blob)} bytes, header implies {expected}")
-    data = np.empty((count, flow_bytes), dtype=np.uint8)
-    labels = np.empty(count, dtype=np.int64)
-    off = 34
-    for i in range(count):
-        (raw_label,) = struct.unpack_from("<I", blob, off)
-        labels[i] = -1 if raw_label == UNLABELED else raw_label
-        off += 4
-        data[i] = np.frombuffer(blob, dtype=np.uint8, count=flow_bytes, offset=off)
-        off += flow_bytes
+    records = np.frombuffer(
+        blob, dtype=[("label", "<u4"), ("data", np.uint8, (flow_bytes,))],
+        count=count, offset=34)
+    labels = records["label"].astype(np.int64)
+    labels[records["label"] == UNLABELED] = -1
     return StrideFile(packets_per_flow=m, header_bytes=n_h, payload_bytes=n_p,
-                      stride_len=l_s, num_classes=c, data=data, labels=labels)
+                      stride_len=l_s, num_classes=c,
+                      data=records["data"].copy(), labels=labels)
 
 
 def write_manifest(path, class_names) -> None:

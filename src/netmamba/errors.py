@@ -13,10 +13,6 @@ class MalformedPacketError(ValueError):
     """Packet bytes shorter than their declared headers, or a bad IP version."""
 
 
-class EmptyFlowError(ValueError):
-    """Flow contains no usable IP packet after filtering."""
-
-
 class ConfigError(ValueError):
     """Invalid configuration value, unknown key, or inconsistent settings."""
 

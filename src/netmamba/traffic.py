@@ -1,19 +1,23 @@
 """Flow assembly and the byte-balanced, anonymized, stride-cut representation.
 
-Pipeline per packet: strip the Ethernet (and VLAN) framing, drop non-IP and
-optionally DHCP traffic, zero the IP address fields, split IP+transport
-header from payload, crop/pad each part to a fixed budget. The first M
-packets of a flow concatenate into one byte array that is cut into
+Each frame is dissected once, by ``classify_and_strip``: strip the Ethernet
+(and VLAN) framing, drop non-IP and optionally DHCP traffic, find where the
+IP+transport header ends, and key the packet by its canonical 5-tuple. A
+truncated or impossible header at any layer, the TCP/UDP header included,
+makes the frame malformed; ``assemble_flows`` counts and skips it. For the
+first M datagrams of a flow, ``build_sample`` zeroes the IP address fields,
+splits header from payload at the stored length and crops/pads each part to
+a fixed budget; the rows concatenate into one byte array that is cut into
 non-overlapping strides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyFlowError, MalformedPacketError
+from .errors import ConfigError, MalformedPacketError
 from .pcap import RawPacket
 
 ETHERTYPE_IPV4 = 0x0800
@@ -45,10 +49,20 @@ class FiveTuple:
         return cls(dst_ip, dst_port, src_ip, src_port, protocol)
 
 
+@dataclass(slots=True)
+class Datagram:
+    """One kept packet: capture time (seconds, nanoseconds), the IP
+    datagram, and the length of its IP+transport header."""
+
+    time: tuple[int, int]
+    ip_bytes: bytes
+    header_len: int
+
+
 @dataclass
 class FlowRecord:
     key: FiveTuple
-    packets: list[RawPacket]
+    packets: list[Datagram]
     label: int | None = None
 
 
@@ -112,9 +126,12 @@ class AssemblyStats:
     malformed_packets: int = 0
 
 
-def classify_and_strip(packet: RawPacket, cfg: ReprConfig) -> bytes | None:
-    """Drop the Ethernet framing; return the IP datagram or None for
-    non-IP / filtered traffic."""
+def classify_and_strip(packet: RawPacket,
+                       cfg: ReprConfig) -> tuple[FiveTuple, Datagram] | None:
+    """Dissect one frame: its flow key and IP datagram, or None for non-IP
+    and filtered DHCP traffic. Raises MalformedPacketError for any header,
+    from Ethernet to TCP/UDP, that is truncated or declares an impossible
+    length."""
     data = packet.link_bytes
     if len(data) < 14:
         raise MalformedPacketError(
@@ -129,17 +146,34 @@ def classify_and_strip(packet: RawPacket, cfg: ReprConfig) -> bytes | None:
     if ethertype not in (ETHERTYPE_IPV4, ETHERTYPE_IPV6):
         return None
     ip_bytes = data[off + 2:]
-    if cfg.drop_dhcp:
-        try:
-            proto, t_off = _transport_offset(ip_bytes)
-        except MalformedPacketError:
-            return ip_bytes  # let downstream stages report it
-        if proto == PROTO_UDP and t_off + 4 <= len(ip_bytes):
-            sport = int.from_bytes(ip_bytes[t_off:t_off + 2], "big")
-            dport = int.from_bytes(ip_bytes[t_off + 2:t_off + 4], "big")
-            if sport in DHCP_PORTS or dport in DHCP_PORTS:
-                return None
-    return ip_bytes
+    version, proto, t_off = _transport_offset(ip_bytes)
+    if proto == PROTO_TCP:
+        if t_off + 13 > len(ip_bytes):
+            raise MalformedPacketError("TCP header truncated before data offset")
+        doff = (ip_bytes[t_off + 12] >> 4) * 4
+        if doff < 20:
+            raise MalformedPacketError(f"TCP data offset of {doff} bytes is invalid")
+        end = t_off + doff
+    elif proto == PROTO_UDP:
+        end = t_off + 8
+    else:
+        end = t_off
+    if end > len(ip_bytes):
+        raise MalformedPacketError(
+            f"declared header length {end} exceeds packet of {len(ip_bytes)}")
+    sport = dport = 0
+    if proto in (PROTO_TCP, PROTO_UDP):
+        sport = int.from_bytes(ip_bytes[t_off:t_off + 2], "big")
+        dport = int.from_bytes(ip_bytes[t_off + 2:t_off + 4], "big")
+        if (cfg.drop_dhcp and proto == PROTO_UDP
+                and (sport in DHCP_PORTS or dport in DHCP_PORTS)):
+            return None
+    if version == 4:
+        src, dst = ip_bytes[12:16], ip_bytes[16:20]
+    else:
+        src, dst = ip_bytes[8:24], ip_bytes[24:40]
+    key = FiveTuple.canonical(src, sport, dst, dport, proto)
+    return key, Datagram(packet.sort_key, ip_bytes, end)
 
 
 def anonymize(ip_bytes: bytes, cfg: ReprConfig) -> bytes:
@@ -166,9 +200,9 @@ def _ip_version(ip_bytes: bytes) -> int:
     return version
 
 
-def _transport_offset(ip_bytes: bytes) -> tuple[int, int]:
-    """(protocol, offset of the transport header); IPv6 extension headers
-    are walked and counted as header."""
+def _transport_offset(ip_bytes: bytes) -> tuple[int, int, int]:
+    """(IP version, protocol, offset of the transport header); IPv6
+    extension headers are walked and counted as header."""
     version = _ip_version(ip_bytes)
     if version == 4:
         if len(ip_bytes) < 20:
@@ -179,7 +213,7 @@ def _transport_offset(ip_bytes: bytes) -> tuple[int, int]:
         if ihl > len(ip_bytes):
             raise MalformedPacketError(
                 f"IPv4 header length {ihl} exceeds packet of {len(ip_bytes)}")
-        return ip_bytes[9], ihl
+        return 4, ip_bytes[9], ihl
     if len(ip_bytes) < 40:
         raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
     proto = ip_bytes[6]
@@ -200,28 +234,7 @@ def _transport_offset(ip_bytes: bytes) -> tuple[int, int]:
             raise MalformedPacketError(
                 f"IPv6 extension header length exceeds packet at offset {off}")
         proto = nxt
-    return proto, off
-
-
-def split_header_payload(ip_bytes: bytes) -> tuple[bytes, bytes]:
-    """Header = IP header (+ extension headers) plus the TCP/UDP header when
-    present; payload = the rest."""
-    proto, off = _transport_offset(ip_bytes)
-    if proto == PROTO_TCP:
-        if off + 13 > len(ip_bytes):
-            raise MalformedPacketError("TCP header truncated before data offset")
-        doff = (ip_bytes[off + 12] >> 4) * 4
-        if doff < 20:
-            raise MalformedPacketError(f"TCP data offset of {doff} bytes is invalid")
-        end = off + doff
-    elif proto == PROTO_UDP:
-        end = off + 8
-    else:
-        end = off
-    if end > len(ip_bytes):
-        raise MalformedPacketError(
-            f"declared header length {end} exceeds packet of {len(ip_bytes)}")
-    return ip_bytes[:end], ip_bytes[end:]
+    return 6, proto, off
 
 
 def crop_pad(header: bytes, payload: bytes, cfg: ReprConfig) -> np.ndarray:
@@ -237,20 +250,6 @@ def crop_pad(header: bytes, payload: bytes, cfg: ReprConfig) -> np.ndarray:
     return out
 
 
-def flow_key(ip_bytes: bytes) -> FiveTuple:
-    version = _ip_version(ip_bytes)
-    proto, off = _transport_offset(ip_bytes)
-    if version == 4:
-        src, dst = ip_bytes[12:16], ip_bytes[16:20]
-    else:
-        src, dst = ip_bytes[8:24], ip_bytes[24:40]
-    sport = dport = 0
-    if proto in (PROTO_TCP, PROTO_UDP) and off + 4 <= len(ip_bytes):
-        sport = int.from_bytes(ip_bytes[off:off + 2], "big")
-        dport = int.from_bytes(ip_bytes[off + 2:off + 4], "big")
-    return FiveTuple.canonical(src, sport, dst, dport, proto)
-
-
 def assemble_flows(packets, cfg: ReprConfig,
                    stats: AssemblyStats | None = None) -> list[FlowRecord]:
     """Group surviving packets by canonical 5-tuple, first-seen order;
@@ -261,45 +260,37 @@ def assemble_flows(packets, cfg: ReprConfig,
     flows: dict[FiveTuple, FlowRecord] = {}
     for packet in packets:
         try:
-            ip_bytes = classify_and_strip(packet, cfg)
-            if ip_bytes is None:
-                stats.skipped_packets += 1
-                continue
-            key = flow_key(ip_bytes)
+            dissected = classify_and_strip(packet, cfg)
         except MalformedPacketError:
             stats.malformed_packets += 1
             continue
+        if dissected is None:
+            stats.skipped_packets += 1
+            continue
         stats.kept_packets += 1
+        key, datagram = dissected
         record = flows.get(key)
         if record is None:
-            flows[key] = FlowRecord(key=key, packets=[packet])
+            flows[key] = FlowRecord(key=key, packets=[datagram])
         else:
-            record.packets.append(packet)
+            record.packets.append(datagram)
     out = list(flows.values())
     for record in out:
-        record.packets.sort(key=lambda p: p.sort_key)
+        record.packets.sort(key=lambda d: d.time)
     return out
 
 
 def build_sample(flow: FlowRecord, cfg: ReprConfig) -> StrideSample:
-    """First M usable packets, cropped and concatenated, cut into strides.
-    Flows shorter than M packets are padded with all-zero packet slots."""
-    rows: list[np.ndarray] = []
-    for packet in flow.packets:
-        ip_bytes = classify_and_strip(packet, cfg)
-        if ip_bytes is None:
-            continue
-        ip_bytes = anonymize(ip_bytes, cfg)
-        header, payload = split_header_payload(ip_bytes)
-        rows.append(crop_pad(header, payload, cfg))
-        if len(rows) == cfg.packets_per_flow:
-            break
-    if not rows:
-        raise EmptyFlowError(f"flow {flow.key} has no usable IP packet")
-    flat = np.zeros(cfg.flow_bytes, dtype=np.uint8)
-    flat[:len(rows) * cfg.packet_bytes] = np.concatenate(rows)
+    """First M datagrams, anonymized, cropped and concatenated, cut into
+    strides. Flows shorter than M packets are padded with all-zero packet
+    slots."""
+    rows = np.zeros((cfg.packets_per_flow, cfg.packet_bytes), dtype=np.uint8)
+    for row, datagram in zip(rows, flow.packets):
+        ip_bytes = anonymize(datagram.ip_bytes, cfg)
+        end = datagram.header_len
+        row[:] = crop_pad(ip_bytes[:end], ip_bytes[end:], cfg)
     return StrideSample(
-        strides=flat.reshape(cfg.n_strides, cfg.stride_len),
+        strides=rows.reshape(cfg.n_strides, cfg.stride_len),
         flow_key=flow.key,
         label=flow.label,
     )

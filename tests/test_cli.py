@@ -10,7 +10,7 @@ from netmamba import cli
 from netmamba.data import read_samples
 from netmamba.pcap import write_pcap
 
-from helpers import eth_frame, ipv4_packet, raw, tcp_segment
+from helpers import eth_frame, ipv4_packet, raw, tcp_segment, udp_datagram
 
 SMALL_CFG = """
 packets_per_flow = 2
@@ -106,6 +106,36 @@ def test_extract_records_per_file_errors_and_continues(workspace):
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["file_errors"]) == 1
     assert "broken.pcap" in summary["file_errors"][0]["file"]
+
+def test_extract_counts_truncated_transport_headers_as_malformed(tmp_path):
+    class_dir = tmp_path / "pcaps" / "web"
+    class_dir.mkdir(parents=True)
+    segments = [tcp_segment(bytes([k + 1]) * 30, 40000, 443) for k in range(3)]
+    good = [ipv4_packet(seg, 6, "10.0.0.1", "10.0.0.2") for seg in segments]
+    # valid IPv4 headers; the TCP header stops after the ports, the UDP
+    # header after 6 of its 8 bytes
+    tcp_cut = ipv4_packet(tcp_segment(b"", 41000, 80), 6, "10.0.0.3")[:24]
+    udp_cut = ipv4_packet(udp_datagram(b"", 5000, 53), 17, "10.0.0.4")[:26]
+    frames = [good[0], tcp_cut, good[1], udp_cut, good[2]]
+    write_pcap(class_dir / "a.pcap",
+               [raw(eth_frame(ip, 0x0800), ts_sec=i) for i, ip in enumerate(frames)])
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="only 1 samples"):
+        code = run(["extract", "--input", tmp_path / "pcaps", "--output", out])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["malformed_packets"] == 2
+    assert summary["skipped_packets"] == 0
+    assert summary["classes"]["web"] == {"flows_kept": 1, "flows_dropped": 0}
+    # the good flow's row: each datagram with its addresses zeroed, the
+    # 40-byte IP+TCP header padded to 80 bytes and the payload to 240
+    expected = b""
+    for seg in segments:
+        anon = ipv4_packet(seg, 6, "0.0.0.0", "0.0.0.0")
+        expected += anon[:40].ljust(80, b"\0") + anon[40:].ljust(240, b"\0")
+    sf = read_samples(out / "train.nmstride")
+    assert sf.labels.tolist() == [0]
+    assert sf.data[0].tobytes() == expected.ljust(1600, b"\0")
 
 def test_extract_balance_limits(workspace):
     tmp, pcaps, cfg = workspace

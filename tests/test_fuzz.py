@@ -1,0 +1,133 @@
+"""Hypothesis fuzz of the capture-to-sample path on random and truncated
+bytes: only the declared error types may escape ``parse_capture``, and
+``assemble_flows``/``build_sample`` never raise."""
+
+import struct
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netmamba.errors import ParseError, UnsupportedFormatError
+from netmamba.pcap import MAGIC_NS, MAGIC_US, parse_capture
+from netmamba.traffic import (
+    AssemblyStats, ReprConfig, assemble_flows, build_sample,
+)
+
+from helpers import (
+    eth_frame, ipv4_packet, ipv6_packet, raw, tcp_segment, udp_datagram,
+)
+
+PORTS = st.one_of(st.sampled_from([53, 67, 68, 443, 546, 547]),
+                  st.integers(0, 65535))
+# IPv6 extension headers the dissector walks: hop-by-hop, routing,
+# fragment, destination options, authentication
+V6_EXT = (0, 43, 44, 60, 51)
+
+
+@st.composite
+def transports(draw):
+    """(protocol, transport header + payload)."""
+    proto = draw(st.sampled_from([6, 17, 1]))
+    payload = draw(st.binary(max_size=24))
+    sport, dport = draw(PORTS), draw(PORTS)
+    if proto == 6:
+        options = bytes(4 * draw(st.integers(0, 3)))
+        return proto, tcp_segment(payload, sport, dport, options=options)
+    if proto == 17:
+        return proto, udp_datagram(payload, sport, dport)
+    return proto, payload
+
+
+@st.composite
+def ipv6_chains(draw, proto: int):
+    """(first next-header value, extension chain ending in ``proto``)."""
+    kinds = draw(st.lists(st.sampled_from(V6_EXT), max_size=3))
+    chain = b""
+    for kind, nxt in zip(kinds, kinds[1:] + [proto]):
+        units = draw(st.integers(0, 2))
+        if kind == 44:
+            size = 8
+        elif kind == 51:
+            size = (units + 2) * 4
+        else:
+            size = (units + 1) * 8
+        chain += bytes([nxt, units]) + bytes(size - 2)
+    return (kinds[0] if kinds else proto), chain
+
+
+@st.composite
+def frames(draw):
+    """Random bytes, or an Ethernet/IP/transport frame that may be cut at
+    any byte and may have one byte overwritten."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=96))
+    proto, transport = draw(transports())
+    if draw(st.booleans()):
+        ip = ipv4_packet(transport, proto,
+                         options=bytes(4 * draw(st.integers(0, 2))))
+        ethertype = 0x0800
+    else:
+        first, chain = draw(ipv6_chains(proto))
+        ip = ipv6_packet(chain + transport, first)
+        ethertype = 0x86DD
+    if draw(st.integers(0, 5)) == 0:
+        ethertype = draw(st.sampled_from([0x0806, 0x8100, 0x88A8, 0x86DD]))
+    vlans = draw(st.lists(st.integers(0, 0xFFFF), max_size=2))
+    frame = bytearray(eth_frame(ip, ethertype, vlan_tcis=vlans))
+    if draw(st.booleans()):
+        frame = frame[:draw(st.integers(0, len(frame)))]
+    if frame and draw(st.booleans()):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    return bytes(frame)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(frames(), max_size=12), st.booleans(), st.booleans())
+def test_assemble_and_build_never_raise(frame_list, drop_dhcp, anonymize_ips):
+    cfg = ReprConfig(drop_dhcp=drop_dhcp, anonymize_ips=anonymize_ips)
+    packets = [raw(f, ts_sec=i) for i, f in enumerate(frame_list)]
+    stats = AssemblyStats()
+    flows = assemble_flows(packets, cfg, stats)
+    assert (stats.kept_packets + stats.skipped_packets
+            + stats.malformed_packets) == len(packets)
+    assert sum(len(flow.packets) for flow in flows) == stats.kept_packets
+    for flow in flows:
+        sample = build_sample(flow, cfg)
+        assert sample.strides.shape == (cfg.n_strides, cfg.stride_len)
+
+
+@st.composite
+def captures(draw):
+    """Random bytes, or a classic pcap with random records that may be cut
+    at any byte and may have one byte overwritten."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=96))
+    order = draw(st.sampled_from("<>"))
+    magic = draw(st.sampled_from([MAGIC_US, MAGIC_NS]))
+    linktype = draw(st.sampled_from([1, 1, 1, 101]))
+    blob = bytearray(struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535,
+                                 linktype))
+    for record in draw(st.lists(st.binary(max_size=40), max_size=4)):
+        blob += struct.pack(order + "IIII", draw(st.integers(0, 2**32 - 1)),
+                            draw(st.integers(0, 999_999)), len(record),
+                            len(record)) + record
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob)))]
+    if blob and draw(st.booleans()):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(captures())
+def test_parse_capture_raises_only_declared_errors(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.pcap"
+        path.write_bytes(blob)
+        try:
+            packets = parse_capture(path)
+        except (ParseError, UnsupportedFormatError):
+            return
+    assert all(len(p.link_bytes) <= len(blob) for p in packets)

@@ -1,16 +1,15 @@
-"""Representation pipeline: stripping, anonymization, header/payload split,
-crop/pad, flow assembly, and stride cutting."""
+"""Representation pipeline: dissection (stripping, header length, flow key),
+anonymization, crop/pad, flow assembly, and stride cutting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netmamba.errors import ConfigError, EmptyFlowError, MalformedPacketError
+from netmamba.errors import ConfigError, MalformedPacketError
 from netmamba.traffic import (
     AssemblyStats, FiveTuple, FlowRecord, ReprConfig, anonymize,
-    assemble_flows, build_sample, classify_and_strip, crop_pad, flow_key,
-    split_header_payload,
+    assemble_flows, build_sample, classify_and_strip, crop_pad,
 )
 
 from helpers import (
@@ -21,14 +20,25 @@ from helpers import (
 CFG = ReprConfig()
 
 
+def strip(frame: bytes, cfg: ReprConfig = CFG) -> bytes | None:
+    """The IP datagram ``classify_and_strip`` keeps, or None."""
+    dissected = classify_and_strip(raw(frame), cfg)
+    return None if dissected is None else dissected[1].ip_bytes
+
+
+def one_flow(packets, cfg: ReprConfig = CFG) -> FlowRecord:
+    [flow] = assemble_flows(packets, cfg)
+    return flow
+
+
 def test_strip_plain_ipv4():
     ip = ipv4_packet(tcp_segment(b"hello", 1234, 80), 6)
-    assert classify_and_strip(raw(eth_frame(ip, 0x0800)), CFG) == ip
+    assert strip(eth_frame(ip, 0x0800)) == ip
 
 
 def test_strip_drops_arp():
     arp = bytes(28)
-    assert classify_and_strip(raw(eth_frame(arp, 0x0806)), CFG) is None
+    assert strip(eth_frame(arp, 0x0806)) is None
 
 
 def test_strip_vlan_tagged_matches_hand_slice():
@@ -36,13 +46,13 @@ def test_strip_vlan_tagged_matches_hand_slice():
     frame = eth_frame(ip, 0x0800, vlan_tcis=(0x0064,))
     # 14-byte Ethernet header plus one 4-byte tag precede the datagram
     assert frame[18:] == ip
-    assert classify_and_strip(raw(frame), CFG) == ip
+    assert strip(frame) == ip
 
 
 def test_strip_double_vlan():
     ip = ipv4_packet(b"", 89)
     frame = eth_frame(ip, 0x0800, vlan_tcis=(1, 2))
-    assert classify_and_strip(raw(frame), CFG) == ip
+    assert strip(frame) == ip
 
 
 def test_strip_short_packet_is_malformed():
@@ -53,15 +63,14 @@ def test_strip_short_packet_is_malformed():
 @pytest.mark.parametrize("sport,dport", [(68, 67), (67, 68), (546, 547), (40000, 67)])
 def test_dhcp_filter(sport, dport):
     ip = ipv4_packet(udp_datagram(b"dhcp", sport, dport), 17)
-    packet = raw(eth_frame(ip, 0x0800))
-    assert classify_and_strip(packet, CFG) is None
-    keep = ReprConfig(drop_dhcp=False)
-    assert classify_and_strip(packet, keep) == ip
+    frame = eth_frame(ip, 0x0800)
+    assert strip(frame) is None
+    assert strip(frame, ReprConfig(drop_dhcp=False)) == ip
 
 
 def test_dhcp_filter_leaves_other_udp():
     ip = ipv4_packet(udp_datagram(b"dns", 53000, 53), 17)
-    assert classify_and_strip(raw(eth_frame(ip, 0x0800)), CFG) == ip
+    assert strip(eth_frame(ip, 0x0800)) == ip
 
 
 def test_anonymize_zeroes_ipv4_addresses():
@@ -89,48 +98,43 @@ def test_anonymize_rejects_bad_version():
         anonymize(b"\x12" + bytes(30), CFG)
 
 
-def test_split_ipv4_tcp():
-    ip = ipv4_packet(tcp_segment(bytes(10), 1, 2), 6)
-    header, payload = split_header_payload(ip)
-    assert (len(header), len(payload)) == (40, 10)
-
-
-def test_split_ipv4_udp_empty_payload():
-    ip = ipv4_packet(udp_datagram(b"", 1, 2), 17)
-    header, payload = split_header_payload(ip)
-    assert (len(header), len(payload)) == (28, 0)
-
-
-def test_split_with_ip_options_and_tcp_options():
+@pytest.mark.parametrize("ip,header_len,payload", [
+    pytest.param(ipv4_packet(tcp_segment(bytes(10), 1, 2), 6), 40, bytes(10),
+                 id="ipv4_tcp"),
+    pytest.param(ipv4_packet(udp_datagram(b"", 1, 2), 17), 28, b"",
+                 id="ipv4_udp_empty_payload"),
     # IHL=6 (24-byte IP header) and TCP data offset 8 (32 bytes) -> 56 total
-    ip = ipv4_packet(tcp_segment(b"abc", 1, 2, options=bytes(12)), 6,
-                     options=bytes(4))
-    header, payload = split_header_payload(ip)
-    assert len(header) == 24 + 32 == 56
-    assert payload == b"abc"
-
-
-def test_split_icmp_header_is_ip_only():
-    ip = ipv4_packet(b"\x08\x00\x00\x00rest", 1)
-    header, payload = split_header_payload(ip)
-    assert len(header) == 20
-    assert payload.startswith(b"\x08")
-
-
-def test_split_ipv6_extension_headers_count_as_header():
+    pytest.param(ipv4_packet(tcp_segment(b"abc", 1, 2, options=bytes(12)), 6,
+                             options=bytes(4)), 24 + 32, b"abc",
+                 id="ip_and_tcp_options"),
+    pytest.param(ipv4_packet(b"\x08\x00\x00\x00rest", 1), 20,
+                 b"\x08\x00\x00\x00rest", id="icmp_header_is_ip_only"),
     # hop-by-hop (8 bytes) then UDP
-    ext = bytes([17, 0]) + bytes(6)
-    ip = ipv6_packet(ext + udp_datagram(b"zz", 7, 8), 0)
-    header, payload = split_header_payload(ip)
-    assert len(header) == 40 + 8 + 8
-    assert payload == b"zz"
+    pytest.param(ipv6_packet(bytes([17, 0]) + bytes(6)
+                             + udp_datagram(b"zz", 7, 8), 0),
+                 40 + 8 + 8, b"zz", id="ipv6_extension_headers_count_as_header"),
+])
+def test_dissect_header_length(ip, header_len, payload):
+    ethertype = 0x0800 if ip[0] >> 4 == 4 else 0x86DD
+    _, datagram = classify_and_strip(raw(eth_frame(ip, ethertype)), CFG)
+    assert datagram.ip_bytes == ip
+    assert datagram.header_len == header_len
+    assert ip[header_len:] == payload
 
 
-def test_split_declared_length_exceeds_packet():
-    ip = bytearray(ipv4_packet(tcp_segment(b"", 1, 2), 6))
-    ip = bytes(ip[:30])  # cut inside the TCP header
+@pytest.mark.parametrize("ip", [
+    # cut inside the TCP header, after the ports
+    pytest.param(ipv4_packet(tcp_segment(b"", 1, 2), 6)[:30],
+                 id="tcp_cut_after_ports"),
+    # TCP data offset of 15 words declares 60 bytes of a 20-byte header
+    pytest.param(ipv4_packet(tcp_segment(b"", 1, 2), 6)[:32] + b"\xf0"
+                 + bytes(7), id="tcp_data_offset_past_end"),
+    pytest.param(ipv4_packet(udp_datagram(b"", 5000, 53), 17)[:26],
+                 id="udp_header_of_6_bytes"),
+])
+def test_dissect_declared_length_exceeds_packet(ip):
     with pytest.raises(MalformedPacketError):
-        split_header_payload(ip)
+        classify_and_strip(raw(eth_frame(ip, 0x0800)), CFG)
 
 
 def test_crop_pad_default_budgets():
@@ -154,10 +158,12 @@ def test_crop_pad_toggles():
     assert no_payload[:80].all() and not no_payload[80:].any()
 
 
-def test_flow_key_symmetry_example():
+def test_dissect_key_symmetry_example():
     fwd = ipv4_packet(tcp_segment(b"", 1111, 2222), 6, "10.0.0.1", "10.0.0.2")
     rev = ipv4_packet(tcp_segment(b"", 2222, 1111), 6, "10.0.0.2", "10.0.0.1")
-    assert flow_key(fwd) == flow_key(rev)
+    fwd_key, _ = classify_and_strip(raw(eth_frame(fwd, 0x0800)), CFG)
+    rev_key, _ = classify_and_strip(raw(eth_frame(rev, 0x0800)), CFG)
+    assert fwd_key == rev_key
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,12 +225,12 @@ def test_assemble_orders_flows_first_seen_and_packets_by_time():
     other = tcp_flow_packet(2, dport=443)
     flows = assemble_flows([early, other, late], CFG)
     assert flows[0].key.port_a in (80, 40000) or flows[0].key.port_b == 80
-    assert [p.ts_sec for p in flows[0].packets] == [1, 5]
+    assert [d.time for d in flows[0].packets] == [(1, 0), (5, 0)]
     assert len(flows) == 2
 
 
 def test_build_sample_default_dimensions():
-    flow = FlowRecord(key=None, packets=[tcp_flow_packet(i) for i in range(7)])
+    flow = one_flow([tcp_flow_packet(i) for i in range(7)])
     sample = build_sample(flow, CFG)
     assert CFG.flow_bytes == 1600
     assert CFG.n_strides == 400
@@ -232,7 +238,7 @@ def test_build_sample_default_dimensions():
 
 
 def test_build_sample_single_packet_padding():
-    flow = FlowRecord(key=None, packets=[tcp_flow_packet(0, payload=b"\xff" * 600)])
+    flow = one_flow([tcp_flow_packet(0, payload=b"\xff" * 600)])
     sample = build_sample(flow, CFG)
     # one packet fills strides 0..79; the remaining 320 stride rows are zero
     assert sample.strides[:80].any()
@@ -245,32 +251,26 @@ def test_stride_cutting_indexing_identity():
                      stride_len=4, anonymize_ips=False)
     payload = bytes(range(16))
     packet = raw(eth_frame(ipv4_packet(udp_datagram(payload, 9, 10), 17), 0x0800))
-    sample = build_sample(FlowRecord(key=None, packets=[packet]), cfg)
+    sample = build_sample(one_flow([packet], cfg), cfg)
     assert list(sample.strides[1]) == [4, 5, 6, 7]
-
-
-def test_build_sample_empty_flow_error():
-    flow = FlowRecord(key=None, packets=[raw(eth_frame(bytes(28), 0x0806))])
-    with pytest.raises(EmptyFlowError):
-        build_sample(flow, CFG)
 
 
 def test_round_trip_strides_equal_crop_pad_concat():
     packets = [tcp_flow_packet(i, payload=bytes([i]) * (20 * i)) for i in range(6)]
-    flow = FlowRecord(key=None, packets=packets)
-    sample = build_sample(flow, CFG)
+    sample = build_sample(one_flow(packets), CFG)
     expected = []
-    for p in packets[:CFG.packets_per_flow]:
-        ip = anonymize(classify_and_strip(p, CFG), CFG)
-        expected.append(crop_pad(*split_header_payload(ip), CFG))
+    for i in range(CFG.packets_per_flow):
+        # the datagram with its addresses zeroed; 20-byte IP + 20-byte TCP
+        anon = ipv4_packet(tcp_segment(bytes([i]) * (20 * i), 40000, 443), 6,
+                           "0.0.0.0", "0.0.0.0")
+        expected.append(crop_pad(anon[:40], anon[40:], CFG))
     np.testing.assert_array_equal(sample.flat, np.concatenate(expected))
 
 
 def test_length_law_for_various_configs():
     for cfg in (CFG, ReprConfig(packets_per_flow=3, header_bytes=16,
                                 payload_bytes=8, stride_len=6)):
-        flow = FlowRecord(key=None, packets=[tcp_flow_packet(0)])
-        sample = build_sample(flow, cfg)
+        sample = build_sample(one_flow([tcp_flow_packet(0)], cfg), cfg)
         assert sample.strides.size == cfg.packets_per_flow * cfg.packet_bytes
 
 
