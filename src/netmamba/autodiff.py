@@ -234,7 +234,9 @@ def softplus(a) -> Tensor:
     """log(1 + exp(u)), with the identity branch for u > 20 to avoid overflow."""
     a = as_tensor(a)
     x = a.data
-    out = np.where(x > 20.0, x, np.log1p(np.exp(np.minimum(x, 20.0))))
+    out = np.minimum(x, 20.0, out=np.empty_like(x))
+    np.log1p(np.exp(out, out=out), out=out)
+    np.copyto(out, x, where=x > 20.0)
     return custom_op(out, (a,), lambda g: (g * _sigmoid(x),))
 
 

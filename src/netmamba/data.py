@@ -24,6 +24,7 @@ from .traffic import ReprConfig, StrideSample
 MAGIC = b"NMSTRIDE"
 VERSION = 1
 UNLABELED = 0xFFFFFFFF
+HEADER_BYTES = 34  # magic, u16 version, six u32 fields
 
 
 def balance_dataset(per_class: dict, lower: int, upper: int,
@@ -138,18 +139,28 @@ def read_samples(path) -> StrideFile:
     blob = Path(path).read_bytes()
     if blob[:8] != MAGIC:
         raise ParseError(f"{path}: bad sample-file magic {blob[:8]!r}")
+    if len(blob) < HEADER_BYTES:
+        raise ParseError(f"{path}: file is {len(blob)} bytes, shorter than "
+                         f"the {HEADER_BYTES}-byte header")
     (version,) = struct.unpack_from("<H", blob, 8)
     if version != VERSION:
         raise ParseError(f"{path}: unsupported sample-file version {version}")
     m, n_h, n_p, l_s, c, count = struct.unpack_from("<6I", blob, 10)
+    try:  # the geometry every written file has
+        ReprConfig(packets_per_flow=m, header_bytes=n_h, payload_bytes=n_p,
+                   stride_len=l_s)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     flow_bytes = m * (n_h + n_p)
-    expected = 34 + count * (4 + flow_bytes)
+    if flow_bytes >= 2**31:  # numpy's limit on a record's subarray length
+        raise ParseError(f"{path}: header declares {flow_bytes}-byte flows")
+    expected = HEADER_BYTES + count * (4 + flow_bytes)
     if len(blob) != expected:
         raise ParseError(
             f"{path}: file is {len(blob)} bytes, header implies {expected}")
     records = np.frombuffer(
         blob, dtype=[("label", "<u4"), ("data", np.uint8, (flow_bytes,))],
-        count=count, offset=34)
+        count=count, offset=HEADER_BYTES)
     labels = records["label"].astype(np.int64)
     labels[records["label"] == UNLABELED] = -1
     return StrideFile(packets_per_flow=m, header_bytes=n_h, payload_bytes=n_p,

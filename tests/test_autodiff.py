@@ -5,6 +5,7 @@ there, and the engine keeps float64 inputs in float64.
 """
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_conv_is_causal_and_reads_past():
     ],
 )
 def test_primitive_gradients_match_finite_differences(name):
-    rng = np.random.default_rng(abs(hash(name)) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     if name in ("add", "mul"):
         a, b = rand_tensor(rng, 3, 4), rand_tensor(rng, 3, 4)
         op = getattr(ad, name)

@@ -211,6 +211,15 @@ def test_finetune_empty_val_split_is_usage_error(workspace, capsys):
     assert "validation split is empty" in capsys.readouterr().err
     assert not (out / "best.nmckpt").exists()
 
+def test_pretrain_short_sample_header_is_parse_error(tmp_path, capsys):
+    # the magic and version fit, the six u32 header fields do not
+    short = tmp_path / "short.nmstride"
+    short.write_bytes(b"NMSTRIDE" + bytes([1, 0, 0, 0]))
+    out = tmp_path / "pt"
+    assert run(["pretrain", "--data", short, "--output", out]) == 2
+    assert "shorter than the 34-byte header" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_checkpoint_mismatch_exit_code(extracted):
     tmp, dataset, cfg = extracted
     pre_dir = tmp / "pre2"

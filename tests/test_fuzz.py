@@ -1,6 +1,6 @@
 """Hypothesis fuzz of the capture-to-sample path on random and truncated
-bytes: only the declared error types may escape ``parse_capture``, and
-``assemble_flows``/``build_sample`` never raise."""
+bytes: only the declared error types may escape ``parse_capture`` and
+``read_samples``, and ``assemble_flows``/``build_sample`` never raise."""
 
 import struct
 import tempfile
@@ -9,6 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netmamba.data import HEADER_BYTES, MAGIC, VERSION, read_samples
 from netmamba.errors import ParseError, UnsupportedFormatError
 from netmamba.pcap import MAGIC_NS, MAGIC_US, parse_capture
 from netmamba.traffic import (
@@ -131,3 +132,44 @@ def test_parse_capture_raises_only_declared_errors(blob):
         except (ParseError, UnsupportedFormatError):
             return
     assert all(len(p.link_bytes) <= len(blob) for p in packets)
+
+
+@st.composite
+def stride_files(draw):
+    """Random bytes after the NMSTRIDE magic, or a header of small or
+    extreme field values over random records, either of which may be cut at
+    any byte and may have one byte overwritten."""
+    if draw(st.integers(0, 2)) == 0:
+        return MAGIC + draw(st.binary(max_size=64))
+    fields = st.sampled_from([0, 1, 1, 2, 2, 3, 4, 2**31, 2**32 - 1])
+    m, n_h, n_p, l_s, c = (draw(fields) for _ in range(5))
+    count = draw(st.integers(0, 3))
+    flow_bytes = m * (n_h + n_p)
+    version = draw(st.sampled_from([VERSION, VERSION, 0, 2]))
+    blob = bytearray(MAGIC + struct.pack("<H6I", version, m, n_h, n_p, l_s, c,
+                                         count))
+    if flow_bytes <= 64:
+        blob += draw(st.binary(min_size=count * (4 + flow_bytes),
+                               max_size=count * (4 + flow_bytes)))
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(len(MAGIC), len(blob)))]
+    if len(blob) > len(MAGIC) and draw(st.booleans()):
+        blob[draw(st.integers(len(MAGIC), len(blob) - 1))] = draw(
+            st.integers(0, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stride_files())
+def test_read_samples_raises_only_parse_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.nmstride"
+        path.write_bytes(blob)
+        try:
+            sf = read_samples(path)
+        except ParseError:
+            return
+    count = len(sf.labels)
+    assert sf.strides.shape == (count, sf.n_strides, sf.stride_len)
+    assert len(blob) == HEADER_BYTES + count * (4 + sf.flow_bytes)
+    sf.repr_config()

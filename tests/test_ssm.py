@@ -239,6 +239,15 @@ def test_scan_gradients_match_finite_differences_across_chunks(L):
     w = np.random.default_rng(0).standard_normal((1, L, 2))
     f = lambda: ad.sum(ad.mul(ssm.selective_scan(*inputs), w))
     assert max_rel_err(f, inputs) < 1e-6
+    # an upstream gradient on the last row only, as the classification head
+    # gives. Each step back scales it by exp(dt*A): at the dt above (up to 1)
+    # the first gradients of L=35 fall to 1e-10..1e-12, below what central
+    # differences of an O(1) loss resolve, so this case takes a tenth of it
+    inputs[0].data *= 0.1
+    last_row = np.zeros_like(w)
+    last_row[:, -1] = w[:, -1]
+    f = lambda: ad.sum(ad.mul(ssm.selective_scan(*inputs), last_row))
+    assert max_rel_err(f, inputs) < 1e-6
 
 
 @pytest.mark.parametrize("L", CHUNK_LENGTHS)
@@ -296,6 +305,70 @@ def test_scan_float32_matches_float64_at_wide_shape():
     for got, ref in zip(run(np.float32), run(np.float64)):
         assert got.dtype == np.float32
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
+def unflushed_scan_grads(dt, a, b, c, x, g):
+    """Reference backward pass of the scan over a full state history, with
+    no subnormal flush: the op's arithmetic in the same order, so it
+    matches the op bit for bit wherever the flush changes nothing. Returns
+    the gradients wrt (dt, a, b, c, x) and the number of subnormal adjoint
+    entries it carried."""
+    B, L, E = dt.shape
+    tiny = np.finfo(dt.dtype).tiny
+    At = np.ascontiguousarray(a.T)
+    D, U, Bm, C, gy = (np.moveaxis(v, 1, 0) for v in (dt, dt * x, b, c, g))
+    abar = np.exp(np.einsum("lbe,ne->lbne", D, At))
+    h = np.zeros((L + 1,) + abar.shape[1:], dtype=dt.dtype)   # h[t + 1] = h_t
+    for t in range(L):
+        h[t + 1] = abar[t] * h[t] + np.einsum("bn,be->bne", Bm[t], U[t])
+    g_c = np.matmul(h[1:], gy[..., None])[..., 0]
+    g_u, g_b = np.empty_like(D), np.empty_like(Bm)
+    g_dt, g_a, acc = np.zeros_like(D), np.zeros_like(h[0]), np.zeros_like(h[0])
+    subnormal = 0
+    for t in reversed(range(L)):
+        acc += np.einsum("bn,be->bne", C[t], gy[t])
+        g_u[t] = np.matmul(Bm[t][:, None, :], acc)[:, 0]
+        g_b[t] = np.matmul(acc, U[t][:, :, None])[..., 0]
+        acc *= abar[t]
+        subnormal += np.count_nonzero((acc != 0) & (np.abs(acc) < tiny))
+        if t:
+            s = acc * h[t]
+            g_dt[t] = np.einsum("bne,ne->be", s, At)
+            g_a += s * D[t][:, None, :]
+    g_dt += g_u * np.moveaxis(x, 1, 0)
+    g_dt, g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_dt, g_b, g_c, g_u * D))
+    return [g_dt, g_a.sum(0).T, g_b, g_c, g_x], subnormal
+
+
+def test_scan_flushes_subnormal_adjoints_without_changing_gradients():
+    # a gradient on the last row only decays by exp(dt*A) per step going
+    # back; with dt about 0.1 and A down to -16 it leaves float32's normal
+    # range within about 60 steps
+    rng = np.random.default_rng(25)
+    B, L, E, N = 2, 160, 16, 16
+    _, _, b_in, c, x = random_instance(rng, B=B, L=L, E=E, N=N)
+    delta = rng.uniform(0.05, 0.15, size=(B, L, E))
+    a = -np.tile(np.arange(1.0, N + 1), (E, 1))
+    w = np.zeros((B, L, E))
+    w[:, -1] = rng.standard_normal((B, E))
+
+    def run(dtype):
+        inputs = [ad.Tensor(v.astype(dtype), requires_grad=True)
+                  for v in (delta, a, b_in, c, x)]
+        ad.backward(ad.sum(ad.mul(ssm.selective_scan(*inputs), w.astype(dtype))))
+        return [t.grad for t in inputs]
+
+    got = run(np.float32)
+    ref, subnormal = unflushed_scan_grads(
+        *(v.astype(np.float32) for v in (delta, a, b_in, c, x, w)))
+    assert subnormal > 1000
+    for g, r in zip(got, ref):
+        assert g.dtype == np.float32
+        normal = np.abs(r) >= 1e-30
+        np.testing.assert_array_equal(g[normal], r[normal])
+        assert np.all(np.abs(g[~normal] - r[~normal]) <= 1e-30)
+    for g, r in zip(got, run(np.float64)):
+        assert np.abs(g - r).max() <= 1e-4 * np.abs(r).max()
 
 
 def test_scan_keeps_no_state_history_without_grad():
