@@ -225,9 +225,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def silu(a) -> Tensor:
+    """x * sigmoid(x); the backward recomputes the sigmoid instead of
+    keeping it."""
     a = as_tensor(a)
-    s = _sigmoid(a.data)
-    return custom_op(a.data * s, (a,), lambda g: (g * (s * (1.0 + a.data * (1.0 - s))),))
+
+    def vjp(g):
+        s = _sigmoid(a.data)
+        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+
+    return custom_op(a.data * _sigmoid(a.data), (a,), vjp)
 
 
 def softplus(a) -> Tensor:

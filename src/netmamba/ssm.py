@@ -132,12 +132,12 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
     (batch, channel) lane. The state is (B, N, E), channels innermost, and
     each step writes into buffers allocated once per call. Only when grad
     mode is on and an input requires grad are states kept: the one entering
-    each chunk of _CHUNK steps. The backward pass walks the chunks last to
-    first and recomputes each chunk's states and exp(dt_t*A) factors with
-    the forward's own step. At the start of each chunk it zeroes the entries
-    of the adjoint dloss/dh_t below np.finfo(dtype).tiny (see the module
-    docstring). It reads the saved arrays, never writing into them, so
-    repeated backward calls accumulate.
+    each chunk of _CHUNK steps; the (B, L, E) product dt*x is not kept. The
+    backward pass walks the chunks last to first and recomputes each chunk's
+    dt*x, states and exp(dt_t*A) factors with the forward's own step. At the
+    start of each chunk it zeroes the entries of the adjoint dloss/dh_t below
+    np.finfo(dtype).tiny (see the module docstring). It reads the saved
+    arrays, never writing into them, so repeated backward calls accumulate.
     """
     B, L, E = dt.shape
     N = a.shape[-1]
@@ -149,19 +149,21 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
     parents = (dt, a, b, c, x)
     dtype = np.result_type(*(p.data for p in parents))
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
-    # time-major views: D and U = dt*x are (L, B, E); Bm and C are (L, B, N)
-    D, U, Bm, C = (np.moveaxis(v, 1, 0)
-                   for v in (dt.data, dt.data * x.data, b.data, c.data))
+    # time-major views: D and X are (L, B, E); Bm and C are (L, B, N)
+    D, X, Bm, C = (np.moveaxis(v, 1, 0)
+                   for v in (dt.data, x.data, b.data, c.data))
+    U = D * X                                                    # dt*x
     K = _CHUNK
     keep = ad.grad_enabled() and any(p.requires_grad for p in parents)
     entry = np.empty((-(-L // K), B, N, E), dtype=dtype) if keep else None
     h = np.zeros((B, N, E), dtype=dtype)
     abar, bx = np.empty_like(h), np.empty_like(h)
 
-    def step(t, h_prev, h_out, abar):
-        # h_out = exp(dt_t*A) * h_prev + B_t (dt_t*x_t); abar keeps exp(dt_t*A)
+    def step(t, h_prev, h_out, abar, u):
+        # h_out = exp(dt_t*A) * h_prev + B_t u with u = dt_t*x_t; abar keeps
+        # exp(dt_t*A)
         np.exp(np.einsum("be,ne->bne", D[t], At, out=abar), out=abar)
-        np.einsum("bn,be->bne", Bm[t], U[t], out=bx)
+        np.einsum("bn,be->bne", Bm[t], u, out=bx)
         np.multiply(abar, h_prev, out=h_out)
         h_out += bx
 
@@ -169,7 +171,7 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
     for t in range(L):
         if keep and t % K == 0:
             entry[t // K] = h
-        step(t, h, h, abar)
+        step(t, h, h, abar, U[t])
         np.matmul(C[t][:, None, :], h, out=y[t][:, None, :])
     out = np.ascontiguousarray(np.moveaxis(y, 0, 1))
 
@@ -189,22 +191,23 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
             np.less(np.abs(acc, out=s), tiny, out=mask)
             np.putmask(acc, mask, 0)
             n = min(K, L - t0)
+            U = D[t0:t0 + n] * X[t0:t0 + n]                      # this chunk's dt*x
             hs[0] = entry[t0 // K]
             for j in range(n):
-                step(t0 + j, hs[j], hs[j + 1], abars[j])
+                step(t0 + j, hs[j], hs[j + 1], abars[j], U[j])
             np.matmul(hs[1:n + 1], gy[t0:t0 + n, :, :, None],
                       out=g_c[t0:t0 + n, :, :, None])
             for j in range(n - 1, -1, -1):
                 t = t0 + j
                 acc += np.einsum("bn,be->bne", C[t], gy[t], out=s)
                 np.matmul(Bm[t][:, None, :], acc, out=g_u[t][:, None, :])
-                np.matmul(acc, U[t][:, :, None], out=g_b[t][:, :, None])
+                np.matmul(acc, U[j][:, :, None], out=g_b[t][:, :, None])
                 acc *= abars[j]
                 if t:
                     np.multiply(acc, hs[j], out=s)           # s: dloss/d(dt_t*A)
                     np.einsum("bne,ne->be", s, At, out=g_dt[t])
                     g_a += np.multiply(s, D[t][:, None, :], out=s)
-        g_dt += g_u * np.moveaxis(x.data, 1, 0)
+        g_dt += g_u * X
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
         return (np.moveaxis(g_dt, 0, 1), g_a, np.moveaxis(g_b, 0, 1),
                 np.moveaxis(g_c, 0, 1), np.moveaxis(g_u * D, 0, 1))

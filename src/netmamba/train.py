@@ -85,6 +85,18 @@ def _restore(params: nm.ModelParams, snap: dict[str, np.ndarray]) -> None:
         t.data = snap[name].copy()
 
 
+def _step(forward, tensors, state: OptimState, lr: float, grad_clip: float) -> float:
+    """One optimizer update on the loss that ``forward()`` builds; returns
+    the loss value. The autodiff graph is a local of this call, so it is
+    freed when the call returns, before the next step builds its own."""
+    loss = forward()
+    zero_grads(tensors)
+    ad.backward(loss)
+    clip_global_norm(tensors, grad_clip)
+    adamw_step(tensors, state, lr)
+    return loss.item()
+
+
 def write_loss_log(path, rows) -> None:
     with atomic_write(path, "w") as fh:
         fh.write("step,loss,lr\n")
@@ -129,14 +141,11 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
         plans = [nm.make_mask(cfg.seq_len, cfg.mask_ratio, rng)
                  for _ in range(tcfg.batch_size)]
         batch = nm.normalize_strides(strides[idx])
-        x0 = nm.embed_batch(batch, params)
-        _, loss = nm.pretrain_forward(x0, batch, plans, params)
-        zero_grads(tensors)
-        ad.backward(loss)
-        clip_global_norm(tensors, tcfg.grad_clip)
         lr_t = sched.lr_at(step)
-        adamw_step(tensors, state, lr_t)
-        value = loss.item()
+        value = _step(
+            lambda: nm.pretrain_forward(nm.embed_batch(batch, params), batch,
+                                        plans, params)[1],
+            tensors, state, lr_t, tcfg.grad_clip)
         if step % tcfg.log_every == 0 or step == end_step - 1:
             log.append((step, value, lr_t))
         if value < best_loss:
@@ -220,13 +229,10 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
         for lo in range(0, n, tcfg.batch_size):
             sel = order[lo:lo + tcfg.batch_size]
             batch = nm.normalize_strides(train_x[sel])
-            logits = nm.finetune_forward(nm.embed_batch(batch, params), params)
-            loss = nm.loss_cls(logits, train_y[sel])
-            zero_grads(tensors)
-            ad.backward(loss)
-            clip_global_norm(tensors, tcfg.grad_clip)
-            adamw_step(tensors, state, sched.lr_at(step))
-            losses.append(loss.item())
+            losses.append(_step(
+                lambda: nm.loss_cls(nm.finetune_forward(
+                    nm.embed_batch(batch, params), params), train_y[sel]),
+                tensors, state, sched.lr_at(step), tcfg.grad_clip))
             step += 1
         val_acc = evaluate(params, val_x, val_y, tcfg.batch_size).accuracy
         history.append((epoch, float(np.mean(losses)), val_acc))

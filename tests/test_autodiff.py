@@ -5,6 +5,7 @@ there, and the engine keeps float64 inputs in float64.
 """
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -24,6 +25,20 @@ RNG = np.random.default_rng(20240811)
 def test_silu_softplus_values():
     assert ad.silu(ad.Tensor(np.float64(0.0))).item() == 0.0
     assert ad.softplus(ad.Tensor(np.float64(0.0))).item() == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_silu_keeps_only_its_output():
+    # the backward recomputes sigmoid(x) from x, which its input holds; a
+    # kept sigmoid would double what the op leaves allocated
+    x = ad.Tensor(RNG.standard_normal((64, 1024)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ad.silu(x)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept < out.data.nbytes + out.data.nbytes // 8
 
 
 def test_softplus_large_input_branch():

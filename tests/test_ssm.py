@@ -307,12 +307,12 @@ def test_scan_float32_matches_float64_at_wide_shape():
         assert np.abs(got - ref).max() <= 1e-4 * np.abs(ref).max()
 
 
-def unflushed_scan_grads(dt, a, b, c, x, g):
-    """Reference backward pass of the scan over a full state history, with
-    no subnormal flush: the op's arithmetic in the same order, so it
-    matches the op bit for bit wherever the flush changes nothing. Returns
-    the gradients wrt (dt, a, b, c, x) and the number of subnormal adjoint
-    entries it carried."""
+def unflushed_scan(dt, a, b, c, x, g):
+    """Reference forward and backward pass of the scan over a full state
+    history, with no subnormal flush: the op's arithmetic in the same order,
+    so it matches the op bit for bit wherever the flush changes nothing.
+    Returns y, the gradients wrt (dt, a, b, c, x) and the number of
+    subnormal adjoint entries it carried."""
     B, L, E = dt.shape
     tiny = np.finfo(dt.dtype).tiny
     At = np.ascontiguousarray(a.T)
@@ -321,6 +321,7 @@ def unflushed_scan_grads(dt, a, b, c, x, g):
     h = np.zeros((L + 1,) + abar.shape[1:], dtype=dt.dtype)   # h[t + 1] = h_t
     for t in range(L):
         h[t + 1] = abar[t] * h[t] + np.einsum("bn,be->bne", Bm[t], U[t])
+    y = np.moveaxis(np.matmul(C[:, :, None, :], h[1:])[:, :, 0], 0, 1)
     g_c = np.matmul(h[1:], gy[..., None])[..., 0]
     g_u, g_b = np.empty_like(D), np.empty_like(Bm)
     g_dt, g_a, acc = np.zeros_like(D), np.zeros_like(h[0]), np.zeros_like(h[0])
@@ -337,7 +338,7 @@ def unflushed_scan_grads(dt, a, b, c, x, g):
             g_a += s * D[t][:, None, :]
     g_dt += g_u * np.moveaxis(x, 1, 0)
     g_dt, g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_dt, g_b, g_c, g_u * D))
-    return [g_dt, g_a.sum(0).T, g_b, g_c, g_x], subnormal
+    return y, [g_dt, g_a.sum(0).T, g_b, g_c, g_x], subnormal
 
 
 def test_scan_flushes_subnormal_adjoints_without_changing_gradients():
@@ -359,7 +360,7 @@ def test_scan_flushes_subnormal_adjoints_without_changing_gradients():
         return [t.grad for t in inputs]
 
     got = run(np.float32)
-    ref, subnormal = unflushed_scan_grads(
+    _, ref, subnormal = unflushed_scan(
         *(v.astype(np.float32) for v in (delta, a, b_in, c, x, w)))
     assert subnormal > 1000
     for g, r in zip(got, ref):
@@ -369,6 +370,48 @@ def test_scan_flushes_subnormal_adjoints_without_changing_gradients():
         assert np.all(np.abs(g[~normal] - r[~normal]) <= 1e-30)
     for g, r in zip(got, run(np.float64)):
         assert np.abs(g - r).max() <= 1e-4 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("shape", ((2, 33, 16, 8), (2, 64, 32, 16)))
+def test_scan_matches_unflushed_reference_bit_for_bit(shape, dtype):
+    # with a dense upstream gradient no adjoint entry gets near float32's
+    # subnormal range, so the flush changes nothing and y and every
+    # gradient must equal the reference byte for byte, however the op
+    # splits its work into chunks and whatever products it recomputes
+    B, L, E, N = shape
+    rng = np.random.default_rng(27)
+    _, a, b_in, c, x = random_instance(rng, B=B, L=L, E=E, N=N)
+    delta = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=(B, L, E)))
+    w = rng.standard_normal((B, L, E))
+    arrays = [v.astype(dtype) for v in (delta, a, b_in, c, x, w)]
+    inputs = [ad.Tensor(v, requires_grad=True) for v in arrays[:5]]
+    y = ssm.selective_scan(*inputs)
+    ad.backward(ad.sum(ad.mul(y, arrays[5])))
+    ref_y, ref_grads, subnormal = unflushed_scan(*arrays)
+    assert subnormal == 0
+    for got, ref in zip([y.data] + [t.grad for t in inputs], [ref_y] + ref_grads):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_scan_keeps_output_and_chunk_states_but_not_dt_x():
+    # what a grad-mode call leaves allocated is what its backward reads:
+    # y and one state per chunk. A kept (B, L, E) dt*x would add another
+    # y.nbytes; the step buffer and the transposed A are (B, N, E) and (N, E)
+    rng = np.random.default_rng(26)
+    B, L, E, N = 2, 512, 64, 4
+    inputs = [ad.Tensor(v, requires_grad=True)
+              for v in random_instance(rng, B=B, L=L, E=E, N=N)]
+    tracemalloc.start()
+    try:
+        y = ssm.selective_scan(*inputs)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = -(-L // ssm._CHUNK) * B * N * E * 8
+    expected = y.data.nbytes + entries
+    assert expected <= kept < expected + y.data.nbytes // 4
 
 
 def test_scan_keeps_no_state_history_without_grad():

@@ -1,6 +1,7 @@
 """Training-loop behavior at miniature scale: learning, determinism, the
 best-checkpoint rule, and exact resume."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -162,6 +163,43 @@ def test_finetune_rejects_empty_val_split(tmp_path):
     with pytest.raises(ConfigError, match="validation split is empty"):
         train.finetune(splits, TINY_MODEL, tcfg, out_dir=tmp_path)
     assert not (tmp_path / "best.nmckpt").exists()
+
+
+def track_embeddings(monkeypatch) -> list[bool]:
+    """Patch ``nm.embed_batch`` to note, at each call, whether the array the
+    previous call returned is still alive. Every training graph starts from
+    that array, so it lives as long as the graph of its step."""
+    real, refs, alive = nm.embed_batch, [], []
+
+    def embed_batch(strides, params):
+        if refs:
+            alive.append(refs[-1]() is not None)
+        x0 = real(strides, params)
+        refs.append(weakref.ref(x0.data))
+        return x0
+
+    monkeypatch.setattr(nm, "embed_batch", embed_batch)
+    return alive
+
+
+def test_pretrain_frees_each_step_graph_before_the_next(monkeypatch):
+    data, _ = tiny_dataset(per_class=4)
+    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    alive = track_embeddings(monkeypatch)
+    train.pretrain(strides, TINY_MODEL,
+                   train.pretrain_defaults(steps=2, batch_size=4, seed=1))
+    assert alive == [False]
+
+
+def test_finetune_frees_each_step_graph_before_the_next(monkeypatch):
+    data, labels = tiny_dataset(per_class=6)
+    splits = splits_for(data, labels)
+    assert len(splits["train"][0]) == 8                  # two steps of 4
+    alive = track_embeddings(monkeypatch)
+    train.finetune(splits, TINY_MODEL,
+                   train.finetune_defaults(epochs=1, batch_size=4, seed=2))
+    # the second training step, then one validation and one test batch
+    assert alive == [False] * 3
 
 
 def test_evaluate_checkpoint_round_trip(tmp_path):
