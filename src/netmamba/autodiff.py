@@ -73,9 +73,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -143,7 +140,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
     Repeated calls on a live graph accumulate. Propagation uses a per-call
@@ -163,9 +160,7 @@ def backward(loss: Tensor, seed: np.ndarray | None = None) -> None:
                 stack.append(p)
     nodes.sort(key=lambda t: t._order, reverse=True)
 
-    flowing: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data) if seed is None else np.asarray(seed)
-    }
+    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for t in nodes:
         g = flowing.pop(id(t), None)
         if g is None:
@@ -396,7 +391,7 @@ def rmsnorm(x, gain, axis: int = -1, eps: float = 1e-6) -> Tensor:
 
 
 def layernorm(x, gain, axis: int = -1, eps: float = 1e-6) -> Tensor:
-    """Mean-centering variant kept as an ablation of rmsnorm (gain, no bias)."""
+    """Mean-centering variant of rmsnorm (gain, no bias); no model uses it."""
     x, gain = as_tensor(x), as_tensor(gain)
     ax = axis % x.ndim
     n = x.shape[ax]

@@ -17,17 +17,13 @@ from .fileio import atomic_write
 CSV_HEADER = "batch,seq_len,samples_per_sec,peak_bytes"
 
 
-def _encoder(cfg: nm.ModelConfig, seed: int = 0):
-    params = nm.init_params(cfg, np.random.default_rng(seed), with_decoder=False)
-    return params.enc_blocks, params.enc_norm, cfg.norm
-
-
 def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
                   repeats: int = 5, warmup: int = 2, seed: int = 0) -> list[dict]:
     """Median wall-clock of no-grad encoder passes per (batch, length) plus
     peak allocation bytes of one traced pass. The encoder blocks are
     length-agnostic, so one parameter set serves every length."""
-    blocks, gain, norm = _encoder(cfg, seed)
+    params = nm.init_params(cfg, np.random.default_rng(seed), with_decoder=False)
+    blocks, gain = params.enc_blocks, params.enc_norm
     rng = np.random.default_rng(seed + 1)
     rows = []
     for batch in batch_sizes:
@@ -36,14 +32,14 @@ def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
                           .astype(np.float32))
             with ad.no_grad():
                 for _ in range(warmup):
-                    ssm.stack_forward(x, blocks, gain, norm)
+                    ssm.stack_forward(x, blocks, gain)
                 times = []
                 for _ in range(max(repeats, 5)):
                     t0 = time.perf_counter()
-                    ssm.stack_forward(x, blocks, gain, norm)
+                    ssm.stack_forward(x, blocks, gain)
                     times.append(time.perf_counter() - t0)
                 tracemalloc.start()
-                ssm.stack_forward(x, blocks, gain, norm)
+                ssm.stack_forward(x, blocks, gain)
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
             median = float(np.median(times))
@@ -66,8 +62,8 @@ def fit_scaling_exponent(lengths, seconds) -> float:
 
 
 def scaling_exponent(cfg: nm.ModelConfig, lengths=(400, 800, 1600),
-                     batch: int = 2, repeats: int = 5, seed: int = 0) -> float:
-    rows = bench_forward(cfg, [batch], lengths, repeats=repeats, seed=seed)
+                     batch: int = 2, repeats: int = 5) -> float:
+    rows = bench_forward(cfg, [batch], lengths, repeats=repeats)
     return fit_scaling_exponent([r["seq_len"] for r in rows],
                                 [r["median_seconds"] for r in rows])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from .fileio import atomic_write
 from .model import ModelConfig, ModelParams, init_params
 
 MAGIC = b"NMCKPT01"
+
+# deleted ModelConfig fields, each with the one value the model still runs
+RETIRED_CONFIG = {"norm": "rms", "recon_target": "bytes"}
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -45,25 +49,30 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     (hlen,) = struct.unpack_from("<I", blob, 8)
     if 12 + hlen > len(blob):
         raise ParseError(f"{path}: truncated checkpoint metadata")
-    header = json.loads(blob[12:12 + hlen].decode())
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        header = json.loads(blob[12:12 + hlen].decode())
+        meta = dict(header["meta"])
+        index = [(e["name"], tuple(e["shape"]), e["offset"])
+                 for e in header["tensors"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
     data_start = 12 + hlen
     tensors: dict[str, np.ndarray] = {}
     expected_end = data_start
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape, offset in index:
         count = int(np.prod(shape)) if shape else 1
-        start = data_start + entry["offset"]
+        start = data_start + offset
         end = start + 4 * count
         if end > len(blob):
             raise CheckpointMismatchError(
-                f"{path}: tensor {entry['name']} runs past end of file")
-        tensors[entry["name"]] = np.frombuffer(
+                f"{path}: tensor {name} runs past end of file")
+        tensors[name] = np.frombuffer(
             blob, dtype="<f4", count=count, offset=start).reshape(shape)
         expected_end = max(expected_end, end)
     if expected_end != len(blob):
         raise ParseError(
             f"{path}: {len(blob) - expected_end} trailing bytes after tensor data")
-    return header["meta"], tensors
+    return meta, tensors
 
 
 def model_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -71,12 +80,9 @@ def model_tensors(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def save_model(path, params: ModelParams, step: int = 0,
-               extra_meta: dict | None = None,
                opt_tensors: dict[str, np.ndarray] | None = None) -> None:
     meta = {"config": params.cfg.to_dict(), "step": step,
             "kind": _model_kind(params)}
-    if extra_meta:
-        meta.update(extra_meta)
     tensors = model_tensors(params)
     if opt_tensors:
         tensors.update(opt_tensors)
@@ -98,7 +104,7 @@ def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
     present with the right shape. Returns (params, meta, non-model tensors
     such as optimizer state)."""
     meta, tensors = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(meta["config"])
+    cfg = _model_config(path, meta.get("config"))
     kind = meta.get("kind", "pretrain")
     params = init_params(
         cfg, np.random.default_rng(0),
@@ -115,6 +121,19 @@ def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
                 f"{path}: tensor {name} has shape {arr.shape}, expected {t.shape}")
         t.data = arr.astype(t.dtype, copy=True)
     return params, meta, leftovers
+
+
+def _model_config(path, saved) -> ModelConfig:
+    """The saved ModelConfig. Retired keys at the values the model still
+    implements are dropped; any other key it does not have is refused."""
+    if not isinstance(saved, dict):
+        raise CheckpointMismatchError(f"{path}: metadata holds no model config")
+    known = {f.name for f in fields(ModelConfig)}
+    for key, value in saved.items():
+        if key not in known and (key, value) not in RETIRED_CONFIG.items():
+            raise CheckpointMismatchError(
+                f"{path}: model config key {key!r} = {value!r} is not supported")
+    return ModelConfig(**{k: v for k, v in saved.items() if k in known})
 
 
 def load_encoder_weights(params: ModelParams, path) -> None:

@@ -39,8 +39,6 @@ SCHEMA: dict[str, type] = {
     "conv_kernel": int,
     "mask_ratio": float,
     "use_pos_embed": bool,
-    "norm": str,
-    "recon_target": str,
     "use_state_skip": bool,
     "patch_split": bool,
     # training
@@ -61,7 +59,7 @@ REPR_KEYS = ("packets_per_flow", "header_bytes", "payload_bytes", "stride_len",
              "anonymize_ips", "include_header", "include_payload", "drop_dhcp")
 MODEL_KEYS = ("stride_len", "d_enc", "e_enc", "depth_enc", "d_dec", "e_dec",
               "depth_dec", "state_dim", "dt_rank", "conv_kernel", "mask_ratio",
-              "use_pos_embed", "norm", "recon_target", "use_state_skip")
+              "use_pos_embed", "use_state_skip")
 TRAIN_KEYS = ("batch_size", "lr", "steps", "epochs", "weight_decay",
               "warmup_frac", "schedule", "grad_clip", "seed", "log_every",
               "early_stop_val_acc")

@@ -38,8 +38,6 @@ class ModelConfig:
     use_pos_embed: bool = True
     dt_rank: int = 16
     conv_kernel: int = 4
-    norm: str = "rms"             # or "layer"
-    recon_target: str = "bytes"   # or "embedded"
     use_state_skip: bool = False
 
     def __post_init__(self):
@@ -47,10 +45,6 @@ class ModelConfig:
             raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
-        if self.norm not in ("rms", "layer"):
-            raise ConfigError(f"unknown norm {self.norm!r}")
-        if self.recon_target not in ("bytes", "embedded"):
-            raise ConfigError(f"unknown recon_target {self.recon_target!r}")
 
     @property
     def n_strides(self) -> int:
@@ -63,10 +57,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -179,14 +169,13 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
         pos_enc=normal(L, D),
         enc_blocks=[
             ssm.init_mamba_block(_enc_dims(cfg), rng, dtype, index=i,
-                                 norm=cfg.norm, use_state_skip=cfg.use_state_skip)
+                                 use_state_skip=cfg.use_state_skip)
             for i in range(cfg.depth_enc)
         ],
         enc_norm=ad.parameter(np.ones(D, dtype=dtype)),
     )
     if with_decoder:
         Dd = cfg.d_dec
-        recon_width = cfg.d_enc if cfg.recon_target == "embedded" else cfg.stride_len
         params.enc2dec_w = ad.parameter(
             (rng.uniform(-1, 1, size=(D, Dd)) / np.sqrt(D)).astype(dtype))
         params.enc2dec_b = ad.parameter(np.zeros(Dd, dtype=dtype))
@@ -194,7 +183,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
         params.mask_token = normal(Dd)
         params.dec_blocks = [
             ssm.init_mamba_block(_dec_dims(cfg), rng, dtype, index=i,
-                                 norm=cfg.norm, use_state_skip=cfg.use_state_skip)
+                                 use_state_skip=cfg.use_state_skip)
             for i in range(cfg.depth_dec)
         ]
         params.dec_norm = ad.parameter(np.ones(Dd, dtype=dtype))
@@ -202,10 +191,9 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
         # an untrained model then predicts the marginal mean and scores near
         # the marginal variance on uniform bytes
         params.recon_w = ad.parameter(
-            (rng.standard_normal((Dd, recon_width)) * 0.02 / np.sqrt(Dd))
+            (rng.standard_normal((Dd, cfg.stride_len)) * 0.02 / np.sqrt(Dd))
             .astype(dtype))
-        bias0 = 0.5 if cfg.recon_target == "bytes" else 0.0
-        params.recon_b = ad.parameter(np.full(recon_width, bias0, dtype=dtype))
+        params.recon_b = ad.parameter(np.full(cfg.stride_len, 0.5, dtype=dtype))
     if with_head:
         if cfg.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {cfg.num_classes}")
@@ -253,8 +241,7 @@ def embed_batch(strides: np.ndarray, params: ModelParams) -> Tensor:
 
 
 def encoder_forward(x0: Tensor, params: ModelParams) -> Tensor:
-    return ssm.stack_forward(x0, params.enc_blocks, params.enc_norm,
-                             norm=params.cfg.norm)
+    return ssm.stack_forward(x0, params.enc_blocks, params.enc_norm)
 
 
 def _restore_indices(plans: list[MaskPlan], seq_len: int) -> np.ndarray:
@@ -269,16 +256,15 @@ def _restore_indices(plans: list[MaskPlan], seq_len: int) -> np.ndarray:
 
 def pretrain_forward(
     x0: Tensor,
-    targets: np.ndarray | None,
+    targets: np.ndarray,
     plans: list[MaskPlan],
     params: ModelParams,
 ) -> tuple[Tensor, Tensor]:
     """Masked-reconstruction pass over a batch.
 
     x0: (B, L, d_enc) embedded rows; targets: (B, n_strides, stride_len)
-    normalized bytes (ignored under recon_target="embedded", where the
-    detached embedded rows are the targets). Returns the per-masked-position
-    predictions (B, n_masked, width) and the scalar MSE over masked positions
+    normalized bytes. Returns the per-masked-position predictions
+    (B, n_masked, stride_len) and the scalar MSE over masked positions
     (exactly 0 when nothing is masked).
     """
     cfg = params.cfg
@@ -297,20 +283,14 @@ def pretrain_forward(
     stacked = ad.concat([enc_out, mask_rows], axis=1)
     dec_in = ad.add(ad.gather_rows(stacked, _restore_indices(plans, L)),
                     params.dec_pos)
-    dec_out = ssm.stack_forward(dec_in, params.dec_blocks, params.dec_norm,
-                                norm=cfg.norm)
+    dec_out = ssm.stack_forward(dec_in, params.dec_blocks, params.dec_norm)
 
     masked_idx = np.stack([p.masked for p in plans])
     dec_masked = ad.gather_rows(dec_out, masked_idx)
     pred = ad.add(ad.matmul(dec_masked, params.recon_w), params.recon_b)
 
-    if cfg.recon_target == "embedded":
-        tgt_all = x0.data
-    else:
-        if targets is None:
-            raise ContractError("byte-reconstruction mode needs stride targets")
-        tgt_all = normalize_strides(targets, dtype=x0.dtype)
-    tgt = np.take_along_axis(tgt_all, masked_idx[..., None], axis=1)
+    tgt = np.take_along_axis(normalize_strides(targets, dtype=x0.dtype),
+                             masked_idx[..., None], axis=1)
     loss = ad.mse(pred, tgt)
     if not np.isfinite(loss.data):
         raise NumericFaultError("non-finite reconstruction loss")

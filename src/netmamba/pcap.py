@@ -86,15 +86,12 @@ def parse_capture(path) -> list[RawPacket]:
     return packets
 
 
-def write_pcap(path, packets, nanosecond: bool = False,
-               snaplen: int = 65535) -> None:
-    """Write packets as a little-endian classic pcap (fixture helper)."""
-    magic = MAGIC_NS if nanosecond else MAGIC_US
-    div = 1 if nanosecond else 1000
+def write_pcap(path, packets) -> None:
+    """Write a little-endian microsecond classic pcap (fixture helper)."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<IHHiIII", magic, 2, 4, 0, 0, snaplen,
+        fh.write(struct.pack("<IHHiIII", MAGIC_US, 2, 4, 0, 0, 65535,
                              LINKTYPE_ETHERNET))
         for p in packets:
-            fh.write(struct.pack("<IIII", p.ts_sec, p.ts_nsec // div,
+            fh.write(struct.pack("<IIII", p.ts_sec, p.ts_nsec // 1000,
                                  len(p.link_bytes), p.orig_len))
             fh.write(p.link_bytes)

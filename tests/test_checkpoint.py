@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from netmamba import autodiff as ad
 from netmamba import checkpoint as ckpt
 from netmamba import model as nm
 from netmamba.errors import CheckpointMismatchError, ParseError
@@ -82,6 +83,28 @@ def test_model_round_trip_is_exact(tmp_path):
     for (na, ta), (nb, tb) in zip(params.named(), loaded.named()):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
+
+
+def test_retired_config_keys_at_paper_values_load_unchanged(tmp_path):
+    path = tmp_path / "m.nmckpt"
+    ckpt.save_model(path, nm.init_params(CFG, np.random.default_rng(3),
+                                         with_decoder=False, with_head=True))
+    strides = np.random.default_rng(4).integers(
+        0, 256, (3, CFG.n_strides, CFG.stride_len), dtype=np.uint8)
+
+    def logits():
+        params, _, _ = ckpt.load_model(path)
+        with ad.no_grad():
+            x0 = nm.embed_batch(nm.normalize_strides(strides), params)
+            return params.cfg, nm.finetune_forward(x0, params).data
+
+    cfg_before, before = logits()
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"].update(norm="rms", recon_target="bytes")
+    ckpt.save_checkpoint(path, tensors, meta)
+    cfg_after, after = logits()
+    assert cfg_after == cfg_before == CFG
+    np.testing.assert_array_equal(after, before)
 
 
 def test_model_load_names_missing_tensor(tmp_path):

@@ -2,13 +2,17 @@
 config precedence, and exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from netmamba import checkpoint as ckpt
 from netmamba import cli
-from netmamba.data import read_samples
+from netmamba import model as nm
+from netmamba.data import read_samples, synthetic_samples, write_samples
 from netmamba.pcap import write_pcap
+from netmamba.traffic import ReprConfig
 
 from helpers import eth_frame, ipv4_packet, raw, tcp_segment, udp_datagram
 
@@ -153,6 +157,15 @@ def test_unknown_config_key_is_usage_error(workspace):
     assert run(["extract", "--input", pcaps, "--output", tmp / "o",
                 "--config", bad]) == 2
 
+@pytest.mark.parametrize("line", ["norm = layer", "recon_target = embedded"])
+def test_retired_model_keys_are_unknown_config_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "retired.cfg"
+    cfg.write_text(SMALL_CFG + line + "\n")
+    assert run(["pretrain", "--data", tmp_path / "train.nmstride",
+                "--output", tmp_path / "pt", "--config", cfg]) == 2
+    key = line.split()[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
 @pytest.fixture()
 def extracted(workspace):
     tmp, pcaps, cfg = workspace
@@ -268,6 +281,54 @@ def test_evaluate_stride_geometry_mismatch(extracted, capsys):
     assert str(ckpt_path) in err and "16 strides of 4 bytes" in err
     assert "has 24 of 4" in err
     assert "Traceback" not in err
+
+@pytest.fixture()
+def head_checkpoint(tmp_path):
+    """A freshly initialized fine-tuning checkpoint and a split it fits."""
+    geometry = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8)
+    data = tmp_path / "test.nmstride"
+    write_samples(data, synthetic_samples(2, 3, geometry, seed=0), geometry,
+                  num_classes=2)
+    cfg = nm.ModelConfig(d_enc=16, e_enc=32, depth_enc=1, d_dec=8, e_dec=16,
+                         depth_dec=1, state_dim=4, dt_rank=4,
+                         seq_len=geometry.n_strides + 1)
+    path = tmp_path / "fine.nmckpt"
+    ckpt.save_model(path, nm.init_params(cfg, np.random.default_rng(0),
+                                         with_decoder=False, with_head=True))
+    return data, path
+
+@pytest.mark.parametrize("keys, code", [
+    ({"norm": "rms", "recon_target": "bytes"}, 0),
+    ({"norm": "layer"}, 3),
+    ({"bogus": 1}, 3),
+], ids=["paper-values", "layer-norm", "unknown-key"])
+def test_evaluate_checks_checkpoint_config_keys(head_checkpoint, capsys, keys,
+                                                code):
+    # checkpoints written before the retired keys went hold them at the
+    # values the model still implements
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"].update(keys)
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == code
+    if code:
+        (key, value), = keys.items()
+        assert f"{key!r} = {value!r}" in capsys.readouterr().err
+
+@pytest.mark.parametrize("header", [
+    b"\xff\xfe{",
+    b'{"meta": {}',
+    b'{"meta": {}}',
+    b'{"tensors": []}',
+    b'{"meta": {}, "tensors": [{"name": "w"}]}',
+], ids=["not-utf8", "not-json", "no-tensor-index", "no-meta",
+        "entry-without-shape"])
+def test_evaluate_malformed_checkpoint_metadata_is_parse_error(tmp_path, capsys,
+                                                               header):
+    path = tmp_path / "bad.nmckpt"
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(header)) + header)
+    assert run(["evaluate", "--data", tmp_path, "--checkpoint", path]) == 2
+    assert str(path) in capsys.readouterr().err
 
 def test_flag_overrides_config_file(extracted, capsys):
     tmp, dataset, cfg = extracted

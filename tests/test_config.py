@@ -13,12 +13,12 @@ def test_load_config_types_and_comments(tmp_path):
         "packets_per_flow = 5\n"
         "mask_ratio = 0.9   # ratio of masked strides\n"
         "anonymize_ips = false\n"
-        "norm = rms\n"
+        "schedule = constant\n"
         "\n"
     )
     values = load_config(path)
     assert values == {"packets_per_flow": 5, "mask_ratio": 0.9,
-                      "anonymize_ips": False, "norm": "rms"}
+                      "anonymize_ips": False, "schedule": "constant"}
 
 
 def test_unknown_key_rejected(tmp_path):

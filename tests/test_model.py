@@ -161,19 +161,6 @@ def test_untrained_reconstruction_loss_near_uniform_variance():
     assert 1 / 12 * 0.5 <= loss.item() <= 1 / 12 * 1.5
 
 
-def test_embedded_target_mode():
-    cfg = nm.ModelConfig(**{**SMALL.to_dict(), "recon_target": "embedded"})
-    rng = np.random.default_rng(8)
-    params = nm.init_params(cfg, rng, dtype=np.float64)
-    assert params.recon_w.shape == (cfg.d_dec, cfg.d_enc)
-    _, norm = batch_inputs(rng, n=1)
-    plan = nm.make_mask(cfg.seq_len, cfg.mask_ratio, rng)
-    x0 = nm.embed_batch(norm, params)
-    pred, loss = nm.pretrain_forward(x0, None, [plan], params)
-    assert pred.shape == (1, plan.masked.size, cfg.d_enc)
-    assert np.isfinite(loss.item())
-
-
 def test_finetune_logits_shape_and_softmax():
     rng = np.random.default_rng(9)
     params = small_params(with_decoder=False, with_head=True)
@@ -257,7 +244,6 @@ def test_ablation_toggles_keep_shapes():
     rng = np.random.default_rng(13)
     for cfg in (
         nm.ModelConfig(**{**SMALL.to_dict(), "use_pos_embed": False}),
-        nm.ModelConfig(**{**SMALL.to_dict(), "norm": "layer"}),
         nm.ModelConfig(**{**SMALL.to_dict(), "use_state_skip": True}),
     ):
         params = nm.init_params(cfg, rng, dtype=np.float64, with_head=True)
