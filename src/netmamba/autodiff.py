@@ -5,13 +5,19 @@ gradient and oracle tests build everything in float64, where central finite
 differences are trustworthy. Every operation records an exact analytic
 vector-Jacobian rule; ``backward`` replays the recorded graph in reverse
 execution order and deposits gradients on leaf tensors.
+
+The graph is made of small records, not of the tensors themselves: an op
+result points to a record of its operands' records, its vjp and its order,
+and only a leaf (which receives a gradient) is referenced as a tensor. So
+an intermediate array stays alive only while a caller holds its tensor or
+a vjp has captured it, and each vjp captures only what it reads.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -37,14 +43,27 @@ def grad_enabled() -> bool:
     return _grad_mode[-1]
 
 
+class _Node:
+    """The graph record of one op result: per operand, the operand's own
+    record, the operand itself if it is a leaf that requires grad, or None;
+    the op's vjp; and its creation order."""
+
+    __slots__ = ("parents", "vjp", "order")
+
+    def __init__(self, parents, vjp, order):
+        self.parents = parents
+        self.vjp = vjp
+        self.order = order
+
+
 class Tensor:
     """A dense array plus an optional record of how it was produced.
 
     ``grad`` accumulates across ``backward`` calls until reset to None.
-    Only leaf tensors (no recorded parents) receive gradients.
+    Only leaf tensors (no graph record) receive gradients.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_order")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -53,9 +72,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._order = next(_order_counter)
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,14 +133,17 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     """Create a graph node with a hand-written backward rule.
 
     ``vjp(out_grad)`` must return one gradient array (or None) per parent.
-    Used by composite kernels (the selective scan) that live outside this
-    module but still participate in differentiation.
+    It should capture the arrays it reads, not the parent tensors. Used by
+    composite kernels (the selective scan) that live outside this module
+    but still participate in differentiation.
     """
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    if grad_enabled():
+        links = tuple(p._node if p._node is not None
+                      else (p if p.requires_grad else None) for p in parents)
+        if any(link is not None for link in links):
+            out.requires_grad = True
+            out._node = _Node(links, vjp, next(_order_counter))
     return out
 
 
@@ -148,32 +168,39 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    nodes: list[Tensor] = []
-    seen: set[int] = {id(loss)}
-    stack = [loss]
+    seed = np.ones_like(loss.data)
+    if loss._node is None:
+        if loss.requires_grad:
+            loss.grad = seed if loss.grad is None else loss.grad + seed
+        return
+    nodes: list[_Node] = []
+    seen: set[int] = {id(loss._node)}
+    stack = [loss._node]
     while stack:
-        t = stack.pop()
-        nodes.append(t)
-        for p in t._parents:
-            if id(p) not in seen:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node.parents:
+            if type(p) is _Node and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    nodes.sort(key=lambda t: t._order, reverse=True)
+    nodes.sort(key=lambda node: node.order, reverse=True)
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in nodes:
-        g = flowing.pop(id(t), None)
+    flowing: dict[int, np.ndarray] = {id(loss._node): seed}
+    leaves: dict[int, Tensor] = {}
+    for node in nodes:
+        g = flowing.pop(id(node), None)
         if g is None:
             continue
-        if t._vjp is None:
-            if t.requires_grad:
-                t.grad = g.copy() if t.grad is None else t.grad + g
-            continue
-        for p, pg in zip(t._parents, t._vjp(g)):
-            if pg is None or not p.requires_grad:
+        for p, pg in zip(node.parents, node.vjp(g)):
+            if pg is None or p is None:
                 continue
             acc = flowing.get(id(p))
             flowing[id(p)] = pg if acc is None else acc + pg
+            if type(p) is Tensor:
+                leaves[id(p)] = p
+    for key, t in leaves.items():
+        g = flowing[key]
+        t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +213,9 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-    return custom_op(
-        out, (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return custom_op(out, (a, b),
+                     lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a, b) -> Tensor:
@@ -198,9 +224,10 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    x, y = a.data, b.data
     return custom_op(
         out, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)),
     )
 
 
@@ -223,22 +250,28 @@ def silu(a) -> Tensor:
     """x * sigmoid(x); the backward recomputes the sigmoid instead of
     keeping it."""
     a = as_tensor(a)
+    x = a.data
 
     def vjp(g):
-        s = _sigmoid(a.data)
-        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+        s = _sigmoid(x)
+        return (g * (s * (1.0 + x * (1.0 - s))),)
 
-    return custom_op(a.data * _sigmoid(a.data), (a,), vjp)
+    return custom_op(x * _sigmoid(x), (a,), vjp)
 
 
-def softplus(a) -> Tensor:
-    """log(1 + exp(u)), with the identity branch for u > 20 to avoid overflow."""
-    a = as_tensor(a)
-    x = a.data
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) in a new array, with the identity branch for x > 20
+    to avoid overflow; its derivative is _sigmoid(x)."""
     out = np.minimum(x, 20.0, out=np.empty_like(x))
     np.log1p(np.exp(out, out=out), out=out)
     np.copyto(out, x, where=x > 20.0)
-    return custom_op(out, (a,), lambda g: (g * _sigmoid(x),))
+    return out
+
+
+def softplus(a) -> Tensor:
+    a = as_tensor(a)
+    x = a.data
+    return custom_op(_softplus(x), (a,), lambda g: (g * _sigmoid(x),))
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +284,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs 2-D+ operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    x, w = a.data, b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(w, -1, -2), x.shape)
+        gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, w.shape)
         return ga, gb
 
-    return custom_op(out, (a, b), vjp)
+    return custom_op(x @ w, (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +301,20 @@ def matmul(a, b) -> Tensor:
 def index(a, key) -> Tensor:
     """Basic (int/slice/ellipsis) indexing; selections are disjoint views."""
     a = as_tensor(a)
-    out = a.data[key]
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         ga[key] = g
         return (ga,)
 
-    return custom_op(np.ascontiguousarray(out), (a,), vjp)
+    return custom_op(np.ascontiguousarray(a.data[key]), (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return custom_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+    old = a.shape
+    return custom_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def permute(a, axes) -> Tensor:
@@ -295,8 +329,9 @@ def permute(a, axes) -> Tensor:
 
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
+    old = a.shape
     out = np.broadcast_to(a.data, shape)
-    return custom_op(np.ascontiguousarray(out), (a,), lambda g: (_unbroadcast(g, a.shape),))
+    return custom_op(np.ascontiguousarray(out), (a,), lambda g: (_unbroadcast(g, old),))
 
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -320,10 +355,11 @@ def gather_rows(a, idx) -> Tensor:
     if idx.ndim != 2 or idx.shape[0] != a.shape[0]:
         raise ShapeError(f"gather_rows: index {idx.shape} incompatible with {a.shape}")
     out = np.take_along_axis(a.data, idx[:, :, None], axis=1)
-    batch = np.arange(a.shape[0])[:, None]
+    shape, dtype = a.shape, a.dtype
+    batch = np.arange(shape[0])[:, None]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         np.add.at(ga, (batch, idx), g)
         return (ga,)
 
@@ -336,14 +372,13 @@ def gather_rows(a, idx) -> Tensor:
 
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-style name
     a = as_tensor(a)
+    shape = a.shape
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return custom_op(np.asarray(out), (a,), vjp)
 
@@ -376,15 +411,16 @@ def rmsnorm(x, gain, axis: int = -1, eps: float = 1e-6) -> Tensor:
     n = x.shape[ax]
     if gain.shape != (n,):
         raise ShapeError(f"rmsnorm: gain {gain.shape} does not match axis extent {n}")
-    r = 1.0 / np.sqrt((x.data * x.data).mean(axis=ax, keepdims=True) + eps)
-    gb = _axis_view(gain.data, x.ndim, ax)
-    out = x.data * r * gb
+    xd = x.data
+    r = 1.0 / np.sqrt((xd * xd).mean(axis=ax, keepdims=True) + eps)
+    gb = _axis_view(gain.data, xd.ndim, ax)
+    out = xd * r * gb
 
     def vjp(g):
-        other = tuple(i for i in range(x.ndim) if i != ax)
-        ggain = (g * x.data * r).sum(axis=other)
-        inner = (g * gb * x.data).sum(axis=ax, keepdims=True)
-        gx = g * gb * r - x.data * (r ** 3) * inner / n
+        other = tuple(i for i in range(xd.ndim) if i != ax)
+        ggain = (g * xd * r).sum(axis=other)
+        inner = (g * gb * xd).sum(axis=ax, keepdims=True)
+        gx = g * gb * r - xd * (r ** 3) * inner / n
         return gx, ggain
 
     return custom_op(out, (x, gain), vjp)
@@ -405,7 +441,7 @@ def layernorm(x, gain, axis: int = -1, eps: float = 1e-6) -> Tensor:
     out = xn * gb
 
     def vjp(g):
-        other = tuple(i for i in range(x.ndim) if i != ax)
+        other = tuple(i for i in range(xn.ndim) if i != ax)
         ggain = (g * xn).sum(axis=other)
         d = g * gb
         gx = s * (d - d.mean(axis=ax, keepdims=True)
@@ -432,15 +468,17 @@ def causal_conv1d(x, weight, bias=None) -> Tensor:
     B, L, E = x.shape
     if weight.ndim != 2 or weight.shape[0] != E:
         raise ShapeError(f"causal_conv1d: weight {weight.shape} does not match E={E}")
-    k = weight.shape[1]
-    out = np.zeros_like(x.data)
+    xd, wd = x.data, weight.data
+    k = wd.shape[1]
+    out = np.zeros_like(xd)
     for j in range(k):
         if j == 0:
-            out += x.data * weight.data[:, 0]
+            out += xd * wd[:, 0]
         elif j < L:
-            out[:, j:, :] += x.data[:, : L - j, :] * weight.data[:, j]
+            out[:, j:, :] += xd[:, : L - j, :] * wd[:, j]
     parents = [x, weight]
-    if bias is not None:
+    has_bias = bias is not None
+    if has_bias:
         bias = as_tensor(bias)
         if bias.shape != (E,):
             raise ShapeError(f"causal_conv1d: bias {bias.shape} does not match E={E}")
@@ -448,17 +486,17 @@ def causal_conv1d(x, weight, bias=None) -> Tensor:
         parents.append(bias)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(weight.data)
+        gx = np.zeros_like(xd)
+        gw = np.zeros_like(wd)
         for j in range(k):
             if j == 0:
-                gx += g * weight.data[:, 0]
-                gw[:, 0] = np.einsum("ble,ble->e", g, x.data)
+                gx += g * wd[:, 0]
+                gw[:, 0] = np.einsum("ble,ble->e", g, xd)
             elif j < L:
-                gx[:, : L - j, :] += g[:, j:, :] * weight.data[:, j]
-                gw[:, j] = np.einsum("ble,ble->e", g[:, j:, :], x.data[:, : L - j, :])
+                gx[:, : L - j, :] += g[:, j:, :] * wd[:, j]
+                gw[:, j] = np.einsum("ble,ble->e", g[:, j:, :], xd[:, : L - j, :])
         grads = [gx, gw]
-        if bias is not None:
+        if has_bias:
             grads.append(g.sum(axis=(0, 1)))
         return grads
 
@@ -503,20 +541,21 @@ def mse(pred, target, mask=None) -> Tensor:
     if t.shape != pred.shape:
         raise ShapeError(f"mse: target {t.shape} does not match prediction {pred.shape}")
     d = pred.data - t
+    shape, dtype, size = pred.shape, pred.dtype, pred.size
     if mask is None:
-        if pred.size == 0:
-            return custom_op(np.zeros((), dtype=pred.dtype), (pred,),
-                             lambda g: (np.zeros_like(pred.data),))
-        out = np.asarray((d * d).mean(), dtype=pred.dtype)
-        return custom_op(out, (pred,), lambda g: (g * 2.0 * d / pred.size,))
-    m = np.asarray(mask, dtype=pred.dtype)
-    if m.shape != pred.shape[:-1]:
-        raise ShapeError(f"mse: mask {m.shape} does not match tokens {pred.shape[:-1]}")
+        if size == 0:
+            return custom_op(np.zeros((), dtype=dtype), (pred,),
+                             lambda g: (np.zeros(shape, dtype=dtype),))
+        out = np.asarray((d * d).mean(), dtype=dtype)
+        return custom_op(out, (pred,), lambda g: (g * 2.0 * d / size,))
+    m = np.asarray(mask, dtype=dtype)
+    if m.shape != shape[:-1]:
+        raise ShapeError(f"mse: mask {m.shape} does not match tokens {shape[:-1]}")
     total = m.sum()
-    P = pred.shape[-1]
+    P = shape[-1]
     if total == 0:
-        return custom_op(np.zeros((), dtype=pred.dtype), (pred,),
-                         lambda g: (np.zeros_like(pred.data),))
+        return custom_op(np.zeros((), dtype=dtype), (pred,),
+                         lambda g: (np.zeros(shape, dtype=dtype),))
     per_token = (d * d).mean(axis=-1)
-    out = np.asarray((per_token * m).sum() / total, dtype=pred.dtype)
+    out = np.asarray((per_token * m).sum() / total, dtype=dtype)
     return custom_op(out, (pred,), lambda g: (g * 2.0 * d * m[..., None] / (total * P),))

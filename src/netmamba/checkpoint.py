@@ -125,15 +125,29 @@ def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
 
 def _model_config(path, saved) -> ModelConfig:
     """The saved ModelConfig. Retired keys at the values the model still
-    implements are dropped; any other key it does not have is refused."""
+    implements are dropped; any other key it does not have is refused, and
+    so is a value of the wrong type: an int field takes an int (not a bool),
+    a float field an int or a float, a bool field a bool."""
     if not isinstance(saved, dict):
         raise CheckpointMismatchError(f"{path}: metadata holds no model config")
-    known = {f.name for f in fields(ModelConfig)}
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     for key, value in saved.items():
-        if key not in known and (key, value) not in RETIRED_CONFIG.items():
+        if key not in kinds:
+            if (key, value) not in RETIRED_CONFIG.items():
+                raise CheckpointMismatchError(
+                    f"{path}: model config key {key!r} = {value!r} is not supported")
+        elif not _has_kind(value, kinds[key]):
             raise CheckpointMismatchError(
-                f"{path}: model config key {key!r} = {value!r} is not supported")
-    return ModelConfig(**{k: v for k, v in saved.items() if k in known})
+                f"{path}: model config key {key!r} = {value!r} is not of type "
+                f"{kinds[key].__name__}")
+    return ModelConfig(**{k: v for k, v in saved.items() if k in kinds})
+
+
+def _has_kind(value, kind: type) -> bool:
+    if kind is bool:
+        return isinstance(value, bool)
+    accepted = (int, float) if kind is float else (kind,)
+    return isinstance(value, accepted) and not isinstance(value, bool)
 
 
 def load_encoder_weights(params: ModelParams, path) -> None:

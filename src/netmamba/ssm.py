@@ -120,67 +120,110 @@ def init_mamba_block(
 _CHUNK = 16  # scan steps per stored state in grad mode
 
 
-def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Tensor:
+def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
+                   dt_bias: Tensor | None = None, z: Tensor | None = None,
+                   skip: Tensor | None = None) -> Tensor:
     """Zero-order-hold selective scan, discretization included:
     h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
 
     dt (B, L, E) must be positive; a (E, N); b, c (B, L, N); x (B, L, E);
     returns (B, L, E). Strictly causal; the recurrence is sequential per
     (batch, channel) lane. The state is (B, N, E), channels innermost, and
-    each step writes into buffers allocated once per call. Only when grad
-    mode is on and an input requires grad are states kept: the one entering
-    each chunk of _CHUNK steps; the (B, L, E) product dt*x is not kept. The
+    each step writes into buffers allocated once per call. The forward pass
+    walks the steps in chunks of _CHUNK and forms each chunk's dt*x (and
+    step, see below) only for that chunk. Only when grad mode is on and an
+    input requires grad are states kept: the one entering each chunk. The
     backward pass walks the chunks last to first and recomputes each chunk's
     dt*x, states and exp(dt_t*A) factors with the forward's own step. At the
     start of each chunk it zeroes the entries of the adjoint dloss/dh_t below
     np.finfo(dtype).tiny (see the module docstring). It reads the saved
     arrays, never writing into them, so repeated backward calls accumulate.
+
+    The keyword inputs take in the block's elementwise ops around the scan,
+    as Mamba's selective_scan_fn does (arXiv:2312.00752). With ``dt_bias``
+    (E,), dt is the raw pre-activation and the step is softplus(dt +
+    dt_bias). With ``skip`` (E,) the output is y + skip*x, and with ``z``
+    (B, L, E) that is multiplied by silu(z). Output and gradients are bit
+    for bit those of the same ops applied around the plain scan, but the
+    graph keeps only raw dt and z: the backward recomputes the step, y and
+    silu(z) chunk by chunk, each on the layout the forward computed it on.
     """
     B, L, E = dt.shape
     N = a.shape[-1]
     if (a.shape != (E, N) or b.shape != (B, L, N) or c.shape != (B, L, N)
-            or x.shape != (B, L, E)):
+            or x.shape != (B, L, E)
+            or (dt_bias is not None and dt_bias.shape != (E,))
+            or (z is not None and z.shape != (B, L, E))
+            or (skip is not None and skip.shape != (E,))):
+        extra = "".join(f", {name}={t.shape}" for name, t in
+                        (("dt_bias", dt_bias), ("z", z), ("skip", skip))
+                        if t is not None)
         raise ShapeError(
-            f"selective_scan: expected (B,L,E), (E,N), (B,L,N), (B,L,N), (B,L,E); "
-            f"got {dt.shape}, {a.shape}, {b.shape}, {c.shape}, {x.shape}")
-    parents = (dt, a, b, c, x)
+            f"selective_scan: expected (B,L,E), (E,N), (B,L,N), (B,L,N), (B,L,E) "
+            f"and dt_bias (E,), z (B,L,E), skip (E,); "
+            f"got {dt.shape}, {a.shape}, {b.shape}, {c.shape}, {x.shape}{extra}")
+    parents = (dt, a, b, c, x) + tuple(
+        t for t in (dt_bias, z, skip) if t is not None)
     dtype = np.result_type(*(p.data for p in parents))
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
-    # time-major views: D and X are (L, B, E); Bm and C are (L, B, N)
-    D, X, Bm, C = (np.moveaxis(v, 1, 0)
-                   for v in (dt.data, x.data, b.data, c.data))
-    U = D * X                                                    # dt*x
+    raw, xd = dt.data, x.data
+    bias, zd, sk = (None if t is None else t.data for t in (dt_bias, z, skip))
+    # time-major views: X is (L, B, E); Bm and C are (L, B, N)
+    X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
     K = _CHUNK
     keep = ad.grad_enabled() and any(p.requires_grad for p in parents)
     entry = np.empty((-(-L // K), B, N, E), dtype=dtype) if keep else None
     h = np.zeros((B, N, E), dtype=dtype)
     abar, bx = np.empty_like(h), np.empty_like(h)
 
-    def step(t, h_prev, h_out, abar, u):
-        # h_out = exp(dt_t*A) * h_prev + B_t u with u = dt_t*x_t; abar keeps
-        # exp(dt_t*A)
-        np.exp(np.einsum("be,ne->bne", D[t], At, out=abar), out=abar)
-        np.einsum("bn,be->bne", Bm[t], u, out=bx)
+    def step_sizes(t0, n):
+        # the steps of t0..t0+n-1, time-major (n, B, E), and their
+        # pre-activation (B, n, E), or None without dt_bias
+        if bias is None:
+            return np.moveaxis(raw, 1, 0)[t0:t0 + n], None
+        pre = raw[:, t0:t0 + n] + bias
+        return np.moveaxis(ad._softplus(pre), 1, 0), pre
+
+    def step(d, bm, u, h_prev, h_out, abar):
+        # h_out = exp(d*A) * h_prev + bm u with u = d*x; abar keeps exp(d*A)
+        np.exp(np.einsum("be,ne->bne", d, At, out=abar), out=abar)
+        np.einsum("bn,be->bne", bm, u, out=bx)
         np.multiply(abar, h_prev, out=h_out)
         h_out += bx
 
-    y = np.empty((L, B, E), dtype=dtype)
-    for t in range(L):
-        if keep and t % K == 0:
-            entry[t // K] = h
-        step(t, h, h, abar, U[t])
-        np.matmul(C[t][:, None, :], h, out=y[t][:, None, :])
-    out = np.ascontiguousarray(np.moveaxis(y, 0, 1))
+    out = np.empty((B, L, E), dtype=dtype)
+    y = np.moveaxis(out, 1, 0)                                   # (L, B, E) view
+    for t0 in range(0, L, K):
+        n = min(K, L - t0)
+        D = step_sizes(t0, n)[0]
+        U = D * X[t0:t0 + n]                                     # dt*x
+        if keep:
+            entry[t0 // K] = h
+        for j in range(n):
+            step(D[j], Bm[t0 + j], U[j], h, h, abar)
+            np.matmul(C[t0 + j][:, None, :], h, out=y[t0 + j][:, None, :])
+    del D, U
+    if sk is not None:
+        out += xd * sk
+    if zd is not None:
+        out *= zd * ad._sigmoid(zd)
 
     def vjp(g):
-        gy = np.moveaxis(g, 1, 0)                                # (L, B, E)
-        g_u = np.empty((L, B, E), dtype=dtype)
-        g_dt = np.zeros_like(g_u)                                # 0 at t = 0
+        # g_y: dloss/d(y + skip*x), which is g itself without z
+        g_y = g if zd is None else np.empty((B, L, E), dtype=dtype)
+        g_z = None if zd is None else np.empty((B, L, E), dtype=dtype)
+        gy = np.moveaxis(g_y, 1, 0)                              # (L, B, E)
+        g_x = np.empty((L, B, E), dtype=dtype)
+        # dloss/d(dt): time-major, or wrt the raw dt (B, L, E) with dt_bias
+        g_dt = (np.empty((L, B, E), dtype=dtype) if bias is None
+                else np.empty((B, L, E), dtype=dtype))
+        g_u, g_step = np.empty((K, B, E), dtype=dtype), np.empty((K, B, E), dtype=dtype)
         g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((L, B, N), dtype=dtype)
         acc = np.zeros((B, N, E), dtype=dtype)                   # dloss/dh_t
         g_a, s = np.zeros_like(acc), np.empty_like(acc)
         hs = np.empty((K + 1, B, N, E), dtype=dtype)             # hs[j] = h_{t0+j-1}
         abars = np.empty((K, B, N, E), dtype=dtype)
+        ys = None if zd is None else np.empty((K, B, E), dtype=dtype)
         tiny, mask = np.finfo(dtype).tiny, np.empty(acc.shape, dtype=bool)
         for t0 in reversed(range(0, L, K)):
             # subnormal adjoint entries cost x86 microcode assists; see the
@@ -188,26 +231,55 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Te
             np.less(np.abs(acc, out=s), tiny, out=mask)
             np.putmask(acc, mask, 0)
             n = min(K, L - t0)
-            U = D[t0:t0 + n] * X[t0:t0 + n]                      # this chunk's dt*x
+            rows = slice(t0, t0 + n)
+            Dc, pre = step_sizes(t0, n)
+            Uc = Dc * X[rows]                                    # this chunk's dt*x
             hs[0] = entry[t0 // K]
             for j in range(n):
-                step(t0 + j, hs[j], hs[j + 1], abars[j], U[j])
-            np.matmul(hs[1:n + 1], gy[t0:t0 + n, :, :, None],
-                      out=g_c[t0:t0 + n, :, :, None])
+                step(Dc[j], Bm[t0 + j], Uc[j], hs[j], hs[j + 1], abars[j])
+            if zd is not None:
+                for j in range(n):
+                    np.matmul(C[t0 + j][:, None, :], hs[j + 1], out=ys[j][:, None, :])
+                y = np.moveaxis(ys[:n], 0, 1)                    # (B, n, E)
+                if sk is not None:
+                    y = y + xd[:, rows] * sk
+                zc = np.ascontiguousarray(zd[:, rows])
+                sig = ad._sigmoid(zc)
+                np.multiply(g[:, rows], zc * sig, out=g_y[:, rows])
+                np.multiply(g[:, rows] * y, sig * (1.0 + zc * (1.0 - sig)),
+                            out=g_z[:, rows])
+            np.matmul(hs[1:n + 1], gy[rows, :, :, None], out=g_c[rows, :, :, None])
             for j in range(n - 1, -1, -1):
                 t = t0 + j
                 acc += np.einsum("bn,be->bne", C[t], gy[t], out=s)
-                np.matmul(Bm[t][:, None, :], acc, out=g_u[t][:, None, :])
-                np.matmul(acc, U[j][:, :, None], out=g_b[t][:, :, None])
+                np.matmul(Bm[t][:, None, :], acc, out=g_u[j][:, None, :])
+                np.matmul(acc, Uc[j][:, :, None], out=g_b[t][:, :, None])
                 acc *= abars[j]
                 if t:
                     np.multiply(acc, hs[j], out=s)           # s: dloss/d(dt_t*A)
-                    np.einsum("bne,ne->be", s, At, out=g_dt[t])
-                    g_a += np.multiply(s, D[t][:, None, :], out=s)
-        g_dt += g_u * X
+                    np.einsum("bne,ne->be", s, At, out=g_step[j])
+                    g_a += np.multiply(s, Dc[j][:, None, :], out=s)
+                else:
+                    g_step[j] = 0
+            np.multiply(g_u[:n], Dc, out=g_x[rows])
+            if bias is None:
+                np.add(g_step[:n], g_u[:n] * X[rows], out=g_dt[rows])
+            else:
+                np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * X[rows], 0, 1),
+                            ad._sigmoid(pre), out=g_dt[:, rows])
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
-        return (np.moveaxis(g_dt, 0, 1), g_a, np.moveaxis(g_b, 0, 1),
-                np.moveaxis(g_c, 0, 1), np.moveaxis(g_u * D, 0, 1))
+        g_x = np.moveaxis(g_x, 0, 1)
+        if sk is not None:
+            g_x = g_y * sk + g_x      # in the order a separate skip op adds it
+        grads = [g_dt if bias is not None else np.moveaxis(g_dt, 0, 1), g_a,
+                 np.moveaxis(g_b, 0, 1), np.moveaxis(g_c, 0, 1), g_x]
+        if bias is not None:
+            grads.append(ad._unbroadcast(g_dt, bias.shape))
+        if zd is not None:
+            grads.append(g_z)
+        if sk is not None:
+            grads.append(ad._unbroadcast(g_y * xd, sk.shape))
+        return grads
 
     return ad.custom_op(out, parents, vjp)
 
@@ -224,13 +296,10 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams) -> Tensor:
     xc = ad.silu(ad.causal_conv1d(x, p.conv_w, p.conv_b))
     b_in = ad.matmul(xc, p.w_b)
     c = ad.matmul(xc, p.w_c)
-    dt = ad.softplus(ad.add(ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up),
-                            p.dt_bias))
+    dt_raw = ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up)
     a = ad.neg(ad.exp(p.a_log))
-    y = selective_scan(dt, a, b_in, c, xc)
-    if p.state_skip is not None:
-        y = ad.add(y, ad.mul(xc, p.state_skip))
-    gated = ad.mul(y, ad.silu(z))
+    gated = selective_scan(dt_raw, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
+                           skip=p.state_skip)
     out = ad.add(ad.matmul(gated, p.w_out), x_prev)
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")

@@ -6,6 +6,7 @@ there, and the engine keeps float64 inputs in float64.
 
 import math
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -219,7 +220,7 @@ def test_no_grad_suppresses_graph():
     a = rand_tensor(RNG, 2, 2)
     with ad.no_grad():
         out = ad.mul(a, a)
-    assert out._vjp is None and not out.requires_grad
+    assert out._node is None and not out.requires_grad
 
 
 def test_mse_empty_mask_is_zero_loss():
@@ -288,3 +289,68 @@ def test_broadcast_gradient_matches_loop_oracle(rows, cols, lead, seed):
             manual_b += w[i, j]
     np.testing.assert_allclose(b.grad, manual_b, rtol=1e-10)
     np.testing.assert_allclose(a.grad, w, rtol=1e-10)
+
+
+def _dropped(build):
+    """Build a graph with ``build(x)`` -> (loss, intermediates); return a
+    weakref to each intermediate's array, taken after the caller dropped
+    the tensors, and the leaf's gradient."""
+    x = ad.Tensor(np.random.default_rng(3).standard_normal((4, 6)), requires_grad=True)
+    loss, kept = build(x)
+    refs = [weakref.ref(t.data) for t in kept]
+    del kept
+    ad.backward(loss)
+    return [r() for r in refs], x.grad
+
+
+# each builder returns the loss and the op results a vjp would only have
+# kept for their shape: the matmul product before its bias add and the
+# operands of concat, broadcast_to, gather_rows and index
+W = np.random.default_rng(4).standard_normal((6, 5))
+K5 = np.random.default_rng(5).standard_normal((4, 5))
+
+
+def _matmul_then_add(x):
+    prod = ad.matmul(x, W)
+    return ad.sum(ad.mul(ad.add(prod, np.arange(5.0)), K5)), [prod]
+
+
+def _concat(x):
+    left, right = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    return ad.sum(ad.mul(ad.concat([left, right], axis=1), 1.5)), [left, right]
+
+
+def _broadcast_to(x):
+    row = ad.mul(x, 2.0)
+    return ad.sum(ad.broadcast_to(ad.reshape(row, (1, 4, 6)), (3, 4, 6))), [row]
+
+
+def _gather_rows(x):
+    rows = ad.reshape(ad.mul(x, 2.0), (2, 2, 6))
+    return ad.sum(ad.gather_rows(rows, [[1, 1, 0], [0, 1, 1]])), [rows]
+
+
+def _index(x):
+    scaled = ad.mul(x, 2.0)
+    return ad.sum(ad.mul(scaled[:, 1:4], 5.0)), [scaled]
+
+
+@pytest.mark.parametrize("build", [_matmul_then_add, _concat, _broadcast_to,
+                                   _gather_rows, _index],
+                         ids=["matmul-add", "concat", "broadcast_to",
+                              "gather_rows", "index"])
+def test_graph_keeps_no_result_its_backward_does_not_read(build):
+    # op results link to each other through small graph records, and these
+    # vjps read only shapes, so nothing but the caller held the arrays
+    alive, grad = _dropped(build)
+    assert alive == [None] * len(alive)
+    # the caller keeping them changes no gradient
+    x = ad.Tensor(np.random.default_rng(3).standard_normal((4, 6)), requires_grad=True)
+    loss, kept = build(x)
+    ad.backward(loss)
+    np.testing.assert_array_equal(grad, x.grad)
+
+
+def test_matmul_bias_gradients_after_product_is_dropped():
+    _, grad = _dropped(_matmul_then_add)
+    np.testing.assert_allclose(grad, K5 @ W.T, rtol=1e-12)

@@ -315,6 +315,25 @@ def test_evaluate_checks_checkpoint_config_keys(head_checkpoint, capsys, keys,
         (key, value), = keys.items()
         assert f"{key!r} = {value!r}" in capsys.readouterr().err
 
+@pytest.mark.parametrize("key, value", [
+    ("d_enc", "16"),
+    ("d_enc", True),
+    ("d_enc", 16.0),
+    ("use_pos_embed", 1),
+], ids=["str-for-int", "bool-for-int", "float-for-int", "int-for-bool"])
+def test_evaluate_checks_checkpoint_config_value_types(head_checkpoint, capsys,
+                                                       key, value):
+    # a value of the wrong type would otherwise reach init_params and die
+    # there with a TypeError traceback
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"][key] = value
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert f"{key!r} = {value!r}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("header", [
     b"\xff\xfe{",
     b'{"meta": {}',

@@ -436,6 +436,76 @@ def test_scan_keeps_no_state_history_without_grad():
     assert peak(True) < history / 2
 
 
+def fused_instance(rng, B, L, E, N, dtype):
+    """Raw step pre-activations (either sign), a step bias, the scan inputs,
+    a gate and a skip, all requiring grad, plus an upstream weight."""
+    _, a, b_in, c, x = random_instance(rng, B=B, L=L, E=E, N=N)
+    arrays = {"raw": rng.standard_normal((B, L, E)),
+              "dt_bias": rng.uniform(-3.0, -1.0, size=E), "a": a, "b": b_in,
+              "c": c, "x": x, "z": 2.0 * rng.standard_normal((B, L, E)),
+              "skip": rng.standard_normal(E)}
+    tensors = {k: ad.Tensor(v.astype(dtype), requires_grad=True)
+               for k, v in arrays.items()}
+    return tensors, rng.standard_normal((B, L, E)).astype(dtype)
+
+
+def fused(t, skip=True):
+    return ssm.selective_scan(t["raw"], t["a"], t["b"], t["c"], t["x"],
+                              dt_bias=t["dt_bias"], z=t["z"],
+                              skip=t["skip"] if skip else None)
+
+
+def unfused(t, skip=True):
+    """The same block ops applied around the plain scan."""
+    dt = ad.softplus(ad.add(t["raw"], t["dt_bias"]))
+    y = ssm.selective_scan(dt, t["a"], t["b"], t["c"], t["x"])
+    if skip:
+        y = ad.add(y, ad.mul(t["x"], t["skip"]))
+    return ad.mul(y, ad.silu(t["z"]))
+
+
+@pytest.mark.parametrize("skip", (True, False), ids=("skip", "no-skip"))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("L", (K - 1, K + 1, 2 * K + 3))
+def test_fused_scan_is_byte_equal_to_unfused_ops(L, dtype, skip):
+    # the softplus, the skip and the gate are recomputed in the backward,
+    # chunk by chunk, and must land on the same bytes as the separate ops
+    results = []
+    for run in (fused, unfused):
+        t, w = fused_instance(np.random.default_rng(40), 3, L, 5, 4, dtype)
+        out = run(t, skip)
+        ad.backward(ad.sum(ad.mul(out, w)))
+        names = [k for k in t if skip or k != "skip"]
+        results.append([out.data] + [t[k].grad for k in names])
+    for got, ref in zip(*results):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("L", (5, K + 3))
+def test_fused_scan_gradients_match_finite_differences(L):
+    t, w = fused_instance(np.random.default_rng(41), 1, L, 2, 2, np.float64)
+    t["dt_bias"].data[:] = [-1.5, -0.5]
+    f = lambda: ad.sum(ad.mul(fused(t), w))
+    assert max_rel_err(f, list(t.values())) < 1e-6
+
+
+def test_fused_scan_output_identical_with_and_without_grad():
+    t, _ = fused_instance(np.random.default_rng(42), 2, 2 * K + 1, 5, 3, np.float32)
+    graded = fused(t)
+    with ad.no_grad():
+        plain = fused(t)
+    assert graded.requires_grad and not plain.requires_grad
+    np.testing.assert_array_equal(graded.data, plain.data)
+
+
+def test_fused_scan_rejects_mismatched_keyword_shapes():
+    t, _ = fused_instance(np.random.default_rng(43), 1, 4, 3, 2, np.float64)
+    with pytest.raises(ShapeError, match="z="):
+        ssm.selective_scan(t["raw"], t["a"], t["b"], t["c"], t["x"],
+                           z=ad.Tensor(np.zeros((1, 4, 2))))
+
+
 def small_dims(d=8, e=16, n=4, r=4):
     return ssm.SSMDims(d=d, e=e, n=n, r=r)
 
@@ -544,3 +614,75 @@ def test_state_skip_flag_adds_passthrough():
     out = ssm.block_forward(x, p)
     assert out.shape == (1, 4, 8)
     assert any(name == "state_skip" for name, _ in p.named())
+
+
+def unfused_block(x_prev, p):
+    """The block with its softplus, skip and gate as separate ops, created
+    in the block's order: a gradient summed over several consumers adds
+    their contributions in reverse creation order."""
+    xn = ad.rmsnorm(x_prev, p.norm_gain)
+    x = ad.matmul(xn, p.w_in_x)
+    z = ad.matmul(xn, p.w_in_z)
+    xc = ad.silu(ad.causal_conv1d(x, p.conv_w, p.conv_b))
+    b_in = ad.matmul(xc, p.w_b)
+    c = ad.matmul(xc, p.w_c)
+    dt = ad.softplus(ad.add(ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up),
+                            p.dt_bias))
+    y = ssm.selective_scan(dt, ad.neg(ad.exp(p.a_log)), b_in, c, xc)
+    if p.state_skip is not None:
+        y = ad.add(y, ad.mul(xc, p.state_skip))
+    return ad.add(ad.matmul(ad.mul(y, ad.silu(z)), p.w_out), x_prev)
+
+
+@pytest.mark.parametrize("skip", (False, True), ids=("no-skip", "skip"))
+def test_block_is_byte_equal_to_unfused_block(skip):
+    results = []
+    for run in (ssm.block_forward, unfused_block):
+        rng = np.random.default_rng(44)
+        p = ssm.init_mamba_block(small_dims(), rng, use_state_skip=skip)
+        x = ad.Tensor(rng.standard_normal((3, 2 * K + 5, 8)).astype(np.float32),
+                      requires_grad=True)
+        out = run(x, p)
+        ad.backward(ad.sum(ad.mul(out, rng.standard_normal(out.shape).astype(np.float32))))
+        results.append([out.data, x.grad] + [t.grad for _, t in p.named()])
+    for got, ref in zip(*results):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_block_keeps_only_what_its_backward_reads():
+    # one grad-mode block at small widths leaves allocated its output and
+    # the arrays its vjps read, listed below; the matmul products before the
+    # bias and residual adds, the step, its pre-activation, y, silu(z) and
+    # y + skip*x are not among them
+    B, L, D, E, N, R = 2, 256, 16, 32, 4, 4
+    p = ssm.init_mamba_block(ssm.SSMDims(d=D, e=E, n=N, r=R),
+                             np.random.default_rng(45), dtype=np.float64)
+    x = ad.Tensor(np.random.default_rng(46).standard_normal((B, L, D)),
+                  requires_grad=True)
+    ssm.block_forward(x, p)                  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = ssm.block_forward(x, p)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    f = 8
+    read = {
+        "rmsnorm 1/rms (B, L, 1)": B * L * f,
+        "normalized input, read by both in-projections (B, L, D)": B * L * D * f,
+        "in-projection x, read by the conv (B, L, E)": B * L * E * f,
+        "conv output, read by its SiLU (B, L, E)": B * L * E * f,
+        "SiLU output xc, read by the B/C/dt projections and the scan (B, L, E)":
+            B * L * E * f,
+        "xc @ w_dt_down, read by the w_dt_up product (B, L, R)": B * L * R * f,
+        "raw dt, read by the scan (B, L, E)": B * L * E * f,
+        "z, read by the scan (B, L, E)": B * L * E * f,
+        "B and C, read by the scan (B, L, N) each": 2 * B * L * N * f,
+        "exp(a_log), read by its exp and the scan's transposed A": 2 * E * N * f,
+        "the scan's chunk-entry states": -(-L // ssm._CHUNK) * B * N * E * f,
+        "the gated output, read by the out-projection (B, L, E)": B * L * E * f,
+        "the block output (B, L, D)": B * L * D * f,
+    }
+    expected = sum(read.values())
+    assert kept < expected + B * L * E * f // 4
