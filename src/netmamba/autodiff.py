@@ -299,7 +299,8 @@ def matmul(a, b) -> Tensor:
 
 
 def index(a, key) -> Tensor:
-    """Basic (int/slice/ellipsis) indexing; selections are disjoint views."""
+    """Basic (int/slice/ellipsis) indexing. The result is always a copy, so
+    neither it nor a vjp that captures it keeps the whole operand alive."""
     a = as_tensor(a)
     shape, dtype = a.shape, a.dtype
 
@@ -308,7 +309,8 @@ def index(a, key) -> Tensor:
         ga[key] = g
         return (ga,)
 
-    return custom_op(np.ascontiguousarray(a.data[key]), (a,), vjp)
+    # a scalar selection becomes a (1,) array
+    return custom_op(np.array(a.data[key], order="C", ndmin=1), (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -396,56 +398,43 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # normalization
 
 
-def _axis_view(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = vec.shape[0]
-    return vec.reshape(shape)
-
-
-def rmsnorm(x, gain, axis: int = -1, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2) + eps) * gain, normalizing over one axis."""
+def rmsnorm(x, gain) -> Tensor:
+    """x / sqrt(mean(x^2) + 1e-6) * gain over the last axis."""
     x, gain = as_tensor(x), as_tensor(gain)
-    if eps <= 0:
-        raise ContractError("rmsnorm: eps must be positive")
-    ax = axis % x.ndim
-    n = x.shape[ax]
+    n = x.shape[-1]
     if gain.shape != (n,):
-        raise ShapeError(f"rmsnorm: gain {gain.shape} does not match axis extent {n}")
-    xd = x.data
-    r = 1.0 / np.sqrt((xd * xd).mean(axis=ax, keepdims=True) + eps)
-    gb = _axis_view(gain.data, xd.ndim, ax)
-    out = xd * r * gb
+        raise ShapeError(f"rmsnorm: gain {gain.shape} does not match last axis {n}")
+    xd, gd = x.data, gain.data
+    r = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + 1e-6)
+    out = xd * r * gd
 
     def vjp(g):
-        other = tuple(i for i in range(xd.ndim) if i != ax)
-        ggain = (g * xd * r).sum(axis=other)
-        inner = (g * gb * xd).sum(axis=ax, keepdims=True)
-        gx = g * gb * r - xd * (r ** 3) * inner / n
+        ggain = (g * xd * r).sum(axis=tuple(range(xd.ndim - 1)))
+        inner = (g * gd * xd).sum(axis=-1, keepdims=True)
+        gx = g * gd * r - xd * (r ** 3) * inner / n
         return gx, ggain
 
     return custom_op(out, (x, gain), vjp)
 
 
-def layernorm(x, gain, axis: int = -1, eps: float = 1e-6) -> Tensor:
+def layernorm(x, gain) -> Tensor:
     """Mean-centering variant of rmsnorm (gain, no bias); no model uses it."""
     x, gain = as_tensor(x), as_tensor(gain)
-    ax = axis % x.ndim
-    n = x.shape[ax]
+    n = x.shape[-1]
     if gain.shape != (n,):
-        raise ShapeError(f"layernorm: gain {gain.shape} does not match axis extent {n}")
-    mu = x.data.mean(axis=ax, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=ax, keepdims=True)
-    s = 1.0 / np.sqrt(var + eps)
+        raise ShapeError(f"layernorm: gain {gain.shape} does not match last axis {n}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    s = 1.0 / np.sqrt(var + 1e-6)
     xn = (x.data - mu) * s
-    gb = _axis_view(gain.data, x.ndim, ax)
-    out = xn * gb
+    gd = gain.data
+    out = xn * gd
 
     def vjp(g):
-        other = tuple(i for i in range(xn.ndim) if i != ax)
-        ggain = (g * xn).sum(axis=other)
-        d = g * gb
-        gx = s * (d - d.mean(axis=ax, keepdims=True)
-                  - xn * (d * xn).mean(axis=ax, keepdims=True))
+        ggain = (g * xn).sum(axis=tuple(range(xn.ndim - 1)))
+        d = g * gd
+        gx = s * (d - d.mean(axis=-1, keepdims=True)
+                  - xn * (d * xn).mean(axis=-1, keepdims=True))
         return gx, ggain
 
     return custom_op(out, (x, gain), vjp)
@@ -532,30 +521,16 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     return custom_op(out, (logits,), vjp)
 
 
-def mse(pred, target, mask=None) -> Tensor:
-    """Mean squared error; with ``mask`` (…, K) over (…, K, P) predictions the
-    per-token means are averaged over mask-selected tokens only. An all-zero
-    mask yields a loss of exactly 0."""
+def mse(pred, target) -> Tensor:
+    """Mean squared error; an empty prediction yields a loss of exactly 0."""
     pred = as_tensor(pred)
     t = target.data if isinstance(target, Tensor) else np.asarray(target)
     if t.shape != pred.shape:
         raise ShapeError(f"mse: target {t.shape} does not match prediction {pred.shape}")
     d = pred.data - t
     shape, dtype, size = pred.shape, pred.dtype, pred.size
-    if mask is None:
-        if size == 0:
-            return custom_op(np.zeros((), dtype=dtype), (pred,),
-                             lambda g: (np.zeros(shape, dtype=dtype),))
-        out = np.asarray((d * d).mean(), dtype=dtype)
-        return custom_op(out, (pred,), lambda g: (g * 2.0 * d / size,))
-    m = np.asarray(mask, dtype=dtype)
-    if m.shape != shape[:-1]:
-        raise ShapeError(f"mse: mask {m.shape} does not match tokens {shape[:-1]}")
-    total = m.sum()
-    P = shape[-1]
-    if total == 0:
+    if size == 0:
         return custom_op(np.zeros((), dtype=dtype), (pred,),
                          lambda g: (np.zeros(shape, dtype=dtype),))
-    per_token = (d * d).mean(axis=-1)
-    out = np.asarray((per_token * m).sum() / total, dtype=dtype)
-    return custom_op(out, (pred,), lambda g: (g * 2.0 * d * m[..., None] / (total * P),))
+    out = np.asarray((d * d).mean(), dtype=dtype)
+    return custom_op(out, (pred,), lambda g: (g * 2.0 * d / size,))

@@ -22,7 +22,6 @@ _cap_threads()  # must precede the first numpy import
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -46,36 +45,10 @@ _USAGE_ERRORS = (ConfigError, DataError, ParseError, UnsupportedFormatError,
                  FileNotFoundError, NotADirectoryError)
 
 
-def _load_file_config(path) -> dict:
-    if path is None:
-        return {}
-    return cfgmod.load_config(path)
-
-
-def _dataclass_kwargs(cls, values: dict) -> dict:
-    names = {f.name for f in fields(cls)}
-    return {k: v for k, v in values.items() if k in names}
-
-
-def _repr_config(values: dict) -> traffic.ReprConfig:
-    return traffic.ReprConfig(**_dataclass_kwargs(
-        traffic.ReprConfig, cfgmod.subset(values, cfgmod.REPR_KEYS)))
-
-
-def _model_config(values: dict, seq_len: int, stride_len: int,
-                  num_classes: int) -> nm.ModelConfig:
-    kwargs = _dataclass_kwargs(
-        nm.ModelConfig, cfgmod.subset(values, cfgmod.MODEL_KEYS))
-    kwargs.update(seq_len=seq_len, stride_len=stride_len,
-                  num_classes=num_classes)
-    return nm.ModelConfig(**kwargs)
-
-
-def _train_config(values: dict, defaults: trainmod.TrainConfig) -> trainmod.TrainConfig:
-    kwargs = _dataclass_kwargs(
-        trainmod.TrainConfig, cfgmod.subset(values, cfgmod.TRAIN_KEYS))
-    merged = {**defaults.__dict__, **kwargs}
-    return trainmod.TrainConfig(**merged)
+def _values(args) -> dict:
+    """The config file merged under the flags whose ``dest`` is a config key."""
+    flags = {k: v for k, v in vars(args).items() if k in cfgmod.SCHEMA}
+    return cfgmod.merge(cfgmod.load_config(args.config), flags)
 
 
 def _tokens(sf: datamod.StrideFile, values: dict) -> np.ndarray:
@@ -94,17 +67,8 @@ def cmd_extract(args) -> int:
         print(f"error: input directory {input_dir} does not exist",
               file=sys.stderr)
         return EXIT_USAGE
-    flags = {
-        "anonymize_ips": False if args.no_anonymize_ips else None,
-        "include_header": False if args.no_header else None,
-        "include_payload": False if args.no_payload else None,
-        "min_packets": args.min_packets,
-        "limit_lower": args.limit_lower,
-        "limit_upper": args.limit_upper,
-        "seed": args.seed,
-    }
-    values = cfgmod.merge(_load_file_config(args.config), flags)
-    repr_cfg = _repr_config(values)
+    values = _values(args)
+    repr_cfg = cfgmod.build(traffic.ReprConfig(), values)
     seed = values.get("seed", 0)
     min_packets = values.get("min_packets", 1)
     ratios = (values.get("train_ratio", 0.8), values.get("val_ratio", 0.1),
@@ -186,14 +150,13 @@ def _resolve_data(path, split: str) -> Path:
 
 
 def cmd_pretrain(args) -> int:
-    flags = {"steps": args.steps, "batch_size": args.batch, "lr": args.lr,
-             "seed": args.seed, "mask_ratio": args.mask_ratio}
-    values = cfgmod.merge(_load_file_config(args.config), flags)
+    values = _values(args)
     sf = datamod.read_samples(_resolve_data(args.data, "train"))
     tokens = _tokens(sf, values)
-    cfg = _model_config(values, seq_len=sf.n_strides + 1,
-                        stride_len=sf.stride_len, num_classes=max(sf.num_classes, 2))
-    tcfg = _train_config(values, trainmod.pretrain_defaults())
+    cfg = cfgmod.build(nm.ModelConfig(), values, seq_len=sf.n_strides + 1,
+                       stride_len=sf.stride_len,
+                       num_classes=max(sf.num_classes, 2))
+    tcfg = cfgmod.build(trainmod.pretrain_defaults(), values)
     out_dir = Path(args.output)
     result = trainmod.pretrain(tokens, cfg, tcfg, out_dir=out_dir,
                                resume=args.resume)
@@ -206,9 +169,7 @@ def cmd_finetune(args) -> int:
     if args.init is None and not args.from_scratch:
         print("error: pass --init CHECKPOINT or --from-scratch", file=sys.stderr)
         return EXIT_USAGE
-    flags = {"epochs": args.epochs, "batch_size": args.batch, "lr": args.lr,
-             "seed": args.seed, "early_stop_val_acc": args.early_stop}
-    values = cfgmod.merge(_load_file_config(args.config), flags)
+    values = _values(args)
     splits = {}
     geometry = None
     for name in ("train", "val", "test"):
@@ -217,10 +178,11 @@ def cmd_finetune(args) -> int:
         geometry = sf
     if (splits["train"][1] < 0).any():
         raise DataError("training split contains unlabeled samples")
-    cfg = _model_config(values, seq_len=geometry.n_strides + 1,
-                        stride_len=geometry.stride_len,
-                        num_classes=geometry.num_classes)
-    tcfg = _train_config(values, trainmod.finetune_defaults())
+    cfg = cfgmod.build(nm.ModelConfig(), values,
+                       seq_len=geometry.n_strides + 1,
+                       stride_len=geometry.stride_len,
+                       num_classes=geometry.num_classes)
+    tcfg = cfgmod.build(trainmod.finetune_defaults(), values)
     out_dir = Path(args.output)
     result = trainmod.finetune(splits, cfg, tcfg, init=args.init,
                                out_dir=out_dir)
@@ -239,8 +201,7 @@ def cmd_evaluate(args) -> int:
             "without a classification head; evaluate needs a fine-tuning one")
     data_path = _resolve_data(args.data, "test")
     sf = datamod.read_samples(data_path)
-    values = cfgmod.merge(_load_file_config(args.config), {})
-    tokens = _tokens(sf, values)
+    tokens = _tokens(sf, _values(args))
     cfg = params.cfg
     if tokens.shape[1:] != (cfg.n_strides, cfg.stride_len):
         raise CheckpointMismatchError(
@@ -258,9 +219,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    values = cfgmod.merge(_load_file_config(args.config), {})
-    cfg = _model_config(values, seq_len=401,
-                        stride_len=values.get("stride_len", 4), num_classes=2)
+    cfg = cfgmod.build(nm.ModelConfig(), _values(args), seq_len=401,
+                       num_classes=2)
     batch_sizes = [int(x) for x in args.batch_sizes.split(",")]
     lengths = [int(x) for x in args.lengths.split(",")]
     rows = bench_mod.bench_forward(cfg, batch_sizes, lengths,
@@ -297,9 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--config")
     p.add_argument("--min-packets", type=int, dest="min_packets")
-    p.add_argument("--no-anonymize-ips", action="store_true")
-    p.add_argument("--no-header", action="store_true")
-    p.add_argument("--no-payload", action="store_true")
+    p.add_argument("--no-anonymize-ips", action="store_const", const=False,
+                   dest="anonymize_ips")
+    p.add_argument("--no-header", action="store_const", const=False,
+                   dest="include_header")
+    p.add_argument("--no-payload", action="store_const", const=False,
+                   dest="include_payload")
     p.add_argument("--limit-lower", type=int, dest="limit_lower")
     p.add_argument("--limit-upper", type=int, dest="limit_upper")
     p.add_argument("--seed", type=int)
@@ -310,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--config")
     p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--mask-ratio", type=float, dest="mask_ratio")
@@ -325,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-scratch", action="store_true",
                    help="random init (the no-pre-training ablation)")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
     p.add_argument("--lr", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--early-stop", type=float, dest="early_stop",
+    p.add_argument("--early-stop", type=float, dest="early_stop_val_acc",
                    help="stop when validation accuracy reaches this value")
     p.set_defaults(func=cmd_finetune)
 

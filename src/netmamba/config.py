@@ -1,68 +1,56 @@
 """Plain-text run configuration: ``key = value`` lines, '#' comments.
 
-Unknown keys are rejected and every value is type-checked at load time.
-Precedence is resolved by ``merge``: command-line flags override file values,
-which override built-in defaults.
+The config dataclasses define the keys: every field of ``ReprConfig``,
+``ModelConfig`` and ``TrainConfig`` is a key of its annotated type, except
+``seq_len`` and ``num_classes``, which the sample file fixes. ``EXTRA_KEYS``
+adds the few keys that only the commands read. Unknown keys are rejected and
+every value is type-checked at load time. Precedence is resolved by
+``merge``: command-line flags override file values, which override built-in
+defaults.
 """
 
 from __future__ import annotations
 
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import ModelConfig
+from .traffic import ReprConfig
+from .train import TrainConfig
 
-SCHEMA: dict[str, type] = {
-    # representation
-    "packets_per_flow": int,
-    "header_bytes": int,
-    "payload_bytes": int,
-    "stride_len": int,
-    "anonymize_ips": bool,
-    "include_header": bool,
-    "include_payload": bool,
-    "drop_dhcp": bool,
+DATA_FIXED = ("seq_len", "num_classes")
+
+EXTRA_KEYS: dict[str, type] = {
+    # extract
     "min_packets": int,
     "limit_lower": int,
     "limit_upper": int,
     "train_ratio": float,
     "val_ratio": float,
     "test_ratio": float,
-    # model
-    "d_enc": int,
-    "e_enc": int,
-    "depth_enc": int,
-    "d_dec": int,
-    "e_dec": int,
-    "depth_dec": int,
-    "state_dim": int,
-    "dt_rank": int,
-    "conv_kernel": int,
-    "mask_ratio": float,
-    "use_pos_embed": bool,
-    "use_state_skip": bool,
+    # tokenizer ablation of pretrain, finetune and evaluate
     "patch_split": bool,
-    # training
-    "batch_size": int,
-    "lr": float,
-    "steps": int,
-    "epochs": int,
-    "weight_decay": float,
-    "warmup_frac": float,
-    "schedule": str,
-    "grad_clip": float,
-    "seed": int,
-    "log_every": int,
-    "early_stop_val_acc": float,
 }
 
-REPR_KEYS = ("packets_per_flow", "header_bytes", "payload_bytes", "stride_len",
-             "anonymize_ips", "include_header", "include_payload", "drop_dhcp")
-MODEL_KEYS = ("stride_len", "d_enc", "e_enc", "depth_enc", "d_dec", "e_dec",
-              "depth_dec", "state_dim", "dt_rank", "conv_kernel", "mask_ratio",
-              "use_pos_embed", "use_state_skip")
-TRAIN_KEYS = ("batch_size", "lr", "steps", "epochs", "weight_decay",
-              "warmup_frac", "schedule", "grad_clip", "seed", "log_every",
-              "early_stop_val_acc")
+
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> type, reading ``T | None`` as ``T``."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kinds = [k for k in typing.get_args(hints[f.name]) if k is not type(None)]
+        out[f.name] = kinds[0] if kinds else hints[f.name]
+    return out
+
+
+SCHEMA: dict[str, type] = {
+    key: kind
+    for cls in (ReprConfig, ModelConfig, TrainConfig)
+    for key, kind in _field_types(cls).items()
+    if key not in DATA_FIXED
+} | EXTRA_KEYS
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -88,6 +76,8 @@ def parse_value(key: str, raw: str):
 
 def load_config(path) -> dict:
     values: dict = {}
+    if path is None:
+        return values
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -110,5 +100,9 @@ def merge(*layers: dict) -> dict:
     return out
 
 
-def subset(values: dict, keys) -> dict:
-    return {k: values[k] for k in keys if k in values}
+def build(base, values: dict, **fixed):
+    """The config dataclass ``base`` with every field that ``values`` names
+    replaced, then the fields the sample file fixes (``fixed``) on top."""
+    names = {f.name for f in fields(base)}
+    return replace(base, **{**{k: v for k, v in values.items() if k in names},
+                            **fixed})

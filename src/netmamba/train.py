@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as nm
-from .errors import ConfigError, DataError
+from .errors import CheckpointMismatchError, ConfigError, DataError
 from .fileio import atomic_write
 from .metrics import MetricsReport, compute_metrics
 from .optim import OptimState, Schedule, adamw_step, clip_global_norm, zero_grads
@@ -123,6 +123,15 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     if resume is not None:
         params, meta, extra = ckpt.load_model(resume)
         cfg = params.cfg
+        if params.recon_w is None:
+            raise CheckpointMismatchError(
+                f"{resume} is a {meta['kind']} checkpoint without a "
+                "decoder; resuming pre-training needs a pre-training one")
+        if strides.shape[1:] != (cfg.n_strides, cfg.stride_len):
+            raise CheckpointMismatchError(
+                f"{resume} expects {cfg.n_strides} strides of "
+                f"{cfg.stride_len} bytes, but the data has "
+                f"{strides.shape[1]} of {strides.shape[2]}")
         state.load_tensors(extra, meta["step"])
         start_step = meta["step"]
     else:

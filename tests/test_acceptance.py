@@ -110,8 +110,7 @@ def test_criterion_2_gradient_suite():
                    [logits]))
     pred = ad.Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
     tgt = rng.standard_normal((2, 5, 3))
-    msk = np.array([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]], dtype=float)
-    checks.append(("mse", lambda: ad.mse(pred, tgt, msk), [pred]))
+    checks.append(("mse", lambda: ad.mse(pred, tgt), [pred]))
 
     worst_primitive = 0.0
     for name, f, wrt in checks:

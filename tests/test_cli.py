@@ -3,13 +3,17 @@ config precedence, and exit codes."""
 
 import json
 import struct
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from netmamba import checkpoint as ckpt
 from netmamba import cli
+from netmamba import config as cfgmod
 from netmamba import model as nm
+from netmamba import train
 from netmamba.data import read_samples, synthetic_samples, write_samples
 from netmamba.pcap import write_pcap
 from netmamba.traffic import ReprConfig
@@ -400,3 +404,180 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert lines[0] == "batch,seq_len,samples_per_sec,peak_bytes"
     assert len(lines) == 3
     assert "scaling exponent" in capsys.readouterr().out
+
+def test_pretrain_resume_from_fine_tuning_checkpoint_is_mismatch(
+        head_checkpoint, tmp_path, capsys):
+    data, path = head_checkpoint
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "pt",
+                "--resume", path, "--steps", 2, "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(path) in err and "without a decoder" in err
+    assert "Traceback" not in err
+
+
+def test_pretrain_resume_stride_geometry_mismatch(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    paths = {}
+    for m in (2, 3):
+        geometry = ReprConfig(packets_per_flow=m, header_bytes=24,
+                              payload_bytes=8)
+        paths[m] = tmp_path / f"m{m}.nmstride"
+        write_samples(paths[m], synthetic_samples(2, 3, geometry, seed=0),
+                      geometry, num_classes=2)
+    pre_dir = tmp_path / "pre"
+    assert run(["pretrain", "--data", paths[2], "--output", pre_dir,
+                "--config", cfg, "--steps", 2, "--batch", 2]) == 0
+    capsys.readouterr()
+    last = pre_dir / "last.nmckpt"
+    assert run(["pretrain", "--data", paths[3], "--output", tmp_path / "more",
+                "--config", cfg, "--resume", last, "--steps", 4,
+                "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(last) in err and "16 strides of 4 bytes" in err
+    assert "has 24 of 4" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# config keys: every dataclass field is a key, flags override the file
+
+# a valid value other than the default for every field that a config file sets
+FIELD_VALUES = {
+    ReprConfig: {"packets_per_flow": "3", "header_bytes": "40",
+                 "payload_bytes": "120", "stride_len": "8",
+                 "anonymize_ips": "false", "include_header": "false",
+                 "include_payload": "false", "drop_dhcp": "false"},
+    nm.ModelConfig: {"stride_len": "8", "d_enc": "24", "e_enc": "48",
+                     "depth_enc": "3", "d_dec": "24", "e_dec": "40",
+                     "depth_dec": "3", "state_dim": "8", "mask_ratio": "0.75",
+                     "use_pos_embed": "false", "dt_rank": "8",
+                     "conv_kernel": "3", "use_state_skip": "true"},
+    train.TrainConfig: {"batch_size": "7", "lr": "0.01", "steps": "3",
+                        "epochs": "2", "weight_decay": "0.1",
+                        "warmup_frac": "0.2", "schedule": "constant",
+                        "grad_clip": "2.0", "seed": "5", "log_every": "2",
+                        "early_stop_val_acc": "0.5"},
+}
+CONFIG_FIELDS = [(cls, f.name) for cls in FIELD_VALUES for f in fields(cls)
+                 if f.name not in ("seq_len", "num_classes")]
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """Runs commands with the heavy work stubbed out and records the config
+    dataclasses each one builds, by class."""
+    seen = {}
+    write = cli.datamod.write_samples
+
+    def write_samples(path, samples, cfg, num_classes):
+        seen[ReprConfig] = cfg
+        write(path, samples, cfg, num_classes)
+
+    def bench_forward(cfg, *args, **kwargs):
+        seen[nm.ModelConfig] = cfg
+        return [{"batch": 1, "seq_len": 16, "samples_per_sec": 1.0,
+                 "peak_bytes": 0, "median_seconds": 1.0}]
+
+    def pretrain(tokens, cfg, tcfg, **kwargs):
+        seen[nm.ModelConfig], seen[train.TrainConfig] = cfg, tcfg
+        return SimpleNamespace(best_loss=0.0, best_step=0)
+
+    def finetune(splits, cfg, tcfg, **kwargs):
+        seen[nm.ModelConfig], seen[train.TrainConfig] = cfg, tcfg
+        report = SimpleNamespace(to_dict=dict, accuracy=0.0)
+        return SimpleNamespace(report=report, best_val_acc=0.0, best_epoch=0)
+
+    monkeypatch.setattr(cli.datamod, "write_samples", write_samples)
+    monkeypatch.setattr(cli.bench_mod, "bench_forward", bench_forward)
+    monkeypatch.setattr(cli.trainmod, "pretrain", pretrain)
+    monkeypatch.setattr(cli.trainmod, "finetune", finetune)
+    return seen
+
+
+@pytest.fixture()
+def tiny_split(tmp_path):
+    """A labeled extract directory: the same small split as train, val and
+    test."""
+    geometry = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8)
+    for name in ("train", "val", "test"):
+        write_samples(tmp_path / f"{name}.nmstride",
+                      synthetic_samples(2, 2, geometry, seed=0), geometry,
+                      num_classes=2)
+    return tmp_path
+
+
+def command_argv(command, tmp_path, split_dir):
+    """A minimal invocation of ``command`` over small inputs."""
+    if command == "extract":
+        pcaps = build_pcap_tree(tmp_path / "pcaps", files_per_class=2)
+        return ["extract", "--input", pcaps, "--output", tmp_path / "x"]
+    if command == "bench":
+        return ["bench", "--batch-sizes", "1", "--lengths", "16"]
+    argv = [command, "--data", split_dir, "--output", tmp_path / command]
+    return argv + ["--from-scratch"] if command == "finetune" else argv
+
+
+# the command that builds each config dataclass from every field it names
+BUILDER = {ReprConfig: "extract", nm.ModelConfig: "bench",
+           train.TrainConfig: "pretrain"}
+
+
+@pytest.mark.parametrize("cls, key", CONFIG_FIELDS,
+                         ids=[f"{c.__name__}.{k}" for c, k in CONFIG_FIELDS])
+def test_every_config_field_reaches_the_built_config(tmp_path, built,
+                                                     tiny_split, cls, key):
+    raw = FIELD_VALUES[cls][key]
+    expected = cfgmod.parse_value(key, raw)
+    assert getattr(cls(), key) != expected
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    argv = command_argv(BUILDER[cls], tmp_path, tiny_split)
+    assert run(argv + ["--config", cfg]) == 0
+    assert getattr(built[cls], key) == expected
+
+
+@pytest.mark.parametrize("key", ["seq_len", "num_classes"])
+def test_keys_the_sample_file_fixes_are_unknown(tiny_split, capsys, key):
+    cfg = tiny_split / "fixed.cfg"
+    cfg.write_text(f"{key} = 9\n")
+    assert run(["pretrain", "--data", tiny_split, "--output",
+                tiny_split / "p", "--config", cfg]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, line, cls, key, expected", [
+    ("pretrain", ["--batch", 5], "batch_size = 3", train.TrainConfig,
+     "batch_size", 5),
+    ("finetune", ["--batch", 5], "batch_size = 3", train.TrainConfig,
+     "batch_size", 5),
+    ("finetune", ["--early-stop", 0.7], "early_stop_val_acc = 0.3",
+     train.TrainConfig, "early_stop_val_acc", 0.7),
+    ("pretrain", ["--mask-ratio", 0.75], "mask_ratio = 0.5", nm.ModelConfig,
+     "mask_ratio", 0.75),
+    ("extract", ["--no-anonymize-ips"], "anonymize_ips = true", ReprConfig,
+     "anonymize_ips", False),
+    ("extract", ["--no-header"], "include_header = true", ReprConfig,
+     "include_header", False),
+    ("extract", ["--no-payload"], "include_payload = true", ReprConfig,
+     "include_payload", False),
+], ids=["pretrain-batch", "finetune-batch", "early-stop", "mask-ratio",
+        "no-anonymize-ips", "no-header", "no-payload"])
+def test_renamed_flags_override_the_file(tmp_path, built, tiny_split, command,
+                                         flag, line, cls, key, expected):
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(line + "\n")
+    argv = command_argv(command, tmp_path, tiny_split)
+    assert run(argv + ["--config", cfg] + flag) == 0
+    assert getattr(built[cls], key) == expected
+
+
+def test_min_packets_flag_overrides_the_file(tmp_path, capsys):
+    # every flow in the tree has three packets
+    argv = command_argv("extract", tmp_path, None)
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text("min_packets = 4\n")
+    assert run(argv + ["--config", cfg]) == 2
+    assert "no usable flows" in capsys.readouterr().err
+    assert run(argv + ["--config", cfg, "--min-packets", 3]) == 0

@@ -1,9 +1,17 @@
-"""Config-file parsing: typing, comments, unknown keys, precedence."""
+"""Config-file parsing: typing, comments, unknown keys, precedence, building
+the config dataclasses, and the README's list of keys."""
+
+import re
+from pathlib import Path
 
 import pytest
 
-from netmamba.config import load_config, merge, parse_value, subset
+from netmamba.config import SCHEMA, build, load_config, merge, parse_value
 from netmamba.errors import ConfigError
+from netmamba.model import ModelConfig
+from netmamba.train import finetune_defaults
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_load_config_types_and_comments(tmp_path):
@@ -65,7 +73,16 @@ def test_merge_precedence_three_layers():
     assert merged["seed"] == 0         # default survives
 
 
-def test_subset():
-    values = {"lr": 1.0, "d_enc": 8, "norm": "rms"}
-    assert subset(values, ("d_enc", "norm", "missing")) == {"d_enc": 8,
-                                                            "norm": "rms"}
+def test_build_takes_named_fields_and_lets_fixed_values_win():
+    values = {"lr": 5e-4, "d_enc": 8, "stride_len": 2, "patch_split": True}
+    tcfg = build(finetune_defaults(), values)
+    assert (tcfg.lr, tcfg.batch_size) == (5e-4, 64)
+    cfg = build(ModelConfig(), values, seq_len=9, stride_len=4)
+    assert (cfg.d_enc, cfg.seq_len, cfg.stride_len) == (8, 9, 4)
+
+
+def test_readme_documents_every_config_key():
+    text = README.read_text()
+    section = re.search(r"^### Configuration$(.*?)^## ", text, re.M | re.S)
+    documented = set(re.findall(r"`(\w+)`", section.group(1)))
+    assert set(SCHEMA) <= documented, sorted(set(SCHEMA) - documented)
