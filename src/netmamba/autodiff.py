@@ -242,8 +242,17 @@ def exp(a) -> Tensor:
     return custom_op(out, (a,), lambda g: (g * out,))
 
 
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 * x)), computed in ``out``."""
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    return _sigmoid_into(x, np.empty_like(x))
 
 
 def silu(a) -> Tensor:
@@ -349,7 +358,14 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Per-batch row gather: a[b, idx[b, k], :] for a (B, L, D), idx (B, K)."""
+    """Per-batch row gather: a[b, idx[b, k], :] for a (B, L, D), idx (B, K).
+
+    The backward scatters the gradient into zeros: with ``np.add.at`` when
+    a row of ``idx`` repeats an index, else by writing each gradient row
+    once, plus 0.0 so that a -0.0 lands as +0.0, the bytes ``np.add.at``
+    gives. The write took about half the time of ``np.add.at`` at the
+    pre-training shapes.
+    """
     a = as_tensor(a)
     if a.ndim != 3:
         raise ShapeError(f"gather_rows expects (B, L, D), got {a.shape}")
@@ -358,11 +374,16 @@ def gather_rows(a, idx) -> Tensor:
         raise ShapeError(f"gather_rows: index {idx.shape} incompatible with {a.shape}")
     out = np.take_along_axis(a.data, idx[:, :, None], axis=1)
     shape, dtype = a.shape, a.dtype
-    batch = np.arange(shape[0])[:, None]
+    ordered = np.sort(idx, axis=1)
+    distinct = not np.any(ordered[:, 1:] == ordered[:, :-1])
 
     def vjp(g):
         ga = np.zeros(shape, dtype=dtype)
-        np.add.at(ga, (batch, idx), g)
+        if distinct:
+            np.put_along_axis(ga, idx[:, :, None], g, axis=1)
+            ga += 0.0
+        else:
+            np.add.at(ga, (np.arange(shape[0])[:, None], idx), g)
         return (ga,)
 
     return custom_op(out, (a,), vjp)
@@ -443,13 +464,24 @@ def layernorm(x, gain) -> Tensor:
 # ---------------------------------------------------------------------------
 # causal depthwise convolution
 
+# elements per row block of the convolution: 512 KB of float32, so that a
+# block's taps, sums and activation stay in a 2 MB L2 cache. On a 2-vCPU
+# Xeon with one BLAS thread the conv + SiLU forward at (16, 401, 512) took
+# 23 ms in such blocks against 42 ms over whole arrays
+_CONV_BLOCK = 1 << 17
+
 
 def causal_conv1d(x, weight, bias=None) -> Tensor:
-    """Per-channel causal convolution on (B, L, E).
+    """silu(per-channel causal convolution + bias) on (B, L, E), Mamba's
+    causal_conv1d_fn with activation="silu".
 
     ``weight[e, j]`` multiplies the input j steps in the past, so a kernel of
-    (1, 0, ..., 0) is the identity; positions before the sequence start read
-    zeros.
+    (1, 0, ..., 0) is the identity before the SiLU; positions before the
+    sequence start read zeros. The graph keeps the input alone: the backward
+    recomputes the convolution and the sigmoid. Both passes work in blocks
+    of rows, each block's temporaries in buffers allocated once per call.
+    Every product and sum is the one a separate convolution and ``silu``
+    would form, in the same order.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 3:
@@ -458,35 +490,65 @@ def causal_conv1d(x, weight, bias=None) -> Tensor:
     if weight.ndim != 2 or weight.shape[0] != E:
         raise ShapeError(f"causal_conv1d: weight {weight.shape} does not match E={E}")
     xd, wd = x.data, weight.data
-    k = wd.shape[1]
-    out = np.zeros_like(xd)
-    for j in range(k):
-        if j == 0:
-            out += xd * wd[:, 0]
-        elif j < L:
-            out[:, j:, :] += xd[:, : L - j, :] * wd[:, j]
+    # tap j as a contiguous row, which numpy multiplies with SIMD; the
+    # strided column wd[:, j] took three times as long
+    taps = np.ascontiguousarray(wd.T)
+    k = len(taps)
     parents = [x, weight]
     has_bias = bias is not None
     if has_bias:
         bias = as_tensor(bias)
         if bias.shape != (E,):
             raise ShapeError(f"causal_conv1d: bias {bias.shape} does not match E={E}")
-        out = out + bias.data
         parents.append(bias)
+    bd = bias.data if has_bias else None
+    rows = min(L, max(1, _CONV_BLOCK // (B * E)))
+    blocks = [(r0, min(L, r0 + rows)) for r0 in range(0, L, rows)]
+
+    def pre_activation(r0, r1, pre, tmp):
+        # rows r0..r1-1 of the convolution + bias, in pre
+        p = pre[:, :r1 - r0]
+        p[...] = 0
+        for j in range(min(k, r1)):
+            lo = max(r0, j)
+            np.multiply(xd[:, lo - j:r1 - j], taps[j], out=tmp[:, :r1 - lo])
+            p[:, lo - r0:] += tmp[:, :r1 - lo]
+        if has_bias:
+            p += bd
+        return p
+
+    out = np.empty_like(xd)
+    pre, tmp = (np.empty((B, rows, E), dtype=xd.dtype) for _ in range(2))
+    for r0, r1 in blocks:
+        p = pre_activation(r0, r1, pre, tmp)
+        o = _sigmoid_into(p, out[:, r0:r1])
+        o *= p                                 # x * sigmoid(x)
+    del pre, tmp
 
     def vjp(g):
+        pre, s, tmp = (np.empty((B, rows, E), dtype=xd.dtype) for _ in range(3))
+        gp = np.empty_like(xd)                 # dloss/d(pre-activation)
+        for r0, r1 in blocks:
+            p = pre_activation(r0, r1, pre, tmp)
+            sb = _sigmoid_into(p, s[:, :r1 - r0])
+            # g * (s * (1 + pre * (1 - s))), each product in place
+            d = np.subtract(1.0, sb, out=gp[:, r0:r1])
+            d *= p
+            d += 1.0
+            d *= sb
+            d *= g[:, r0:r1]
         gx = np.zeros_like(xd)
+        for r0, r1 in blocks:
+            for j in range(min(k, L - r0)):
+                hi = min(r1, L - j)
+                np.multiply(gp[:, r0 + j:hi + j], taps[j], out=tmp[:, :hi - r0])
+                gx[:, r0:hi] += tmp[:, :hi - r0]
         gw = np.zeros_like(wd)
-        for j in range(k):
-            if j == 0:
-                gx += g * wd[:, 0]
-                gw[:, 0] = np.einsum("ble,ble->e", g, xd)
-            elif j < L:
-                gx[:, : L - j, :] += g[:, j:, :] * wd[:, j]
-                gw[:, j] = np.einsum("ble,ble->e", g[:, j:, :], xd[:, : L - j, :])
+        for j in range(min(k, L)):
+            gw[:, j] = np.einsum("ble,ble->e", gp[:, j:], xd[:, :L - j])
         grads = [gx, gw]
         if has_bias:
-            grads.append(g.sum(axis=(0, 1)))
+            grads.append(gp.sum(axis=(0, 1)))
         return grads
 
     return custom_op(out, parents, vjp)

@@ -159,7 +159,8 @@ def cmd_pretrain(args) -> int:
     tcfg = cfgmod.build(trainmod.pretrain_defaults(), values)
     out_dir = Path(args.output)
     result = trainmod.pretrain(tokens, cfg, tcfg, out_dir=out_dir,
-                               resume=args.resume)
+                               resume=args.resume,
+                               given=[k for k in values if k in cfg.to_dict()])
     print(f"pre-training done: best loss {result.best_loss:.6f} at step "
           f"{result.best_step}; artifacts in {out_dir}")
     return EXIT_OK

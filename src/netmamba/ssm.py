@@ -6,6 +6,20 @@ a sequential scan that applies the zero-order-hold discretization step by
 step to a (batch, state, channel) state, SiLU self-gating, output
 projection with a residual connection.
 
+What one block keeps for its backward pass, as Mamba's mamba_inner_fn does
+with checkpoint_lvl=1 (arXiv:2312.00752): of its (B, L, E) arrays only the
+in-projection x, the conv + SiLU output xc and the gate input z; of its
+(B, L, D) arrays only its input and the normalized input; plus the
+(B, L, R) step down-projection, B and C, and the scan's chunk-entry
+states. Everything
+else is recomputed in the backward pass: ``ad.causal_conv1d`` applies the
+SiLU itself and recomputes the convolution from x, and ``selective_scan``
+takes in the step's up-projection, softplus, skip, gate and the output
+projection, recomputing the raw step, the step, y, silu(z) and the gated
+output. Each recomputation repeats the forward's arithmetic on the same
+layout, so the gradients are bit for bit those of the separate ops.
+Without grad each array is freed after its last use.
+
 For training the scan keeps only the state entering each chunk of _CHUNK
 steps; its backward pass recomputes each chunk from the arrays it saved.
 That backward pass also sets the subnormal entries of its state adjoint to
@@ -122,7 +136,8 @@ _CHUNK = 16  # scan steps per stored state in grad mode
 
 def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                    dt_bias: Tensor | None = None, z: Tensor | None = None,
-                   skip: Tensor | None = None) -> Tensor:
+                   skip: Tensor | None = None, w_dt_up: Tensor | None = None,
+                   w_out: Tensor | None = None) -> Tensor:
     """Zero-order-hold selective scan, discretization included:
     h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
 
@@ -139,35 +154,39 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     np.finfo(dtype).tiny (see the module docstring). It reads the saved
     arrays, never writing into them, so repeated backward calls accumulate.
 
-    The keyword inputs take in the block's elementwise ops around the scan,
-    as Mamba's selective_scan_fn does (arXiv:2312.00752). With ``dt_bias``
-    (E,), dt is the raw pre-activation and the step is softplus(dt +
-    dt_bias). With ``skip`` (E,) the output is y + skip*x, and with ``z``
-    (B, L, E) that is multiplied by silu(z). Output and gradients are bit
-    for bit those of the same ops applied around the plain scan, but the
-    graph keeps only raw dt and z: the backward recomputes the step, y and
-    silu(z) chunk by chunk, each on the layout the forward computed it on.
+    The keyword inputs take in the block's ops around the scan, as Mamba's
+    selective_scan_fn and mamba_inner_fn do (arXiv:2312.00752):
+    - ``w_dt_up`` (R, E): dt is the (B, L, R) down-projected step and the
+      raw step is dt @ w_dt_up, formed for the forward loop and again for
+      the backward, and kept by neither;
+    - ``dt_bias`` (E,): the step is softplus(raw step + dt_bias);
+    - ``skip`` (E,): the output is y + skip*x;
+    - ``z`` (B, L, E): that is multiplied by silu(z), chunk by chunk;
+    - ``w_out`` (E, D): the op returns that gated output @ w_out, (B, L, D).
+    Output and gradients are bit for bit those of the same ops applied
+    around the plain scan, but the graph keeps only the inputs: the
+    backward recomputes the step, y, silu(z) and the gated output chunk by
+    chunk, each on the layout the forward computed it on.
     """
-    B, L, E = dt.shape
+    B, L, E = x.shape if x.ndim == 3 else (0, 0, 0)
     N = a.shape[-1]
-    if (a.shape != (E, N) or b.shape != (B, L, N) or c.shape != (B, L, N)
-            or x.shape != (B, L, E)
-            or (dt_bias is not None and dt_bias.shape != (E,))
-            or (z is not None and z.shape != (B, L, E))
-            or (skip is not None and skip.shape != (E,))):
-        extra = "".join(f", {name}={t.shape}" for name, t in
-                        (("dt_bias", dt_bias), ("z", z), ("skip", skip))
-                        if t is not None)
-        raise ShapeError(
-            f"selective_scan: expected (B,L,E), (E,N), (B,L,N), (B,L,N), (B,L,E) "
-            f"and dt_bias (E,), z (B,L,E), skip (E,); "
-            f"got {dt.shape}, {a.shape}, {b.shape}, {c.shape}, {x.shape}{extra}")
-    parents = (dt, a, b, c, x) + tuple(
-        t for t in (dt_bias, z, skip) if t is not None)
+    R = E if w_dt_up is None else dt.shape[-1]
+    expected = {"dt": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, L, N),
+                "x": (B, L, E), "dt_bias": (E,), "z": (B, L, E), "skip": (E,),
+                "w_dt_up": (R, E), "w_out": (E, 0 if w_out is None else w_out.shape[-1])}
+    given = {"dt": dt, "a": a, "b": b, "c": c, "x": x, "dt_bias": dt_bias,
+             "z": z, "skip": skip, "w_dt_up": w_dt_up, "w_out": w_out}
+    wrong = [f"{name}={t.shape} (expected {expected[name]})"
+             for name, t in given.items() if t is not None and t.shape != expected[name]]
+    if x.ndim != 3 or wrong:
+        raise ShapeError(f"selective_scan: x={x.shape} gives (B, L, E); "
+                         + ", ".join(wrong))
+    parents = tuple(t for t in given.values() if t is not None)
     dtype = np.result_type(*(p.data for p in parents))
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
-    raw, xd = dt.data, x.data
-    bias, zd, sk = (None if t is None else t.data for t in (dt_bias, z, skip))
+    low, xd = dt.data, x.data
+    bias, zd, sk, wu, wo = (None if t is None else t.data
+                            for t in (dt_bias, z, skip, w_dt_up, w_out))
     # time-major views: X is (L, B, E); Bm and C are (L, B, N)
     X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
     K = _CHUNK
@@ -176,7 +195,11 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     h = np.zeros((B, N, E), dtype=dtype)
     abar, bx = np.empty_like(h), np.empty_like(h)
 
-    def step_sizes(t0, n):
+    def raw_steps():
+        # the raw step (B, L, E), up-projected as ad.matmul would
+        return low if wu is None else low @ wu
+
+    def step_sizes(raw, t0, n):
         # the steps of t0..t0+n-1, time-major (n, B, E), and their
         # pre-activation (B, n, E), or None without dt_bias
         if bias is None:
@@ -191,27 +214,36 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
         np.multiply(abar, h_prev, out=h_out)
         h_out += bx
 
+    raw = raw_steps()
     out = np.empty((B, L, E), dtype=dtype)
     y = np.moveaxis(out, 1, 0)                                   # (L, B, E) view
     for t0 in range(0, L, K):
         n = min(K, L - t0)
-        D = step_sizes(t0, n)[0]
-        U = D * X[t0:t0 + n]                                     # dt*x
+        rows = slice(t0, t0 + n)
+        D = step_sizes(raw, t0, n)[0]
+        U = D * X[rows]                                          # dt*x
         if keep:
             entry[t0 // K] = h
         for j in range(n):
             step(D[j], Bm[t0 + j], U[j], h, h, abar)
             np.matmul(C[t0 + j][:, None, :], h, out=y[t0 + j][:, None, :])
-    del D, U
-    if sk is not None:
-        out += xd * sk
-    if zd is not None:
-        out *= zd * ad._sigmoid(zd)
+        if sk is not None:
+            out[:, rows] += xd[:, rows] * sk
+        if zd is not None:
+            zc = np.ascontiguousarray(zd[:, rows])
+            out[:, rows] *= zc * ad._sigmoid(zc)
+    del raw, D, U
+    if wo is not None:
+        out = out @ wo
 
     def vjp(g):
-        # g_y: dloss/d(y + skip*x), which is g itself without z
-        g_y = g if zd is None else np.empty((B, L, E), dtype=dtype)
+        # g_y: dloss/d(y + skip*x). It is written over g_out, the gradient
+        # wrt the gated output, which the op owns when it applies w_out
+        g_out = g if wo is None else g @ np.swapaxes(wo, -1, -2)
+        owned = g_out is not g
+        g_y = g_out if zd is None or owned else np.empty((B, L, E), dtype=dtype)
         g_z = None if zd is None else np.empty((B, L, E), dtype=dtype)
+        gated = None if wo is None else np.empty((B, L, E), dtype=dtype)
         gy = np.moveaxis(g_y, 1, 0)                              # (L, B, E)
         g_x = np.empty((L, B, E), dtype=dtype)
         # dloss/d(dt): time-major, or wrt the raw dt (B, L, E) with dt_bias
@@ -223,8 +255,10 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
         g_a, s = np.zeros_like(acc), np.empty_like(acc)
         hs = np.empty((K + 1, B, N, E), dtype=dtype)             # hs[j] = h_{t0+j-1}
         abars = np.empty((K, B, N, E), dtype=dtype)
-        ys = None if zd is None else np.empty((K, B, E), dtype=dtype)
+        ys = (None if zd is None and wo is None
+              else np.empty((K, B, E), dtype=dtype))
         tiny, mask = np.finfo(dtype).tiny, np.empty(acc.shape, dtype=bool)
+        raw = raw_steps()
         for t0 in reversed(range(0, L, K)):
             # subnormal adjoint entries cost x86 microcode assists; see the
             # module docstring
@@ -232,22 +266,28 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             np.putmask(acc, mask, 0)
             n = min(K, L - t0)
             rows = slice(t0, t0 + n)
-            Dc, pre = step_sizes(t0, n)
+            Dc, pre = step_sizes(raw, t0, n)
             Uc = Dc * X[rows]                                    # this chunk's dt*x
             hs[0] = entry[t0 // K]
             for j in range(n):
                 step(Dc[j], Bm[t0 + j], Uc[j], hs[j], hs[j + 1], abars[j])
-            if zd is not None:
+            if ys is not None:
                 for j in range(n):
                     np.matmul(C[t0 + j][:, None, :], hs[j + 1], out=ys[j][:, None, :])
                 y = np.moveaxis(ys[:n], 0, 1)                    # (B, n, E)
                 if sk is not None:
                     y = y + xd[:, rows] * sk
-                zc = np.ascontiguousarray(zd[:, rows])
-                sig = ad._sigmoid(zc)
-                np.multiply(g[:, rows], zc * sig, out=g_y[:, rows])
-                np.multiply(g[:, rows] * y, sig * (1.0 + zc * (1.0 - sig)),
-                            out=g_z[:, rows])
+                if zd is None:
+                    gated[:, rows] = y
+                else:
+                    zc = np.ascontiguousarray(zd[:, rows])
+                    sig = ad._sigmoid(zc)
+                    gate = zc * sig
+                    np.multiply(g_out[:, rows] * y, sig * (1.0 + zc * (1.0 - sig)),
+                                out=g_z[:, rows])
+                    np.multiply(g_out[:, rows], gate, out=g_y[:, rows])
+                    if gated is not None:
+                        np.multiply(y, gate, out=gated[:, rows])
             np.matmul(hs[1:n + 1], gy[rows, :, :, None], out=g_c[rows, :, :, None])
             for j in range(n - 1, -1, -1):
                 t = t0 + j
@@ -267,19 +307,32 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             else:
                 np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * X[rows], 0, 1),
                             ad._sigmoid(pre), out=g_dt[:, rows])
+        del raw, hs, abars
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
         g_x = np.moveaxis(g_x, 0, 1)
-        if sk is not None:
-            g_x = g_y * sk + g_x      # in the order a separate skip op adds it
-        grads = [g_dt if bias is not None else np.moveaxis(g_dt, 0, 1), g_a,
-                 np.moveaxis(g_b, 0, 1), np.moveaxis(g_c, 0, 1), g_x]
+        if bias is None:
+            g_dt = np.moveaxis(g_dt, 0, 1)
+        extra = {}
         if bias is not None:
-            grads.append(ad._unbroadcast(g_dt, bias.shape))
+            extra["dt_bias"] = ad._unbroadcast(g_dt, bias.shape)
         if zd is not None:
-            grads.append(g_z)
+            extra["z"] = g_z
         if sk is not None:
-            grads.append(ad._unbroadcast(g_y * xd, sk.shape))
-        return grads
+            extra["skip"] = ad._unbroadcast(g_y * xd, sk.shape)
+            # g_y * sk + g_x, in the order a separate skip op adds it
+            if g_y is g:
+                g_x = g_y * sk + g_x
+            else:
+                g_x = np.add(np.multiply(g_y, sk, out=g_y), g_x, out=g_y)
+        if wu is not None:
+            # as ad.matmul's vjp: the step's down-projection and w_dt_up
+            extra["w_dt_up"] = ad._unbroadcast(np.swapaxes(low, -1, -2) @ g_dt, wu.shape)
+            g_dt = g_dt @ np.swapaxes(wu, -1, -2)
+        if wo is not None:
+            extra["w_out"] = ad._unbroadcast(np.swapaxes(gated, -1, -2) @ g, wo.shape)
+        # extra holds the keyword inputs' gradients in the parents' order
+        return [g_dt, g_a, np.moveaxis(g_b, 0, 1), np.moveaxis(g_c, 0, 1), g_x,
+                *extra.values()]
 
     return ad.custom_op(out, parents, vjp)
 
@@ -293,14 +346,18 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams) -> Tensor:
     xn = ad.rmsnorm(x_prev, p.norm_gain)
     x = ad.matmul(xn, p.w_in_x)
     z = ad.matmul(xn, p.w_in_z)
-    xc = ad.silu(ad.causal_conv1d(x, p.conv_w, p.conv_b))
+    # without grad the normalized input and the in-projection are freed
+    # after their last use
+    del xn
+    xc = ad.causal_conv1d(x, p.conv_w, p.conv_b)
+    del x
     b_in = ad.matmul(xc, p.w_b)
     c = ad.matmul(xc, p.w_c)
-    dt_raw = ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up)
+    dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
-    gated = selective_scan(dt_raw, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
-                           skip=p.state_skip)
-    out = ad.add(ad.matmul(gated, p.w_out), x_prev)
+    out = ad.add(selective_scan(dt_low, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
+                                skip=p.state_skip, w_dt_up=p.w_dt_up,
+                                w_out=p.w_out), x_prev)
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")
     return out

@@ -105,7 +105,8 @@ def write_loss_log(path, rows) -> None:
 
 
 def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
-             out_dir=None, resume=None, stop_at: int | None = None) -> PretrainResult:
+             out_dir=None, resume=None, stop_at: int | None = None,
+             given=()) -> PretrainResult:
     """Masked-reconstruction training over (n, n_strides, stride_len) bytes.
 
     Draws a fresh batch and fresh per-sample mask plans every step. Saves
@@ -113,7 +114,10 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     or not; the earliest on ties) and ``last.nmckpt`` (with optimizer state,
     for exact resume) when ``out_dir`` is given. ``stop_at`` ends the run
     early while keeping the schedule of the full ``tcfg.steps``, so a later
-    resume replays the uninterrupted run exactly.
+    resume replays the uninterrupted run exactly. A resumed run takes its
+    model config from the checkpoint and refuses one whose step is not a
+    step count, or one that disagrees with a field of ``cfg`` named in
+    ``given`` (the fields the caller set explicitly).
     """
     n = len(strides)
     if n == 0:
@@ -122,18 +126,27 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     start_step = 0
     if resume is not None:
         params, meta, extra = ckpt.load_model(resume)
-        cfg = params.cfg
         if params.recon_w is None:
             raise CheckpointMismatchError(
                 f"{resume} is a {meta['kind']} checkpoint without a "
                 "decoder; resuming pre-training needs a pre-training one")
-        if strides.shape[1:] != (cfg.n_strides, cfg.stride_len):
+        saved = params.cfg
+        if strides.shape[1:] != (saved.n_strides, saved.stride_len):
             raise CheckpointMismatchError(
-                f"{resume} expects {cfg.n_strides} strides of "
-                f"{cfg.stride_len} bytes, but the data has "
+                f"{resume} expects {saved.n_strides} strides of "
+                f"{saved.stride_len} bytes, but the data has "
                 f"{strides.shape[1]} of {strides.shape[2]}")
-        state.load_tensors(extra, meta["step"])
-        start_step = meta["step"]
+        for key in given:
+            if getattr(cfg, key) != getattr(saved, key):
+                raise CheckpointMismatchError(
+                    f"{resume} was trained with {key} = "
+                    f"{getattr(saved, key)!r}, not {getattr(cfg, key)!r}")
+        cfg = saved
+        start_step = meta.get("step")
+        if type(start_step) is not int or start_step < 0:
+            raise CheckpointMismatchError(
+                f"{resume}: metadata step {start_step!r} is not a step count")
+        state.load_tensors(extra, start_step)
     else:
         params = nm.init_params(cfg, rng_for(tcfg.seed, "init", 0),
                                 with_decoder=True)

@@ -50,6 +50,37 @@ def rand_tensor(rng, *shape, scale: float = 1.0) -> ad.Tensor:
     return ad.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
+
+def causal_conv1d(x, weight, bias=None) -> ad.Tensor:
+    """Oracle: the per-channel causal convolution on (B, L, E) without the
+    SiLU that ``ad.causal_conv1d`` applies, as a graph op of its own.
+
+    ``weight[e, j]`` multiplies the input j steps in the past, so a kernel of
+    (1, 0, ..., 0) is the identity; positions before the sequence start read
+    zeros.
+    """
+    x, weight = ad.as_tensor(x), ad.as_tensor(weight)
+    xd, wd = x.data, weight.data
+    L, k = xd.shape[1], wd.shape[1]
+    out = np.zeros_like(xd)
+    for j in range(min(k, L)):
+        out[:, j:, :] += xd[:, :L - j, :] * wd[:, j]
+    parents = [x, weight]
+    if bias is not None:
+        bias = ad.as_tensor(bias)
+        out = out + bias.data
+        parents.append(bias)
+
+    def vjp(g):
+        gx = np.zeros_like(xd)
+        gw = np.zeros_like(wd)
+        for j in range(min(k, L)):
+            gx[:, :L - j, :] += g[:, j:, :] * wd[:, j]
+            gw[:, j] = np.einsum("ble,ble->e", g[:, j:, :], xd[:, :L - j, :])
+        return [gx, gw] + ([g.sum(axis=(0, 1))] if bias is not None else [])
+
+    return ad.custom_op(out, parents, vjp)
+
 # ---------------------------------------------------------------------------
 # hand-rolled packet builders (fixtures are always constructed byte-by-byte)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from netmamba import autodiff as ad
 from netmamba.errors import ContractError, ShapeError
 
-from helpers import max_rel_err, rand_tensor
+from helpers import causal_conv1d, max_rel_err, rand_tensor
 
 TOL = 1e-6
 RNG = np.random.default_rng(20240811)
@@ -50,20 +50,100 @@ def test_softplus_large_input_branch():
 
 
 def test_identity_kernel_conv():
+    # a kernel of (1, 0, ...) passes the input through, so the op gives its SiLU
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.standard_normal((2, 6, 3)))
     w = np.zeros((3, 4))
     w[:, 0] = 1.0
+    np.testing.assert_array_equal(causal_conv1d(x, ad.Tensor(w)).data, x.data)
     out = ad.causal_conv1d(x, ad.Tensor(w))
-    np.testing.assert_array_equal(out.data, x.data)
+    np.testing.assert_array_equal(out.data, ad.silu(x).data)
 
 
 def test_conv_is_causal_and_reads_past():
     # kernel (0, 1) shifts the sequence right by one position
     x = ad.Tensor(np.arange(5, dtype=np.float64).reshape(1, 5, 1))
     w = ad.Tensor(np.array([[0.0, 1.0]]))
+    shifted = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(causal_conv1d(x, w).data[0, :, 0], shifted)
     out = ad.causal_conv1d(x, w).data[0, :, 0]
-    np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(out, ad.silu(ad.Tensor(shifted)).data)
+
+
+@pytest.mark.parametrize("L", (1, 3, 4, 9))
+def test_conv_silu_gradients_match_finite_differences(L, monkeypatch):
+    monkeypatch.setattr(ad, "_CONV_BLOCK", 2 * 2 * 3)      # blocks of 2 rows
+    # lengths below, at and above the four taps. At L=9 the four tap terms
+    # of one input's gradient (up to 0.9 each) cancel to 2.2e-4, where the
+    # truncation error of a 1e-4 step is 1.4e-6 of it; a 1e-5 step leaves
+    # 2.7e-7, and a long-double sum of the four terms agrees with the op
+    rng = np.random.default_rng(60 + L)
+    x, w, b = rand_tensor(rng, 2, L, 3), rand_tensor(rng, 3, 4), rand_tensor(rng, 3)
+    weight = rng.standard_normal((2, L, 3))
+    f = lambda: ad.sum(ad.mul(ad.causal_conv1d(x, w, b), weight))
+    assert max_rel_err(f, [x, w, b], eps=1e-5) < TOL
+
+
+@pytest.mark.parametrize("rows", (None, 1, 3, 8), ids=("whole", "rows1", "rows3", "rows8"))
+@pytest.mark.parametrize("bias", (True, False), ids=("bias", "no-bias"))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_conv_silu_is_byte_equal_to_conv_then_silu(dtype, bias, rows, monkeypatch):
+    # the op recomputes the convolution and the sigmoid in its backward, in
+    # place and in blocks of rows (here of 1, fewer than the taps, and 8,
+    # which leaves a partial last block), and must land on the bytes of the
+    # two separate ops
+    B, L, E = 3, 21, 8
+    if rows is not None:
+        monkeypatch.setattr(ad, "_CONV_BLOCK", rows * B * E)
+    results = []
+    for run in (lambda x, w, b: ad.causal_conv1d(x, w, b),
+                lambda x, w, b: ad.silu(causal_conv1d(x, w, b))):
+        rng = np.random.default_rng(61)
+        x, w, b = (ad.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                   for s in ((B, L, E), (E, 4), (E,)))
+        out = run(x, w, b if bias else None)
+        ad.backward(ad.sum(ad.mul(out, rng.standard_normal(out.shape).astype(dtype))))
+        results.append([out.data, x.grad, w.grad] + ([b.grad] if bias else []))
+    for got, ref in zip(*results):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+
+
+def test_conv_keeps_only_its_input():
+    # the graph holds x; the convolution output before the SiLU is not kept
+    x = ad.Tensor(np.random.default_rng(62).standard_normal((2, 256, 32)),
+                  requires_grad=True)
+    w = ad.parameter(np.random.default_rng(63).standard_normal((32, 4)))
+    tracemalloc.start()
+    try:
+        out = ad.causal_conv1d(x, w)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert kept < out.data.nbytes + out.data.nbytes // 8
+
+
+def _gather_grad(idx, g, shape):
+    a = ad.Tensor(np.zeros(shape, dtype=g.dtype), requires_grad=True)
+    ad.backward(ad.sum(ad.mul(ad.gather_rows(a, idx), g)))
+    return a.grad
+
+
+@pytest.mark.parametrize("distinct", (True, False), ids=("distinct", "repeated"))
+def test_gather_rows_backward_matches_accumulating_scatter(distinct):
+    # rows without a repeated index are written once, rows with one are
+    # accumulated; both give the bytes of np.add.at into zeros, a -0.0
+    # gradient included
+    rng = np.random.default_rng(64)
+    B, L, K, D = 3, 12, 7, 5
+    idx = np.stack([rng.permutation(L)[:K] for _ in range(B)])
+    if not distinct:
+        idx[1, 3] = idx[1, 0]
+    g = rng.standard_normal((B, K, D)).astype(np.float32)
+    g[0, 0, :2] = -0.0
+    ref = np.zeros((B, L, D), dtype=np.float32)
+    np.add.at(ref, (np.arange(B)[:, None], idx), g)
+    assert _gather_grad(idx, g, (B, L, D)).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -144,15 +224,18 @@ def test_primitive_gradients_match_finite_differences(name):
         f = lambda: ad.sum(ad.mul(op(a, g), rng_fixed_shape((2, 5, 6))))
         wrt = [a, g]
     elif name == "conv":
+        # the plain convolution oracle that the fused conv + SiLU op is held
+        # to byte for byte; the op's own finite-difference checks are
+        # test_conv_silu_gradients_match_finite_differences
         a = rand_tensor(rng, 2, 7, 3)
         w, b = rand_tensor(rng, 3, 4), rand_tensor(rng, 3)
-        f = lambda: ad.sum(ad.mul(ad.causal_conv1d(a, w, b), rng_fixed_shape((2, 7, 3))))
+        f = lambda: ad.sum(ad.mul(causal_conv1d(a, w, b), rng_fixed_shape((2, 7, 3))))
         wrt = [a, w, b]
     elif name == "conv_short_seq":
-        # sequence shorter than the kernel
+        # the oracle again, on a sequence shorter than the kernel
         a = rand_tensor(rng, 1, 2, 3)
         w, b = rand_tensor(rng, 3, 4), rand_tensor(rng, 3)
-        f = lambda: ad.sum(ad.mul(ad.causal_conv1d(a, w, b), rng_fixed_shape((1, 2, 3))))
+        f = lambda: ad.sum(ad.mul(causal_conv1d(a, w, b), rng_fixed_shape((1, 2, 3))))
         wrt = [a, w, b]
     elif name == "cross_entropy":
         a = rand_tensor(rng, 4, 5)

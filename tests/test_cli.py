@@ -440,6 +440,71 @@ def test_pretrain_resume_stride_geometry_mismatch(tmp_path, capsys):
     assert "has 24 of 4" in err and "Traceback" not in err
 
 
+@pytest.fixture()
+def pretrained(tmp_path):
+    """A 2-step pre-training run at SMALL_CFG (mask_ratio 0.5): its config,
+    data and last.nmckpt."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    geometry = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8)
+    data = tmp_path / "train.nmstride"
+    write_samples(data, synthetic_samples(2, 3, geometry, seed=0), geometry,
+                  num_classes=2)
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "pre",
+                "--config", cfg, "--steps", 2, "--batch", 2]) == 0
+    return cfg, data, tmp_path / "pre" / "last.nmckpt"
+
+
+@pytest.mark.parametrize("step", (None, "2", 2.0, True, -1),
+                         ids=("missing", "str", "float", "bool", "negative"))
+def test_pretrain_resume_refuses_a_step_that_is_no_count(pretrained, tmp_path,
+                                                         capsys, step):
+    cfg, data, last = pretrained
+    meta, tensors = ckpt.load_checkpoint(last)
+    meta.pop("step")
+    if step is not None:
+        meta["step"] = step
+    ckpt.save_checkpoint(last, tensors, meta)
+    capsys.readouterr()
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "more",
+                "--config", cfg, "--resume", last, "--steps", 4,
+                "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert f"metadata step {step!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, flags, named", [
+    ("", ["--mask-ratio", 0.75], "mask_ratio = 0.5, not 0.75"),
+    ("state_dim = 8\n", [], "state_dim = 4, not 8"),
+    ("use_state_skip = true\n", [], "use_state_skip = False, not True"),
+], ids=("flag", "config", "config-bool"))
+def test_pretrain_resume_refuses_a_model_key_the_checkpoint_disagrees_with(
+        pretrained, tmp_path, capsys, extra, flags, named):
+    cfg, data, last = pretrained
+    cfg.write_text(SMALL_CFG + extra)
+    capsys.readouterr()
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "more",
+                "--config", cfg, "--resume", last, "--steps", 4,
+                "--batch", 2] + flags) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(last) in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "more").exists()
+
+
+def test_pretrain_resume_accepts_model_keys_the_checkpoint_agrees_with(
+        pretrained, tmp_path):
+    # the run's own config file and a flag at the checkpoint's value, and
+    # no model key at all: both resume
+    cfg, data, last = pretrained
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "a",
+                "--config", cfg, "--resume", last, "--steps", 4, "--batch", 2,
+                "--mask-ratio", 0.5]) == 0
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "b",
+                "--resume", last, "--steps", 4, "--batch", 2]) == 0
+
+
 # ---------------------------------------------------------------------------
 # config keys: every dataclass field is a key, flags override the file
 

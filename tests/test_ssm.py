@@ -12,7 +12,7 @@ from netmamba import autodiff as ad
 from netmamba import ssm
 from netmamba.errors import ContractError, NumericFaultError, ShapeError
 
-from helpers import max_rel_err
+from helpers import causal_conv1d, max_rel_err
 
 RNG = np.random.default_rng(11)
 
@@ -506,6 +506,89 @@ def test_fused_scan_rejects_mismatched_keyword_shapes():
                            z=ad.Tensor(np.zeros((1, 4, 2))))
 
 
+def projected_instance(rng, B, L, E, N, R, D, dtype):
+    """fused_instance with the step's (B, L, R) down-projection in place of
+    the raw step, its (R, E) up-projection and an (E, D) out-projection."""
+    t, _ = fused_instance(rng, B, L, E, N, dtype)
+    scale = {"low": 1.0, "w_dt_up": R ** -0.5, "w_out": E ** -0.5}
+    for name, shape in (("low", (B, L, R)), ("w_dt_up", (R, E)), ("w_out", (E, D))):
+        t[name] = ad.Tensor((scale[name] * rng.standard_normal(shape)).astype(dtype),
+                            requires_grad=True)
+    del t["raw"]
+    return t, rng.standard_normal((B, L, D)).astype(dtype)
+
+
+def projected(t, keys):
+    return ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
+                              dt_bias=t["dt_bias"], w_dt_up=t["w_dt_up"],
+                              w_out=t["w_out"], **{k: t[k] for k in keys})
+
+
+def unprojected(t, keys):
+    """The up-projection, softplus, skip, gate and out-projection as
+    separate ops around the plain scan, in the block's order."""
+    dt = ad.softplus(ad.add(ad.matmul(t["low"], t["w_dt_up"]), t["dt_bias"]))
+    y = ssm.selective_scan(dt, t["a"], t["b"], t["c"], t["x"])
+    if "skip" in keys:
+        y = ad.add(y, ad.mul(t["x"], t["skip"]))
+    if "z" in keys:
+        y = ad.mul(y, ad.silu(t["z"]))
+    return ad.matmul(y, t["w_out"])
+
+
+PROJECTED_KEYS = {"gate+skip": ("z", "skip"), "gate": ("z",), "skip": ("skip",),
+                  "neither": ()}
+
+
+@pytest.mark.parametrize("keys", PROJECTED_KEYS.values(), ids=PROJECTED_KEYS.keys())
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("L", (K - 1, 2 * K + 3))
+def test_projected_scan_is_byte_equal_to_unfused_ops(L, dtype, keys):
+    # the scan forms the raw step from its down-projection in the forward
+    # and again in the backward, and rebuilds the gated output chunk by
+    # chunk for the out-projection's gradient; output and every gradient
+    # must land on the bytes of the separate ops
+    results = []
+    for run in (projected, unprojected):
+        t, w = projected_instance(np.random.default_rng(47), 3, L, 6, 4, 3, 5, dtype)
+        out = run(t, keys)
+        assert out.shape == (3, L, 5)
+        ad.backward(ad.sum(ad.mul(out, w)))
+        names = [k for k in t if k not in ("z", "skip") or k in keys]
+        results.append([out.data] + [t[k].grad for k in names])
+    for got, ref in zip(*results):
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_projected_scan_gradients_match_finite_differences():
+    t, w = projected_instance(np.random.default_rng(48), 1, K + 3, 2, 2, 2, 3,
+                              np.float64)
+    t["dt_bias"].data[:] = [-1.5, -0.5]
+    f = lambda: ad.sum(ad.mul(projected(t, ("z", "skip")), w))
+    assert max_rel_err(f, list(t.values())) < 1e-6
+
+
+def test_projected_scan_output_identical_with_and_without_grad():
+    t, _ = projected_instance(np.random.default_rng(49), 2, 2 * K + 1, 5, 3, 2, 4,
+                              np.float32)
+    graded = projected(t, ("z", "skip"))
+    with ad.no_grad():
+        plain = projected(t, ("z", "skip"))
+    assert graded.requires_grad and not plain.requires_grad
+    np.testing.assert_array_equal(graded.data, plain.data)
+
+
+def test_projected_scan_rejects_mismatched_projections():
+    t, _ = projected_instance(np.random.default_rng(50), 1, 4, 3, 2, 2, 4, np.float64)
+    with pytest.raises(ShapeError, match="w_dt_up="):
+        ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
+                           w_dt_up=ad.Tensor(np.zeros((3, 3))))
+    with pytest.raises(ShapeError, match="w_out="):
+        ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
+                           w_dt_up=t["w_dt_up"], w_out=ad.Tensor(np.zeros((2, 4))))
+
+
 def small_dims(d=8, e=16, n=4, r=4):
     return ssm.SSMDims(d=d, e=e, n=n, r=r)
 
@@ -575,7 +658,7 @@ def test_transition_factors_strictly_inside_unit_interval():
     p = ssm.init_mamba_block(small_dims(), rng, dtype=np.float64)
     x = ad.Tensor(rng.standard_normal((2, 20, 8)))
     norm = ad.rmsnorm(x, p.norm_gain)
-    xc = ad.silu(ad.causal_conv1d(ad.matmul(norm, p.w_in_x), p.conv_w, p.conv_b))
+    xc = ad.causal_conv1d(ad.matmul(norm, p.w_in_x), p.conv_w, p.conv_b)
     dt = ad.softplus(ad.add(ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up), p.dt_bias))
     a = ad.neg(ad.exp(p.a_log))
     B, L, E = dt.shape
@@ -617,13 +700,14 @@ def test_state_skip_flag_adds_passthrough():
 
 
 def unfused_block(x_prev, p):
-    """The block with its softplus, skip and gate as separate ops, created
-    in the block's order: a gradient summed over several consumers adds
-    their contributions in reverse creation order."""
+    """The block with its conv SiLU, step up-projection, softplus, skip, gate
+    and out-projection as separate ops, created in the block's order: a
+    gradient summed over several consumers adds their contributions in
+    reverse creation order."""
     xn = ad.rmsnorm(x_prev, p.norm_gain)
     x = ad.matmul(xn, p.w_in_x)
     z = ad.matmul(xn, p.w_in_z)
-    xc = ad.silu(ad.causal_conv1d(x, p.conv_w, p.conv_b))
+    xc = ad.silu(causal_conv1d(x, p.conv_w, p.conv_b))
     b_in = ad.matmul(xc, p.w_b)
     c = ad.matmul(xc, p.w_c)
     dt = ad.softplus(ad.add(ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up),
@@ -651,9 +735,11 @@ def test_block_is_byte_equal_to_unfused_block(skip):
 
 def test_block_keeps_only_what_its_backward_reads():
     # one grad-mode block at small widths leaves allocated its output and
-    # the arrays its vjps read, listed below; the matmul products before the
-    # bias and residual adds, the step, its pre-activation, y, silu(z) and
-    # y + skip*x are not among them
+    # the arrays its vjps read, listed below. Three (B, L, E) arrays stay
+    # (``wide``); the conv output before its SiLU, the raw step and the
+    # gated output are recomputed in the backward, and the matmul products
+    # before the bias and residual adds, the step, y and silu(z) are never
+    # kept
     B, L, D, E, N, R = 2, 256, 16, 32, 4, 4
     p = ssm.init_mamba_block(ssm.SSMDims(d=D, e=E, n=N, r=R),
                              np.random.default_rng(45), dtype=np.float64)
@@ -668,21 +754,45 @@ def test_block_keeps_only_what_its_backward_reads():
         tracemalloc.stop()
     assert out.requires_grad
     f = 8
-    read = {
+    wide = {
+        "in-projection x, read by the conv (B, L, E)": B * L * E * f,
+        "conv + SiLU output xc, read by the B/C/dt projections and the scan "
+        "(B, L, E)": B * L * E * f,
+        "z, read by the scan (B, L, E)": B * L * E * f,
+    }
+    narrow = {
         "rmsnorm 1/rms (B, L, 1)": B * L * f,
         "normalized input, read by both in-projections (B, L, D)": B * L * D * f,
-        "in-projection x, read by the conv (B, L, E)": B * L * E * f,
-        "conv output, read by its SiLU (B, L, E)": B * L * E * f,
-        "SiLU output xc, read by the B/C/dt projections and the scan (B, L, E)":
-            B * L * E * f,
-        "xc @ w_dt_down, read by the w_dt_up product (B, L, R)": B * L * R * f,
-        "raw dt, read by the scan (B, L, E)": B * L * E * f,
-        "z, read by the scan (B, L, E)": B * L * E * f,
+        "xc @ w_dt_down, read by the scan (B, L, R)": B * L * R * f,
         "B and C, read by the scan (B, L, N) each": 2 * B * L * N * f,
         "exp(a_log), read by its exp and the scan's transposed A": 2 * E * N * f,
         "the scan's chunk-entry states": -(-L // ssm._CHUNK) * B * N * E * f,
-        "the gated output, read by the out-projection (B, L, E)": B * L * E * f,
         "the block output (B, L, D)": B * L * D * f,
     }
-    expected = sum(read.values())
+    assert sum(wide.values()) == 3 * B * L * E * f
+    expected = sum(wide.values()) + sum(narrow.values())
     assert kept < expected + B * L * E * f // 4
+
+
+def test_block_without_grad_peaks_below_the_unfused_block():
+    # without grad each array of the block is freed after its last use:
+    # the normalized input and the in-projection once the conv has run, the
+    # raw step after the scan's loop, and the gated output after the
+    # out-projection. The block with every op separate peaks at 7.8
+    # (B, L, E) arrays here; the fused block must peak two of them lower
+    B, L, D, E, N, R = 2, 256, 16, 32, 4, 4
+    p = ssm.init_mamba_block(ssm.SSMDims(d=D, e=E, n=N, r=R),
+                             np.random.default_rng(45), dtype=np.float64)
+    x = ad.Tensor(np.random.default_rng(46).standard_normal((B, L, D)))
+
+    def peak(run) -> int:
+        with ad.no_grad():
+            run(x, p)                        # first-call allocations
+            tracemalloc.start()
+            try:
+                run(x, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert peak(ssm.block_forward) + 2 * B * L * E * 8 < peak(unfused_block)
