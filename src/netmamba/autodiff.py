@@ -471,9 +471,9 @@ def layernorm(x, gain) -> Tensor:
 _CONV_BLOCK = 1 << 17
 
 
-def causal_conv1d(x, weight, bias=None) -> Tensor:
+def causal_conv1d(x, weight, bias) -> Tensor:
     """silu(per-channel causal convolution + bias) on (B, L, E), Mamba's
-    causal_conv1d_fn with activation="silu".
+    causal_conv1d_fn with activation="silu". The (E,) bias is required.
 
     ``weight[e, j]`` multiplies the input j steps in the past, so a kernel of
     (1, 0, ..., 0) is the identity before the SiLU; positions before the
@@ -483,25 +483,19 @@ def causal_conv1d(x, weight, bias=None) -> Tensor:
     Every product and sum is the one a separate convolution and ``silu``
     would form, in the same order.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3:
         raise ShapeError(f"causal_conv1d expects (B, L, E), got {x.shape}")
     B, L, E = x.shape
     if weight.ndim != 2 or weight.shape[0] != E:
         raise ShapeError(f"causal_conv1d: weight {weight.shape} does not match E={E}")
-    xd, wd = x.data, weight.data
+    if bias.shape != (E,):
+        raise ShapeError(f"causal_conv1d: bias {bias.shape} does not match E={E}")
+    xd, wd, bd = x.data, weight.data, bias.data
     # tap j as a contiguous row, which numpy multiplies with SIMD; the
     # strided column wd[:, j] took three times as long
     taps = np.ascontiguousarray(wd.T)
     k = len(taps)
-    parents = [x, weight]
-    has_bias = bias is not None
-    if has_bias:
-        bias = as_tensor(bias)
-        if bias.shape != (E,):
-            raise ShapeError(f"causal_conv1d: bias {bias.shape} does not match E={E}")
-        parents.append(bias)
-    bd = bias.data if has_bias else None
     rows = min(L, max(1, _CONV_BLOCK // (B * E)))
     blocks = [(r0, min(L, r0 + rows)) for r0 in range(0, L, rows)]
 
@@ -513,8 +507,7 @@ def causal_conv1d(x, weight, bias=None) -> Tensor:
             lo = max(r0, j)
             np.multiply(xd[:, lo - j:r1 - j], taps[j], out=tmp[:, :r1 - lo])
             p[:, lo - r0:] += tmp[:, :r1 - lo]
-        if has_bias:
-            p += bd
+        p += bd
         return p
 
     out = np.empty_like(xd)
@@ -546,12 +539,9 @@ def causal_conv1d(x, weight, bias=None) -> Tensor:
         gw = np.zeros_like(wd)
         for j in range(min(k, L)):
             gw[:, j] = np.einsum("ble,ble->e", gp[:, j:], xd[:, :L - j])
-        grads = [gx, gw]
-        if has_bias:
-            grads.append(gp.sum(axis=(0, 1)))
-        return grads
+        return [gx, gw, gp.sum(axis=(0, 1))]
 
-    return custom_op(out, parents, vjp)
+    return custom_op(out, (x, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -21,35 +21,39 @@ def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
                   repeats: int = 5, warmup: int = 2, seed: int = 0) -> list[dict]:
     """Median wall-clock of no-grad encoder passes per (batch, length) plus
     peak allocation bytes of one traced pass. The encoder blocks are
-    length-agnostic, so one parameter set serves every length."""
+    length-agnostic, so one parameter set serves every length. The lengths
+    of a batch take turns, one pass each per round, so a slowdown of the
+    host spreads over all of them instead of bending one length's median."""
     params = nm.init_params(cfg, np.random.default_rng(seed), with_decoder=False)
     blocks, gain = params.enc_blocks, params.enc_norm
     rng = np.random.default_rng(seed + 1)
     rows = []
     for batch in batch_sizes:
-        for length in lengths:
-            x = ad.Tensor(rng.standard_normal((batch, length, cfg.d_enc))
-                          .astype(np.float32))
-            with ad.no_grad():
+        xs = [ad.Tensor(rng.standard_normal((batch, length, cfg.d_enc))
+                        .astype(np.float32)) for length in lengths]
+        times = [[] for _ in lengths]
+        with ad.no_grad():
+            for x in xs:
                 for _ in range(warmup):
                     ssm.stack_forward(x, blocks, gain)
-                times = []
-                for _ in range(max(repeats, 5)):
+            for _ in range(max(repeats, 5)):
+                for x, ts in zip(xs, times):
                     t0 = time.perf_counter()
                     ssm.stack_forward(x, blocks, gain)
-                    times.append(time.perf_counter() - t0)
+                    ts.append(time.perf_counter() - t0)
+            for length, x, ts in zip(lengths, xs, times):
                 tracemalloc.start()
                 ssm.stack_forward(x, blocks, gain)
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
-            median = float(np.median(times))
-            rows.append({
-                "batch": batch,
-                "seq_len": length,
-                "samples_per_sec": batch / median,
-                "peak_bytes": int(peak),
-                "median_seconds": median,
-            })
+                median = float(np.median(ts))
+                rows.append({
+                    "batch": batch,
+                    "seq_len": length,
+                    "samples_per_sec": batch / median,
+                    "peak_bytes": int(peak),
+                    "median_seconds": median,
+                })
     return rows
 
 

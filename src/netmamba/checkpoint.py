@@ -22,7 +22,7 @@ from .model import ModelConfig, ModelParams, init_params
 MAGIC = b"NMCKPT01"
 
 # deleted ModelConfig fields, each with the one value the model still runs
-RETIRED_CONFIG = {"norm": "rms", "recon_target": "bytes"}
+RETIRED_CONFIG = {"norm": "rms", "recon_target": "bytes", "use_state_skip": False}
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -125,15 +125,17 @@ def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
 
 def _model_config(path, saved) -> ModelConfig:
     """The saved ModelConfig. Retired keys at the values the model still
-    implements are dropped; any other key it does not have is refused, and
-    so is a value of the wrong type: an int field takes an int (not a bool),
-    a float field an int or a float, a bool field a bool."""
+    implements, and of those values' types (0 is not False), are dropped;
+    any other key it does not have is refused, and so is a value of the
+    wrong type: an int field takes an int (not a bool), a float field an int
+    or a float, a bool field a bool."""
     if not isinstance(saved, dict):
         raise CheckpointMismatchError(f"{path}: metadata holds no model config")
     kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     for key, value in saved.items():
         if key not in kinds:
-            if (key, value) not in RETIRED_CONFIG.items():
+            if ((key, value) not in RETIRED_CONFIG.items()
+                    or type(value) is not type(RETIRED_CONFIG[key])):
                 raise CheckpointMismatchError(
                     f"{path}: model config key {key!r} = {value!r} is not supported")
         elif not _has_kind(value, kinds[key]):
@@ -152,11 +154,19 @@ def _has_kind(value, kind: type) -> bool:
 
 def load_encoder_weights(params: ModelParams, path) -> None:
     """Initialize the embedding and encoder stack of ``params`` from a
-    pre-training checkpoint, leaving decoder/head tensors untouched."""
+    pre-training checkpoint, leaving decoder/head tensors untouched. The
+    checkpoint's config is checked as ``load_model`` checks it, and an
+    embedding or encoder tensor that ``params`` has no place for (a deeper
+    encoder's blocks, say) is refused rather than dropped."""
     meta, tensors = load_checkpoint(path)
-    for name, t in params.named():
-        if not (name.startswith("enc.") or name.startswith("embed.")):
-            continue
+    _model_config(path, meta.get("config"))
+    encoder = ("enc.", "embed.")
+    ours = {name: t for name, t in params.named() if name.startswith(encoder)}
+    for name in tensors:
+        if name.startswith(encoder) and name not in ours:
+            raise CheckpointMismatchError(
+                f"{path}: tensor {name} has no place in this model")
+    for name, t in ours.items():
         if name not in tensors:
             raise CheckpointMismatchError(f"{path}: missing tensor {name}")
         arr = tensors[name]

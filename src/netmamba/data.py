@@ -104,15 +104,6 @@ class StrideFile:
     def strides(self) -> np.ndarray:
         return self.data.reshape(len(self.data), self.n_strides, self.stride_len)
 
-    def repr_config(self, **overrides) -> ReprConfig:
-        return ReprConfig(
-            packets_per_flow=self.packets_per_flow,
-            header_bytes=self.header_bytes,
-            payload_bytes=self.payload_bytes,
-            stride_len=self.stride_len,
-            **overrides,
-        )
-
 
 def write_samples(path, samples, cfg: ReprConfig, num_classes: int) -> None:
     """Written atomically: a bad sample raises ``DataError`` and leaves any

@@ -38,7 +38,6 @@ class ModelConfig:
     use_pos_embed: bool = True
     dt_rank: int = 16
     conv_kernel: int = 4
-    use_state_skip: bool = False
 
     def __post_init__(self):
         if self.seq_len < 2:
@@ -168,8 +167,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
         cls_token=normal(D),
         pos_enc=normal(L, D),
         enc_blocks=[
-            ssm.init_mamba_block(_enc_dims(cfg), rng, dtype, index=i,
-                                 use_state_skip=cfg.use_state_skip)
+            ssm.init_mamba_block(_enc_dims(cfg), rng, dtype, index=i)
             for i in range(cfg.depth_enc)
         ],
         enc_norm=ad.parameter(np.ones(D, dtype=dtype)),
@@ -182,8 +180,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
         params.dec_pos = normal(L, Dd)
         params.mask_token = normal(Dd)
         params.dec_blocks = [
-            ssm.init_mamba_block(_dec_dims(cfg), rng, dtype, index=i,
-                                 use_state_skip=cfg.use_state_skip)
+            ssm.init_mamba_block(_dec_dims(cfg), rng, dtype, index=i)
             for i in range(cfg.depth_dec)
         ]
         params.dec_norm = ad.parameter(np.ones(Dd, dtype=dtype))
@@ -213,14 +210,6 @@ def normalize_strides(strides: np.ndarray, dtype=np.float32) -> np.ndarray:
     if arr.dtype.kind == "f":
         return arr.astype(dtype, copy=False)
     return arr.astype(dtype) / 255.0
-
-
-def embed(sample, params: ModelParams) -> Tensor:
-    """One sample's strides -> (L, d_enc) embedded rows with the class token
-    appended last; accepts a StrideSample or an (n_strides, stride_len) array."""
-    strides = sample if isinstance(sample, np.ndarray) else sample.strides
-    x0 = embed_batch(normalize_strides(strides)[None], params)
-    return ad.reshape(x0, x0.shape[1:])
 
 
 def embed_batch(strides: np.ndarray, params: ModelParams) -> Tensor:

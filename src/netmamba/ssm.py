@@ -11,14 +11,18 @@ with checkpoint_lvl=1 (arXiv:2312.00752): of its (B, L, E) arrays only the
 in-projection x, the conv + SiLU output xc and the gate input z; of its
 (B, L, D) arrays only its input and the normalized input; plus the
 (B, L, R) step down-projection, B and C, and the scan's chunk-entry
-states. Everything
-else is recomputed in the backward pass: ``ad.causal_conv1d`` applies the
-SiLU itself and recomputes the convolution from x, and ``selective_scan``
-takes in the step's up-projection, softplus, skip, gate and the output
-projection, recomputing the raw step, the step, y, silu(z) and the gated
-output. Each recomputation repeats the forward's arithmetic on the same
-layout, so the gradients are bit for bit those of the separate ops.
-Without grad each array is freed after its last use.
+states. Everything else is recomputed in the backward pass:
+``ad.causal_conv1d`` applies the SiLU itself and recomputes the
+convolution from x, and ``selective_scan`` takes in the step's
+up-projection, softplus, gate and the output projection, recomputing the
+raw step, the step, y, silu(z) and the gated output. Each recomputation
+repeats the forward's arithmetic on the same layout, so the gradients are
+bit for bit those of the separate ops. Without grad each array is freed
+after its last use.
+
+``selective_scan`` has two layouts: that block layout, with all four of
+its keyword inputs, and the plain scan without them, which the oracle
+tests check against the recurrence and hold the block layout to.
 
 For training the scan keeps only the state entering each chunk of _CHUNK
 steps; its backward pass recomputes each chunk from the arrays it saved.
@@ -75,22 +79,12 @@ class MambaBlockParams:
     dt_bias: Tensor     # (e,)
     a_log: Tensor       # (e, n)
     w_out: Tensor       # (e, d)
-    state_skip: Tensor | None = None  # (e,), optional additive y += skip * x
     index: int = 0
 
     def named(self, prefix: str = ""):
-        fields = [
-            ("norm_gain", self.norm_gain), ("w_in_x", self.w_in_x),
-            ("w_in_z", self.w_in_z), ("conv_w", self.conv_w),
-            ("conv_b", self.conv_b), ("w_b", self.w_b), ("w_c", self.w_c),
-            ("w_dt_down", self.w_dt_down), ("w_dt_up", self.w_dt_up),
-            ("dt_bias", self.dt_bias), ("a_log", self.a_log),
-            ("w_out", self.w_out),
-        ]
-        if self.state_skip is not None:
-            fields.append(("state_skip", self.state_skip))
-        for name, t in fields:
-            yield prefix + name, t
+        for name in ("norm_gain", "w_in_x", "w_in_z", "conv_w", "conv_b", "w_b",
+                     "w_c", "w_dt_down", "w_dt_up", "dt_bias", "a_log", "w_out"):
+            yield prefix + name, getattr(self, name)
 
 
 def _linear_init(rng: np.random.Generator, fan_in: int, shape, dtype) -> Tensor:
@@ -98,13 +92,8 @@ def _linear_init(rng: np.random.Generator, fan_in: int, shape, dtype) -> Tensor:
     return ad.parameter(rng.uniform(-bound, bound, size=shape).astype(dtype))
 
 
-def init_mamba_block(
-    dims: SSMDims,
-    rng: np.random.Generator,
-    dtype=np.float32,
-    index: int = 0,
-    use_state_skip: bool = False,
-) -> MambaBlockParams:
+def init_mamba_block(dims: SSMDims, rng: np.random.Generator, dtype=np.float32,
+                     index: int = 0) -> MambaBlockParams:
     """S4-style stable initialization: A[e, n] = -(n+1), and a dt bias chosen
     so softplus(dt_bias) is log-uniform in [1e-3, 1e-1]."""
     d, e, n, r, k = dims.d, dims.e, dims.n, dims.r, dims.k
@@ -126,7 +115,6 @@ def init_mamba_block(
         dt_bias=ad.parameter(dt_bias.astype(dtype)),
         a_log=ad.parameter(np.log(a_init).astype(dtype)),
         w_out=_linear_init(rng, e, (e, d), dtype),
-        state_skip=ad.parameter(np.ones(e, dtype=dtype)) if use_state_skip else None,
         index=index,
     )
 
@@ -136,7 +124,7 @@ _CHUNK = 16  # scan steps per stored state in grad mode
 
 def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                    dt_bias: Tensor | None = None, z: Tensor | None = None,
-                   skip: Tensor | None = None, w_dt_up: Tensor | None = None,
+                   w_dt_up: Tensor | None = None,
                    w_out: Tensor | None = None) -> Tensor:
     """Zero-order-hold selective scan, discretization included:
     h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
@@ -154,28 +142,33 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     np.finfo(dtype).tiny (see the module docstring). It reads the saved
     arrays, never writing into them, so repeated backward calls accumulate.
 
-    The keyword inputs take in the block's ops around the scan, as Mamba's
-    selective_scan_fn and mamba_inner_fn do (arXiv:2312.00752):
+    Two layouts: the plain scan above, with no keyword input, and the
+    block's, which takes in the block's ops around the scan as Mamba's
+    mamba_inner_fn does (arXiv:2312.00752). The block's layout needs all
+    four keyword inputs; a partial set raises ContractError:
     - ``w_dt_up`` (R, E): dt is the (B, L, R) down-projected step and the
       raw step is dt @ w_dt_up, formed for the forward loop and again for
       the backward, and kept by neither;
     - ``dt_bias`` (E,): the step is softplus(raw step + dt_bias);
-    - ``skip`` (E,): the output is y + skip*x;
-    - ``z`` (B, L, E): that is multiplied by silu(z), chunk by chunk;
+    - ``z`` (B, L, E): y is multiplied by silu(z), chunk by chunk;
     - ``w_out`` (E, D): the op returns that gated output @ w_out, (B, L, D).
     Output and gradients are bit for bit those of the same ops applied
     around the plain scan, but the graph keeps only the inputs: the
     backward recomputes the step, y, silu(z) and the gated output chunk by
     chunk, each on the layout the forward computed it on.
     """
+    keywords = {"dt_bias": dt_bias, "z": z, "w_dt_up": w_dt_up, "w_out": w_out}
+    block = all(t is not None for t in keywords.values())
+    if not block and any(t is not None for t in keywords.values()):
+        missing = [name for name, t in keywords.items() if t is None]
+        raise ContractError(f"selective_scan: the block layout also needs {missing}")
     B, L, E = x.shape if x.ndim == 3 else (0, 0, 0)
     N = a.shape[-1]
-    R = E if w_dt_up is None else dt.shape[-1]
+    R = dt.shape[-1] if block else E
     expected = {"dt": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, L, N),
-                "x": (B, L, E), "dt_bias": (E,), "z": (B, L, E), "skip": (E,),
-                "w_dt_up": (R, E), "w_out": (E, 0 if w_out is None else w_out.shape[-1])}
-    given = {"dt": dt, "a": a, "b": b, "c": c, "x": x, "dt_bias": dt_bias,
-             "z": z, "skip": skip, "w_dt_up": w_dt_up, "w_out": w_out}
+                "x": (B, L, E), "dt_bias": (E,), "z": (B, L, E),
+                "w_dt_up": (R, E), "w_out": (E, w_out.shape[-1] if block else 0)}
+    given = {"dt": dt, "a": a, "b": b, "c": c, "x": x, **keywords}
     wrong = [f"{name}={t.shape} (expected {expected[name]})"
              for name, t in given.items() if t is not None and t.shape != expected[name]]
     if x.ndim != 3 or wrong:
@@ -185,8 +178,7 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     dtype = np.result_type(*(p.data for p in parents))
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
     low, xd = dt.data, x.data
-    bias, zd, sk, wu, wo = (None if t is None else t.data
-                            for t in (dt_bias, z, skip, w_dt_up, w_out))
+    bias, zd, wu, wo = (t.data if block else None for t in keywords.values())
     # time-major views: X is (L, B, E); Bm and C are (L, B, N)
     X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
     K = _CHUNK
@@ -197,12 +189,12 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
 
     def raw_steps():
         # the raw step (B, L, E), up-projected as ad.matmul would
-        return low if wu is None else low @ wu
+        return low @ wu if block else low
 
     def step_sizes(raw, t0, n):
-        # the steps of t0..t0+n-1, time-major (n, B, E), and their
-        # pre-activation (B, n, E), or None without dt_bias
-        if bias is None:
+        # the steps of t0..t0+n-1, time-major (n, B, E), and in the block's
+        # layout their pre-activation (B, n, E)
+        if not block:
             return np.moveaxis(raw, 1, 0)[t0:t0 + n], None
         pre = raw[:, t0:t0 + n] + bias
         return np.moveaxis(ad._softplus(pre), 1, 0), pre
@@ -227,36 +219,31 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
         for j in range(n):
             step(D[j], Bm[t0 + j], U[j], h, h, abar)
             np.matmul(C[t0 + j][:, None, :], h, out=y[t0 + j][:, None, :])
-        if sk is not None:
-            out[:, rows] += xd[:, rows] * sk
-        if zd is not None:
+        if block:
             zc = np.ascontiguousarray(zd[:, rows])
             out[:, rows] *= zc * ad._sigmoid(zc)
     del raw, D, U
-    if wo is not None:
+    if block:
         out = out @ wo
 
     def vjp(g):
-        # g_y: dloss/d(y + skip*x). It is written over g_out, the gradient
-        # wrt the gated output, which the op owns when it applies w_out
-        g_out = g if wo is None else g @ np.swapaxes(wo, -1, -2)
-        owned = g_out is not g
-        g_y = g_out if zd is None or owned else np.empty((B, L, E), dtype=dtype)
-        g_z = None if zd is None else np.empty((B, L, E), dtype=dtype)
-        gated = None if wo is None else np.empty((B, L, E), dtype=dtype)
+        # g_y: dloss/dy. In the block's layout it is written chunk by chunk
+        # over the op's own buffer of dloss/d(gated output) = g @ w_outᵀ
+        g_y = g @ np.swapaxes(wo, -1, -2) if block else g
+        if block:
+            g_z, gated = (np.empty((B, L, E), dtype=dtype) for _ in range(2))
         gy = np.moveaxis(g_y, 1, 0)                              # (L, B, E)
         g_x = np.empty((L, B, E), dtype=dtype)
-        # dloss/d(dt): time-major, or wrt the raw dt (B, L, E) with dt_bias
-        g_dt = (np.empty((L, B, E), dtype=dtype) if bias is None
-                else np.empty((B, L, E), dtype=dtype))
+        # dloss/d(dt): time-major, or wrt the raw step (B, L, E) in the
+        # block's layout
+        g_dt = np.empty((B, L, E) if block else (L, B, E), dtype=dtype)
         g_u, g_step = np.empty((K, B, E), dtype=dtype), np.empty((K, B, E), dtype=dtype)
         g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((L, B, N), dtype=dtype)
         acc = np.zeros((B, N, E), dtype=dtype)                   # dloss/dh_t
         g_a, s = np.zeros_like(acc), np.empty_like(acc)
         hs = np.empty((K + 1, B, N, E), dtype=dtype)             # hs[j] = h_{t0+j-1}
         abars = np.empty((K, B, N, E), dtype=dtype)
-        ys = (None if zd is None and wo is None
-              else np.empty((K, B, E), dtype=dtype))
+        ys = np.empty((K, B, E), dtype=dtype) if block else None
         tiny, mask = np.finfo(dtype).tiny, np.empty(acc.shape, dtype=bool)
         raw = raw_steps()
         for t0 in reversed(range(0, L, K)):
@@ -271,23 +258,17 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             hs[0] = entry[t0 // K]
             for j in range(n):
                 step(Dc[j], Bm[t0 + j], Uc[j], hs[j], hs[j + 1], abars[j])
-            if ys is not None:
+            if block:
                 for j in range(n):
                     np.matmul(C[t0 + j][:, None, :], hs[j + 1], out=ys[j][:, None, :])
                 y = np.moveaxis(ys[:n], 0, 1)                    # (B, n, E)
-                if sk is not None:
-                    y = y + xd[:, rows] * sk
-                if zd is None:
-                    gated[:, rows] = y
-                else:
-                    zc = np.ascontiguousarray(zd[:, rows])
-                    sig = ad._sigmoid(zc)
-                    gate = zc * sig
-                    np.multiply(g_out[:, rows] * y, sig * (1.0 + zc * (1.0 - sig)),
-                                out=g_z[:, rows])
-                    np.multiply(g_out[:, rows], gate, out=g_y[:, rows])
-                    if gated is not None:
-                        np.multiply(y, gate, out=gated[:, rows])
+                zc = np.ascontiguousarray(zd[:, rows])
+                sig = ad._sigmoid(zc)
+                gate = zc * sig
+                np.multiply(g_y[:, rows] * y, sig * (1.0 + zc * (1.0 - sig)),
+                            out=g_z[:, rows])
+                np.multiply(g_y[:, rows], gate, out=g_y[:, rows])
+                np.multiply(y, gate, out=gated[:, rows])
             np.matmul(hs[1:n + 1], gy[rows, :, :, None], out=g_c[rows, :, :, None])
             for j in range(n - 1, -1, -1):
                 t = t0 + j
@@ -302,37 +283,24 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                 else:
                     g_step[j] = 0
             np.multiply(g_u[:n], Dc, out=g_x[rows])
-            if bias is None:
-                np.add(g_step[:n], g_u[:n] * X[rows], out=g_dt[rows])
-            else:
+            if block:
                 np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * X[rows], 0, 1),
                             ad._sigmoid(pre), out=g_dt[:, rows])
+            else:
+                np.add(g_step[:n], g_u[:n] * X[rows], out=g_dt[rows])
         del raw, hs, abars
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
-        g_x = np.moveaxis(g_x, 0, 1)
-        if bias is None:
-            g_dt = np.moveaxis(g_dt, 0, 1)
-        extra = {}
-        if bias is not None:
-            extra["dt_bias"] = ad._unbroadcast(g_dt, bias.shape)
-        if zd is not None:
-            extra["z"] = g_z
-        if sk is not None:
-            extra["skip"] = ad._unbroadcast(g_y * xd, sk.shape)
-            # g_y * sk + g_x, in the order a separate skip op adds it
-            if g_y is g:
-                g_x = g_y * sk + g_x
-            else:
-                g_x = np.add(np.multiply(g_y, sk, out=g_y), g_x, out=g_y)
-        if wu is not None:
-            # as ad.matmul's vjp: the step's down-projection and w_dt_up
-            extra["w_dt_up"] = ad._unbroadcast(np.swapaxes(low, -1, -2) @ g_dt, wu.shape)
-            g_dt = g_dt @ np.swapaxes(wu, -1, -2)
-        if wo is not None:
-            extra["w_out"] = ad._unbroadcast(np.swapaxes(gated, -1, -2) @ g, wo.shape)
-        # extra holds the keyword inputs' gradients in the parents' order
-        return [g_dt, g_a, np.moveaxis(g_b, 0, 1), np.moveaxis(g_c, 0, 1), g_x,
-                *extra.values()]
+        g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_b, g_c, g_x))
+        if not block:
+            return [np.moveaxis(g_dt, 0, 1), g_a, g_b, g_c, g_x]
+        g_bias = ad._unbroadcast(g_dt, bias.shape)
+        # as ad.matmul's vjp: w_dt_up, the step's down-projection and w_out;
+        # the (B, L, E) g_dt goes before the last GEMM
+        g_wu = ad._unbroadcast(np.swapaxes(low, -1, -2) @ g_dt, wu.shape)
+        g_low = g_dt @ np.swapaxes(wu, -1, -2)
+        del g_dt
+        g_wo = ad._unbroadcast(np.swapaxes(gated, -1, -2) @ g, wo.shape)
+        return [g_low, g_a, g_b, g_c, g_x, g_bias, g_z, g_wu, g_wo]
 
     return ad.custom_op(out, parents, vjp)
 
@@ -356,8 +324,7 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams) -> Tensor:
     dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
     out = ad.add(selective_scan(dt_low, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
-                                skip=p.state_skip, w_dt_up=p.w_dt_up,
-                                w_out=p.w_out), x_prev)
+                                w_dt_up=p.w_dt_up, w_out=p.w_out), x_prev)
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")
     return out

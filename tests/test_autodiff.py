@@ -56,7 +56,7 @@ def test_identity_kernel_conv():
     w = np.zeros((3, 4))
     w[:, 0] = 1.0
     np.testing.assert_array_equal(causal_conv1d(x, ad.Tensor(w)).data, x.data)
-    out = ad.causal_conv1d(x, ad.Tensor(w))
+    out = ad.causal_conv1d(x, ad.Tensor(w), np.zeros(3))
     np.testing.assert_array_equal(out.data, ad.silu(x).data)
 
 
@@ -66,7 +66,7 @@ def test_conv_is_causal_and_reads_past():
     w = ad.Tensor(np.array([[0.0, 1.0]]))
     shifted = np.array([0.0, 0.0, 1.0, 2.0, 3.0])
     np.testing.assert_array_equal(causal_conv1d(x, w).data[0, :, 0], shifted)
-    out = ad.causal_conv1d(x, w).data[0, :, 0]
+    out = ad.causal_conv1d(x, w, np.zeros(1)).data[0, :, 0]
     np.testing.assert_array_equal(out, ad.silu(ad.Tensor(shifted)).data)
 
 
@@ -91,7 +91,7 @@ def test_conv_silu_is_byte_equal_to_conv_then_silu(dtype, bias, rows, monkeypatc
     # the op recomputes the convolution and the sigmoid in its backward, in
     # place and in blocks of rows (here of 1, fewer than the taps, and 8,
     # which leaves a partial last block), and must land on the bytes of the
-    # two separate ops
+    # two separate ops. The op takes its bias always; "no-bias" gives it zeros
     B, L, E = 3, 21, 8
     if rows is not None:
         monkeypatch.setattr(ad, "_CONV_BLOCK", rows * B * E)
@@ -101,9 +101,11 @@ def test_conv_silu_is_byte_equal_to_conv_then_silu(dtype, bias, rows, monkeypatc
         rng = np.random.default_rng(61)
         x, w, b = (ad.Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
                    for s in ((B, L, E), (E, 4), (E,)))
-        out = run(x, w, b if bias else None)
+        if not bias:
+            b.data[:] = 0
+        out = run(x, w, b)
         ad.backward(ad.sum(ad.mul(out, rng.standard_normal(out.shape).astype(dtype))))
-        results.append([out.data, x.grad, w.grad] + ([b.grad] if bias else []))
+        results.append([out.data, x.grad, w.grad, b.grad])
     for got, ref in zip(*results):
         assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
@@ -113,9 +115,10 @@ def test_conv_keeps_only_its_input():
     x = ad.Tensor(np.random.default_rng(62).standard_normal((2, 256, 32)),
                   requires_grad=True)
     w = ad.parameter(np.random.default_rng(63).standard_normal((32, 4)))
+    b = ad.parameter(np.zeros(32))
     tracemalloc.start()
     try:
-        out = ad.causal_conv1d(x, w)
+        out = ad.causal_conv1d(x, w, b)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -100,7 +100,7 @@ def test_retired_config_keys_at_paper_values_load_unchanged(tmp_path):
 
     cfg_before, before = logits()
     meta, tensors = ckpt.load_checkpoint(path)
-    meta["config"].update(norm="rms", recon_target="bytes")
+    meta["config"].update(norm="rms", recon_target="bytes", use_state_skip=False)
     ckpt.save_checkpoint(path, tensors, meta)
     cfg_after, after = logits()
     assert cfg_after == cfg_before == CFG
@@ -151,6 +151,37 @@ def test_encoder_transfer_rejects_wrong_width(tmp_path):
     fin = nm.init_params(wide, np.random.default_rng(6), with_decoder=False,
                          with_head=True)
     with pytest.raises(CheckpointMismatchError, match="shape"):
+        ckpt.load_encoder_weights(fin, path)
+
+
+def test_encoder_transfer_refuses_a_deeper_encoder(tmp_path):
+    # the third block of a depth-3 encoder has no place in a depth-2 model
+    deep = nm.ModelConfig(**{**CFG.to_dict(), "depth_enc": 3})
+    path = tmp_path / "pre.nmckpt"
+    ckpt.save_model(path, nm.init_params(deep, np.random.default_rng(5)))
+    fin = nm.init_params(CFG, np.random.default_rng(6), with_decoder=False,
+                         with_head=True)
+    with pytest.raises(CheckpointMismatchError, match=r"enc\.2\.norm_gain"):
+        ckpt.load_encoder_weights(fin, path)
+
+
+def test_encoder_transfer_checks_the_checkpoint_config(tmp_path):
+    # a retired key at a value the model no longer implements, with the
+    # tensor it would have brought
+    pre = nm.init_params(CFG, np.random.default_rng(5))
+    path = tmp_path / "pre.nmckpt"
+    ckpt.save_model(path, pre)
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"]["use_state_skip"] = True
+    tensors["enc.0.state_skip"] = np.ones(CFG.e_enc, dtype=np.float32)
+    ckpt.save_checkpoint(path, tensors, meta)
+    fin = nm.init_params(CFG, np.random.default_rng(6), with_decoder=False,
+                         with_head=True)
+    with pytest.raises(CheckpointMismatchError, match="'use_state_skip' = True"):
+        ckpt.load_encoder_weights(fin, path)
+    meta["config"]["use_state_skip"] = False
+    ckpt.save_checkpoint(path, tensors, meta)
+    with pytest.raises(CheckpointMismatchError, match=r"enc\.0\.state_skip"):
         ckpt.load_encoder_weights(fin, path)
 
 

@@ -302,14 +302,18 @@ def head_checkpoint(tmp_path):
     return data, path
 
 @pytest.mark.parametrize("keys, code", [
-    ({"norm": "rms", "recon_target": "bytes"}, 0),
+    ({"norm": "rms", "recon_target": "bytes", "use_state_skip": False}, 0),
     ({"norm": "layer"}, 3),
     ({"bogus": 1}, 3),
-], ids=["paper-values", "layer-norm", "unknown-key"])
+    ({"use_state_skip": True}, 3),
+    ({"use_state_skip": 0}, 3),
+    ({"use_state_skip": 1}, 3),
+], ids=["paper-values", "layer-norm", "unknown-key", "state-skip-true",
+        "state-skip-0", "state-skip-1"])
 def test_evaluate_checks_checkpoint_config_keys(head_checkpoint, capsys, keys,
                                                 code):
     # checkpoints written before the retired keys went hold them at the
-    # values the model still implements
+    # values the model still implements; 0 equals False but is not a bool
     data, path = head_checkpoint
     meta, tensors = ckpt.load_checkpoint(path)
     meta["config"].update(keys)
@@ -477,7 +481,7 @@ def test_pretrain_resume_refuses_a_step_that_is_no_count(pretrained, tmp_path,
 @pytest.mark.parametrize("extra, flags, named", [
     ("", ["--mask-ratio", 0.75], "mask_ratio = 0.5, not 0.75"),
     ("state_dim = 8\n", [], "state_dim = 4, not 8"),
-    ("use_state_skip = true\n", [], "use_state_skip = False, not True"),
+    ("use_pos_embed = false\n", [], "use_pos_embed = True, not False"),
 ], ids=("flag", "config", "config-bool"))
 def test_pretrain_resume_refuses_a_model_key_the_checkpoint_disagrees_with(
         pretrained, tmp_path, capsys, extra, flags, named):
@@ -518,7 +522,7 @@ FIELD_VALUES = {
                      "depth_enc": "3", "d_dec": "24", "e_dec": "40",
                      "depth_dec": "3", "state_dim": "8", "mask_ratio": "0.75",
                      "use_pos_embed": "false", "dt_rank": "8",
-                     "conv_kernel": "3", "use_state_skip": "true"},
+                     "conv_kernel": "3"},
     train.TrainConfig: {"batch_size": "7", "lr": "0.01", "steps": "3",
                         "epochs": "2", "weight_decay": "0.1",
                         "warmup_frac": "0.2", "schedule": "constant",

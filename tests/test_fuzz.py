@@ -172,4 +172,6 @@ def test_read_samples_raises_only_parse_error(blob):
     count = len(sf.labels)
     assert sf.strides.shape == (count, sf.n_strides, sf.stride_len)
     assert len(blob) == HEADER_BYTES + count * (4 + sf.flow_bytes)
-    sf.repr_config()
+    # a file that reads back holds a geometry ReprConfig accepts
+    ReprConfig(packets_per_flow=sf.packets_per_flow, header_bytes=sf.header_bytes,
+               payload_bytes=sf.payload_bytes, stride_len=sf.stride_len)

@@ -26,16 +26,16 @@ def small_params(seed=0, dtype=np.float64, **kw):
 
 def test_embed_zero_sample_rows_equal_positional_table():
     params = small_params()
-    x0 = nm.embed(np.zeros((SMALL.n_strides, SMALL.stride_len)), params)
-    np.testing.assert_allclose(x0.data[:-1], params.pos_enc.data[:-1], atol=1e-12)
+    x0 = nm.embed_batch(np.zeros((1, SMALL.n_strides, SMALL.stride_len)), params).data[0]
+    np.testing.assert_allclose(x0[:-1], params.pos_enc.data[:-1], atol=1e-12)
     np.testing.assert_allclose(
-        x0.data[-1], params.cls_token.data + params.pos_enc.data[-1], atol=1e-12)
+        x0[-1], params.cls_token.data + params.pos_enc.data[-1], atol=1e-12)
 
 
 def test_embed_default_shape():
     params = nm.init_params(DEFAULT_CFG, np.random.default_rng(0))
-    x0 = nm.embed(np.zeros((400, 4), dtype=np.uint8), params)
-    assert x0.shape == (401, 256)
+    x0 = nm.embed_batch(np.zeros((1, 400, 4), dtype=np.float32), params)
+    assert x0.shape == (1, 401, 256)
 
 
 def test_embed_locality_of_stride_rows():
@@ -44,8 +44,8 @@ def test_embed_locality_of_stride_rows():
     a = rng.random((SMALL.n_strides, SMALL.stride_len))
     b = a.copy()
     b[3] = rng.random(SMALL.stride_len)
-    xa = nm.embed(a, params).data
-    xb = nm.embed(b, params).data
+    xa = nm.embed_batch(a[None], params).data[0]
+    xb = nm.embed_batch(b[None], params).data[0]
     diff = np.abs(xa - xb).sum(axis=1)
     assert diff[3] > 0
     assert np.all(diff[np.arange(SMALL.seq_len) != 3] == 0)
@@ -54,7 +54,7 @@ def test_embed_locality_of_stride_rows():
 def test_embed_rejects_wrong_stride_shape():
     params = small_params()
     with pytest.raises(ShapeError):
-        nm.embed(np.zeros((SMALL.n_strides, SMALL.stride_len + 1)), params)
+        nm.embed_batch(np.zeros((1, SMALL.n_strides, SMALL.stride_len + 1)), params)
 
 
 def test_make_mask_default_counts():
@@ -242,24 +242,20 @@ def test_parameter_count_linear_in_depth():
 
 def test_ablation_toggles_keep_shapes():
     rng = np.random.default_rng(13)
-    for cfg in (
-        nm.ModelConfig(**{**SMALL.to_dict(), "use_pos_embed": False}),
-        nm.ModelConfig(**{**SMALL.to_dict(), "use_state_skip": True}),
-    ):
-        params = nm.init_params(cfg, rng, dtype=np.float64, with_head=True)
-        strides = rng.integers(0, 256, (1, cfg.n_strides, cfg.stride_len),
-                               dtype=np.uint8)
-        norm = nm.normalize_strides(strides, np.float64)
-        logits = nm.finetune_forward(nm.embed_batch(norm, params), params)
-        assert logits.shape == (1, cfg.num_classes)
+    cfg = nm.ModelConfig(**{**SMALL.to_dict(), "use_pos_embed": False})
+    params = nm.init_params(cfg, rng, dtype=np.float64, with_head=True)
+    strides = rng.integers(0, 256, (1, cfg.n_strides, cfg.stride_len), dtype=np.uint8)
+    norm = nm.normalize_strides(strides, np.float64)
+    logits = nm.finetune_forward(nm.embed_batch(norm, params), params)
+    assert logits.shape == (1, cfg.num_classes)
 
 
 def test_no_pos_embed_changes_embedding():
     rng = np.random.default_rng(14)
     cfg = nm.ModelConfig(**{**SMALL.to_dict(), "use_pos_embed": False})
     params = nm.init_params(cfg, rng, dtype=np.float64)
-    x0 = nm.embed(np.zeros((cfg.n_strides, cfg.stride_len)), params)
-    np.testing.assert_array_equal(x0.data[:-1], 0.0)
+    x0 = nm.embed_batch(np.zeros((1, cfg.n_strides, cfg.stride_len)), params)
+    np.testing.assert_array_equal(x0.data[0, :-1], 0.0)
 
 
 def test_patch_tokens_layout():

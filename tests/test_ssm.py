@@ -436,157 +436,98 @@ def test_scan_keeps_no_state_history_without_grad():
     assert peak(True) < history / 2
 
 
-def fused_instance(rng, B, L, E, N, dtype):
-    """Raw step pre-activations (either sign), a step bias, the scan inputs,
-    a gate and a skip, all requiring grad, plus an upstream weight."""
+def projected_instance(rng, B, L, E, N, R, D, dtype):
+    """The block layout's scan inputs, all requiring grad: the step's
+    (B, L, R) down-projection, its (R, E) up-projection and a step bias,
+    the scan inputs, a gate and an (E, D) out-projection, plus an upstream
+    weight."""
     _, a, b_in, c, x = random_instance(rng, B=B, L=L, E=E, N=N)
-    arrays = {"raw": rng.standard_normal((B, L, E)),
+    arrays = {"low": rng.standard_normal((B, L, R)),
               "dt_bias": rng.uniform(-3.0, -1.0, size=E), "a": a, "b": b_in,
               "c": c, "x": x, "z": 2.0 * rng.standard_normal((B, L, E)),
-              "skip": rng.standard_normal(E)}
+              "w_dt_up": R ** -0.5 * rng.standard_normal((R, E)),
+              "w_out": E ** -0.5 * rng.standard_normal((E, D))}
     tensors = {k: ad.Tensor(v.astype(dtype), requires_grad=True)
                for k, v in arrays.items()}
-    return tensors, rng.standard_normal((B, L, E)).astype(dtype)
+    return tensors, rng.standard_normal((B, L, D)).astype(dtype)
 
 
-def fused(t, skip=True):
-    return ssm.selective_scan(t["raw"], t["a"], t["b"], t["c"], t["x"],
-                              dt_bias=t["dt_bias"], z=t["z"],
-                              skip=t["skip"] if skip else None)
-
-
-def unfused(t, skip=True):
-    """The same block ops applied around the plain scan."""
-    dt = ad.softplus(ad.add(t["raw"], t["dt_bias"]))
-    y = ssm.selective_scan(dt, t["a"], t["b"], t["c"], t["x"])
-    if skip:
-        y = ad.add(y, ad.mul(t["x"], t["skip"]))
-    return ad.mul(y, ad.silu(t["z"]))
-
-
-@pytest.mark.parametrize("skip", (True, False), ids=("skip", "no-skip"))
-@pytest.mark.parametrize("dtype", (np.float32, np.float64))
-@pytest.mark.parametrize("L", (K - 1, K + 1, 2 * K + 3))
-def test_fused_scan_is_byte_equal_to_unfused_ops(L, dtype, skip):
-    # the softplus, the skip and the gate are recomputed in the backward,
-    # chunk by chunk, and must land on the same bytes as the separate ops
-    results = []
-    for run in (fused, unfused):
-        t, w = fused_instance(np.random.default_rng(40), 3, L, 5, 4, dtype)
-        out = run(t, skip)
-        ad.backward(ad.sum(ad.mul(out, w)))
-        names = [k for k in t if skip or k != "skip"]
-        results.append([out.data] + [t[k].grad for k in names])
-    for got, ref in zip(*results):
-        assert got.dtype == dtype and got.shape == ref.shape
-        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-
-
-@pytest.mark.parametrize("L", (5, K + 3))
-def test_fused_scan_gradients_match_finite_differences(L):
-    t, w = fused_instance(np.random.default_rng(41), 1, L, 2, 2, np.float64)
-    t["dt_bias"].data[:] = [-1.5, -0.5]
-    f = lambda: ad.sum(ad.mul(fused(t), w))
-    assert max_rel_err(f, list(t.values())) < 1e-6
-
-
-def test_fused_scan_output_identical_with_and_without_grad():
-    t, _ = fused_instance(np.random.default_rng(42), 2, 2 * K + 1, 5, 3, np.float32)
-    graded = fused(t)
-    with ad.no_grad():
-        plain = fused(t)
-    assert graded.requires_grad and not plain.requires_grad
-    np.testing.assert_array_equal(graded.data, plain.data)
-
-
-def test_fused_scan_rejects_mismatched_keyword_shapes():
-    t, _ = fused_instance(np.random.default_rng(43), 1, 4, 3, 2, np.float64)
-    with pytest.raises(ShapeError, match="z="):
-        ssm.selective_scan(t["raw"], t["a"], t["b"], t["c"], t["x"],
-                           z=ad.Tensor(np.zeros((1, 4, 2))))
-
-
-def projected_instance(rng, B, L, E, N, R, D, dtype):
-    """fused_instance with the step's (B, L, R) down-projection in place of
-    the raw step, its (R, E) up-projection and an (E, D) out-projection."""
-    t, _ = fused_instance(rng, B, L, E, N, dtype)
-    scale = {"low": 1.0, "w_dt_up": R ** -0.5, "w_out": E ** -0.5}
-    for name, shape in (("low", (B, L, R)), ("w_dt_up", (R, E)), ("w_out", (E, D))):
-        t[name] = ad.Tensor((scale[name] * rng.standard_normal(shape)).astype(dtype),
-                            requires_grad=True)
-    del t["raw"]
-    return t, rng.standard_normal((B, L, D)).astype(dtype)
-
-
-def projected(t, keys):
+def projected(t):
     return ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
-                              dt_bias=t["dt_bias"], w_dt_up=t["w_dt_up"],
-                              w_out=t["w_out"], **{k: t[k] for k in keys})
+                              dt_bias=t["dt_bias"], z=t["z"], w_dt_up=t["w_dt_up"],
+                              w_out=t["w_out"])
 
 
-def unprojected(t, keys):
-    """The up-projection, softplus, skip, gate and out-projection as
-    separate ops around the plain scan, in the block's order."""
+def unprojected(t):
+    """The up-projection, softplus, gate and out-projection as separate ops
+    around the plain scan, in the block's order."""
     dt = ad.softplus(ad.add(ad.matmul(t["low"], t["w_dt_up"]), t["dt_bias"]))
     y = ssm.selective_scan(dt, t["a"], t["b"], t["c"], t["x"])
-    if "skip" in keys:
-        y = ad.add(y, ad.mul(t["x"], t["skip"]))
-    if "z" in keys:
-        y = ad.mul(y, ad.silu(t["z"]))
-    return ad.matmul(y, t["w_out"])
+    return ad.matmul(ad.mul(y, ad.silu(t["z"])), t["w_out"])
 
 
-PROJECTED_KEYS = {"gate+skip": ("z", "skip"), "gate": ("z",), "skip": ("skip",),
-                  "neither": ()}
-
-
-@pytest.mark.parametrize("keys", PROJECTED_KEYS.values(), ids=PROJECTED_KEYS.keys())
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
-@pytest.mark.parametrize("L", (K - 1, 2 * K + 3))
-def test_projected_scan_is_byte_equal_to_unfused_ops(L, dtype, keys):
+@pytest.mark.parametrize("L", (K - 1, K + 1, 2 * K + 3))
+def test_projected_scan_is_byte_equal_to_unfused_ops(L, dtype):
     # the scan forms the raw step from its down-projection in the forward
-    # and again in the backward, and rebuilds the gated output chunk by
-    # chunk for the out-projection's gradient; output and every gradient
-    # must land on the bytes of the separate ops
+    # and again in the backward, recomputes the softplus and the gate chunk
+    # by chunk, and rebuilds the gated output for the out-projection's
+    # gradient; output and every gradient must land on the bytes of the
+    # separate ops
     results = []
     for run in (projected, unprojected):
         t, w = projected_instance(np.random.default_rng(47), 3, L, 6, 4, 3, 5, dtype)
-        out = run(t, keys)
+        out = run(t)
         assert out.shape == (3, L, 5)
         ad.backward(ad.sum(ad.mul(out, w)))
-        names = [k for k in t if k not in ("z", "skip") or k in keys]
-        results.append([out.data] + [t[k].grad for k in names])
+        results.append([out.data] + [v.grad for v in t.values()])
     for got, ref in zip(*results):
         assert got.dtype == dtype and got.shape == ref.shape
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_projected_scan_gradients_match_finite_differences():
-    t, w = projected_instance(np.random.default_rng(48), 1, K + 3, 2, 2, 2, 3,
-                              np.float64)
-    t["dt_bias"].data[:] = [-1.5, -0.5]
-    f = lambda: ad.sum(ad.mul(projected(t, ("z", "skip")), w))
-    assert max_rel_err(f, list(t.values())) < 1e-6
+    # within one chunk and across a chunk boundary
+    for L in (5, K + 3):
+        t, w = projected_instance(np.random.default_rng(48), 1, L, 2, 2, 2, 3,
+                                  np.float64)
+        t["dt_bias"].data[:] = [-1.5, -0.5]
+        f = lambda: ad.sum(ad.mul(projected(t), w))
+        assert max_rel_err(f, list(t.values())) < 1e-6, L
 
 
 def test_projected_scan_output_identical_with_and_without_grad():
     t, _ = projected_instance(np.random.default_rng(49), 2, 2 * K + 1, 5, 3, 2, 4,
                               np.float32)
-    graded = projected(t, ("z", "skip"))
+    graded = projected(t)
     with ad.no_grad():
-        plain = projected(t, ("z", "skip"))
+        plain = projected(t)
     assert graded.requires_grad and not plain.requires_grad
     np.testing.assert_array_equal(graded.data, plain.data)
 
 
 def test_projected_scan_rejects_mismatched_projections():
     t, _ = projected_instance(np.random.default_rng(50), 1, 4, 3, 2, 2, 4, np.float64)
-    with pytest.raises(ShapeError, match="w_dt_up="):
-        ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
-                           w_dt_up=ad.Tensor(np.zeros((3, 3))))
+    for name, shape in (("w_dt_up", (3, 3)), ("z", (1, 4, 2)), ("dt_bias", (2,))):
+        bad = {**t, name: ad.Tensor(np.zeros(shape))}
+        with pytest.raises(ShapeError, match=f"{name}="):
+            projected(bad)
     with pytest.raises(ShapeError, match="w_out="):
-        ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
-                           w_dt_up=t["w_dt_up"], w_out=ad.Tensor(np.zeros((2, 4))))
+        projected({**t, "w_out": ad.Tensor(np.zeros((2, 4)))})
+
+
+@pytest.mark.parametrize("given", ("dt_bias", "z", "w_dt_up", "w_out"))
+def test_scan_refuses_a_partial_block_layout(given):
+    # the scan has two layouts, the plain one and the block's with all four
+    # keyword inputs; a partial set of them is a caller's error
+    t, _ = projected_instance(np.random.default_rng(51), 1, 4, 3, 2, 2, 4, np.float64)
+    full = {k: t[k] for k in ("dt_bias", "z", "w_dt_up", "w_out")}
+    args = [t[k] for k in ("low", "a", "b", "c", "x")]
+    with pytest.raises(ContractError, match="block layout"):
+        ssm.selective_scan(*args, **{given: full[given]})
+    without = {k: v for k, v in full.items() if k != given}
+    with pytest.raises(ContractError, match=given):
+        ssm.selective_scan(*args, **without)
 
 
 def small_dims(d=8, e=16, n=4, r=4):
@@ -689,19 +630,9 @@ def test_hidden_state_bounded_over_long_sequence():
     assert np.all(np.isfinite(y))
 
 
-def test_state_skip_flag_adds_passthrough():
-    rng = np.random.default_rng(18)
-    p = ssm.init_mamba_block(small_dims(), rng, dtype=np.float64, use_state_skip=True)
-    assert p.state_skip is not None
-    x = ad.Tensor(rng.standard_normal((1, 4, 8)))
-    out = ssm.block_forward(x, p)
-    assert out.shape == (1, 4, 8)
-    assert any(name == "state_skip" for name, _ in p.named())
-
-
 def unfused_block(x_prev, p):
-    """The block with its conv SiLU, step up-projection, softplus, skip, gate
-    and out-projection as separate ops, created in the block's order: a
+    """The block with its conv SiLU, step up-projection, softplus, gate and
+    out-projection as separate ops, created in the block's order: a
     gradient summed over several consumers adds their contributions in
     reverse creation order."""
     xn = ad.rmsnorm(x_prev, p.norm_gain)
@@ -713,17 +644,14 @@ def unfused_block(x_prev, p):
     dt = ad.softplus(ad.add(ad.matmul(ad.matmul(xc, p.w_dt_down), p.w_dt_up),
                             p.dt_bias))
     y = ssm.selective_scan(dt, ad.neg(ad.exp(p.a_log)), b_in, c, xc)
-    if p.state_skip is not None:
-        y = ad.add(y, ad.mul(xc, p.state_skip))
     return ad.add(ad.matmul(ad.mul(y, ad.silu(z)), p.w_out), x_prev)
 
 
-@pytest.mark.parametrize("skip", (False, True), ids=("no-skip", "skip"))
-def test_block_is_byte_equal_to_unfused_block(skip):
+def test_block_is_byte_equal_to_unfused_block():
     results = []
     for run in (ssm.block_forward, unfused_block):
         rng = np.random.default_rng(44)
-        p = ssm.init_mamba_block(small_dims(), rng, use_state_skip=skip)
+        p = ssm.init_mamba_block(small_dims(), rng)
         x = ad.Tensor(rng.standard_normal((3, 2 * K + 5, 8)).astype(np.float32),
                       requires_grad=True)
         out = run(x, p)
