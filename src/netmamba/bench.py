@@ -20,7 +20,10 @@ CSV_HEADER = "batch,seq_len,samples_per_sec,peak_bytes"
 def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
                   repeats: int = 5, warmup: int = 2, seed: int = 0) -> list[dict]:
     """Median wall-clock of no-grad encoder passes per (batch, length) plus
-    peak allocation bytes of one traced pass. The encoder blocks are
+    peak allocation bytes of one traced pass. That pass streams along the
+    sequence in row chunks (``ssm.stack_forward``), so ``peak_bytes`` is the
+    peak of the streamed pass: its (B, L, D) output plus one chunk's
+    arrays, not the (B, L, E) arrays of every row. The encoder blocks are
     length-agnostic, so one parameter set serves every length. The lengths
     of a batch take turns, one pass each per round, so a slowdown of the
     host spreads over all of them instead of bending one length's median."""

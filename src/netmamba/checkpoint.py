@@ -152,14 +152,22 @@ def _has_kind(value, kind: type) -> bool:
     return isinstance(value, accepted) and not isinstance(value, bool)
 
 
+# ModelConfig keys that a pre-training checkpoint's encoder does not depend
+# on, so fine-tuning may set them otherwise
+NOT_ENCODER_KEYS = ("mask_ratio", "d_dec", "e_dec", "depth_dec", "num_classes")
+
+
 def load_encoder_weights(params: ModelParams, path) -> None:
     """Initialize the embedding and encoder stack of ``params`` from a
     pre-training checkpoint, leaving decoder/head tensors untouched. The
-    checkpoint's config is checked as ``load_model`` checks it, and an
-    embedding or encoder tensor that ``params`` has no place for (a deeper
-    encoder's blocks, say) is refused rather than dropped."""
+    checkpoint's config is checked as ``load_model`` checks it. An embedding
+    or encoder tensor that ``params`` has no place for (a deeper encoder's
+    blocks, say), lacks, or has in another shape is refused rather than
+    dropped. Then the config must agree with ``params.cfg`` on every key but
+    NOT_ENCODER_KEYS, including those that leave every tensor shape the
+    same (``use_pos_embed``). Nothing is loaded unless every check passes."""
     meta, tensors = load_checkpoint(path)
-    _model_config(path, meta.get("config"))
+    saved = _model_config(path, meta.get("config"))
     encoder = ("enc.", "embed.")
     ours = {name: t for name, t in params.named() if name.startswith(encoder)}
     for name in tensors:
@@ -169,8 +177,15 @@ def load_encoder_weights(params: ModelParams, path) -> None:
     for name, t in ours.items():
         if name not in tensors:
             raise CheckpointMismatchError(f"{path}: missing tensor {name}")
-        arr = tensors[name]
-        if arr.shape != t.shape:
+        if tensors[name].shape != t.shape:
             raise CheckpointMismatchError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {t.shape}")
-        t.data = arr.astype(t.dtype, copy=True)
+                f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                f"expected {t.shape}")
+    for f in fields(ModelConfig):
+        value, pretrained = getattr(params.cfg, f.name), getattr(saved, f.name)
+        if f.name not in NOT_ENCODER_KEYS and value != pretrained:
+            raise CheckpointMismatchError(
+                f"{path}: the encoder was pre-trained with {f.name} = "
+                f"{pretrained!r}, not {value!r}")
+    for name, t in ours.items():
+        t.data = tensors[name].astype(t.dtype, copy=True)

@@ -17,8 +17,19 @@ convolution from x, and ``selective_scan`` takes in the step's
 up-projection, softplus, gate and the output projection, recomputing the
 raw step, the step, y, silu(z) and the gated output. Each recomputation
 repeats the forward's arithmetic on the same layout, so the gradients are
-bit for bit those of the separate ops. Without grad each array is freed
-after its last use.
+bit for bit those of the separate ops.
+
+Without grad nothing is kept for a backward pass, and ``stack_forward``
+streams along the sequence: it runs every block over one row chunk at a
+time, as Mamba's own inference steps along a sequence with a conv_state and
+an ssm_state (arXiv:2312.00752). Each block carries a ``BlockCarry`` from
+one chunk to the next: the last k-1 rows of its in-projection x, which
+``ad.causal_conv1d`` reads as the past of the next chunk, and its (B, N, E)
+scan state, which ``selective_scan`` starts from and steps in place. So a
+no-grad pass holds a block's (B, L, E) arrays for one chunk only, and its
+memory beyond its (B, L, D) input and output does not grow with L. The
+carry is no-grad only: the conv and the scan refuse it while they would
+record a graph, and with grad on every block runs over the whole sequence.
 
 ``selective_scan`` has two layouts: that block layout, with all four of
 its keyword inputs, and the plain scan without them, which the oracle
@@ -124,8 +135,8 @@ _CHUNK = 16  # scan steps per stored state in grad mode
 
 def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                    dt_bias: Tensor | None = None, z: Tensor | None = None,
-                   w_dt_up: Tensor | None = None,
-                   w_out: Tensor | None = None) -> Tensor:
+                   w_dt_up: Tensor | None = None, w_out: Tensor | None = None,
+                   state: np.ndarray | None = None) -> Tensor:
     """Zero-order-hold selective scan, discretization included:
     h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
 
@@ -156,6 +167,12 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     around the plain scan, but the graph keeps only the inputs: the
     backward recomputes the step, y, silu(z) and the gated output chunk by
     chunk, each on the layout the forward computed it on.
+
+    ``state`` (B, N, E), no-grad only: the state before the first step, as
+    Mamba's ssm_state carries it from one piece of a sequence to the next.
+    The scan steps it in place, so on return it holds the state after the
+    last step; without it the scan starts from zeros. Passing one while the
+    op would record a graph raises ContractError.
     """
     keywords = {"dt_bias": dt_bias, "z": z, "w_dt_up": w_dt_up, "w_out": w_out}
     block = all(t is not None for t in keywords.values())
@@ -176,15 +193,22 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                          + ", ".join(wrong))
     parents = tuple(t for t in given.values() if t is not None)
     dtype = np.result_type(*(p.data for p in parents))
+    keep = ad.records_graph(*parents)
+    if state is not None:
+        if keep:
+            raise ContractError("selective_scan: a starting state is for "
+                                "no-grad passes only")
+        if state.shape != (B, N, E) or state.dtype != dtype:
+            raise ShapeError(f"selective_scan: state {state.shape} {state.dtype} "
+                             f"is not ({B}, {N}, {E}) {np.dtype(dtype)}")
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
     low, xd = dt.data, x.data
     bias, zd, wu, wo = (t.data if block else None for t in keywords.values())
     # time-major views: X is (L, B, E); Bm and C are (L, B, N)
     X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
     K = _CHUNK
-    keep = ad.grad_enabled() and any(p.requires_grad for p in parents)
     entry = np.empty((-(-L // K), B, N, E), dtype=dtype) if keep else None
-    h = np.zeros((B, N, E), dtype=dtype)
+    h = np.zeros((B, N, E), dtype=dtype) if state is None else state
     abar, bx = np.empty_like(h), np.empty_like(h)
 
     def raw_steps():
@@ -305,8 +329,38 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     return ad.custom_op(out, parents, vjp)
 
 
-def block_forward(x_prev: Tensor, params: MambaBlockParams) -> Tensor:
-    """One block: (B, L, D) -> (B, L, D), causal along L."""
+@dataclass
+class BlockCarry:
+    """What one block hands from a row chunk to the next in a streamed
+    no-grad pass, Mamba's conv_state and ssm_state (arXiv:2312.00752)."""
+
+    conv: np.ndarray    # (B, <= k-1, E): the last rows of the in-projection x
+    state: np.ndarray   # (B, N, E): the scan state after the last row
+
+    @classmethod
+    def start(cls, dims: SSMDims, batch: int, dtype) -> BlockCarry:
+        """The carry at the sequence start: no past rows, a zero state."""
+        return cls(np.zeros((batch, 0, dims.e), dtype=dtype),
+                   np.zeros((batch, dims.n, dims.e), dtype=dtype))
+
+
+def _last_rows(past: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """The last n rows of past followed by x, in an array of their own."""
+    if x.shape[1] >= n:
+        return x[:, x.shape[1] - n:].copy()
+    both = np.concatenate([past, x], axis=1)
+    return both[:, max(0, both.shape[1] - n):]
+
+
+def block_forward(x_prev: Tensor, params: MambaBlockParams,
+                  carry: BlockCarry | None = None) -> Tensor:
+    """One block: (B, L, D) -> (B, L, D), causal along L.
+
+    With a ``carry`` (no-grad only) x_prev is the next row chunk of a
+    longer sequence: the conv reads the carried in-projection rows as its
+    past, the scan starts from the carried state, and both are updated for
+    the chunk after this one.
+    """
     p = params
     if x_prev.ndim != 3 or x_prev.shape[-1] != p.dims.d:
         raise ShapeError(
@@ -317,22 +371,65 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams) -> Tensor:
     # without grad the normalized input and the in-projection are freed
     # after their last use
     del xn
-    xc = ad.causal_conv1d(x, p.conv_w, p.conv_b)
+    past = None if carry is None else carry.conv
+    xc = ad.causal_conv1d(x, p.conv_w, p.conv_b, past=past)
+    if carry is not None:
+        carry.conv = _last_rows(past, x.data, p.dims.k - 1)
     del x
     b_in = ad.matmul(xc, p.w_b)
     c = ad.matmul(xc, p.w_c)
     dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
     out = ad.add(selective_scan(dt_low, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
-                                w_dt_up=p.w_dt_up, w_out=p.w_out), x_prev)
+                                w_dt_up=p.w_dt_up, w_out=p.w_out,
+                                state=None if carry is None else carry.state),
+                 x_prev)
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")
     return out
 
 
+# elements of one (B, rows, E) array in a row chunk of a streamed no-grad
+# pass: 64 rows at batch 16 and E=512. With 1 BLAS thread on a 2-vCPU Xeon,
+# a process predicting paper-width batches of 16 peaked at 68.5, 73.2 and
+# 85.8 MB RSS in chunks of 32, 64 and 128 rows, against 126.3 MB over all
+# 401 rows at once; per batch all four took 1.26-1.31 s (medians of three
+# interleaved 10-batch runs), with 64 rows at 1.26 s
+_STREAM_BLOCK = 1 << 19
+
+
 def stack_forward(x: Tensor, blocks: list[MambaBlockParams],
                   final_gain: Tensor) -> Tensor:
-    """Blocks in sequence, then a final RMS normalization."""
-    for p in blocks:
-        x = block_forward(x, p)
-    return ad.rmsnorm(x, final_gain)
+    """Blocks in sequence, then a final RMS normalization: (B, L, D) in,
+    (B, L, D) out.
+
+    With grad on the blocks run over the whole sequence at once. Without
+    grad the pass streams along the sequence: it walks row chunks of about
+    _STREAM_BLOCK elements per (B, rows, E) array through all blocks, each
+    block keeping a ``BlockCarry`` from one chunk to the next, and writes
+    each chunk's normalized rows into one (B, L, D) result. So its memory
+    beyond its input and output depends on the chunk, not on L. Each row
+    sees the same past as in one pass over the whole; a GEMM over fewer
+    rows may round differently, by a few ulps. A sequence that fits in one
+    chunk gives the bits of the grad-mode pass.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"stack_forward: input {x.shape} is not (B, L, D)")
+    B, L, _ = x.shape
+    width = max((p.dims.e for p in blocks), default=1)
+    rows = L if ad.grad_enabled() else max(1, _STREAM_BLOCK // (B * width))
+    whole = rows >= L
+    dtype = np.result_type(x.dtype, final_gain.dtype,
+                           *(t.dtype for p in blocks for _, t in p.named()))
+    carries = [None if whole else BlockCarry.start(p.dims, B, dtype)
+               for p in blocks]
+    out = None if whole else np.empty((B, L, final_gain.shape[-1]), dtype=dtype)
+    for r0 in (0,) if whole else range(0, L, rows):
+        h = x if whole else ad.Tensor(x.data[:, r0:r0 + rows])
+        for p, carry in zip(blocks, carries):
+            h = block_forward(h, p, carry)
+        h = ad.rmsnorm(h, final_gain)
+        if whole:
+            return h
+        out[:, r0:r0 + rows] = h.data
+    return ad.Tensor(out)

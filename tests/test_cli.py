@@ -459,6 +459,50 @@ def pretrained(tmp_path):
     return cfg, data, tmp_path / "pre" / "last.nmckpt"
 
 
+@pytest.fixture()
+def finetune_data(tmp_path):
+    """A labelled train/val/test directory at SMALL_CFG's geometry."""
+    geometry = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8)
+    data = tmp_path / "splits"
+    data.mkdir()
+    for seed, split in enumerate(("train", "val", "test")):
+        write_samples(data / f"{split}.nmstride",
+                      synthetic_samples(2, 2, geometry, seed=seed), geometry,
+                      num_classes=2)
+    return data
+
+
+def test_finetune_init_refuses_an_encoder_key_the_checkpoint_disagrees_with(
+        pretrained, finetune_data, tmp_path, capsys):
+    # use_pos_embed leaves every tensor shape the same, so only the config
+    # comparison can catch it
+    cfg, _, last = pretrained
+    cfg.write_text(SMALL_CFG + "use_pos_embed = false\n")
+    capsys.readouterr()
+    out = tmp_path / "ft"
+    assert run(["finetune", "--data", finetune_data, "--output", out,
+                "--config", cfg, "--init", last, "--epochs", 1,
+                "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(last) in err and "use_pos_embed = True, not False" in err
+    assert "Traceback" not in err and not (out / "best.nmckpt").exists()
+
+
+def test_finetune_init_accepts_other_decoder_widths_and_mask_ratio(
+        pretrained, finetune_data, tmp_path):
+    cfg, _, last = pretrained
+    cfg.write_text(SMALL_CFG.replace("mask_ratio = 0.5", "mask_ratio = 0.75")
+                   .replace("d_dec = 8", "d_dec = 12")
+                   .replace("e_dec = 16", "e_dec = 24")
+                   .replace("depth_dec = 1", "depth_dec = 2"))
+    out = tmp_path / "ft"
+    assert run(["finetune", "--data", finetune_data, "--output", out,
+                "--config", cfg, "--init", last, "--epochs", 1,
+                "--batch", 2]) == 0
+    assert (out / "best.nmckpt").exists()
+
+
 @pytest.mark.parametrize("step", (None, "2", 2.0, True, -1),
                          ids=("missing", "str", "float", "bool", "negative"))
 def test_pretrain_resume_refuses_a_step_that_is_no_count(pretrained, tmp_path,

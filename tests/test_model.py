@@ -7,6 +7,7 @@ import pytest
 
 from netmamba import autodiff as ad
 from netmamba import model as nm
+from netmamba import ssm, train
 from netmamba.errors import ConfigError, ContractError, ShapeError
 
 from helpers import max_rel_err
@@ -183,6 +184,40 @@ def test_finetune_sees_last_stride():
     bumped[0, -1] = 1.0 - bumped[0, -1]
     out = nm.finetune_forward(nm.embed_batch(bumped, params), params).data
     assert not np.allclose(base, out)
+
+
+@pytest.mark.parametrize("rows", (1, 2, 4, 5), ids=lambda r: f"{r}rows")
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_streamed_encoder_and_logits_match_grad_mode(monkeypatch, rows, dtype):
+    # no-grad passes walk the 9-row sequence in row chunks; grad-mode
+    # passes run it whole. A chunk holding the sequence gives the same bits
+    rng = np.random.default_rng(12)
+    params = small_params(dtype=dtype, with_decoder=False, with_head=True)
+    _, norm = batch_inputs(rng, n=3)
+    x0 = nm.embed_batch(norm.astype(dtype), params)
+    whole = nm.encoder_forward(x0, params).data
+    logits = nm.finetune_forward(x0, params).data
+    monkeypatch.setattr(ssm, "_STREAM_BLOCK", rows * 3 * SMALL.e_enc)
+    with ad.no_grad():
+        streamed = nm.encoder_forward(x0, params).data
+        streamed_logits = nm.finetune_forward(x0, params).data
+    assert streamed.shape == whole.shape == (3, SMALL.seq_len, SMALL.d_enc)
+    for got, ref in ((streamed, whole), (streamed_logits, logits)):
+        if dtype == np.float64:
+            assert np.abs(got - ref).max() <= 1e-12
+        else:
+            assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-5
+
+
+def test_streamed_predictions_equal_one_at_a_time(monkeypatch):
+    rng = np.random.default_rng(13)
+    params = small_params(dtype=np.float32, with_decoder=False, with_head=True)
+    strides, _ = batch_inputs(rng, n=6)
+    monkeypatch.setattr(ssm, "_STREAM_BLOCK", 2 * 6 * SMALL.e_enc)
+    batched = train.predict(params, strides, batch_size=6)
+    single = train.predict(params, strides, batch_size=1)
+    assert np.array_equal(batched, single)
+    assert np.array_equal(batched, train.predict(params, strides, batch_size=6))
 
 
 def test_class_token_jacobian_covers_all_strides():

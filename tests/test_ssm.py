@@ -724,3 +724,151 @@ def test_block_without_grad_peaks_below_the_unfused_block():
                 tracemalloc.stop()
 
     assert peak(ssm.block_forward) + 2 * B * L * E * 8 < peak(unfused_block)
+
+
+# ---------------------------------------------------------------------------
+# streamed no-grad passes: each block carries its conv tail and scan state
+# from one row chunk to the next
+
+
+@contextlib.contextmanager
+def stream_rows(monkeypatch, rows, batch, width):
+    """Streamed passes of ``rows`` rows per chunk at this batch and width."""
+    monkeypatch.setattr(ssm, "_STREAM_BLOCK", rows * batch * width)
+    with ad.no_grad():
+        yield
+
+
+def stack_inputs(dtype, B=2, L=37, depth=3, seed=60):
+    rng = np.random.default_rng(seed)
+    blocks = [ssm.init_mamba_block(small_dims(), rng, dtype=dtype, index=i)
+              for i in range(depth)]
+    for p in blocks:   # steps large enough that the carried state matters
+        p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=16)
+    gain = ad.parameter(rng.uniform(0.5, 1.5, size=8).astype(dtype))
+    return blocks, gain, rng.standard_normal((B, L, 8)).astype(dtype)
+
+
+@pytest.mark.parametrize("L, rows", [
+    (37, 5),     # L not a multiple of the chunk
+    (37, 16),
+    (2, 1),      # L < k-1: the conv's past is shorter than its taps
+    (3, 2),
+    (1, 1),      # one row
+    (11, 1),     # one-row chunks
+    (9, 40),     # one chunk holds the whole sequence
+], ids=("37by5", "37by16", "2by1", "3by2", "1by1", "11by1", "9by40"))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_streamed_stack_matches_grad_mode(monkeypatch, L, rows, dtype):
+    blocks, gain, x = stack_inputs(dtype, L=L)
+    whole = ssm.stack_forward(ad.Tensor(x), blocks, gain)
+    assert whole.requires_grad                # the grad-mode pass, for reference
+    with stream_rows(monkeypatch, rows, 2, 16):
+        streamed = ssm.stack_forward(ad.Tensor(x), blocks, gain)
+    assert streamed.shape == whole.shape and streamed.dtype == whole.dtype
+    assert not streamed.requires_grad
+    if rows >= L:
+        assert streamed.data.tobytes() == whole.data.tobytes()
+    elif dtype == np.float64:
+        assert np.abs(streamed.data - whole.data).max() <= 1e-12
+    else:
+        rel = np.abs(streamed.data - whole.data).max() / np.abs(whole.data).max()
+        assert rel <= 1e-5
+
+
+def test_streamed_stack_is_causal(monkeypatch):
+    # as the grad-mode probe: bumping row t leaves every earlier row
+    # bit-identical, with t before, at and after chunk boundaries
+    blocks, gain, x = stack_inputs(np.float64, B=1, L=23)
+    with stream_rows(monkeypatch, 4, 1, 16):
+        base = ssm.stack_forward(ad.Tensor(x), blocks, gain).data
+        for t in (1, 3, 4, 5, 13, 22):
+            bumped = x.copy()
+            bumped[:, t] += 1.0
+            out = ssm.stack_forward(ad.Tensor(bumped), blocks, gain).data
+            assert np.array_equal(base[:, :t], out[:, :t]), t
+            assert not np.array_equal(base[:, t], out[:, t]), t
+
+
+def test_streamed_stack_memory_does_not_grow_with_length(monkeypatch):
+    # in 32-row chunks, the no-grad peak at L=1024 exceeds the one at L=256
+    # by no more than the longer input and output; a pass over the whole
+    # sequence would hold several (B, L, E) arrays per block, each as large
+    # as that whole allowance
+    B, D, E, f = 2, 8, 16, 8
+    blocks, gain, _ = stack_inputs(np.float64, B=B, L=1)
+    peaks = {}
+    with stream_rows(monkeypatch, 32, B, E):
+        for L in (256, 1024):
+            x = ad.Tensor(np.random.default_rng(L).standard_normal((B, L, D)))
+            ssm.stack_forward(x, blocks, gain)          # first-call allocations
+            tracemalloc.start()
+            try:
+                out = ssm.stack_forward(x, blocks, gain)
+                peaks[L] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (B, L, D)
+            del out
+    in_and_out = 2 * B * (1024 - 256) * D * f
+    assert in_and_out == B * (1024 - 256) * E * f   # one (B, L, E) array's growth
+    assert peaks[1024] - peaks[256] <= in_and_out + 16 * 1024
+
+
+def test_carry_under_grad_is_refused():
+    blocks, _, x = stack_inputs(np.float64, L=5)
+    p = blocks[0]
+    carry = ssm.BlockCarry.start(p.dims, 2, np.float64)
+    with pytest.raises(ContractError, match="no-grad"):
+        ssm.block_forward(ad.Tensor(x), p, carry)
+    with pytest.raises(ContractError, match="no-grad"):
+        ad.causal_conv1d(ad.Tensor(np.zeros((2, 5, 16))), p.conv_w, p.conv_b,
+                         past=np.zeros((2, 3, 16)))
+    inputs = [ad.Tensor(v, requires_grad=True) for v in scan_inputs(2, 5, 16, 4)]
+    with pytest.raises(ContractError, match="no-grad"):
+        ssm.selective_scan(*inputs, state=np.zeros((2, 4, 16)))
+
+
+def scan_inputs(B, L, E, N, seed=61):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.1, 0.9, size=(B, L, E)), -rng.uniform(0.5, 2.0, size=(E, N)),
+            rng.standard_normal((B, L, N)), rng.standard_normal((B, L, N)),
+            rng.standard_normal((B, L, E)))
+
+
+def test_scan_and_conv_in_pieces_give_the_bits_of_one_pass():
+    # neither holds a GEMM, so a sequence split at any rows gives the same
+    # bits as one pass over it: the scan continues from the carried state,
+    # the conv reads the carried rows as its past
+    B, L, E, N, k = 2, 29, 16, 4, 4
+    dt, a, b_in, c, x = scan_inputs(B, L, E, N)
+    rng = np.random.default_rng(62)
+    w, bias = rng.standard_normal((E, k)), rng.standard_normal(E)
+    with ad.no_grad():
+        y = ssm.selective_scan(*(ad.Tensor(v) for v in (dt, a, b_in, c, x))).data
+        xc = ad.causal_conv1d(ad.Tensor(x), w, bias).data
+        for cuts in ((1, 2, 3, 20), (7, 16), (28,)):
+            state, past = np.zeros((B, N, E)), np.zeros((B, 0, E))
+            bounds = (0,) + cuts + (L,)
+            for r0, r1 in zip(bounds, bounds[1:]):
+                rows = slice(r0, r1)
+                piece = ssm.selective_scan(
+                    ad.Tensor(dt[:, rows]), ad.Tensor(a),
+                    *(ad.Tensor(v[:, rows]) for v in (b_in, c, x)), state=state)
+                assert piece.data.tobytes() == y[:, rows].tobytes()
+                conv = ad.causal_conv1d(ad.Tensor(x[:, rows]), w, bias, past=past)
+                assert conv.data.tobytes() == xc[:, rows].tobytes()
+                past = np.concatenate([past, x[:, rows]], axis=1)[:, -(k - 1):]
+
+
+def test_carry_of_the_wrong_shape_is_refused():
+    B, L, E, N = 2, 5, 16, 4
+    inputs = [ad.Tensor(v) for v in scan_inputs(B, L, E, N)]
+    with ad.no_grad():
+        with pytest.raises(ShapeError, match="state"):
+            ssm.selective_scan(*inputs, state=np.zeros((B, E, N)))
+        with pytest.raises(ShapeError, match="state"):
+            ssm.selective_scan(*inputs, state=np.zeros((B, N, E), dtype=np.float32))
+        with pytest.raises(ShapeError, match="past"):
+            ad.causal_conv1d(inputs[-1], np.ones((E, 4)), np.zeros(E),
+                             past=np.zeros((B, 4, E)))
