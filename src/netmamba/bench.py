@@ -20,13 +20,15 @@ CSV_HEADER = "batch,seq_len,samples_per_sec,peak_bytes"
 def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
                   repeats: int = 5, warmup: int = 2, seed: int = 0) -> list[dict]:
     """Median wall-clock of no-grad encoder passes per (batch, length) plus
-    peak allocation bytes of one traced pass. That pass streams along the
-    sequence in row chunks (``ssm.stack_forward``), so ``peak_bytes`` is the
-    peak of the streamed pass: its (B, L, D) output plus one chunk's
-    arrays, not the (B, L, E) arrays of every row. The encoder blocks are
-    length-agnostic, so one parameter set serves every length. The lengths
-    of a batch take turns, one pass each per round, so a slowdown of the
-    host spreads over all of them instead of bending one length's median."""
+    peak allocation bytes of one traced pass. Each pass reads the encoder
+    as classification does: the normalized last row alone
+    (``ssm.stack_forward`` with tail 1), streaming along the sequence in
+    row chunks, so ``peak_bytes`` is one chunk's arrays and the (B, 1, D)
+    output, not a (B, L, D) output or the (B, L, E) arrays of every row. The
+    encoder blocks are length-agnostic, so one parameter set serves every
+    length. The lengths of a batch take turns, one pass each per round, so
+    a slowdown of the host spreads over all of them instead of bending one
+    length's median."""
     params = nm.init_params(cfg, np.random.default_rng(seed), with_decoder=False)
     blocks, gain = params.enc_blocks, params.enc_norm
     rng = np.random.default_rng(seed + 1)
@@ -38,15 +40,15 @@ def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
         with ad.no_grad():
             for x in xs:
                 for _ in range(warmup):
-                    ssm.stack_forward(x, blocks, gain)
+                    ssm.stack_forward(x, blocks, gain, tail=1)
             for _ in range(max(repeats, 5)):
                 for x, ts in zip(xs, times):
                     t0 = time.perf_counter()
-                    ssm.stack_forward(x, blocks, gain)
+                    ssm.stack_forward(x, blocks, gain, tail=1)
                     ts.append(time.perf_counter() - t0)
             for length, x, ts in zip(lengths, xs, times):
                 tracemalloc.start()
-                ssm.stack_forward(x, blocks, gain)
+                ssm.stack_forward(x, blocks, gain, tail=1)
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
                 median = float(np.median(ts))

@@ -210,7 +210,7 @@ def cmd_evaluate(args) -> int:
             f"{cfg.stride_len} bytes, but {data_path} has {tokens.shape[1]} "
             f"of {tokens.shape[2]}")
     report = trainmod.evaluate(params, tokens, sf.labels,
-                               batch_size=args.batch or 64)
+                               batch_size=64 if args.batch is None else args.batch)
     text = report.to_json(indent=2)
     print(text)
     if args.output:

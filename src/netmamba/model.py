@@ -212,25 +212,45 @@ def normalize_strides(strides: np.ndarray, dtype=np.float32) -> np.ndarray:
     return arr.astype(dtype) / 255.0
 
 
-def embed_batch(strides: np.ndarray, params: ModelParams) -> Tensor:
-    """(B, n_strides, stride_len) normalized floats -> (B, L, d_enc)."""
+def embed_batch(strides: np.ndarray, params: ModelParams,
+                rows: slice | None = None) -> Tensor:
+    """(B, n_strides, stride_len) normalized floats -> (B, L, d_enc): each
+    stride's embedding, then the class token, plus the positional table.
+
+    ``rows``, a slice of the L positions, forms those rows alone, as a
+    streamed pass reads them (``embed_rows``); each row is computed by the
+    same ops as in the whole."""
     cfg = params.cfg
     B, n, w = strides.shape
     if n != cfg.n_strides or w != cfg.stride_len:
         raise ShapeError(
             f"expected {cfg.n_strides} strides of {cfg.stride_len} bytes, "
             f"got {n} of {w}")
-    rows = ad.matmul(ad.Tensor(strides), params.embed_w)
-    cls = ad.broadcast_to(ad.reshape(params.cls_token, (1, 1, cfg.d_enc)),
-                          (B, 1, cfg.d_enc))
-    x0 = ad.concat([rows, cls], axis=1)
+    r0, r1, _ = (rows or slice(None)).indices(cfg.seq_len)
+    parts = []
+    if r0 < n:
+        parts.append(ad.matmul(ad.Tensor(strides[:, r0:r1]), params.embed_w))
+    if r1 > n:
+        parts.append(ad.broadcast_to(ad.reshape(params.cls_token, (1, 1, cfg.d_enc)),
+                                     (B, 1, cfg.d_enc)))
+    x0 = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
     if cfg.use_pos_embed:
-        x0 = ad.add(x0, params.pos_enc)
+        whole = (r0, r1) == (0, cfg.seq_len)
+        x0 = ad.add(x0, params.pos_enc if whole else params.pos_enc[r0:r1])
     return x0
 
 
-def encoder_forward(x0: Tensor, params: ModelParams) -> Tensor:
-    return ssm.stack_forward(x0, params.enc_blocks, params.enc_norm)
+def embed_rows(strides: np.ndarray, params: ModelParams) -> ssm.Rows:
+    """The (B, L, d_enc) embedding of ``embed_batch`` as a stack input that
+    forms it a row chunk at a time, each chunk through ``embed_batch``."""
+    cfg = params.cfg
+    return ssm.Rows((len(strides), cfg.seq_len, cfg.d_enc),
+                    lambda r0, r1: embed_batch(strides, params, slice(r0, r1)))
+
+
+def encoder_forward(x0: Tensor | ssm.Rows, params: ModelParams,
+                    tail: int | None = None) -> Tensor:
+    return ssm.stack_forward(x0, params.enc_blocks, params.enc_norm, tail)
 
 
 def _restore_indices(plans: list[MaskPlan], seq_len: int) -> np.ndarray:
@@ -286,15 +306,17 @@ def pretrain_forward(
     return pred, loss
 
 
-def finetune_forward(x0: Tensor, params: ModelParams) -> Tensor:
-    """Full-sequence encoder pass; the normalized trailing class-token row
-    feeds the MLP head. Returns unnormalized logits (B, C)."""
+def finetune_forward(x0: Tensor | ssm.Rows, params: ModelParams) -> Tensor:
+    """The encoder over the embedded rows x0, (B, L, d_enc) or
+    ``embed_rows``, read at its normalized trailing class-token row alone,
+    which feeds the MLP head. The encoder computes only that row past its
+    top block's scan state (``ssm.stack_forward`` with tail 1), with grad
+    or without. Returns unnormalized logits (B, C)."""
     if params.head_w1 is None:
         raise ContractError("model was built without a classification head")
     if params.cfg.num_classes < 2:
         raise ConfigError("classification needs at least 2 classes")
-    h = encoder_forward(x0, params)
-    cls = h[:, -1, :]
+    cls = encoder_forward(x0, params, tail=1)[:, -1, :]
     hidden = ad.silu(ad.add(ad.matmul(cls, params.head_w1), params.head_b1))
     return ad.add(ad.matmul(hidden, params.head_w2), params.head_b2)
 

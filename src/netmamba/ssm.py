@@ -25,11 +25,20 @@ time, as Mamba's own inference steps along a sequence with a conv_state and
 an ssm_state (arXiv:2312.00752). Each block carries a ``BlockCarry`` from
 one chunk to the next: the last k-1 rows of its in-projection x, which
 ``ad.causal_conv1d`` reads as the past of the next chunk, and its (B, N, E)
-scan state, which ``selective_scan`` starts from and steps in place. So a
-no-grad pass holds a block's (B, L, E) arrays for one chunk only, and its
-memory beyond its (B, L, D) input and output does not grow with L. The
-carry is no-grad only: the conv and the scan refuse it while they would
-record a graph, and with grad on every block runs over the whole sequence.
+scan state, which ``selective_scan`` starts from and steps in place. Its
+input can be ``Rows`` that form each chunk on demand, so a no-grad pass
+holds a block's arrays for one chunk only, and its memory beyond its output
+does not grow with L. The carry is no-grad only: the conv and the scan
+refuse it while they would record a graph, and with grad on the one chunk
+is the whole sequence.
+
+The scan, the block and the stack are told how many final rows the caller
+reads (``tail``; all of them by default). A classifier that reads the last
+row alone gets it without the rows before: below the top block every row is
+needed, but the top block forms z, C, y, the gate, the out-projection and
+the residual only for the rows read, and elsewhere only steps its conv tail
+and scan state; the scan's backward skips the per-step work of the rows not
+read.
 
 ``selective_scan`` has two layouts: that block layout, with all four of
 its keyword inputs, and the plain scan without them, which the oracle
@@ -48,6 +57,7 @@ the tests no gradient moves by more than 1e-30.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +146,7 @@ _CHUNK = 16  # scan steps per stored state in grad mode
 def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                    dt_bias: Tensor | None = None, z: Tensor | None = None,
                    w_dt_up: Tensor | None = None, w_out: Tensor | None = None,
-                   state: np.ndarray | None = None) -> Tensor:
+                   state: np.ndarray | None = None, tail: int | None = None) -> Tensor:
     """Zero-order-hold selective scan, discretization included:
     h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
 
@@ -153,20 +163,31 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     np.finfo(dtype).tiny (see the module docstring). It reads the saved
     arrays, never writing into them, so repeated backward calls accumulate.
 
+    ``tail``: how many final rows of y the caller reads, all L by default.
+    With tail = T, c (and z below) hold the last T rows only and the op
+    returns (B, T, ...): every step still moves the state, but y, C_t, the
+    gate and the out-projection exist for rows L-T..L-1 alone, and the
+    backward pass skips, at each earlier step, the C_t (x) dloss/dy_t outer
+    product, the recomputed y_t and its gate. T = 0 steps the state only.
+
     Two layouts: the plain scan above, with no keyword input, and the
     block's, which takes in the block's ops around the scan as Mamba's
     mamba_inner_fn does (arXiv:2312.00752). The block's layout needs all
     four keyword inputs; a partial set raises ContractError:
     - ``w_dt_up`` (R, E): dt is the (B, L, R) down-projected step and the
-      raw step is dt @ w_dt_up, formed for the forward loop and again for
-      the backward, and kept by neither;
+      raw step is dt @ w_dt_up, formed one chunk of _CHUNK steps at a time,
+      in the forward loop and again in the backward;
     - ``dt_bias`` (E,): the step is softplus(raw step + dt_bias);
-    - ``z`` (B, L, E): y is multiplied by silu(z), chunk by chunk;
-    - ``w_out`` (E, D): the op returns that gated output @ w_out, (B, L, D).
+    - ``z`` (B, T, E): y is multiplied by silu(z), chunk by chunk;
+    - ``w_out`` (E, D): the op returns that gated output @ w_out, (B, T, D).
     Output and gradients are bit for bit those of the same ops applied
     around the plain scan, but the graph keeps only the inputs: the
     backward recomputes the step, y, silu(z) and the gated output chunk by
-    chunk, each on the layout the forward computed it on.
+    chunk, each on the layout the forward computed it on. A chunk's rows of
+    dt @ w_dt_up round as the whole product's do, since numpy multiplies
+    both with gemm (a lone step is taken with the one before it, as a
+    one-row product would go to gemv); the tests hold the layouts to the
+    same bytes.
 
     ``state`` (B, N, E), no-grad only: the state before the first step, as
     Mamba's ssm_state carries it from one piece of a sequence to the next.
@@ -180,10 +201,13 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
         missing = [name for name, t in keywords.items() if t is None]
         raise ContractError(f"selective_scan: the block layout also needs {missing}")
     B, L, E = x.shape if x.ndim == 3 else (0, 0, 0)
+    T = L if tail is None else tail
+    if not 0 <= T <= L:
+        raise ContractError(f"selective_scan: tail {tail} is not within 0..{L} rows")
     N = a.shape[-1]
     R = dt.shape[-1] if block else E
-    expected = {"dt": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, L, N),
-                "x": (B, L, E), "dt_bias": (E,), "z": (B, L, E),
+    expected = {"dt": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, T, N),
+                "x": (B, L, E), "dt_bias": (E,), "z": (B, T, E),
                 "w_dt_up": (R, E), "w_out": (E, w_out.shape[-1] if block else 0)}
     given = {"dt": dt, "a": a, "b": b, "c": c, "x": x, **keywords}
     wrong = [f"{name}={t.shape} (expected {expected[name]})"
@@ -204,24 +228,31 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
     low, xd = dt.data, x.data
     bias, zd, wu, wo = (t.data if block else None for t in keywords.values())
-    # time-major views: X is (L, B, E); Bm and C are (L, B, N)
+    # time-major views: X is (L, B, E), Bm (L, B, N) and C (T, B, N)
     X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
-    K = _CHUNK
+    K, first = _CHUNK, L - T                      # first: the first row read
     entry = np.empty((-(-L // K), B, N, E), dtype=dtype) if keep else None
     h = np.zeros((B, N, E), dtype=dtype) if state is None else state
     abar, bx = np.empty_like(h), np.empty_like(h)
 
-    def raw_steps():
-        # the raw step (B, L, E), up-projected as ad.matmul would
-        return low @ wu if block else low
-
-    def step_sizes(raw, t0, n):
+    def step_sizes(t0, n):
         # the steps of t0..t0+n-1, time-major (n, B, E), and in the block's
-        # layout their pre-activation (B, n, E)
+        # layout their pre-activation (B, n, E), whose raw step is
+        # up-projected from these rows alone, as ad.matmul would. numpy
+        # sends a one-row product to gemv, which rounds unlike gemm, so a
+        # lone step after the first is projected along with the one before
         if not block:
-            return np.moveaxis(raw, 1, 0)[t0:t0 + n], None
-        pre = raw[:, t0:t0 + n] + bias
+            return np.moveaxis(low[:, t0:t0 + n], 1, 0), None
+        lo = t0 - 1 if n == 1 and t0 else t0
+        pre = (low[:, lo:t0 + n] @ wu)[:, t0 - lo:]
+        pre += bias
         return np.moveaxis(ad._softplus(pre), 1, 0), pre
+
+    def read(t0, n):
+        # of the chunk t0..t0+n-1: the first step read, and the output rows
+        # of the steps from there on
+        j0 = min(max(first - t0, 0), n)
+        return j0, slice(t0 + j0 - first, t0 + n - first)
 
     def step(d, bm, u, h_prev, h_out, abar):
         # h_out = exp(d*A) * h_prev + bm u with u = d*x; abar keeps exp(d*A)
@@ -230,23 +261,24 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
         np.multiply(abar, h_prev, out=h_out)
         h_out += bx
 
-    raw = raw_steps()
-    out = np.empty((B, L, E), dtype=dtype)
-    y = np.moveaxis(out, 1, 0)                                   # (L, B, E) view
+    out = np.empty((B, T, E), dtype=dtype)
+    y = np.moveaxis(out, 1, 0)                                   # (T, B, E) view
     for t0 in range(0, L, K):
         n = min(K, L - t0)
-        rows = slice(t0, t0 + n)
-        D = step_sizes(raw, t0, n)[0]
-        U = D * X[rows]                                          # dt*x
+        D = step_sizes(t0, n)[0]
+        U = D * X[t0:t0 + n]                                     # dt*x
         if keep:
             entry[t0 // K] = h
         for j in range(n):
-            step(D[j], Bm[t0 + j], U[j], h, h, abar)
-            np.matmul(C[t0 + j][:, None, :], h, out=y[t0 + j][:, None, :])
-        if block:
+            t = t0 + j
+            step(D[j], Bm[t], U[j], h, h, abar)
+            if t >= first:
+                np.matmul(C[t - first][:, None, :], h, out=y[t - first][:, None, :])
+        j0, rows = read(t0, n)
+        if block and j0 < n:
             zc = np.ascontiguousarray(zd[:, rows])
             out[:, rows] *= zc * ad._sigmoid(zc)
-    del raw, D, U
+    del D, U
     if block:
         out = out @ wo
 
@@ -255,21 +287,20 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
         # over the op's own buffer of dloss/d(gated output) = g @ w_outᵀ
         g_y = g @ np.swapaxes(wo, -1, -2) if block else g
         if block:
-            g_z, gated = (np.empty((B, L, E), dtype=dtype) for _ in range(2))
-        gy = np.moveaxis(g_y, 1, 0)                              # (L, B, E)
+            g_z, gated = (np.empty((B, T, E), dtype=dtype) for _ in range(2))
+        gy = np.moveaxis(g_y, 1, 0)                              # (T, B, E)
         g_x = np.empty((L, B, E), dtype=dtype)
         # dloss/d(dt): time-major, or wrt the raw step (B, L, E) in the
         # block's layout
         g_dt = np.empty((B, L, E) if block else (L, B, E), dtype=dtype)
         g_u, g_step = np.empty((K, B, E), dtype=dtype), np.empty((K, B, E), dtype=dtype)
-        g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((L, B, N), dtype=dtype)
+        g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((T, B, N), dtype=dtype)
         acc = np.zeros((B, N, E), dtype=dtype)                   # dloss/dh_t
         g_a, s = np.zeros_like(acc), np.empty_like(acc)
         hs = np.empty((K + 1, B, N, E), dtype=dtype)             # hs[j] = h_{t0+j-1}
         abars = np.empty((K, B, N, E), dtype=dtype)
         ys = np.empty((K, B, E), dtype=dtype) if block else None
         tiny, mask = np.finfo(dtype).tiny, np.empty(acc.shape, dtype=bool)
-        raw = raw_steps()
         for t0 in reversed(range(0, L, K)):
             # subnormal adjoint entries cost x86 microcode assists; see the
             # module docstring
@@ -277,26 +308,31 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             np.putmask(acc, mask, 0)
             n = min(K, L - t0)
             rows = slice(t0, t0 + n)
-            Dc, pre = step_sizes(raw, t0, n)
+            Dc, pre = step_sizes(t0, n)
             Uc = Dc * X[rows]                                    # this chunk's dt*x
             hs[0] = entry[t0 // K]
             for j in range(n):
                 step(Dc[j], Bm[t0 + j], Uc[j], hs[j], hs[j + 1], abars[j])
-            if block:
-                for j in range(n):
-                    np.matmul(C[t0 + j][:, None, :], hs[j + 1], out=ys[j][:, None, :])
-                y = np.moveaxis(ys[:n], 0, 1)                    # (B, n, E)
-                zc = np.ascontiguousarray(zd[:, rows])
+            j0, out_rows = read(t0, n)
+            if block and j0 < n:
+                for j in range(j0, n):
+                    np.matmul(C[t0 + j - first][:, None, :], hs[j + 1],
+                              out=ys[j][:, None, :])
+                y = np.moveaxis(ys[j0:n], 0, 1)                  # (B, n - j0, E)
+                zc = np.ascontiguousarray(zd[:, out_rows])
                 sig = ad._sigmoid(zc)
                 gate = zc * sig
-                np.multiply(g_y[:, rows] * y, sig * (1.0 + zc * (1.0 - sig)),
-                            out=g_z[:, rows])
-                np.multiply(g_y[:, rows], gate, out=g_y[:, rows])
-                np.multiply(y, gate, out=gated[:, rows])
-            np.matmul(hs[1:n + 1], gy[rows, :, :, None], out=g_c[rows, :, :, None])
+                np.multiply(g_y[:, out_rows] * y, sig * (1.0 + zc * (1.0 - sig)),
+                            out=g_z[:, out_rows])
+                np.multiply(g_y[:, out_rows], gate, out=g_y[:, out_rows])
+                np.multiply(y, gate, out=gated[:, out_rows])
+            if j0 < n:
+                np.matmul(hs[j0 + 1:n + 1], gy[out_rows, :, :, None],
+                          out=g_c[out_rows, :, :, None])
             for j in range(n - 1, -1, -1):
                 t = t0 + j
-                acc += np.einsum("bn,be->bne", C[t], gy[t], out=s)
+                if t >= first:
+                    acc += np.einsum("bn,be->bne", C[t - first], gy[t - first], out=s)
                 np.matmul(Bm[t][:, None, :], acc, out=g_u[j][:, None, :])
                 np.matmul(acc, Uc[j][:, :, None], out=g_b[t][:, :, None])
                 acc *= abars[j]
@@ -312,7 +348,7 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                             ad._sigmoid(pre), out=g_dt[:, rows])
             else:
                 np.add(g_step[:n], g_u[:n] * X[rows], out=g_dt[rows])
-        del raw, hs, abars
+        del hs, abars
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
         g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_b, g_c, g_x))
         if not block:
@@ -352,9 +388,21 @@ def _last_rows(past: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return both[:, max(0, both.shape[1] - n):]
 
 
+def _tail(t: Tensor, n: int) -> Tensor:
+    """The last n rows of a (B, L, ...) tensor: t itself when n = L."""
+    rows = t.shape[1]
+    return t if n == rows else t[:, rows - n:]
+
+
 def block_forward(x_prev: Tensor, params: MambaBlockParams,
-                  carry: BlockCarry | None = None) -> Tensor:
+                  carry: BlockCarry | None = None, tail: int | None = None) -> Tensor:
     """One block: (B, L, D) -> (B, L, D), causal along L.
+
+    ``tail``: how many final rows the caller reads, all L by default. The
+    block then returns (B, tail, D): the norm, the in-projection x, the conv
+    and B and dt still run over every row, as the scan state needs them,
+    but z, C, the scan's y, the gate, the out-projection and the residual
+    are formed for the last ``tail`` rows alone (see ``selective_scan``).
 
     With a ``carry`` (no-grad only) x_prev is the next row chunk of a
     longer sequence: the conv reads the carried in-projection rows as its
@@ -365,9 +413,10 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     if x_prev.ndim != 3 or x_prev.shape[-1] != p.dims.d:
         raise ShapeError(
             f"block_forward: input {x_prev.shape} does not match d={p.dims.d}")
+    T = x_prev.shape[1] if tail is None else tail
     xn = ad.rmsnorm(x_prev, p.norm_gain)
     x = ad.matmul(xn, p.w_in_x)
-    z = ad.matmul(xn, p.w_in_z)
+    z = ad.matmul(_tail(xn, T), p.w_in_z)
     # without grad the normalized input and the in-projection are freed
     # after their last use
     del xn
@@ -377,16 +426,27 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
         carry.conv = _last_rows(past, x.data, p.dims.k - 1)
     del x
     b_in = ad.matmul(xc, p.w_b)
-    c = ad.matmul(xc, p.w_c)
+    c = ad.matmul(_tail(xc, T), p.w_c)
     dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
     out = ad.add(selective_scan(dt_low, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
                                 w_dt_up=p.w_dt_up, w_out=p.w_out,
-                                state=None if carry is None else carry.state),
-                 x_prev)
+                                state=None if carry is None else carry.state,
+                                tail=T),
+                 _tail(x_prev, T))
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")
     return out
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A (B, L, D) stack input that is formed a row range at a time:
+    ``take(r0, r1)`` returns rows r0..r1-1 as a Tensor. A streamed pass
+    takes one row chunk at a time, a grad-mode pass all L rows at once."""
+
+    shape: tuple[int, int, int]
+    take: Callable[[int, int], Tensor]
 
 
 # elements of one (B, rows, E) array in a row chunk of a streamed no-grad
@@ -398,38 +458,53 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
 _STREAM_BLOCK = 1 << 19
 
 
-def stack_forward(x: Tensor, blocks: list[MambaBlockParams],
-                  final_gain: Tensor) -> Tensor:
+def stack_forward(x: Tensor | Rows, blocks: list[MambaBlockParams],
+                  final_gain: Tensor, tail: int | None = None) -> Tensor:
     """Blocks in sequence, then a final RMS normalization: (B, L, D) in,
-    (B, L, D) out.
+    the normalized last ``tail`` rows out, (B, tail, D), all L by default.
 
-    With grad on the blocks run over the whole sequence at once. Without
-    grad the pass streams along the sequence: it walks row chunks of about
-    _STREAM_BLOCK elements per (B, rows, E) array through all blocks, each
-    block keeping a ``BlockCarry`` from one chunk to the next, and writes
-    each chunk's normalized rows into one (B, L, D) result. So its memory
-    beyond its input and output depends on the chunk, not on L. Each row
-    sees the same past as in one pass over the whole; a GEMM over fewer
-    rows may round differently, by a few ulps. A sequence that fits in one
-    chunk gives the bits of the grad-mode pass.
+    ``x`` is the (B, L, D) input, or ``Rows`` that form it on demand. The
+    pass walks row chunks through all blocks: with grad on, one chunk of all
+    L rows; without grad, chunks of about _STREAM_BLOCK elements per
+    (B, rows, E) array, each block keeping a ``BlockCarry`` from one chunk
+    to the next. The top block is told which rows of its chunk the caller
+    reads (see ``block_forward``), and the final norm runs on those alone,
+    so a chunk before the last ``tail`` rows only steps the top block's
+    conv tail and scan state. Memory beyond the input and the (B, tail, D)
+    output thus depends on the chunk, not on L, and with ``Rows`` no
+    (B, L, D) array exists at all. Each row sees the same past as in one
+    pass over the whole; a GEMM over fewer rows may round differently, by a
+    few ulps. A sequence that fits in one chunk gives the bits of the
+    grad-mode pass.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"stack_forward: input {x.shape} is not (B, L, D)")
+    if not isinstance(x, Rows):
+        if x.ndim != 3:
+            raise ShapeError(f"stack_forward: input {x.shape} is not (B, L, D)")
+        given = x
+        x = Rows(x.shape, lambda r0, r1: given if r1 - r0 == given.shape[1]
+                 else ad.Tensor(given.data[:, r0:r1]))
     B, L, _ = x.shape
+    T = L if tail is None else tail
+    if not 1 <= T <= L:
+        raise ContractError(f"stack_forward: tail {tail} is not within 1..{L} rows")
     width = max((p.dims.e for p in blocks), default=1)
     rows = L if ad.grad_enabled() else max(1, _STREAM_BLOCK // (B * width))
-    whole = rows >= L
-    dtype = np.result_type(x.dtype, final_gain.dtype,
-                           *(t.dtype for p in blocks for _, t in p.named()))
-    carries = [None if whole else BlockCarry.start(p.dims, B, dtype)
-               for p in blocks]
-    out = None if whole else np.empty((B, L, final_gain.shape[-1]), dtype=dtype)
-    for r0 in (0,) if whole else range(0, L, rows):
-        h = x if whole else ad.Tensor(x.data[:, r0:r0 + rows])
-        for p, carry in zip(blocks, carries):
-            h = block_forward(h, p, carry)
-        h = ad.rmsnorm(h, final_gain)
-        if whole:
+    carries, out = [None] * len(blocks), None
+    for r0 in range(0, L, rows):
+        r1 = min(r0 + rows, L)
+        read = max(0, r1 - max(r0, L - T))      # rows of this chunk read
+        h = x.take(r0, r1)
+        if r1 < L and r0 == 0:      # streamed: make the carries and result
+            dtype = np.result_type(h.dtype, final_gain.dtype,
+                                   *(t.dtype for p in blocks for _, t in p.named()))
+            carries = [BlockCarry.start(p.dims, B, dtype) for p in blocks]
+            out = np.empty((B, T, final_gain.shape[-1]), dtype=dtype)
+        for i, (p, carry) in enumerate(zip(blocks, carries)):
+            h = block_forward(h, p, carry, read if i == len(blocks) - 1 else None)
+        if not read:
+            continue
+        h = ad.rmsnorm(_tail(h, read), final_gain)
+        if out is None:
             return h
-        out[:, r0:r0 + rows] = h.data
+        out[:, r1 - read - (L - T):r1 - (L - T)] = h.data
     return ad.Tensor(out)

@@ -42,6 +42,15 @@ class TrainConfig:
     log_every: int = 10
     early_stop_val_acc: float | None = None
 
+    def __post_init__(self):
+        for key in ("batch_size", "log_every"):
+            _check_positive(key, getattr(self, key))
+
+
+def _check_positive(key: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+
 
 def pretrain_defaults(**overrides) -> TrainConfig:
     return replace(TrainConfig(batch_size=128, lr=1e-3, steps=150_000), **overrides)
@@ -190,11 +199,15 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
 
 def predict(params: nm.ModelParams, strides: np.ndarray,
             batch_size: int = 64) -> np.ndarray:
+    """Class predictions, ``batch_size`` flows per no-grad pass; each pass
+    embeds and encodes its flows one row chunk at a time (``nm.embed_rows``)
+    and computes only the class-token row past the top block's scan."""
+    _check_positive("batch_size", batch_size)
     preds = []
     with ad.no_grad():
         for lo in range(0, len(strides), batch_size):
             batch = nm.normalize_strides(strides[lo:lo + batch_size])
-            logits = nm.finetune_forward(nm.embed_batch(batch, params), params)
+            logits = nm.finetune_forward(nm.embed_rows(batch, params), params)
             preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 

@@ -694,3 +694,51 @@ def test_min_packets_flag_overrides_the_file(tmp_path, capsys):
     assert run(argv + ["--config", cfg]) == 2
     assert "no usable flows" in capsys.readouterr().err
     assert run(argv + ["--config", cfg, "--min-packets", 3]) == 0
+
+
+SMALL_MODEL = """
+d_enc = 16
+e_enc = 32
+depth_enc = 1
+d_dec = 8
+e_dec = 16
+depth_dec = 1
+state_dim = 4
+dt_rank = 4
+"""
+
+
+@pytest.mark.parametrize("command, flags, line, key, value", [
+    ("pretrain", ["--batch", 0], "", "batch_size", 0),
+    ("pretrain", ["--batch", -1], "", "batch_size", -1),
+    ("finetune", ["--batch", 0], "", "batch_size", 0),
+    ("pretrain", [], "log_every = 0", "log_every", 0),
+    ("finetune", [], "log_every = -3", "log_every", -3),
+], ids=["pretrain-batch-0", "pretrain-batch-neg", "finetune-batch-0",
+        "pretrain-log-every-0", "finetune-log-every-neg"])
+def test_training_refuses_a_batch_or_log_interval_below_one(
+        tmp_path, tiny_split, capsys, command, flags, line, key, value):
+    # refused when the training config is built, before any work: a zero
+    # batch would divide by zero or draw no samples, a zero log interval
+    # would divide by zero at the first step
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_MODEL + line + "\n")
+    argv = command_argv(command, tmp_path, tiny_split)
+    length = ["--steps", 1] if command == "pretrain" else ["--epochs", 1]
+    assert run(argv + ["--config", cfg] + length + flags) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be >= 1, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_evaluate_refuses_a_batch_below_one(head_checkpoint, capsys, batch):
+    # 0 used to run silently at the default of 64, and -1 failed with a
+    # message about label and prediction counts
+    data, path = head_checkpoint
+    assert run(["evaluate", "--data", data, "--checkpoint", path,
+                "--batch", batch]) == 2
+    err = capsys.readouterr().err
+    assert f"batch_size must be >= 1, got {batch}" in err and "Traceback" not in err
+    assert run(["evaluate", "--data", data, "--checkpoint", path,
+                "--batch", 1]) == 0

@@ -1,6 +1,7 @@
 """Embedding, masking, pre-training and fine-tuning forward passes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,119 @@ def test_streamed_predictions_equal_one_at_a_time(monkeypatch):
     single = train.predict(params, strides, batch_size=1)
     assert np.array_equal(batched, single)
     assert np.array_equal(batched, train.predict(params, strides, batch_size=6))
+
+
+def full_read_logits(x0, params):
+    """The head over the last row of the encoder's whole (B, L, d_enc)
+    output: what classification computes when every row is read."""
+    cls = nm.encoder_forward(x0, params)[:, -1, :]
+    hidden = ad.silu(ad.add(ad.matmul(cls, params.head_w1), params.head_b1))
+    return ad.add(ad.matmul(hidden, params.head_w2), params.head_b2)
+
+
+def assert_logits_close(got, ref, dtype):
+    if dtype == np.float64:
+        assert np.abs(got - ref).max() <= 1e-12
+    else:
+        assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-5
+
+
+@pytest.mark.parametrize("seq_len, batch, rows, pos", [
+    (9, 3, 4, True),      # L not a multiple of the chunk; the last chunk
+    (9, 3, 8, True),      # holds only the class token
+    (9, 3, 5, True),
+    (9, 3, 1, True),
+    (2, 2, 1, True),      # L < k-1: the conv's past is shorter than its taps
+    (9, 1, 2, True),      # one flow
+    (9, 3, 4, False),     # no positional table
+    (9, 3, 40, True),     # one chunk holds the sequence
+], ids=("9by4", "9by8", "9by5", "9by1", "2by1", "B1", "no-pos", "9by40"))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_one_row_logits_match_grad_mode(monkeypatch, seq_len, batch, rows, pos,
+                                        dtype):
+    # no-grad logits embed and encode the flows a row chunk at a time and
+    # form only the class-token row past the top block's scan; grad-mode
+    # logits run the whole sequence in one chunk, and the reference reads
+    # every row of the encoder's output
+    cfg = nm.ModelConfig(**{**SMALL.to_dict(), "seq_len": seq_len,
+                            "use_pos_embed": pos})
+    rng = np.random.default_rng(seq_len + batch + rows)
+    params = nm.init_params(cfg, rng, dtype=dtype, with_decoder=False,
+                            with_head=True)
+    for p in params.enc_blocks:   # steps large enough that the state matters
+        p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=cfg.e_enc)
+    strides = rng.integers(0, 256, (batch, cfg.n_strides, cfg.stride_len))
+    norm = nm.normalize_strides(strides, dtype)
+    x0 = nm.embed_batch(norm, params)
+    graded = nm.finetune_forward(x0, params)
+    assert graded.requires_grad
+    full = full_read_logits(x0, params).data
+    monkeypatch.setattr(ssm, "_STREAM_BLOCK", rows * batch * cfg.e_enc)
+    with ad.no_grad():
+        streamed = nm.finetune_forward(nm.embed_rows(norm, params), params)
+    assert streamed.shape == (batch, cfg.num_classes)
+    assert streamed.dtype == graded.dtype == dtype
+    for got, ref in ((streamed.data, graded.data), (graded.data, full)):
+        assert_logits_close(got, ref, dtype)
+    if rows >= seq_len:
+        assert streamed.data.tobytes() == graded.data.tobytes()
+
+
+def test_one_row_logits_match_the_full_read_at_paper_width(monkeypatch):
+    # the paper's widths in float32 at batch 2, streamed in 64-row chunks:
+    # what the benchmark's prediction checks cannot see, the logits
+    # themselves, held to the rows-read-in-full reference
+    rng = np.random.default_rng(31)
+    params = nm.init_params(DEFAULT_CFG, rng, with_decoder=False, with_head=True)
+    strides = rng.integers(0, 256, (2, DEFAULT_CFG.n_strides, DEFAULT_CFG.stride_len))
+    norm = nm.normalize_strides(strides)
+    with ad.no_grad():
+        full = full_read_logits(nm.embed_batch(norm, params), params).data
+        monkeypatch.setattr(ssm, "_STREAM_BLOCK", 64 * 2 * DEFAULT_CFG.e_enc)
+        streamed = nm.finetune_forward(nm.embed_rows(norm, params), params).data
+    graded = nm.finetune_forward(nm.embed_batch(norm, params), params).data
+    assert full.dtype == streamed.dtype == graded.dtype == np.float32
+    assert_logits_close(streamed, full, np.float32)
+    assert_logits_close(graded, full, np.float32)
+
+
+def test_embedded_rows_are_the_rows_of_the_whole_embedding():
+    rng = np.random.default_rng(32)
+    params = small_params()
+    _, norm = batch_inputs(rng, n=3)
+    whole = nm.embed_batch(norm, params).data
+    assert nm.embed_batch(norm, params, slice(0, SMALL.seq_len)).data.tobytes() \
+        == whole.tobytes()
+    for r0, r1 in ((0, 1), (2, 7), (5, 9), (8, 9), (0, 8)):
+        part = nm.embed_batch(norm, params, slice(r0, r1)).data
+        np.testing.assert_allclose(part, whole[:, r0:r1], rtol=1e-14, atol=0)
+
+
+def test_no_grad_classification_memory_does_not_grow_with_length(monkeypatch):
+    # in 32-row chunks, the no-grad peak of a batch at L=1024 exceeds the
+    # one at L=256 by no more than the longer strides input plus a little:
+    # no (B, L, d_enc) embedding or encoder output is formed
+    B = 2
+    monkeypatch.setattr(ssm, "_STREAM_BLOCK", 32 * B * SMALL.e_enc)
+    peaks = {}
+    for L in (256, 1024):
+        cfg = nm.ModelConfig(**{**SMALL.to_dict(), "seq_len": L})
+        params = nm.init_params(cfg, np.random.default_rng(L), with_decoder=False,
+                                with_head=True)
+        strides = np.random.default_rng(L).integers(0, 256, (B, L - 1, 4))
+        norm = nm.normalize_strides(strides, np.float64)
+        with ad.no_grad():
+            nm.finetune_forward(nm.embed_rows(norm, params), params)  # first-call allocations
+            tracemalloc.start()
+            try:
+                logits = nm.finetune_forward(nm.embed_rows(norm, params), params)
+                peaks[L] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert logits.shape == (B, cfg.num_classes)
+    allowance = B * (1024 - 256) * SMALL.stride_len * 8 + 16 * 1024
+    assert allowance < B * (1024 - 256) * SMALL.d_enc * 8 / 2   # half an embedding's growth
+    assert peaks[1024] - peaks[256] <= allowance
 
 
 def test_class_token_jacobian_covers_all_strides():

@@ -516,6 +516,79 @@ def test_projected_scan_rejects_mismatched_projections():
         projected({**t, "w_out": ad.Tensor(np.zeros((2, 4)))})
 
 
+def read_tail(t, n):
+    """The scan's inputs with c (and z) cut to their last n rows."""
+    return t | {k: ad.Tensor(t[k].data[:, t[k].shape[1] - n:], requires_grad=True)
+                for k in ("c", "z") if k in t}
+
+
+def scan_of(t, **kwargs):
+    keywords = {k: t[k] for k in ("dt_bias", "z", "w_dt_up", "w_out") if k in t}
+    return ssm.selective_scan(t["low"], t["a"], t["b"], t["c"], t["x"],
+                              **keywords, **kwargs)
+
+
+@pytest.mark.parametrize("n", (0, 1, K + 2, 2 * K + 3))
+@pytest.mark.parametrize("layout", ("block", "plain"))
+def test_tail_scan_matches_the_last_rows_of_the_full_scan(layout, n):
+    # a scan told to produce only its last n rows steps the same states: the
+    # rows it returns and every gradient of a loss on them match the full
+    # scan's, whose c and z gradients are zero before those rows. The plain
+    # layout holds no GEMM, so there the bits are the full scan's
+    L = 2 * K + 3
+    if layout == "block":
+        full, w = projected_instance(np.random.default_rng(52), 2, L, 5, 3, 2, 4,
+                                     np.float64)
+    else:
+        full = {k: ad.Tensor(v, requires_grad=True)
+                for k, v in zip(("low", "a", "b", "c", "x"), scan_inputs(2, L, 5, 3))}
+        w = np.random.default_rng(52).standard_normal((2, L, 5))
+    cut = read_tail(full, n)
+    whole = scan_of(full)
+    ad.backward(ad.sum(ad.mul(whole, w * (np.arange(L) >= L - n)[:, None])))
+    out = scan_of(cut, tail=n)
+    assert out.shape == (2, n, whole.shape[-1])
+    ad.backward(ad.sum(ad.mul(out, w[:, L - n:])))
+    for k in ("c", "z"):
+        if k in full:
+            assert not full[k].grad[:, :L - n].any()
+    pairs = [(out.data, whole.data[:, L - n:])] + [
+        (cut[k].grad, full[k].grad[:, L - n:] if k in ("c", "z") else full[k].grad)
+        for k in full]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        if layout == "plain":
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+    # the state after the last step does not depend on the rows read
+    states = [np.zeros((2, 3, 5)), np.zeros((2, 3, 5))]
+    with ad.no_grad():
+        scan_of(full, state=states[0])
+        scan_of(cut, state=states[1], tail=n)
+    assert states[0].tobytes() == states[1].tobytes()
+
+
+def test_tail_scan_gradients_match_finite_differences():
+    # the last row alone, within one chunk and across a chunk boundary
+    for L in (5, K + 3):
+        t, w = projected_instance(np.random.default_rng(53), 1, L, 2, 2, 2, 3,
+                                  np.float64)
+        t["dt_bias"].data[:] = [-1.5, -0.5]
+        t = read_tail(t, 1)
+        f = lambda: ad.sum(ad.mul(scan_of(t, tail=1), w[:, -1:]))
+        assert max_rel_err(f, list(t.values())) < 1e-6, L
+
+
+def test_scan_refuses_a_tail_it_cannot_read():
+    t, _ = projected_instance(np.random.default_rng(54), 1, 4, 3, 2, 2, 4, np.float64)
+    for tail in (-1, 5):
+        with pytest.raises(ContractError, match="tail"):
+            scan_of(t, tail=tail)
+    with pytest.raises(ShapeError, match="c="):
+        scan_of(t, tail=2)                      # c and z still hold all 4 rows
+
+
 @pytest.mark.parametrize("given", ("dt_bias", "z", "w_dt_up", "w_out"))
 def test_scan_refuses_a_partial_block_layout(given):
     # the scan has two layouts, the plain one and the block's with all four
@@ -661,6 +734,29 @@ def test_block_is_byte_equal_to_unfused_block():
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n", (0, 1, 5, 2 * K + 5))
+def test_block_tail_matches_the_last_rows_of_the_full_block(n):
+    # a block told to return its last n rows forms z, C, y, the gate, the
+    # out-projection and the residual for those rows alone; its output and
+    # the gradients of its input and every parameter match the full
+    # block's, read at those rows, in float64
+    L = 2 * K + 5
+    results = []
+    for tail in (None, n):
+        rng = np.random.default_rng(55)
+        p = ssm.init_mamba_block(small_dims(), rng, dtype=np.float64)
+        p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=16)
+        x = ad.Tensor(rng.standard_normal((2, L, 8)), requires_grad=True)
+        out = ssm.block_forward(x, p, tail=tail)
+        if tail is None:
+            out = out[:, L - n:]
+        assert out.shape == (2, n, 8)
+        ad.backward(ad.sum(ad.mul(out, rng.standard_normal((2, n, 8)))))
+        results.append([out.data, x.grad] + [t.grad for _, t in p.named()])
+    for got, ref in zip(*results):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
 def test_block_keeps_only_what_its_backward_reads():
     # one grad-mode block at small widths leaves allocated its output and
     # the arrays its vjps read, listed below. Three (B, L, E) arrays stay
@@ -774,6 +870,46 @@ def test_streamed_stack_matches_grad_mode(monkeypatch, L, rows, dtype):
     else:
         rel = np.abs(streamed.data - whole.data).max() / np.abs(whole.data).max()
         assert rel <= 1e-5
+
+
+@pytest.mark.parametrize("L, rows, n", [
+    (37, 5, 1),      # L not a multiple of the chunk
+    (37, 12, 1),     # the last chunk holds the last row alone
+    (37, 5, 9),      # the rows read span chunks
+    (2, 1, 1),       # L < k-1
+    (1, 1, 1),
+    (9, 40, 3),      # one chunk holds the whole sequence
+], ids=("37by5", "37by12", "37by5-9rows", "2by1", "1by1", "9by40"))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_streamed_stack_tail_matches_grad_mode(monkeypatch, L, rows, n, dtype):
+    # the normalized last n rows, streamed from a tensor or from Rows formed
+    # on demand, and in grad mode, against the grad-mode pass over all rows
+    blocks, gain, x = stack_inputs(dtype, L=L)
+    whole = ssm.stack_forward(ad.Tensor(x), blocks, gain).data[:, L - n:]
+    graded = ssm.stack_forward(ad.Tensor(x), blocks, gain, tail=n)
+    assert graded.requires_grad
+    with stream_rows(monkeypatch, rows, 2, 16):
+        streamed = ssm.stack_forward(ad.Tensor(x), blocks, gain, tail=n)
+        formed = ssm.stack_forward(
+            ssm.Rows(x.shape, lambda r0, r1: ad.Tensor(x[:, r0:r1])), blocks, gain,
+            tail=n)
+    assert streamed.shape == graded.shape == (2, n, 8)
+    assert streamed.dtype == dtype and not streamed.requires_grad
+    assert formed.data.tobytes() == streamed.data.tobytes()
+    if rows >= L:
+        assert streamed.data.tobytes() == graded.data.tobytes()
+    for got in (streamed.data, graded.data):
+        if dtype == np.float64:
+            assert np.abs(got - whole).max() <= 1e-12
+        else:
+            assert np.abs(got - whole).max() / np.abs(whole).max() <= 1e-5
+
+
+def test_stack_refuses_a_tail_it_cannot_read():
+    blocks, gain, x = stack_inputs(np.float64, L=5)
+    for tail in (0, 6):
+        with pytest.raises(ContractError, match="tail"):
+            ssm.stack_forward(ad.Tensor(x), blocks, gain, tail=tail)
 
 
 def test_streamed_stack_is_causal(monkeypatch):

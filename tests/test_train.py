@@ -171,10 +171,10 @@ def track_embeddings(monkeypatch) -> list[bool]:
     that array, so it lives as long as the graph of its step."""
     real, refs, alive = nm.embed_batch, [], []
 
-    def embed_batch(strides, params):
+    def embed_batch(strides, params, rows=None):
         if refs:
             alive.append(refs[-1]() is not None)
-        x0 = real(strides, params)
+        x0 = real(strides, params, rows)
         refs.append(weakref.ref(x0.data))
         return x0
 
