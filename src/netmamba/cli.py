@@ -219,11 +219,26 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _positive_ints(flag: str, text: str) -> list[int]:
+    """A comma-separated list of positive ints, or a ConfigError naming the
+    flag and the value."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise ConfigError(f"{flag} must be a comma-separated list of positive "
+                          f"integers, got {text!r}")
+    return values
+
+
 def cmd_bench(args) -> int:
+    batch_sizes = _positive_ints("--batch-sizes", args.batch_sizes)
+    lengths = _positive_ints("--lengths", args.lengths)
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = cfgmod.build(nm.ModelConfig(), _values(args), seq_len=401,
                        num_classes=2)
-    batch_sizes = [int(x) for x in args.batch_sizes.split(",")]
-    lengths = [int(x) for x in args.lengths.split(",")]
     rows = bench_mod.bench_forward(cfg, batch_sizes, lengths,
                                    repeats=args.repeats, seed=args.seed or 0)
     if args.output:

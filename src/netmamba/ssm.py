@@ -40,9 +40,9 @@ the residual only for the rows read, and elsewhere only steps its conv tail
 and scan state; the scan's backward skips the per-step work of the rows not
 read.
 
-``selective_scan`` has two layouts: that block layout, with all four of
-its keyword inputs, and the plain scan without them, which the oracle
-tests check against the recurrence and hold the block layout to.
+``selective_scan`` takes exactly the block's inputs; the block is its only
+caller. The tests keep the plain recurrence as their oracle and reach it
+through the op with identity projections.
 
 For training the scan keeps only the state entering each chunk of _CHUNK
 steps; its backward pass recomputes each chunk from the arrays it saved.
@@ -143,51 +143,43 @@ def init_mamba_block(dims: SSMDims, rng: np.random.Generator, dtype=np.float32,
 _CHUNK = 16  # scan steps per stored state in grad mode
 
 
-def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
-                   dt_bias: Tensor | None = None, z: Tensor | None = None,
-                   w_dt_up: Tensor | None = None, w_out: Tensor | None = None,
+def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
+                   dt_bias: Tensor, z: Tensor, w_dt_up: Tensor, w_out: Tensor, *,
                    state: np.ndarray | None = None, tail: int | None = None) -> Tensor:
-    """Zero-order-hold selective scan, discretization included:
-    h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>.
+    """The block's zero-order-hold selective scan, with the ops around it
+    taken in as Mamba's mamba_inner_fn does (arXiv:2312.00752):
 
-    dt (B, L, E) must be positive; a (E, N); b, c (B, L, N); x (B, L, E);
-    returns (B, L, E). Strictly causal; the recurrence is sequential per
-    (batch, channel) lane. The state is (B, N, E), channels innermost, and
-    each step writes into buffers allocated once per call. The forward pass
-    walks the steps in chunks of _CHUNK and forms each chunk's dt*x (and
-    step, see below) only for that chunk. Only when grad mode is on and an
-    input requires grad are states kept: the one entering each chunk. The
-    backward pass walks the chunks last to first and recomputes each chunk's
-    dt*x, states and exp(dt_t*A) factors with the forward's own step. At the
-    start of each chunk it zeroes the entries of the adjoint dloss/dh_t below
-    np.finfo(dtype).tiny (see the module docstring). It reads the saved
-    arrays, never writing into them, so repeated backward calls accumulate.
+        dt_t = softplus(dt_low_t @ w_dt_up + dt_bias)
+        h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>
+        out_t = (y_t * silu(z_t)) @ w_out
 
-    ``tail``: how many final rows of y the caller reads, all L by default.
-    With tail = T, c (and z below) hold the last T rows only and the op
-    returns (B, T, ...): every step still moves the state, but y, C_t, the
-    gate and the out-projection exist for rows L-T..L-1 alone, and the
-    backward pass skips, at each earlier step, the C_t (x) dloss/dy_t outer
-    product, the recomputed y_t and its gate. T = 0 steps the state only.
+    dt_low (B, L, R) is the step's down-projection and w_dt_up (R, E) its
+    up-projection; dt_bias (E,); a (E, N); b (B, L, N); x (B, L, E); c
+    (B, T, N) and z (B, T, E); w_out (E, D); returns (B, T, D). Strictly
+    causal; the recurrence is sequential per (batch, channel) lane. The
+    state is (B, N, E), channels innermost, and each step writes into
+    buffers allocated once per call.
 
-    Two layouts: the plain scan above, with no keyword input, and the
-    block's, which takes in the block's ops around the scan as Mamba's
-    mamba_inner_fn does (arXiv:2312.00752). The block's layout needs all
-    four keyword inputs; a partial set raises ContractError:
-    - ``w_dt_up`` (R, E): dt is the (B, L, R) down-projected step and the
-      raw step is dt @ w_dt_up, formed one chunk of _CHUNK steps at a time,
-      in the forward loop and again in the backward;
-    - ``dt_bias`` (E,): the step is softplus(raw step + dt_bias);
-    - ``z`` (B, T, E): y is multiplied by silu(z), chunk by chunk;
-    - ``w_out`` (E, D): the op returns that gated output @ w_out, (B, T, D).
-    Output and gradients are bit for bit those of the same ops applied
-    around the plain scan, but the graph keeps only the inputs: the
-    backward recomputes the step, y, silu(z) and the gated output chunk by
-    chunk, each on the layout the forward computed it on. A chunk's rows of
-    dt @ w_dt_up round as the whole product's do, since numpy multiplies
-    both with gemm (a lone step is taken with the one before it, as a
-    one-row product would go to gemv); the tests hold the layouts to the
-    same bytes.
+    The forward pass walks the steps in chunks of _CHUNK, forming each
+    chunk's raw step, step and dt*x only for that chunk, and keeps, when
+    grad mode is on and an input requires grad, only the state entering
+    each chunk. The backward pass walks the chunks last to first and
+    recomputes each chunk's raw step, step, dt*x, states, exp(dt_t*A), y,
+    silu(z) and gated output with the forward's own arithmetic and layout,
+    so output and gradients are bit for bit those of the same ops applied
+    one by one. A chunk's rows of dt_low @ w_dt_up round as the whole
+    product's do: numpy multiplies both with gemm, and a lone step is taken
+    with the one before it, as a one-row product would go to gemv. At the
+    start of each chunk the backward zeroes the entries of the adjoint
+    dloss/dh_t below np.finfo(dtype).tiny (see the module docstring). It
+    reads the saved arrays, never writing into them, so repeated backward
+    calls accumulate.
+
+    ``tail``: how many final rows the caller reads, all L by default. With
+    tail = T every step still moves the state, but y, C_t, the gate and the
+    out-projection exist for rows L-T..L-1 alone, and the backward pass
+    skips, at each earlier step, the C_t (x) dloss/dy_t outer product, the
+    recomputed y_t and its gate. T = 0 steps the state only.
 
     ``state`` (B, N, E), no-grad only: the state before the first step, as
     Mamba's ssm_state carries it from one piece of a sequence to the next.
@@ -195,27 +187,24 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     last step; without it the scan starts from zeros. Passing one while the
     op would record a graph raises ContractError.
     """
-    keywords = {"dt_bias": dt_bias, "z": z, "w_dt_up": w_dt_up, "w_out": w_out}
-    block = all(t is not None for t in keywords.values())
-    if not block and any(t is not None for t in keywords.values()):
-        missing = [name for name, t in keywords.items() if t is None]
-        raise ContractError(f"selective_scan: the block layout also needs {missing}")
-    B, L, E = x.shape if x.ndim == 3 else (0, 0, 0)
+    given = {"dt_low": dt_low, "a": a, "b": b, "c": c, "x": x, "dt_bias": dt_bias,
+             "z": z, "w_dt_up": w_dt_up, "w_out": w_out}
+    if x.ndim != 3:
+        raise ShapeError(f"selective_scan: x={x.shape} is not (B, L, E)")
+    B, L, E = x.shape
     T = L if tail is None else tail
     if not 0 <= T <= L:
         raise ContractError(f"selective_scan: tail {tail} is not within 0..{L} rows")
-    N = a.shape[-1]
-    R = dt.shape[-1] if block else E
-    expected = {"dt": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, T, N),
-                "x": (B, L, E), "dt_bias": (E,), "z": (B, T, E),
-                "w_dt_up": (R, E), "w_out": (E, w_out.shape[-1] if block else 0)}
-    given = {"dt": dt, "a": a, "b": b, "c": c, "x": x, **keywords}
+    N, R, width = (t.shape[-1] if t.ndim else 0 for t in (a, dt_low, w_out))
+    expected = {"dt_low": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, T, N),
+                "x": (B, L, E), "dt_bias": (E,), "z": (B, T, E), "w_dt_up": (R, E),
+                "w_out": (E, width)}
     wrong = [f"{name}={t.shape} (expected {expected[name]})"
-             for name, t in given.items() if t is not None and t.shape != expected[name]]
-    if x.ndim != 3 or wrong:
+             for name, t in given.items() if t.shape != expected[name]]
+    if wrong:
         raise ShapeError(f"selective_scan: x={x.shape} gives (B, L, E); "
                          + ", ".join(wrong))
-    parents = tuple(t for t in given.values() if t is not None)
+    parents = tuple(given.values())
     dtype = np.result_type(*(p.data for p in parents))
     keep = ad.records_graph(*parents)
     if state is not None:
@@ -226,8 +215,8 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             raise ShapeError(f"selective_scan: state {state.shape} {state.dtype} "
                              f"is not ({B}, {N}, {E}) {np.dtype(dtype)}")
     At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
-    low, xd = dt.data, x.data
-    bias, zd, wu, wo = (t.data if block else None for t in keywords.values())
+    low, xd, bias, zd, wu, wo = (t.data for t in (dt_low, x, dt_bias, z, w_dt_up,
+                                                  w_out))
     # time-major views: X is (L, B, E), Bm (L, B, N) and C (T, B, N)
     X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
     K, first = _CHUNK, L - T                      # first: the first row read
@@ -236,13 +225,11 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
     abar, bx = np.empty_like(h), np.empty_like(h)
 
     def step_sizes(t0, n):
-        # the steps of t0..t0+n-1, time-major (n, B, E), and in the block's
-        # layout their pre-activation (B, n, E), whose raw step is
-        # up-projected from these rows alone, as ad.matmul would. numpy
-        # sends a one-row product to gemv, which rounds unlike gemm, so a
-        # lone step after the first is projected along with the one before
-        if not block:
-            return np.moveaxis(low[:, t0:t0 + n], 1, 0), None
+        # the steps of t0..t0+n-1, time-major (n, B, E), and their
+        # pre-activation (B, n, E), whose raw step is up-projected from
+        # these rows alone, as ad.matmul would. numpy sends a one-row
+        # product to gemv, which rounds unlike gemm, so a lone step after
+        # the first is projected along with the one before
         lo = t0 - 1 if n == 1 and t0 else t0
         pre = (low[:, lo:t0 + n] @ wu)[:, t0 - lo:]
         pre += bias
@@ -275,31 +262,27 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             if t >= first:
                 np.matmul(C[t - first][:, None, :], h, out=y[t - first][:, None, :])
         j0, rows = read(t0, n)
-        if block and j0 < n:
+        if j0 < n:
             zc = np.ascontiguousarray(zd[:, rows])
             out[:, rows] *= zc * ad._sigmoid(zc)
     del D, U
-    if block:
-        out = out @ wo
+    out = out @ wo
 
     def vjp(g):
-        # g_y: dloss/dy. In the block's layout it is written chunk by chunk
-        # over the op's own buffer of dloss/d(gated output) = g @ w_outᵀ
-        g_y = g @ np.swapaxes(wo, -1, -2) if block else g
-        if block:
-            g_z, gated = (np.empty((B, T, E), dtype=dtype) for _ in range(2))
+        # g_y: dloss/dy, written chunk by chunk over the op's own buffer of
+        # dloss/d(gated output) = g @ w_outᵀ
+        g_y = g @ np.swapaxes(wo, -1, -2)
+        g_z, gated = (np.empty((B, T, E), dtype=dtype) for _ in range(2))
         gy = np.moveaxis(g_y, 1, 0)                              # (T, B, E)
         g_x = np.empty((L, B, E), dtype=dtype)
-        # dloss/d(dt): time-major, or wrt the raw step (B, L, E) in the
-        # block's layout
-        g_dt = np.empty((B, L, E) if block else (L, B, E), dtype=dtype)
+        g_dt = np.empty((B, L, E), dtype=dtype)                  # wrt the raw step
         g_u, g_step = np.empty((K, B, E), dtype=dtype), np.empty((K, B, E), dtype=dtype)
         g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((T, B, N), dtype=dtype)
         acc = np.zeros((B, N, E), dtype=dtype)                   # dloss/dh_t
         g_a, s = np.zeros_like(acc), np.empty_like(acc)
         hs = np.empty((K + 1, B, N, E), dtype=dtype)             # hs[j] = h_{t0+j-1}
         abars = np.empty((K, B, N, E), dtype=dtype)
-        ys = np.empty((K, B, E), dtype=dtype) if block else None
+        ys = np.empty((K, B, E), dtype=dtype)
         tiny, mask = np.finfo(dtype).tiny, np.empty(acc.shape, dtype=bool)
         for t0 in reversed(range(0, L, K)):
             # subnormal adjoint entries cost x86 microcode assists; see the
@@ -314,7 +297,7 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
             for j in range(n):
                 step(Dc[j], Bm[t0 + j], Uc[j], hs[j], hs[j + 1], abars[j])
             j0, out_rows = read(t0, n)
-            if block and j0 < n:
+            if j0 < n:
                 for j in range(j0, n):
                     np.matmul(C[t0 + j - first][:, None, :], hs[j + 1],
                               out=ys[j][:, None, :])
@@ -326,7 +309,6 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                             out=g_z[:, out_rows])
                 np.multiply(g_y[:, out_rows], gate, out=g_y[:, out_rows])
                 np.multiply(y, gate, out=gated[:, out_rows])
-            if j0 < n:
                 np.matmul(hs[j0 + 1:n + 1], gy[out_rows, :, :, None],
                           out=g_c[out_rows, :, :, None])
             for j in range(n - 1, -1, -1):
@@ -343,16 +325,11 @@ def selective_scan(dt: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor, *,
                 else:
                     g_step[j] = 0
             np.multiply(g_u[:n], Dc, out=g_x[rows])
-            if block:
-                np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * X[rows], 0, 1),
-                            ad._sigmoid(pre), out=g_dt[:, rows])
-            else:
-                np.add(g_step[:n], g_u[:n] * X[rows], out=g_dt[rows])
+            np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * X[rows], 0, 1),
+                        ad._sigmoid(pre), out=g_dt[:, rows])
         del hs, abars
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
         g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_b, g_c, g_x))
-        if not block:
-            return [np.moveaxis(g_dt, 0, 1), g_a, g_b, g_c, g_x]
         g_bias = ad._unbroadcast(g_dt, bias.shape)
         # as ad.matmul's vjp: w_dt_up, the step's down-projection and w_out;
         # the (B, L, E) g_dt goes before the last GEMM
@@ -429,9 +406,8 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     c = ad.matmul(_tail(xc, T), p.w_c)
     dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
-    out = ad.add(selective_scan(dt_low, a, b_in, c, xc, dt_bias=p.dt_bias, z=z,
-                                w_dt_up=p.w_dt_up, w_out=p.w_out,
-                                state=None if carry is None else carry.state,
+    out = ad.add(selective_scan(dt_low, a, b_in, c, xc, p.dt_bias, z, p.w_dt_up,
+                                p.w_out, state=None if carry is None else carry.state,
                                 tail=T),
                  _tail(x_prev, T))
     if not np.all(np.isfinite(out.data)):

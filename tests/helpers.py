@@ -1,10 +1,15 @@
-"""Shared test oracles: central finite differences and small builders."""
+"""Shared test oracles: central finite differences, the plain scan and its
+reference forms, and small builders."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from netmamba import autodiff as ad
+from netmamba import ssm
+from netmamba.errors import ContractError
 
 
 def numeric_grads(f, wrt, eps: float = 1e-4) -> list[np.ndarray]:
@@ -50,7 +55,6 @@ def rand_tensor(rng, *shape, scale: float = 1.0) -> ad.Tensor:
     return ad.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
-
 def causal_conv1d(x, weight, bias=None) -> ad.Tensor:
     """Oracle: the per-channel causal convolution on (B, L, E) without the
     SiLU that ``ad.causal_conv1d`` applies, as a graph op of its own.
@@ -80,6 +84,153 @@ def causal_conv1d(x, weight, bias=None) -> ad.Tensor:
         return [gx, gw] + ([g.sum(axis=(0, 1))] if bias is not None else [])
 
     return ad.custom_op(out, parents, vjp)
+
+
+# ---------------------------------------------------------------------------
+# the plain scan h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t, y_t = <C_t, h_t>:
+# reference forms, the oracle op, and the src op made to compute it
+
+
+def random_instance(rng, B=2, L=8, E=3, N=2, time_invariant=False):
+    """Plain-scan inputs (dt, a, b, c, x) with dt in [0.05, 1] and A < 0."""
+    def draw(shape):
+        return rng.uniform(0.05, 1.0, size=shape)
+
+    if time_invariant:
+        delta = np.tile(draw((B, 1, E)), (1, L, 1))
+        b_in = np.tile(rng.standard_normal((B, 1, N)), (1, L, 1))
+        c = np.tile(rng.standard_normal((B, 1, N)), (1, L, 1))
+    else:
+        delta = draw((B, L, E))
+        b_in = rng.standard_normal((B, L, N))
+        c = rng.standard_normal((B, L, N))
+    a = -rng.uniform(0.2, 2.0, size=(E, N))
+    x = rng.standard_normal((B, L, E))
+    return delta, a, b_in, c, x
+
+
+def discretize_loop_oracle(delta, a, b_in):
+    B, L, E = delta.shape
+    N = a.shape[1]
+    abar = np.empty((B, L, E, N))
+    bbar = np.empty((B, L, E, N))
+    for b in range(B):
+        for l in range(L):
+            for e in range(E):
+                for n in range(N):
+                    abar[b, l, e, n] = math.exp(delta[b, l, e] * a[e, n])
+                    bbar[b, l, e, n] = delta[b, l, e] * b_in[b, l, n]
+    return abar, bbar
+
+
+def direct_scan_oracle(abar, bbar, c, x):
+    """O(L^2) expansion of the recurrence; works for time-varying inputs."""
+    B, L, E, N = abar.shape
+    y = np.zeros((B, L, E))
+    for t in range(L):
+        for s in range(t + 1):
+            prod = np.ones((B, E, N))
+            for u in range(s + 1, t + 1):
+                prod = prod * abar[:, u]
+            contrib = prod * bbar[:, s] * x[:, s][..., None]
+            y[:, t] += np.einsum("bn,ben->be", c[:, t], contrib)
+    return y
+
+
+def conv_form_oracle(abar, bbar, c, x):
+    """Convolutional form of the recurrence, valid only when the discrete
+    parameters are constant along the sequence axis: materializes the kernel
+    (C Bbar, C Abar Bbar, ..., C Abar^{L-1} Bbar) and convolves. Raises on
+    time-varying inputs.
+    """
+    abar = np.asarray(abar, dtype=np.float64)
+    bbar = np.asarray(bbar, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    B, L, E, N = abar.shape
+    for name, arr in (("abar", abar), ("bbar", bbar), ("c", c)):
+        if not np.array_equal(arr, np.broadcast_to(arr[:, :1], arr.shape)):
+            raise ContractError(f"conv_form_oracle requires time-invariant {name}")
+    a0, b0, c0 = abar[:, 0], bbar[:, 0], c[:, 0]   # (B,E,N), (B,E,N), (B,N)
+    powers = np.ones_like(a0)
+    kernel = np.empty((L, B, E))
+    for j in range(L):
+        kernel[j] = np.einsum("bn,ben->be", c0, powers * b0)
+        powers = powers * a0
+    y = np.zeros((B, L, E))
+    for t in range(L):
+        for j in range(t + 1):
+            y[:, t] += kernel[j] * x[:, t - j]
+    return y
+
+
+def unflushed_scan(dt, a, b, c, x, g):
+    """Reference forward and backward pass of the plain scan over a full
+    state history, with no subnormal flush: the arithmetic of
+    ``ssm.selective_scan``'s recurrence in the same order, so it matches
+    the op bit for bit wherever the flush changes nothing. Returns y, the
+    gradients wrt (dt, a, b, c, x) for the upstream gradient g and the
+    number of subnormal adjoint entries it carried."""
+    B, L, E = dt.shape
+    tiny = np.finfo(dt.dtype).tiny
+    At = np.ascontiguousarray(a.T)
+    D, U, Bm, C, gy = (np.moveaxis(v, 1, 0) for v in (dt, dt * x, b, c, g))
+    abar = np.exp(np.einsum("lbe,ne->lbne", D, At))
+    h = np.zeros((L + 1,) + abar.shape[1:], dtype=dt.dtype)   # h[t + 1] = h_t
+    for t in range(L):
+        h[t + 1] = abar[t] * h[t] + np.einsum("bn,be->bne", Bm[t], U[t])
+    y = np.moveaxis(np.matmul(C[:, :, None, :], h[1:])[:, :, 0], 0, 1)
+    g_c = np.matmul(h[1:], gy[..., None])[..., 0]
+    g_u, g_b = np.empty_like(D), np.empty_like(Bm)
+    g_dt, g_a, acc = np.zeros_like(D), np.zeros_like(h[0]), np.zeros_like(h[0])
+    subnormal = 0
+    for t in reversed(range(L)):
+        acc += np.einsum("bn,be->bne", C[t], gy[t])
+        g_u[t] = np.matmul(Bm[t][:, None, :], acc)[:, 0]
+        g_b[t] = np.matmul(acc, U[t][:, :, None])[..., 0]
+        acc *= abar[t]
+        subnormal += np.count_nonzero((acc != 0) & (np.abs(acc) < tiny))
+        if t:
+            s = acc * h[t]
+            g_dt[t] = np.einsum("bne,ne->be", s, At)
+            g_a += s * D[t][:, None, :]
+    g_dt += g_u * np.moveaxis(x, 1, 0)
+    g_dt, g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_dt, g_b, g_c, g_u * D))
+    return y, [g_dt, g_a.sum(0).T, g_b, g_c, g_x], subnormal
+
+
+def plain_scan(dt, a, b, c, x) -> ad.Tensor:
+    """Oracle: the plain scan as a graph op of its own, dt (B, L, E) being
+    the step itself; forward and backward by ``unflushed_scan``."""
+    arrays = [t.data for t in (dt, a, b, c, x)]
+    y = unflushed_scan(*arrays, np.zeros_like(arrays[4]))[0]
+    return ad.custom_op(y, (dt, a, b, c, x), lambda g: unflushed_scan(*arrays, g)[1])
+
+
+def softplus_inverse(dt):
+    """The raw step whose softplus is dt > 0."""
+    return dt + np.log(-np.expm1(-dt))
+
+
+def identity_layout(dt_low, a, b, c, x) -> tuple:
+    """``ssm.selective_scan``'s nine inputs that make it the plain scan with
+    step softplus(dt_low): R = D = E, w_dt_up = I, dt_bias = 0, z = 64 and
+    w_out = I/64. silu(64) is exactly 64 in float32 and float64 and every
+    GEMM against these projections is exact, so the op returns y, and the
+    adjoint its recurrence carries is the upstream gradient, bit for bit.
+    z has c's rows, so a tail scan takes them too."""
+    E, dtype = x.shape[-1], x.dtype
+    eye = np.eye(E, dtype=dtype)
+    return (dt_low, a, b, c, x, ad.Tensor(np.zeros(E, dtype=dtype)),
+            ad.Tensor(np.full(c.shape[:2] + (E,), 64.0, dtype=dtype)),
+            ad.Tensor(eye), ad.Tensor(eye / 64))
+
+
+def identity_scan(dt_low, a, b, c, x, **kwargs) -> ad.Tensor:
+    """``ssm.selective_scan`` through ``identity_layout``: the plain scan
+    of step softplus(dt_low), (B, T, E)."""
+    return ssm.selective_scan(*identity_layout(dt_low, a, b, c, x), **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # hand-rolled packet builders (fixtures are always constructed byte-by-byte)

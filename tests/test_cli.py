@@ -409,6 +409,26 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
     assert "scaling exponent" in capsys.readouterr().out
 
+@pytest.mark.parametrize("flag, value, text", [
+    ("--batch-sizes", "0", "'0'"),
+    ("--batch-sizes", "x", "'x'"),
+    ("--batch-sizes", "1,", "'1,'"),
+    ("--lengths", "0,8", "'0,8'"),
+    ("--lengths", "-4", "'-4'"),
+    ("--repeats", "0", "0"),
+], ids=["batch-0", "batch-x", "batch-trailing-comma", "lengths-0", "lengths-neg",
+        "repeats-0"])
+def test_bench_refuses_a_list_or_repeat_count_it_cannot_run(capsys, flag, value,
+                                                              text):
+    # each used to end in a traceback: a zero batch divided by zero, a
+    # malformed list failed to parse, a zero length broke the stack's tail
+    # contract and a negative one numpy's shapes
+    args = {"--batch-sizes": "1", "--lengths": "16", "--repeats": "5", flag: value}
+    assert run(["bench"] + [a for kv in args.items() for a in kv]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} must be" in err and f"got {text}" in err
+    assert "Traceback" not in err
+
 def test_pretrain_resume_from_fine_tuning_checkpoint_is_mismatch(
         head_checkpoint, tmp_path, capsys):
     data, path = head_checkpoint
