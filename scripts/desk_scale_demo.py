@@ -36,6 +36,12 @@ def main() -> None:
 
     samples = synthetic_samples(args.classes, args.per_class, repr_cfg,
                                 seed=args.seed)
+    parts = split_dataset(samples, (0.8, 0.1, 0.1), seed=args.seed)
+    for name, part in zip(("training", "validation", "test"), parts):
+        if not part:
+            parser.error(f"the {name} split of {args.per_class} flows per "
+                         "class is empty; pass a larger --per-class (10 or more)")
+
     def pack(part):
         data, labels = samples_to_arrays(part)
         return data.reshape(-1, repr_cfg.n_strides, repr_cfg.stride_len), labels
@@ -51,8 +57,7 @@ def main() -> None:
     print(f"pre-training: {args.pretrain_steps} steps in {time.time()-t0:.0f}s, "
           f"loss {pre.log[0][1]:.4f} -> {pre.log[-1][1]:.4f}")
 
-    tr, va, te = split_dataset(samples, (0.8, 0.1, 0.1), seed=args.seed)
-    splits = {"train": pack(tr), "val": pack(va), "test": pack(te)}
+    splits = dict(zip(("train", "val", "test"), map(pack, parts)))
     fcfg = train.finetune_defaults(epochs=args.epochs, batch_size=32,
                                    seed=args.seed, early_stop_val_acc=0.995)
     t0 = time.time()

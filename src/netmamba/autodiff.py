@@ -97,26 +97,7 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
-    # operator sugar; full op set lives at module level
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
+    # ops live at module level; indexing is the one operator
     def __getitem__(self, key):
         return index(self, key)
 

@@ -41,7 +41,7 @@ def bench_forward(cfg: nm.ModelConfig, batch_sizes, lengths,
             for x in xs:
                 for _ in range(warmup):
                     ssm.stack_forward(x, blocks, gain, tail=1)
-            for _ in range(max(repeats, 5)):
+            for _ in range(repeats):
                 for x, ts in zip(xs, times):
                     t0 = time.perf_counter()
                     ssm.stack_forward(x, blocks, gain, tail=1)

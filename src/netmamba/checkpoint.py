@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointMismatchError, ParseError
+from .errors import CheckpointMismatchError, ContractError, ParseError
 from .fileio import atomic_write
 from .model import ModelConfig, ModelParams, init_params
 
@@ -90,13 +90,14 @@ def save_model(path, params: ModelParams, step: int = 0,
 
 
 def _model_kind(params: ModelParams) -> str:
+    """"pretrain" for a model with a decoder, "finetune" for one with a
+    classification head; a model with both or neither is refused."""
     has_dec = params.recon_w is not None
-    has_head = params.head_w1 is not None
-    if has_dec and not has_head:
-        return "pretrain"
-    if has_head and not has_dec:
-        return "finetune"
-    return "full"
+    if has_dec == (params.head_w1 is not None):
+        raise ContractError(
+            "a checkpoint holds a pre-training model (a decoder) or a "
+            f"fine-tuning one (a head), not one with {'both' if has_dec else 'neither'}")
+    return "pretrain" if has_dec else "finetune"
 
 
 def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
@@ -106,11 +107,11 @@ def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
     meta, tensors = load_checkpoint(path)
     cfg = _model_config(path, meta.get("config"))
     kind = meta.get("kind", "pretrain")
-    params = init_params(
-        cfg, np.random.default_rng(0),
-        with_decoder=kind in ("pretrain", "full"),
-        with_head=kind in ("finetune", "full"),
-    )
+    if kind not in ("pretrain", "finetune"):
+        raise CheckpointMismatchError(f"{path}: unknown model kind {kind!r}")
+    params = init_params(cfg, np.random.default_rng(0),
+                         with_decoder=kind == "pretrain",
+                         with_head=kind == "finetune")
     leftovers = dict(tensors)
     for name, t in params.named():
         if name not in leftovers:

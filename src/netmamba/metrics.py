@@ -19,10 +19,6 @@ class MetricsReport:
     f1: float
     confusion: np.ndarray   # rows = true class, cols = predicted class
 
-    @property
-    def support(self) -> np.ndarray:
-        return self.confusion.sum(axis=1)
-
     def to_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,

@@ -1,12 +1,14 @@
 """Stride embedding, masked-reconstruction pre-training, and the
 classification head on top of the unidirectional SSM encoder.
 
-The class token sits at the *end* of the sequence: the encoder is causal, so
-only the trailing position sees every stride, and the classifier reads that
-row alone. During pre-training the encoder sees only the visible strides (in
-original temporal order) plus the class token; the decoder fills masked slots
-with a shared trainable token, restores the original order, and reconstructs
-the masked strides' normalized bytes.
+Both forwards take a flow batch as raw bytes, (B, n_strides, stride_len)
+integers: each maps them to [0, 1] once, in the parameters' dtype, and
+embeds them itself. The class token sits at the *end* of the sequence: the
+encoder is causal, so only the trailing position sees every stride, and the
+classifier reads that row alone. During pre-training the encoder sees only
+the visible strides (in original temporal order) plus the class token; the
+decoder fills masked slots with a shared trainable token, restores the
+original order, and reconstructs the masked strides' normalized bytes.
 """
 
 from __future__ import annotations
@@ -205,10 +207,11 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
 
 
 def normalize_strides(strides: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Map raw bytes to [0, 1]; float inputs are assumed already normalized."""
+    """Map raw bytes to [0, 1] in ``dtype``. Only integer bytes are taken: a
+    float array may or may not be normalized already, so it is refused."""
     arr = np.asarray(strides)
-    if arr.dtype.kind == "f":
-        return arr.astype(dtype, copy=False)
+    if arr.dtype.kind not in "ui":
+        raise ContractError(f"strides must be integer bytes, got {arr.dtype}")
     return arr.astype(dtype) / 255.0
 
 
@@ -218,8 +221,8 @@ def embed_batch(strides: np.ndarray, params: ModelParams,
     stride's embedding, then the class token, plus the positional table.
 
     ``rows``, a slice of the L positions, forms those rows alone, as a
-    streamed pass reads them (``embed_rows``); each row is computed by the
-    same ops as in the whole."""
+    streamed pass reads them (``finetune_forward``); each row is computed by
+    the same ops as in the whole."""
     cfg = params.cfg
     B, n, w = strides.shape
     if n != cfg.n_strides or w != cfg.stride_len:
@@ -240,19 +243,6 @@ def embed_batch(strides: np.ndarray, params: ModelParams,
     return x0
 
 
-def embed_rows(strides: np.ndarray, params: ModelParams) -> ssm.Rows:
-    """The (B, L, d_enc) embedding of ``embed_batch`` as a stack input that
-    forms it a row chunk at a time, each chunk through ``embed_batch``."""
-    cfg = params.cfg
-    return ssm.Rows((len(strides), cfg.seq_len, cfg.d_enc),
-                    lambda r0, r1: embed_batch(strides, params, slice(r0, r1)))
-
-
-def encoder_forward(x0: Tensor | ssm.Rows, params: ModelParams,
-                    tail: int | None = None) -> Tensor:
-    return ssm.stack_forward(x0, params.enc_blocks, params.enc_norm, tail)
-
-
 def _restore_indices(plans: list[MaskPlan], seq_len: int) -> np.ndarray:
     """Row j of the encoder+mask concat holds original position order[j];
     the decoder needs the inverse map."""
@@ -263,27 +253,24 @@ def _restore_indices(plans: list[MaskPlan], seq_len: int) -> np.ndarray:
     return out
 
 
-def pretrain_forward(
-    x0: Tensor,
-    targets: np.ndarray,
-    plans: list[MaskPlan],
-    params: ModelParams,
-) -> tuple[Tensor, Tensor]:
-    """Masked-reconstruction pass over a batch.
-
-    x0: (B, L, d_enc) embedded rows; targets: (B, n_strides, stride_len)
-    normalized bytes. Returns the per-masked-position predictions
-    (B, n_masked, stride_len) and the scalar MSE over masked positions
-    (exactly 0 when nothing is masked).
+def pretrain_forward(strides: np.ndarray, plans: list[MaskPlan],
+                     params: ModelParams) -> tuple[Tensor, Tensor]:
+    """Masked-reconstruction pass over a (B, n_strides, stride_len) byte
+    batch. Returns the per-masked-position predictions
+    (B, n_masked, stride_len) and the scalar MSE against those strides'
+    normalized bytes (exactly 0 when nothing is masked).
     """
     cfg = params.cfg
     if params.recon_w is None:
         raise ContractError("model was built without a decoder")
+    norm = normalize_strides(strides, params.embed_w.dtype)
+    x0 = embed_batch(norm, params)
     B, L, _ = x0.shape
     if len(plans) != B:
         raise ContractError(f"{len(plans)} mask plans for batch of {B}")
     vis_idx = np.stack([np.concatenate([p.visible, [L - 1]]) for p in plans])
-    enc_out = encoder_forward(ad.gather_rows(x0, vis_idx), params)
+    enc_out = ssm.stack_forward(ad.gather_rows(x0, vis_idx), params.enc_blocks,
+                                params.enc_norm)
     enc_out = ad.add(ad.matmul(enc_out, params.enc2dec_w), params.enc2dec_b)
 
     n_masked = L - 1 - plans[0].visible.shape[0]
@@ -297,32 +284,32 @@ def pretrain_forward(
     masked_idx = np.stack([p.masked for p in plans])
     dec_masked = ad.gather_rows(dec_out, masked_idx)
     pred = ad.add(ad.matmul(dec_masked, params.recon_w), params.recon_b)
-
-    tgt = np.take_along_axis(normalize_strides(targets, dtype=x0.dtype),
-                             masked_idx[..., None], axis=1)
-    loss = ad.mse(pred, tgt)
+    loss = ad.mse(pred, np.take_along_axis(norm, masked_idx[..., None], axis=1))
     if not np.isfinite(loss.data):
         raise NumericFaultError("non-finite reconstruction loss")
     return pred, loss
 
 
-def finetune_forward(x0: Tensor | ssm.Rows, params: ModelParams) -> Tensor:
-    """The encoder over the embedded rows x0, (B, L, d_enc) or
-    ``embed_rows``, read at its normalized trailing class-token row alone,
-    which feeds the MLP head. The encoder computes only that row past its
-    top block's scan state (``ssm.stack_forward`` with tail 1), with grad
-    or without. Returns unnormalized logits (B, C)."""
+def finetune_forward(strides: np.ndarray, params: ModelParams) -> Tensor:
+    """Unnormalized logits (B, C) of a (B, n_strides, stride_len) byte batch.
+
+    The encoder reads the embedding as ``ssm.Rows`` that form each row
+    chunk through ``embed_batch``: one chunk of all L rows with grad, row
+    chunks streamed without it, so no (B, L, d_enc) array exists then. It
+    computes only the normalized trailing class-token row past its top
+    block's scan state (``ssm.stack_forward`` with tail 1), and that row
+    alone feeds the MLP head."""
+    cfg = params.cfg
     if params.head_w1 is None:
         raise ContractError("model was built without a classification head")
-    if params.cfg.num_classes < 2:
+    if cfg.num_classes < 2:
         raise ConfigError("classification needs at least 2 classes")
-    cls = encoder_forward(x0, params, tail=1)[:, -1, :]
+    norm = normalize_strides(strides, params.embed_w.dtype)
+    x0 = ssm.Rows((len(norm), cfg.seq_len, cfg.d_enc),
+                  lambda r0, r1: embed_batch(norm, params, slice(r0, r1)))
+    cls = ssm.stack_forward(x0, params.enc_blocks, params.enc_norm, tail=1)[:, -1, :]
     hidden = ad.silu(ad.add(ad.matmul(cls, params.head_w1), params.head_b1))
     return ad.add(ad.matmul(hidden, params.head_w2), params.head_b2)
-
-
-def loss_cls(logits: Tensor, labels) -> Tensor:
-    return ad.softmax_cross_entropy(logits, labels)
 
 
 def patch_tokens(flat: np.ndarray, stride_len: int) -> np.ndarray:

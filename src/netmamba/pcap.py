@@ -36,10 +36,6 @@ class RawPacket:
     orig_len: int
 
     @property
-    def timestamp(self) -> float:
-        return self.ts_sec + self.ts_nsec / 1e9
-
-    @property
     def sort_key(self) -> tuple[int, int]:
         return (self.ts_sec, self.ts_nsec)
 

@@ -111,7 +111,6 @@ class StrideSample:
     """One flow cut into n_strides rows of stride_len bytes."""
 
     strides: np.ndarray           # (n_strides, stride_len) uint8
-    flow_key: FiveTuple | None = None
     label: int | None = None
 
     @property
@@ -291,6 +290,5 @@ def build_sample(flow: FlowRecord, cfg: ReprConfig) -> StrideSample:
         row[:] = crop_pad(ip_bytes[:end], ip_bytes[end:], cfg)
     return StrideSample(
         strides=rows.reshape(cfg.n_strides, cfg.stride_len),
-        flow_key=flow.key,
         label=flow.label,
     )

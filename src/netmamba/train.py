@@ -2,7 +2,9 @@
 
 Every stochastic choice (batch sampling, mask plans, epoch shuffles) draws
 from a generator derived from (seed, purpose, step), so a run resumed from a
-checkpoint replays the exact step stream of an uninterrupted run.
+checkpoint replays the exact step stream of an uninterrupted run. The loops
+hand the model raw byte batches, which its forwards normalize and embed;
+prediction calls the forward that fine-tuning trains.
 """
 
 from __future__ import annotations
@@ -171,12 +173,10 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
         idx = rng.choice(n, size=tcfg.batch_size, replace=n < tcfg.batch_size)
         plans = [nm.make_mask(cfg.seq_len, cfg.mask_ratio, rng)
                  for _ in range(tcfg.batch_size)]
-        batch = nm.normalize_strides(strides[idx])
+        batch = strides[idx]
         lr_t = sched.lr_at(step)
-        value = _step(
-            lambda: nm.pretrain_forward(nm.embed_batch(batch, params), batch,
-                                        plans, params)[1],
-            tensors, state, lr_t, tcfg.grad_clip)
+        value = _step(lambda: nm.pretrain_forward(batch, plans, params)[1],
+                      tensors, state, lr_t, tcfg.grad_clip)
         if step % tcfg.log_every == 0 or step == end_step - 1:
             log.append((step, value, lr_t))
         if value < best_loss:
@@ -199,15 +199,14 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
 
 def predict(params: nm.ModelParams, strides: np.ndarray,
             batch_size: int = 64) -> np.ndarray:
-    """Class predictions, ``batch_size`` flows per no-grad pass; each pass
-    embeds and encodes its flows one row chunk at a time (``nm.embed_rows``)
-    and computes only the class-token row past the top block's scan."""
+    """Class predictions, ``batch_size`` flows per no-grad pass of
+    ``nm.finetune_forward``, the forward that fine-tuning trains; without
+    grad it streams each batch along the sequence in row chunks."""
     _check_positive("batch_size", batch_size)
     preds = []
     with ad.no_grad():
         for lo in range(0, len(strides), batch_size):
-            batch = nm.normalize_strides(strides[lo:lo + batch_size])
-            logits = nm.finetune_forward(nm.embed_rows(batch, params), params)
+            logits = nm.finetune_forward(strides[lo:lo + batch_size], params)
             preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
@@ -263,10 +262,9 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
         losses = []
         for lo in range(0, n, tcfg.batch_size):
             sel = order[lo:lo + tcfg.batch_size]
-            batch = nm.normalize_strides(train_x[sel])
             losses.append(_step(
-                lambda: nm.loss_cls(nm.finetune_forward(
-                    nm.embed_batch(batch, params), params), train_y[sel]),
+                lambda: ad.softmax_cross_entropy(
+                    nm.finetune_forward(train_x[sel], params), train_y[sel]),
                 tensors, state, sched.lr_at(step), tcfg.grad_clip))
             step += 1
         val_acc = evaluate(params, val_x, val_y, tcfg.batch_size).accuracy

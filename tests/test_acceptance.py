@@ -141,12 +141,14 @@ def test_criterion_3_encoder_causality():
     rng = np.random.default_rng(303)
     params = nm.init_params(cfg, rng, dtype=np.float64)
     x = rng.standard_normal((1, cfg.seq_len, cfg.d_enc))
-    base = nm.encoder_forward(ad.Tensor(x), params).data
+    encoder = lambda rows: ssm.stack_forward(ad.Tensor(rows), params.enc_blocks,
+                                             params.enc_norm).data
+    base = encoder(x)
     for probe in range(20):
         t = int(rng.integers(1, cfg.seq_len))
         bumped = x.copy()
         bumped[:, t] += rng.standard_normal(cfg.d_enc)
-        out = nm.encoder_forward(ad.Tensor(bumped), params).data
+        out = encoder(bumped)
         assert np.array_equal(base[:, :t], out[:, :t]), f"probe {probe} at {t}"
     _report(3, "4-block encoder: 20 perturbation probes leave earlier "
                "rows bit-identical")

@@ -327,6 +327,11 @@ def test_cross_entropy_uniform_logits():
     assert ad.softmax_cross_entropy(logits, [3]).item() == pytest.approx(math.log(10.0), rel=1e-9)
 
 
+def test_cross_entropy_confident_margin_is_near_zero():
+    margin = ad.Tensor(np.array([[30.0, 0.0, 0.0]]))
+    assert ad.softmax_cross_entropy(margin, [0]).item() == pytest.approx(0.0, abs=1e-9)
+
+
 def test_cross_entropy_label_range():
     logits = ad.Tensor(np.zeros((2, 4)))
     with pytest.raises(ContractError):

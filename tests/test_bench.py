@@ -4,6 +4,7 @@ import pytest
 
 from netmamba import bench
 from netmamba import model as nm
+from netmamba import ssm
 
 TINY = nm.ModelConfig(stride_len=4, d_enc=8, e_enc=16, depth_enc=1, d_dec=8,
                       e_dec=16, depth_dec=1, state_dim=4, dt_rank=4, seq_len=9)
@@ -37,3 +38,15 @@ def test_forward_cost_fits_near_linear_exponent():
     exponent = bench.scaling_exponent(TINY, lengths=(64, 128, 256), batch=1,
                                       repeats=61)
     assert exponent <= 1.3
+
+
+@pytest.mark.parametrize("repeats", (1, 3))
+def test_bench_forward_times_exactly_repeats_passes(monkeypatch, repeats):
+    # per (batch, length): warmup passes, repeats timed passes, one traced pass
+    calls = []
+    real = ssm.stack_forward
+    monkeypatch.setattr(ssm, "stack_forward",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    bench.bench_forward(TINY, batch_sizes=[1], lengths=[8, 16],
+                        repeats=repeats, warmup=2)
+    assert len(calls) == 2 * (2 + repeats + 1)

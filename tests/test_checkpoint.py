@@ -8,7 +8,7 @@ import pytest
 from netmamba import autodiff as ad
 from netmamba import checkpoint as ckpt
 from netmamba import model as nm
-from netmamba.errors import CheckpointMismatchError, ParseError
+from netmamba.errors import CheckpointMismatchError, ContractError, ParseError
 
 CFG = nm.ModelConfig(stride_len=4, d_enc=16, e_enc=32, depth_enc=2, d_dec=8,
                      e_dec=16, depth_dec=1, state_dim=4, seq_len=9,
@@ -95,8 +95,7 @@ def test_retired_config_keys_at_paper_values_load_unchanged(tmp_path):
     def logits():
         params, _, _ = ckpt.load_model(path)
         with ad.no_grad():
-            x0 = nm.embed_batch(nm.normalize_strides(strides), params)
-            return params.cfg, nm.finetune_forward(x0, params).data
+            return params.cfg, nm.finetune_forward(strides, params).data
 
     cfg_before, before = logits()
     meta, tensors = ckpt.load_checkpoint(path)
@@ -194,3 +193,24 @@ def test_optimizer_tensors_round_trip(tmp_path):
     _, meta, extra = ckpt.load_model(path)
     assert meta["step"] == 9
     np.testing.assert_array_equal(extra["opt.m.embed.w"], opt["opt.m.embed.w"])
+
+
+@pytest.mark.parametrize("decoder, head, kind", [
+    (True, False, "pretrain"), (False, True, "finetune"),
+    (False, False, None), (True, True, None),
+], ids=["pretrain", "finetune", "encoder-only", "both"])
+def test_save_model_writes_one_kind_per_model(tmp_path, decoder, head, kind):
+    # load_model rebuilds a decoder or a head from the kind, so a model with
+    # neither or both has no kind it could load back
+    params = nm.init_params(CFG, np.random.default_rng(6), with_decoder=decoder,
+                            with_head=head)
+    path = tmp_path / "m.nmckpt"
+    if kind is None:
+        with pytest.raises(ContractError, match="both" if decoder else "neither"):
+            ckpt.save_model(path, params)
+        assert not path.exists()
+        return
+    ckpt.save_model(path, params)
+    loaded, meta, extra = ckpt.load_model(path)
+    assert meta["kind"] == kind and extra == {}
+    assert [n for n, _ in loaded.named()] == [n for n, _ in params.named()]

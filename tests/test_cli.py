@@ -342,6 +342,19 @@ def test_evaluate_checks_checkpoint_config_value_types(head_checkpoint, capsys,
     assert f"{key!r} = {value!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["bogus", "full", None])
+def test_evaluate_refuses_an_unknown_model_kind(head_checkpoint, capsys, kind):
+    # an unknown kind must not load as an encoder-only model with the head
+    # tensors left over as optimizer state
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["kind"] = kind
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert f"unknown model kind {kind!r}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("header", [
     b"\xff\xfe{",
     b'{"meta": {}',

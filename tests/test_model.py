@@ -1,6 +1,5 @@
 """Embedding, masking, pre-training and fine-tuning forward passes."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -10,8 +9,6 @@ from netmamba import autodiff as ad
 from netmamba import model as nm
 from netmamba import ssm, train
 from netmamba.errors import ConfigError, ContractError, ShapeError
-
-from helpers import max_rel_err
 
 DEFAULT_CFG = nm.ModelConfig()
 
@@ -104,6 +101,11 @@ def test_mask_plans_deterministic_for_fixed_seed():
         np.testing.assert_array_equal(x.permutation, y.permutation)
 
 
+def encoder_rows(x0, params):
+    """The encoder stack over arbitrary (B, L, d_enc) rows, every row read."""
+    return ssm.stack_forward(x0, params.enc_blocks, params.enc_norm)
+
+
 def batch_inputs(rng, n=2):
     strides = rng.integers(0, 256, (n, SMALL.n_strides, SMALL.stride_len),
                            dtype=np.uint8)
@@ -115,8 +117,7 @@ def test_pretrain_forward_shapes_and_loss_matches_external_mse():
     params = small_params(with_decoder=True)
     strides, norm = batch_inputs(rng)
     plans = [nm.make_mask(SMALL.seq_len, SMALL.mask_ratio, rng) for _ in range(2)]
-    x0 = nm.embed_batch(norm, params)
-    pred, loss = nm.pretrain_forward(x0, norm, plans, params)
+    pred, loss = nm.pretrain_forward(strides, plans, params)
     n_masked = plans[0].masked.size
     assert pred.shape == (2, n_masked, SMALL.stride_len)
     tgt = np.stack([norm[b][plans[b].masked] for b in range(2)])
@@ -126,28 +127,30 @@ def test_pretrain_forward_shapes_and_loss_matches_external_mse():
 def test_pretrain_loss_zero_when_nothing_masked():
     rng = np.random.default_rng(5)
     params = small_params(with_decoder=True)
-    _, norm = batch_inputs(rng, n=1)
+    strides, _ = batch_inputs(rng, n=1)
     plan = nm.MaskPlan(
         permutation=np.arange(SMALL.n_strides),
         visible=np.arange(SMALL.n_strides),
         masked=np.empty(0, dtype=np.int64),
     )
-    x0 = nm.embed_batch(norm, params)
-    _, loss = nm.pretrain_forward(x0, norm, [plan], params)
+    _, loss = nm.pretrain_forward(strides, [plan], params)
     assert loss.item() == 0.0
 
 
-def test_pretrain_loss_ignores_visible_targets():
+def test_forwards_refuse_float_strides():
+    # a float batch may or may not be normalized already; the forwards
+    # take bytes and normalize them once themselves
     rng = np.random.default_rng(6)
-    params = small_params(with_decoder=True)
-    _, norm = batch_inputs(rng, n=1)
-    plan = nm.make_mask(SMALL.seq_len, SMALL.mask_ratio, rng)
-    x0 = nm.embed_batch(norm, params)
-    _, loss = nm.pretrain_forward(x0, norm, [plan], params)
-    doctored = norm.copy()
-    doctored[0, plan.visible] = 0.77
-    _, loss2 = nm.pretrain_forward(x0, doctored, [plan], params)
-    assert loss.item() == loss2.item()
+    strides, norm = batch_inputs(rng, n=1)
+    plans = [nm.make_mask(SMALL.seq_len, SMALL.mask_ratio, rng)]
+    pre = small_params(with_decoder=True)
+    fine = small_params(with_decoder=False, with_head=True)
+    nm.pretrain_forward(strides, plans, pre)
+    nm.finetune_forward(strides, fine)
+    with pytest.raises(ContractError, match="integer bytes"):
+        nm.pretrain_forward(norm, plans, pre)
+    with pytest.raises(ContractError, match="integer bytes"):
+        nm.finetune_forward(norm, fine)
 
 
 def test_untrained_reconstruction_loss_near_uniform_variance():
@@ -157,17 +160,16 @@ def test_untrained_reconstruction_loss_near_uniform_variance():
     rng = np.random.default_rng(7)
     params = nm.init_params(cfg, rng, dtype=np.float64)
     strides = rng.integers(0, 256, (4, 400, 4), dtype=np.uint8)
-    norm = nm.normalize_strides(strides, np.float64)
     plans = [nm.make_mask(401, 0.9, rng) for _ in range(4)]
-    _, loss = nm.pretrain_forward(nm.embed_batch(norm, params), norm, plans, params)
+    _, loss = nm.pretrain_forward(strides, plans, params)
     assert 1 / 12 * 0.5 <= loss.item() <= 1 / 12 * 1.5
 
 
 def test_finetune_logits_shape_and_softmax():
     rng = np.random.default_rng(9)
     params = small_params(with_decoder=False, with_head=True)
-    _, norm = batch_inputs(rng)
-    logits = nm.finetune_forward(nm.embed_batch(norm, params), params)
+    strides, _ = batch_inputs(rng)
+    logits = nm.finetune_forward(strides, params)
     assert logits.shape == (2, SMALL.num_classes)
     p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
@@ -179,11 +181,11 @@ def test_finetune_sees_last_stride():
     # including the one immediately before it
     rng = np.random.default_rng(10)
     params = small_params(with_decoder=False, with_head=True)
-    strides, norm = batch_inputs(rng, n=1)
-    base = nm.finetune_forward(nm.embed_batch(norm, params), params).data
-    bumped = norm.copy()
-    bumped[0, -1] = 1.0 - bumped[0, -1]
-    out = nm.finetune_forward(nm.embed_batch(bumped, params), params).data
+    strides, _ = batch_inputs(rng, n=1)
+    base = nm.finetune_forward(strides, params).data
+    bumped = strides.copy()
+    bumped[0, -1] = 255 - bumped[0, -1]
+    out = nm.finetune_forward(bumped, params).data
     assert not np.allclose(base, out)
 
 
@@ -194,14 +196,14 @@ def test_streamed_encoder_and_logits_match_grad_mode(monkeypatch, rows, dtype):
     # passes run it whole. A chunk holding the sequence gives the same bits
     rng = np.random.default_rng(12)
     params = small_params(dtype=dtype, with_decoder=False, with_head=True)
-    _, norm = batch_inputs(rng, n=3)
-    x0 = nm.embed_batch(norm.astype(dtype), params)
-    whole = nm.encoder_forward(x0, params).data
-    logits = nm.finetune_forward(x0, params).data
+    strides, _ = batch_inputs(rng, n=3)
+    x0 = nm.embed_batch(nm.normalize_strides(strides, dtype), params)
+    whole = encoder_rows(x0, params).data
+    logits = nm.finetune_forward(strides, params).data
     monkeypatch.setattr(ssm, "_STREAM_BLOCK", rows * 3 * SMALL.e_enc)
     with ad.no_grad():
-        streamed = nm.encoder_forward(x0, params).data
-        streamed_logits = nm.finetune_forward(x0, params).data
+        streamed = encoder_rows(x0, params).data
+        streamed_logits = nm.finetune_forward(strides, params).data
     assert streamed.shape == whole.shape == (3, SMALL.seq_len, SMALL.d_enc)
     for got, ref in ((streamed, whole), (streamed_logits, logits)):
         if dtype == np.float64:
@@ -224,7 +226,7 @@ def test_streamed_predictions_equal_one_at_a_time(monkeypatch):
 def full_read_logits(x0, params):
     """The head over the last row of the encoder's whole (B, L, d_enc)
     output: what classification computes when every row is read."""
-    cls = nm.encoder_forward(x0, params)[:, -1, :]
+    cls = encoder_rows(x0, params)[:, -1, :]
     hidden = ad.silu(ad.add(ad.matmul(cls, params.head_w1), params.head_b1))
     return ad.add(ad.matmul(hidden, params.head_w2), params.head_b2)
 
@@ -261,14 +263,13 @@ def test_one_row_logits_match_grad_mode(monkeypatch, seq_len, batch, rows, pos,
     for p in params.enc_blocks:   # steps large enough that the state matters
         p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=cfg.e_enc)
     strides = rng.integers(0, 256, (batch, cfg.n_strides, cfg.stride_len))
-    norm = nm.normalize_strides(strides, dtype)
-    x0 = nm.embed_batch(norm, params)
-    graded = nm.finetune_forward(x0, params)
+    graded = nm.finetune_forward(strides, params)
     assert graded.requires_grad
-    full = full_read_logits(x0, params).data
+    full = full_read_logits(
+        nm.embed_batch(nm.normalize_strides(strides, dtype), params), params).data
     monkeypatch.setattr(ssm, "_STREAM_BLOCK", rows * batch * cfg.e_enc)
     with ad.no_grad():
-        streamed = nm.finetune_forward(nm.embed_rows(norm, params), params)
+        streamed = nm.finetune_forward(strides, params)
     assert streamed.shape == (batch, cfg.num_classes)
     assert streamed.dtype == graded.dtype == dtype
     for got, ref in ((streamed.data, graded.data), (graded.data, full)):
@@ -288,8 +289,8 @@ def test_one_row_logits_match_the_full_read_at_paper_width(monkeypatch):
     with ad.no_grad():
         full = full_read_logits(nm.embed_batch(norm, params), params).data
         monkeypatch.setattr(ssm, "_STREAM_BLOCK", 64 * 2 * DEFAULT_CFG.e_enc)
-        streamed = nm.finetune_forward(nm.embed_rows(norm, params), params).data
-    graded = nm.finetune_forward(nm.embed_batch(norm, params), params).data
+        streamed = nm.finetune_forward(strides, params).data
+    graded = nm.finetune_forward(strides, params).data
     assert full.dtype == streamed.dtype == graded.dtype == np.float32
     assert_logits_close(streamed, full, np.float32)
     assert_logits_close(graded, full, np.float32)
@@ -319,12 +320,11 @@ def test_no_grad_classification_memory_does_not_grow_with_length(monkeypatch):
         params = nm.init_params(cfg, np.random.default_rng(L), with_decoder=False,
                                 with_head=True)
         strides = np.random.default_rng(L).integers(0, 256, (B, L - 1, 4))
-        norm = nm.normalize_strides(strides, np.float64)
         with ad.no_grad():
-            nm.finetune_forward(nm.embed_rows(norm, params), params)  # first-call allocations
+            nm.finetune_forward(strides, params)  # first-call allocations
             tracemalloc.start()
             try:
-                logits = nm.finetune_forward(nm.embed_rows(norm, params), params)
+                logits = nm.finetune_forward(strides, params)
                 peaks[L] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -340,7 +340,8 @@ def test_class_token_jacobian_covers_all_strides():
     _, norm = batch_inputs(rng, n=1)
     x0 = nm.embed_batch(norm, params)
     leaf = ad.Tensor(x0.data, requires_grad=True)
-    ad.backward(ad.sum(nm.finetune_forward(leaf, params)))
+    ad.backward(ad.sum(ssm.stack_forward(leaf, params.enc_blocks, params.enc_norm,
+                                         tail=1)))
     row_norms = np.abs(leaf.grad[0]).sum(axis=1)
     assert np.all(row_norms > 0)
 
@@ -348,7 +349,8 @@ def test_class_token_jacobian_covers_all_strides():
 def test_finetune_requires_head_and_classes():
     params = small_params(with_decoder=True)
     with pytest.raises(ContractError):
-        nm.finetune_forward(ad.Tensor(np.zeros((1, SMALL.seq_len, SMALL.d_enc))), params)
+        nm.finetune_forward(np.zeros((1, SMALL.n_strides, SMALL.stride_len),
+                                     dtype=np.uint8), params)
     # a single-class config is fine for pre-training, but the head rejects it
     cfg = nm.ModelConfig(**{**SMALL.to_dict(), "num_classes": 1})
     with pytest.raises(ConfigError):
@@ -359,17 +361,6 @@ def test_config_rejects_invalid_num_classes_never():
     # num_classes is irrelevant during pre-training; only head init enforces it
     cfg = nm.ModelConfig(num_classes=1)
     assert cfg.num_classes == 1
-
-
-def test_loss_cls_values_and_gradient():
-    logits = ad.Tensor(np.zeros((1, 10)))
-    assert nm.loss_cls(logits, [2]).item() == pytest.approx(math.log(10), rel=1e-9)
-    margin = ad.Tensor(np.array([[30.0, 0.0, 0.0]]))
-    assert nm.loss_cls(margin, [0]).item() == pytest.approx(0.0, abs=1e-9)
-    rng = np.random.default_rng(12)
-    x = ad.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    f = lambda: nm.loss_cls(x, [1, 0, 4])
-    assert max_rel_err(f, [x]) < 1e-6
 
 
 def test_parameter_counts_match_reported_sizes():
@@ -394,8 +385,7 @@ def test_ablation_toggles_keep_shapes():
     cfg = nm.ModelConfig(**{**SMALL.to_dict(), "use_pos_embed": False})
     params = nm.init_params(cfg, rng, dtype=np.float64, with_head=True)
     strides = rng.integers(0, 256, (1, cfg.n_strides, cfg.stride_len), dtype=np.uint8)
-    norm = nm.normalize_strides(strides, np.float64)
-    logits = nm.finetune_forward(nm.embed_batch(norm, params), params)
+    logits = nm.finetune_forward(strides, params)
     assert logits.shape == (1, cfg.num_classes)
 
 
