@@ -4,6 +4,10 @@ Layout: 8-byte magic "NMCKPT01", u32 little-endian length of a JSON metadata
 block (config, step, named tensor index with shapes and byte offsets), then
 raw little-endian float32 data per tensor in index order. Loading verifies
 the magic, every indexed name/shape, and the total byte length.
+
+A model checkpoint holds the whole model, its config (tokenizer included)
+and every tensor, plus optimizer moments in a ``last.nmckpt``;
+``load_model`` is the one reader of model checkpoints.
 """
 
 from __future__ import annotations
@@ -102,8 +106,9 @@ def _model_kind(params: ModelParams) -> str:
 
 def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
     """Rebuild a model exactly as saved; every expected tensor must be
-    present with the right shape. Returns (params, meta, non-model tensors
-    such as optimizer state)."""
+    present with the right shape, and every other tensor must be an
+    optimizer moment of one of them, of its shape. Returns (params, meta,
+    the optimizer moments by their checkpoint names)."""
     meta, tensors = load_checkpoint(path)
     cfg = _model_config(path, meta.get("config"))
     kind = meta.get("kind", "pretrain")
@@ -112,16 +117,29 @@ def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
     params = init_params(cfg, np.random.default_rng(0),
                          with_decoder=kind == "pretrain",
                          with_head=kind == "finetune")
-    leftovers = dict(tensors)
-    for name, t in params.named():
-        if name not in leftovers:
-            raise CheckpointMismatchError(f"{path}: missing tensor {name}")
-        arr = leftovers.pop(name)
-        if arr.shape != t.shape:
+    ours = params.tensors()
+    for name, arr in tensors.items():
+        owner = ours.get(name[6:] if name.startswith(("opt.m.", "opt.v.")) else name)
+        if owner is None:
             raise CheckpointMismatchError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {t.shape}")
-        t.data = arr.astype(t.dtype, copy=True)
-    return params, meta, leftovers
+                f"{path}: tensor {name} has no place in this model")
+        if arr.shape != owner.shape:
+            raise CheckpointMismatchError(
+                f"{path}: tensor {name} has shape {arr.shape}, expected {owner.shape}")
+    for name, t in ours.items():
+        if name not in tensors:
+            raise CheckpointMismatchError(f"{path}: missing tensor {name}")
+        t.data = tensors[name].astype(t.dtype, copy=True)
+    return params, meta, {k: v for k, v in tensors.items() if k not in ours}
+
+
+def check_geometry(path, cfg: ModelConfig, strides: np.ndarray, source) -> None:
+    """Refuse a (n, n_strides, stride_len) byte array from ``source`` whose
+    stride count or width is not that of the model saved at ``path``."""
+    if strides.shape[1:] != (cfg.n_strides, cfg.stride_len):
+        raise CheckpointMismatchError(
+            f"{path} expects {cfg.n_strides} strides of {cfg.stride_len} "
+            f"bytes, but {source} has {strides.shape[1]} of {strides.shape[2]}")
 
 
 def _model_config(path, saved) -> ModelConfig:
@@ -159,34 +177,21 @@ NOT_ENCODER_KEYS = ("mask_ratio", "d_dec", "e_dec", "depth_dec", "num_classes")
 
 
 def load_encoder_weights(params: ModelParams, path) -> None:
-    """Initialize the embedding and encoder stack of ``params`` from a
-    pre-training checkpoint, leaving decoder/head tensors untouched. The
-    checkpoint's config is checked as ``load_model`` checks it. An embedding
-    or encoder tensor that ``params`` has no place for (a deeper encoder's
-    blocks, say), lacks, or has in another shape is refused rather than
-    dropped. Then the config must agree with ``params.cfg`` on every key but
-    NOT_ENCODER_KEYS, including those that leave every tensor shape the
-    same (``use_pos_embed``). Nothing is loaded unless every check passes."""
-    meta, tensors = load_checkpoint(path)
-    saved = _model_config(path, meta.get("config"))
-    encoder = ("enc.", "embed.")
-    ours = {name: t for name, t in params.named() if name.startswith(encoder)}
-    for name in tensors:
-        if name.startswith(encoder) and name not in ours:
-            raise CheckpointMismatchError(
-                f"{path}: tensor {name} has no place in this model")
-    for name, t in ours.items():
-        if name not in tensors:
-            raise CheckpointMismatchError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != t.shape:
-            raise CheckpointMismatchError(
-                f"{path}: tensor {name} has shape {tensors[name].shape}, "
-                f"expected {t.shape}")
+    """Initialize the embedding and encoder stack of ``params`` from the
+    model checkpoint at ``path``, as ``load_model`` reads it, leaving
+    decoder/head tensors untouched. The checkpoint's config must agree with
+    ``params.cfg`` on every key but NOT_ENCODER_KEYS: that fixes the name
+    and shape of every encoder tensor, and refuses the keys that change no
+    shape (``use_pos_embed``, ``patch_split``). Nothing is loaded unless
+    every check passes."""
+    saved, _, _ = load_model(path)
     for f in fields(ModelConfig):
-        value, pretrained = getattr(params.cfg, f.name), getattr(saved, f.name)
+        value, pretrained = getattr(params.cfg, f.name), getattr(saved.cfg, f.name)
         if f.name not in NOT_ENCODER_KEYS and value != pretrained:
             raise CheckpointMismatchError(
                 f"{path}: the encoder was pre-trained with {f.name} = "
                 f"{pretrained!r}, not {value!r}")
-    for name, t in ours.items():
-        t.data = tensors[name].astype(t.dtype, copy=True)
+    ours = params.tensors()
+    for name, t in saved.named():
+        if name.startswith(("enc.", "embed.")):
+            ours[name].data = t.data.astype(ours[name].dtype)

@@ -24,8 +24,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import checkpoint as ckpt
 from . import config as cfgmod
@@ -49,12 +47,6 @@ def _values(args) -> dict:
     """The config file merged under the flags whose ``dest`` is a config key."""
     flags = {k: v for k, v in vars(args).items() if k in cfgmod.SCHEMA}
     return cfgmod.merge(cfgmod.load_config(args.config), flags)
-
-
-def _tokens(sf: datamod.StrideFile, values: dict) -> np.ndarray:
-    if values.get("patch_split"):
-        return nm.patch_tokens(sf.data, sf.stride_len)
-    return sf.strides
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +144,12 @@ def _resolve_data(path, split: str) -> Path:
 def cmd_pretrain(args) -> int:
     values = _values(args)
     sf = datamod.read_samples(_resolve_data(args.data, "train"))
-    tokens = _tokens(sf, values)
     cfg = cfgmod.build(nm.ModelConfig(), values, seq_len=sf.n_strides + 1,
                        stride_len=sf.stride_len,
                        num_classes=max(sf.num_classes, 2))
     tcfg = cfgmod.build(trainmod.pretrain_defaults(), values)
     out_dir = Path(args.output)
-    result = trainmod.pretrain(tokens, cfg, tcfg, out_dir=out_dir,
+    result = trainmod.pretrain(sf.strides, cfg, tcfg, out_dir=out_dir,
                                resume=args.resume,
                                given=[k for k in values if k in cfg.to_dict()])
     print(f"pre-training done: best loss {result.best_loss:.6f} at step "
@@ -175,7 +166,7 @@ def cmd_finetune(args) -> int:
     geometry = None
     for name in ("train", "val", "test"):
         sf = datamod.read_samples(_resolve_data(args.data, name))
-        splits[name] = (_tokens(sf, values), sf.labels)
+        splits[name] = (sf.strides, sf.labels)
         geometry = sf
     if (splits["train"][1] < 0).any():
         raise DataError("training split contains unlabeled samples")
@@ -202,14 +193,8 @@ def cmd_evaluate(args) -> int:
             "without a classification head; evaluate needs a fine-tuning one")
     data_path = _resolve_data(args.data, "test")
     sf = datamod.read_samples(data_path)
-    tokens = _tokens(sf, _values(args))
-    cfg = params.cfg
-    if tokens.shape[1:] != (cfg.n_strides, cfg.stride_len):
-        raise CheckpointMismatchError(
-            f"{args.checkpoint} expects {cfg.n_strides} strides of "
-            f"{cfg.stride_len} bytes, but {data_path} has {tokens.shape[1]} "
-            f"of {tokens.shape[2]}")
-    report = trainmod.evaluate(params, tokens, sf.labels,
+    ckpt.check_geometry(args.checkpoint, params.cfg, sf.strides, data_path)
+    report = trainmod.evaluate(params, sf.strides, sf.labels,
                                batch_size=64 if args.batch is None else args.batch)
     text = report.to_json(indent=2)
     print(text)
@@ -314,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="metrics of a checkpoint on a split")
     p.add_argument("--data", required=True, help="NMSTRIDE file or extract dir")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config")
     p.add_argument("--output", help="also write the JSON report here")
     p.add_argument("--batch", type=int)
     p.set_defaults(func=cmd_evaluate)

@@ -3,7 +3,7 @@
 The config dataclasses define the keys: every field of ``ReprConfig``,
 ``ModelConfig`` and ``TrainConfig`` is a key of its annotated type, except
 ``seq_len`` and ``num_classes``, which the sample file fixes. ``EXTRA_KEYS``
-adds the few keys that only the commands read. Unknown keys are rejected and
+adds the few keys that only ``extract`` reads. Unknown keys are rejected and
 every value is type-checked at load time. Precedence is resolved by
 ``merge``: command-line flags override file values, which override built-in
 defaults.
@@ -30,8 +30,6 @@ EXTRA_KEYS: dict[str, type] = {
     "train_ratio": float,
     "val_ratio": float,
     "test_ratio": float,
-    # tokenizer ablation of pretrain, finetune and evaluate
-    "patch_split": bool,
 }
 
 

@@ -215,6 +215,8 @@ def synthetic_samples(n_classes: int, per_class: int, cfg: ReprConfig,
 
 def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
     """(n, L_b) uint8 bytes plus int64 labels (-1 where unlabeled)."""
+    if not samples:
+        raise DataError("no samples to pack into arrays")
     data = np.stack([s.flat for s in samples])
     labels = np.array([-1 if s.label is None else s.label for s in samples],
                       dtype=np.int64)

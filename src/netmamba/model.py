@@ -2,7 +2,9 @@
 classification head on top of the unidirectional SSM encoder.
 
 Both forwards take a flow batch as raw bytes, (B, n_strides, stride_len)
-integers: each maps them to [0, 1] once, in the parameters' dtype, and
+integers, and tokenize it as the config says: 1-D strides as stored or, with
+``patch_split``, the 2-D patches of ``patch_tokens`` (the paper's tokenizer
+ablation). Each maps the tokens to [0, 1] once, in the parameters' dtype, and
 embeds them itself. The class token sits at the *end* of the sequence: the
 encoder is causal, so only the trailing position sees every stride, and the
 classifier reads that row alone. During pre-training the encoder sees only
@@ -40,6 +42,7 @@ class ModelConfig:
     use_pos_embed: bool = True
     dt_rank: int = 16
     conv_kernel: int = 4
+    patch_split: bool = False     # 2-D patch tokens instead of 1-D strides
 
     def __post_init__(self):
         if self.seq_len < 2:
@@ -51,22 +54,16 @@ class ModelConfig:
     def n_strides(self) -> int:
         return self.seq_len - 1
 
-    @property
-    def n_visible(self) -> int:
-        """ceil((1 - r) * L), counting the always-visible class token."""
-        return math.ceil((1.0 - self.mask_ratio) * self.seq_len)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 @dataclass
 class MaskPlan:
-    """One sample's random masking: a permutation of stride indices, the
-    sorted visible subset, and the sorted masked complement. The class token
-    (index n_strides) is never in either set."""
+    """One sample's random masking: the sorted visible stride indices and
+    their sorted complement, ceil((1 - ratio) * seq_len) positions visible
+    counting the class token (index n_strides), which is in neither set."""
 
-    permutation: np.ndarray
     visible: np.ndarray
     masked: np.ndarray
 
@@ -79,7 +76,7 @@ def make_mask(seq_len: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
     perm = rng.permutation(n_strides)
     visible = np.sort(perm[:n_visible])
     masked = np.sort(perm[n_visible:])
-    return MaskPlan(permutation=perm, visible=visible, masked=masked)
+    return MaskPlan(visible=visible, masked=masked)
 
 
 @dataclass
@@ -215,6 +212,17 @@ def normalize_strides(strides: np.ndarray, dtype=np.float32) -> np.ndarray:
     return arr.astype(dtype) / 255.0
 
 
+def _tokens(strides: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The normalized tokens of a (B, n_strides, stride_len) byte batch: its
+    strides, or with ``patch_split`` the same bytes cut into 2-D patches. A
+    batch of another shape is left for ``embed_batch`` to refuse."""
+    cfg = params.cfg
+    strides = np.asarray(strides)
+    if cfg.patch_split and strides.shape[1:] == (cfg.n_strides, cfg.stride_len):
+        strides = patch_tokens(strides.reshape(len(strides), -1), cfg.stride_len)
+    return normalize_strides(strides, params.embed_w.dtype)
+
+
 def embed_batch(strides: np.ndarray, params: ModelParams,
                 rows: slice | None = None) -> Tensor:
     """(B, n_strides, stride_len) normalized floats -> (B, L, d_enc): each
@@ -224,11 +232,11 @@ def embed_batch(strides: np.ndarray, params: ModelParams,
     streamed pass reads them (``finetune_forward``); each row is computed by
     the same ops as in the whole."""
     cfg = params.cfg
-    B, n, w = strides.shape
-    if n != cfg.n_strides or w != cfg.stride_len:
+    if strides.ndim != 3 or strides.shape[1:] != (cfg.n_strides, cfg.stride_len):
         raise ShapeError(
-            f"expected {cfg.n_strides} strides of {cfg.stride_len} bytes, "
-            f"got {n} of {w}")
+            f"expected a (batch, {cfg.n_strides}, {cfg.stride_len}) batch of "
+            f"strides, got shape {strides.shape}")
+    B, n, _ = strides.shape
     r0, r1, _ = (rows or slice(None)).indices(cfg.seq_len)
     parts = []
     if r0 < n:
@@ -257,13 +265,13 @@ def pretrain_forward(strides: np.ndarray, plans: list[MaskPlan],
                      params: ModelParams) -> tuple[Tensor, Tensor]:
     """Masked-reconstruction pass over a (B, n_strides, stride_len) byte
     batch. Returns the per-masked-position predictions
-    (B, n_masked, stride_len) and the scalar MSE against those strides'
+    (B, n_masked, stride_len) and the scalar MSE against those tokens'
     normalized bytes (exactly 0 when nothing is masked).
     """
     cfg = params.cfg
     if params.recon_w is None:
         raise ContractError("model was built without a decoder")
-    norm = normalize_strides(strides, params.embed_w.dtype)
+    norm = _tokens(strides, params)
     x0 = embed_batch(norm, params)
     B, L, _ = x0.shape
     if len(plans) != B:
@@ -304,7 +312,7 @@ def finetune_forward(strides: np.ndarray, params: ModelParams) -> Tensor:
         raise ContractError("model was built without a classification head")
     if cfg.num_classes < 2:
         raise ConfigError("classification needs at least 2 classes")
-    norm = normalize_strides(strides, params.embed_w.dtype)
+    norm = _tokens(strides, params)
     x0 = ssm.Rows((len(norm), cfg.seq_len, cfg.d_enc),
                   lambda r0, r1: embed_batch(norm, params, slice(r0, r1)))
     cls = ssm.stack_forward(x0, params.enc_blocks, params.enc_norm, tail=1)[:, -1, :]

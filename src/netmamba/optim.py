@@ -13,6 +13,10 @@ from .errors import ConfigError, NumericFaultError
 
 _NO_DECAY_SUFFIXES = ("a_log",)
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def decayable(name: str, tensor: Tensor) -> bool:
     """Weight decay applies to matrices only; gains, biases, tokens, and the
@@ -22,12 +26,9 @@ def decayable(name: str, tensor: Tensor) -> bool:
 
 @dataclass
 class OptimState:
-    """Per-parameter first/second moments plus shared hyper-parameters."""
+    """Per-parameter first/second moments, the step count and the weight
+    decay; the learning rate comes with each step."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.05
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -41,13 +42,12 @@ class OptimState:
             out[f"opt.v.{name}"] = arr
         return out
 
-    def load_tensors(self, tensors: dict[str, np.ndarray], step: int) -> None:
+    def load_tensors(self, tensors: dict[str, np.ndarray], names, step: int) -> None:
+        """The moments of every parameter in ``names``, from ``tensors`` named
+        as ``tensors()`` names them; a KeyError names a missing one."""
         self.step = step
-        for key, arr in tensors.items():
-            if key.startswith("opt.m."):
-                self.m[key[6:]] = arr.copy()
-            elif key.startswith("opt.v."):
-                self.v[key[6:]] = arr.copy()
+        self.m = {name: tensors[f"opt.m.{name}"].copy() for name in names}
+        self.v = {name: tensors[f"opt.v.{name}"].copy() for name in names}
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimState, lr_t: float) -> None:
@@ -57,8 +57,8 @@ def adamw_step(params: dict[str, Tensor], state: OptimState, lr_t: float) -> Non
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise NumericFaultError(f"non-finite gradient for parameter {name}")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -68,9 +68,9 @@ def adamw_step(params: dict[str, Tensor], state: OptimState, lr_t: float) -> Non
             m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         if state.weight_decay and decayable(name, p):
             update = update + state.weight_decay * p.data
         p.data -= lr_t * update

@@ -127,13 +127,14 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     early while keeping the schedule of the full ``tcfg.steps``, so a later
     resume replays the uninterrupted run exactly. A resumed run takes its
     model config from the checkpoint and refuses one whose step is not a
-    step count, or one that disagrees with a field of ``cfg`` named in
+    step count, one without the optimizer moments of every tensor (a
+    ``best.nmckpt``), or one that disagrees with a field of ``cfg`` named in
     ``given`` (the fields the caller set explicitly).
     """
     n = len(strides)
     if n == 0:
         raise ConfigError("pre-training dataset is empty")
-    state = OptimState(lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    state = OptimState(weight_decay=tcfg.weight_decay)
     start_step = 0
     if resume is not None:
         params, meta, extra = ckpt.load_model(resume)
@@ -142,11 +143,7 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
                 f"{resume} is a {meta['kind']} checkpoint without a "
                 "decoder; resuming pre-training needs a pre-training one")
         saved = params.cfg
-        if strides.shape[1:] != (saved.n_strides, saved.stride_len):
-            raise CheckpointMismatchError(
-                f"{resume} expects {saved.n_strides} strides of "
-                f"{saved.stride_len} bytes, but the data has "
-                f"{strides.shape[1]} of {strides.shape[2]}")
+        ckpt.check_geometry(resume, saved, strides, "the data")
         for key in given:
             if getattr(cfg, key) != getattr(saved, key):
                 raise CheckpointMismatchError(
@@ -157,7 +154,12 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
         if type(start_step) is not int or start_step < 0:
             raise CheckpointMismatchError(
                 f"{resume}: metadata step {start_step!r} is not a step count")
-        state.load_tensors(extra, start_step)
+        try:
+            state.load_tensors(extra, params.tensors(), start_step)
+        except KeyError as exc:
+            raise CheckpointMismatchError(
+                f"{resume} holds no optimizer tensor {exc.args[0]}; resume "
+                "from the last.nmckpt of a run") from None
     else:
         params = nm.init_params(cfg, rng_for(tcfg.seed, "init", 0),
                                 with_decoder=True)
@@ -253,7 +255,7 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
                      warmup_steps=max(int(tcfg.warmup_frac * tcfg.epochs
                                           * steps_per_epoch), 1),
                      policy=tcfg.schedule)
-    state = OptimState(lr=tcfg.lr, weight_decay=tcfg.weight_decay)
+    state = OptimState(weight_decay=tcfg.weight_decay)
     history: list = []
     best_acc, best_epoch, best_snap = -1.0, -1, None
     step = 0

@@ -160,7 +160,9 @@ def test_criterion_4_representation_golden_files(tmp_path):
     assert cfg.flow_bytes == 1600
     assert cfg.n_strides == 400
     assert model_cfg.seq_len == 401 == cfg.n_strides + 1
-    assert model_cfg.n_visible == 41
+    plan = nm.make_mask(model_cfg.seq_len, model_cfg.mask_ratio,
+                        np.random.default_rng(0))
+    assert len(plan.visible) + 1 == 41 and len(plan.masked) == 360
 
     # hand-crafted packets; every construction parameter is known exactly
     tcp_payload_1 = bytes(range(1, 101))

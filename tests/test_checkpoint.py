@@ -149,18 +149,18 @@ def test_encoder_transfer_rejects_wrong_width(tmp_path):
     wide = nm.ModelConfig(**{**CFG.to_dict(), "d_enc": 32, "e_enc": 64})
     fin = nm.init_params(wide, np.random.default_rng(6), with_decoder=False,
                          with_head=True)
-    with pytest.raises(CheckpointMismatchError, match="shape"):
+    with pytest.raises(CheckpointMismatchError, match="d_enc = 16, not 32"):
         ckpt.load_encoder_weights(fin, path)
 
 
 def test_encoder_transfer_refuses_a_deeper_encoder(tmp_path):
-    # the third block of a depth-3 encoder has no place in a depth-2 model
+    # a depth-3 encoder has a block that a depth-2 model has no place for
     deep = nm.ModelConfig(**{**CFG.to_dict(), "depth_enc": 3})
     path = tmp_path / "pre.nmckpt"
     ckpt.save_model(path, nm.init_params(deep, np.random.default_rng(5)))
     fin = nm.init_params(CFG, np.random.default_rng(6), with_decoder=False,
                          with_head=True)
-    with pytest.raises(CheckpointMismatchError, match=r"enc\.2\.norm_gain"):
+    with pytest.raises(CheckpointMismatchError, match="depth_enc = 3, not 2"):
         ckpt.load_encoder_weights(fin, path)
 
 
@@ -182,6 +182,46 @@ def test_encoder_transfer_checks_the_checkpoint_config(tmp_path):
     ckpt.save_checkpoint(path, tensors, meta)
     with pytest.raises(CheckpointMismatchError, match=r"enc\.0\.state_skip"):
         ckpt.load_encoder_weights(fin, path)
+
+
+@pytest.mark.parametrize("name", ["junk", "enc.9.w_out", "opt.m.junk",
+                                  "opt.v.enc.9.w_out", "opt.x.embed.w"])
+def test_model_load_refuses_a_tensor_with_no_place(tmp_path, name):
+    # neither a model tensor nor an optimizer moment of one: it used to come
+    # back among the optimizer tensors
+    params = nm.init_params(CFG, np.random.default_rng(3))
+    tensors = {**ckpt.model_tensors(params), name: np.zeros(3, np.float32)}
+    path = tmp_path / "m.nmckpt"
+    ckpt.save_checkpoint(path, tensors,
+                         {"config": CFG.to_dict(), "step": 0, "kind": "pretrain"})
+    with pytest.raises(CheckpointMismatchError,
+                       match=f"tensor {name} has no place in this model"):
+        ckpt.load_model(path)
+    fin = nm.init_params(CFG, np.random.default_rng(6), with_decoder=False,
+                         with_head=True)
+    with pytest.raises(CheckpointMismatchError, match=f"tensor {name} has no place"):
+        ckpt.load_encoder_weights(fin, path)
+
+
+def test_model_load_refuses_an_optimizer_moment_of_another_shape(tmp_path):
+    params = nm.init_params(CFG, np.random.default_rng(3))
+    opt = {"opt.v.embed.w": np.zeros((4, 8), dtype=np.float32)}
+    path = tmp_path / "m.nmckpt"
+    ckpt.save_model(path, params, opt_tensors=opt)
+    with pytest.raises(CheckpointMismatchError,
+                       match=r"opt\.v\.embed\.w has shape \(4, 8\), expected \(4, 16\)"):
+        ckpt.load_model(path)
+
+
+def test_checkpoint_without_patch_split_loads_stride_tokenizer(tmp_path):
+    params = nm.init_params(CFG, np.random.default_rng(3))
+    path = tmp_path / "m.nmckpt"
+    ckpt.save_model(path, params)
+    meta, tensors = ckpt.load_checkpoint(path)
+    del meta["config"]["patch_split"]
+    ckpt.save_checkpoint(path, tensors, meta)
+    loaded, _, _ = ckpt.load_model(path)
+    assert loaded.cfg.patch_split is False and loaded.cfg == CFG
 
 
 def test_optimizer_tensors_round_trip(tmp_path):

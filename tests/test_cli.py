@@ -198,7 +198,7 @@ def test_pretrain_finetune_evaluate_pipeline(extracted):
     for out in (out1, out2):
         assert run(["evaluate", "--data", dataset / "test.nmstride",
                     "--checkpoint", fine_dir / "best.nmckpt",
-                    "--config", cfg, "--output", out]) == 0
+                    "--output", out]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 def test_finetune_from_scratch_ablation(extracted):
@@ -257,8 +257,7 @@ def test_evaluate_pretrain_checkpoint_is_mismatch(extracted, capsys):
                 "--config", cfg, "--steps", 2, "--batch", 4, "--seed", 0]) == 0
     capsys.readouterr()
     ckpt_path = pre_dir / "best.nmckpt"
-    assert run(["evaluate", "--data", dataset, "--checkpoint", ckpt_path,
-                "--config", cfg]) == 3
+    assert run(["evaluate", "--data", dataset, "--checkpoint", ckpt_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("checkpoint mismatch:")
     assert str(ckpt_path) in err and "classification head" in err
@@ -278,8 +277,7 @@ def test_evaluate_stride_geometry_mismatch(extracted, capsys):
                 "--config", longer, "--seed", 11]) == 0
     capsys.readouterr()
     ckpt_path = fine_dir / "best.nmckpt"
-    assert run(["evaluate", "--data", other, "--checkpoint", ckpt_path,
-                "--config", cfg]) == 3
+    assert run(["evaluate", "--data", other, "--checkpoint", ckpt_path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("checkpoint mismatch:")
     assert str(ckpt_path) in err and "16 strides of 4 bytes" in err
@@ -380,7 +378,7 @@ def test_flag_overrides_config_file(extracted, capsys):
     steps = [int(line.split(",")[0]) for line in log]
     assert steps == [0, 5, 6]  # log_every=5 from file, 7 steps from flag
 
-def test_patch_split_config_path(extracted):
+def test_patch_split_config_path(extracted, monkeypatch):
     tmp, dataset, cfg = extracted
     patch_cfg = tmp / "patch.cfg"
     patch_cfg.write_text(SMALL_CFG + "patch_split = true\n")
@@ -390,6 +388,23 @@ def test_patch_split_config_path(extracted):
                 "--config", patch_cfg, "--steps", 3, "--batch", 4,
                 "--seed", 0]) == 0
     assert (out / "last.nmckpt").exists()
+    fine = tmp / "patch_fine"
+    assert run(["finetune", "--data", dataset, "--output", fine,
+                "--config", patch_cfg, "--init", out / "best.nmckpt",
+                "--epochs", 1, "--batch", 8, "--seed", 0]) == 0
+    params, _, _ = ckpt.load_model(fine / "best.nmckpt")
+    assert params.cfg.patch_split is True
+    # the checkpoint names its tokenizer: evaluate, given no config, embeds
+    # the test flows' patches
+    embedded = []
+    embed = nm.embed_batch
+    monkeypatch.setattr(nm, "embed_batch",
+                        lambda x, *a: embedded.append(x) or embed(x, *a))
+    assert run(["evaluate", "--data", dataset, "--checkpoint",
+                fine / "best.nmckpt", "--batch", 1000]) == 0
+    sf = read_samples(dataset / "test.nmstride")
+    np.testing.assert_array_equal(
+        embedded[0], nm.normalize_strides(nm.patch_tokens(sf.data, 4)))
 
 def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("NETMAMBA_THREADS", "3")
@@ -522,6 +537,77 @@ def test_finetune_init_refuses_an_encoder_key_the_checkpoint_disagrees_with(
     assert "Traceback" not in err and not (out / "best.nmckpt").exists()
 
 
+@pytest.mark.parametrize("pre_line, run_line, named", [
+    ("patch_split = true\n", "", "patch_split = True, not False"),
+    ("", "patch_split = true\n", "patch_split = False, not True"),
+], ids=("patch-checkpoint", "stride-checkpoint"))
+def test_finetune_init_refuses_the_other_tokenizer(
+        finetune_data, tmp_path, capsys, pre_line, run_line, named):
+    # the checkpoint records its tokenizer, and the encoder-key comparison
+    # refuses a run that tokenizes the other way
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + pre_line)
+    assert run(["pretrain", "--data", finetune_data, "--output", tmp_path / "pre",
+                "--config", cfg, "--steps", 2, "--batch", 2]) == 0
+    cfg.write_text(SMALL_CFG + run_line)
+    capsys.readouterr()
+    best = tmp_path / "pre" / "best.nmckpt"
+    out = tmp_path / "ft"
+    assert run(["finetune", "--data", finetune_data, "--output", out,
+                "--config", cfg, "--init", best, "--epochs", 1,
+                "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(best) in err and named in err
+    assert "Traceback" not in err and not (out / "best.nmckpt").exists()
+
+
+def test_pretrain_resume_refuses_the_other_tokenizer_of_a_patch_checkpoint(
+        finetune_data, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG + "patch_split = true\n")
+    assert run(["pretrain", "--data", finetune_data, "--output", tmp_path / "pre",
+                "--config", cfg, "--steps", 2, "--batch", 2]) == 0
+    last = tmp_path / "pre" / "last.nmckpt"
+    cfg.write_text(SMALL_CFG + "patch_split = false\n")
+    capsys.readouterr()
+    assert run(["pretrain", "--data", finetune_data, "--output", tmp_path / "more",
+                "--config", cfg, "--resume", last, "--steps", 4,
+                "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(last) in err and "patch_split = True, not False" in err
+    assert "Traceback" not in err and not (tmp_path / "more").exists()
+
+
+def test_pretrain_resume_refuses_a_checkpoint_without_optimizer_state(
+        pretrained, tmp_path, capsys):
+    # best.nmckpt keeps the model alone: resuming from it would restart
+    # Adam's moments from zero and replay steps from its step index
+    cfg, data, last = pretrained
+    best = last.parent / "best.nmckpt"
+    capsys.readouterr()
+    assert run(["pretrain", "--data", data, "--output", tmp_path / "more",
+                "--config", cfg, "--resume", best, "--steps", 4,
+                "--batch", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert str(best) in err and "no optimizer tensor opt.m.embed.w" in err
+    assert "Traceback" not in err and not (tmp_path / "more").exists()
+
+
+def test_evaluate_refuses_a_tensor_with_no_place(head_checkpoint, capsys):
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    tensors["enc.9.w_out"] = np.zeros((4, 4), dtype=np.float32)
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:")
+    assert "tensor enc.9.w_out has no place in this model" in err
+    assert "Traceback" not in err
+
+
 def test_finetune_init_accepts_other_decoder_widths_and_mask_ratio(
         pretrained, finetune_data, tmp_path):
     cfg, _, last = pretrained
@@ -559,7 +645,8 @@ def test_pretrain_resume_refuses_a_step_that_is_no_count(pretrained, tmp_path,
     ("", ["--mask-ratio", 0.75], "mask_ratio = 0.5, not 0.75"),
     ("state_dim = 8\n", [], "state_dim = 4, not 8"),
     ("use_pos_embed = false\n", [], "use_pos_embed = True, not False"),
-], ids=("flag", "config", "config-bool"))
+    ("patch_split = true\n", [], "patch_split = False, not True"),
+], ids=("flag", "config", "config-bool", "tokenizer"))
 def test_pretrain_resume_refuses_a_model_key_the_checkpoint_disagrees_with(
         pretrained, tmp_path, capsys, extra, flags, named):
     cfg, data, last = pretrained
@@ -599,7 +686,7 @@ FIELD_VALUES = {
                      "depth_enc": "3", "d_dec": "24", "e_dec": "40",
                      "depth_dec": "3", "state_dim": "8", "mask_ratio": "0.75",
                      "use_pos_embed": "false", "dt_rank": "8",
-                     "conv_kernel": "3"},
+                     "conv_kernel": "3", "patch_split": "true"},
     train.TrainConfig: {"batch_size": "7", "lr": "0.01", "steps": "3",
                         "epochs": "2", "weight_decay": "0.1",
                         "warmup_frac": "0.2", "schedule": "constant",

@@ -74,7 +74,7 @@ def test_merge_precedence_three_layers():
 
 
 def test_build_takes_named_fields_and_lets_fixed_values_win():
-    values = {"lr": 5e-4, "d_enc": 8, "stride_len": 2, "patch_split": True}
+    values = {"lr": 5e-4, "d_enc": 8, "stride_len": 2, "min_packets": 3}
     tcfg = build(finetune_defaults(), values)
     assert (tcfg.lr, tcfg.batch_size) == (5e-4, 64)
     cfg = build(ModelConfig(), values, seq_len=9, stride_len=4)

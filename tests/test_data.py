@@ -117,6 +117,12 @@ def test_nmstride_round_trip(tmp_path):
     assert loaded.strides.shape == (6, 400, 4)
 
 
+def test_samples_to_arrays_refuses_an_empty_list():
+    # np.stack used to die on it with a bare ValueError
+    with pytest.raises(DataError, match="no samples"):
+        samples_to_arrays([])
+
+
 def test_nmstride_write_is_byte_stable(tmp_path):
     samples = make_samples(0, 4)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"

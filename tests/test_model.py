@@ -1,6 +1,7 @@
 """Embedding, masking, pre-training and fine-tuning forward passes."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,10 +57,25 @@ def test_embed_rejects_wrong_stride_shape():
         nm.embed_batch(np.zeros((1, SMALL.n_strides, SMALL.stride_len + 1)), params)
 
 
+def test_forwards_refuse_a_flow_without_its_batch_axis():
+    # one flow's (n_strides, stride_len) bytes used to fail on a bare tuple
+    # unpack; it is a ShapeError that names the expected shape
+    rng = np.random.default_rng(2)
+    flow = rng.integers(0, 256, (SMALL.n_strides, SMALL.stride_len), dtype=np.uint8)
+    plans = [nm.make_mask(SMALL.seq_len, SMALL.mask_ratio, rng)]
+    expected = f"expected a \\(batch, {SMALL.n_strides}, {SMALL.stride_len}\\)"
+    with pytest.raises(ShapeError, match=expected):
+        nm.embed_batch(nm.normalize_strides(flow), small_params())
+    with pytest.raises(ShapeError, match=expected):
+        nm.pretrain_forward(flow, plans, small_params(with_decoder=True))
+    with pytest.raises(ShapeError, match=expected):
+        nm.finetune_forward(flow, small_params(with_decoder=False, with_head=True))
+
+
 def test_make_mask_default_counts():
     rng = np.random.default_rng(0)
     plan = nm.make_mask(401, 0.9, rng)
-    assert DEFAULT_CFG.n_visible == 41
+    # 41 visible rows with the class token: ceil(0.1 * 401)
     assert plan.visible.shape == (40,)
     assert plan.masked.shape == (360,)
 
@@ -98,7 +114,8 @@ def test_mask_plans_deterministic_for_fixed_seed():
     a = [nm.make_mask(51, 0.8, np.random.default_rng(9)) for _ in range(3)]
     b = [nm.make_mask(51, 0.8, np.random.default_rng(9)) for _ in range(3)]
     for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.permutation, y.permutation)
+        np.testing.assert_array_equal(x.visible, y.visible)
+        np.testing.assert_array_equal(x.masked, y.masked)
 
 
 def encoder_rows(x0, params):
@@ -128,11 +145,8 @@ def test_pretrain_loss_zero_when_nothing_masked():
     rng = np.random.default_rng(5)
     params = small_params(with_decoder=True)
     strides, _ = batch_inputs(rng, n=1)
-    plan = nm.MaskPlan(
-        permutation=np.arange(SMALL.n_strides),
-        visible=np.arange(SMALL.n_strides),
-        masked=np.empty(0, dtype=np.int64),
-    )
+    plan = nm.MaskPlan(visible=np.arange(SMALL.n_strides),
+                       masked=np.empty(0, dtype=np.int64))
     _, loss = nm.pretrain_forward(strides, [plan], params)
     assert loss.item() == 0.0
 
@@ -414,6 +428,29 @@ def test_patch_tokens_layout():
 def test_patch_tokens_requires_square():
     with pytest.raises(ConfigError):
         nm.patch_tokens(np.zeros((1, 48), dtype=np.uint8), stride_len=4)
+
+
+def test_patch_split_forwards_read_patch_tokens():
+    # the same tensors under patch_split read a byte batch exactly as the
+    # stride model reads its 2-D patches; 16 strides of 4 bytes make an 8x8
+    # matrix of 2x2 patches
+    rng = np.random.default_rng(15)
+    cfg = nm.ModelConfig(**{**SMALL.to_dict(), "seq_len": 17})
+    strides = rng.integers(0, 256, (2, cfg.n_strides, cfg.stride_len), dtype=np.uint8)
+    patches = nm.patch_tokens(strides.reshape(2, -1), cfg.stride_len)
+    assert not np.array_equal(patches, strides)
+    plans = [nm.make_mask(cfg.seq_len, cfg.mask_ratio, rng) for _ in range(2)]
+    for kw in ({"with_decoder": True}, {"with_decoder": False, "with_head": True}):
+        params = nm.init_params(cfg, np.random.default_rng(16), np.float64, **kw)
+        patched = replace(params, cfg=replace(cfg, patch_split=True))
+        if params.recon_w is not None:
+            pred, loss = nm.pretrain_forward(strides, plans, patched)
+            want, want_loss = nm.pretrain_forward(patches, plans, params)
+            assert loss.item() == want_loss.item()
+        else:
+            pred = nm.finetune_forward(strides, patched)
+            want = nm.finetune_forward(patches, params)
+        np.testing.assert_array_equal(pred.data, want.data)
 
 
 def test_init_is_deterministic():

@@ -98,6 +98,21 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path):
     assert resumed.log == full.log[6:]
 
 
+def test_pretrain_resume_keeps_the_checkpoint_tokenizer(tmp_path):
+    # a resumed run that names no model key takes the checkpoint's config,
+    # patch_split included, and replays the uninterrupted patch run
+    data, _ = tiny_dataset()
+    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    patch_model = replace(TINY_MODEL, patch_split=True)
+    full_cfg = train.pretrain_defaults(steps=8, batch_size=4, seed=3, log_every=1)
+    full = train.pretrain(strides, patch_model, full_cfg)
+    train.pretrain(strides, patch_model, full_cfg, out_dir=tmp_path, stop_at=4)
+    resumed = train.pretrain(strides, TINY_MODEL, full_cfg,
+                             resume=tmp_path / "last.nmckpt")
+    assert resumed.params.cfg.patch_split is True
+    assert resumed.log == full.log[4:]
+
+
 def splits_for(data, labels, seed=0):
     class S:
         def __init__(self, flat, label):
