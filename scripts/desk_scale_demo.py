@@ -42,11 +42,7 @@ def main() -> None:
             parser.error(f"the {name} split of {args.per_class} flows per "
                          "class is empty; pass a larger --per-class (10 or more)")
 
-    def pack(part):
-        data, labels = samples_to_arrays(part)
-        return data.reshape(-1, repr_cfg.n_strides, repr_cfg.stride_len), labels
-
-    strides, _ = pack(samples)
+    strides, _ = samples_to_arrays(samples)
     print(f"synthetic dataset: {len(strides)} flows, "
           f"{repr_cfg.n_strides} strides each")
 
@@ -57,7 +53,7 @@ def main() -> None:
     print(f"pre-training: {args.pretrain_steps} steps in {time.time()-t0:.0f}s, "
           f"loss {pre.log[0][1]:.4f} -> {pre.log[-1][1]:.4f}")
 
-    splits = dict(zip(("train", "val", "test"), map(pack, parts)))
+    splits = dict(zip(("train", "val", "test"), map(samples_to_arrays, parts)))
     fcfg = train.finetune_defaults(epochs=args.epochs, batch_size=32,
                                    seed=args.seed, early_stop_val_acc=0.995)
     t0 = time.time()

@@ -72,11 +72,10 @@ def cmd_extract(args) -> int:
         return EXIT_USAGE
 
     per_class: dict[int, list] = {}
-    summary: dict = {"classes": {}, "file_errors": [],
-                     "malformed_packets": 0, "skipped_packets": 0}
+    stats = traffic.AssemblyStats()
+    summary: dict = {"classes": {}, "file_errors": []}
     for label, class_dir in enumerate(class_dirs):
-        stats = traffic.AssemblyStats()
-        flows: list[traffic.FlowRecord] = []
+        kept, dropped = [], 0
         for pcap_path in sorted(class_dir.glob("*.pcap")):
             try:
                 packets = parse_capture(pcap_path)
@@ -84,26 +83,22 @@ def cmd_extract(args) -> int:
                 summary["file_errors"].append({"file": str(pcap_path),
                                                "error": str(exc)})
                 continue
-            flows.extend(traffic.assemble_flows(packets, repr_cfg, stats))
-        kept, dropped = [], 0
-        for flow in flows:
-            if len(flow.packets) < min_packets:
-                dropped += 1
-                continue
-            flow.label = label
-            kept.append(traffic.build_sample(flow, repr_cfg))
+            flows = traffic.assemble_flows(packets, repr_cfg, stats)
+            usable = [flow for flow in flows if len(flow.packets) >= min_packets]
+            dropped += len(flows) - len(usable)
+            kept += [traffic.build_sample(flow, repr_cfg, label) for flow in usable]
+            del packets, flows, usable  # free this file before reading the next
         per_class[label] = kept
         summary["classes"][class_dir.name] = {
             "flows_kept": len(kept), "flows_dropped": dropped}
-        summary["malformed_packets"] += stats.malformed_packets
-        summary["skipped_packets"] += stats.skipped_packets
+    summary["malformed_packets"] = stats.malformed_packets
+    summary["skipped_packets"] = stats.skipped_packets
 
     if "limit_lower" in values or "limit_upper" in values:
         lower = values.get("limit_lower", 0)
         upper = values.get("limit_upper", 2**31)
         per_class = datamod.balance_dataset(per_class, lower, upper, seed)
-        for label, class_dir in enumerate(class_dirs):
-            entry = summary["classes"][class_dir.name]
+        for label, entry in enumerate(summary["classes"].values()):
             entry["flows_after_balance"] = len(per_class.get(label, []))
 
     samples = [s for label in sorted(per_class) for s in per_class[label]]
@@ -157,23 +152,29 @@ def cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
+def _geometry(sf: datamod.StrideFile) -> str:
+    r = sf.repr_cfg
+    return (f"flows of M={r.packets_per_flow}, N_h={r.header_bytes}, N_p="
+            f"{r.payload_bytes}, L_s={r.stride_len} in {sf.num_classes} classes")
+
+
 def cmd_finetune(args) -> int:
     if args.init is None and not args.from_scratch:
         print("error: pass --init CHECKPOINT or --from-scratch", file=sys.stderr)
         return EXIT_USAGE
     values = _values(args)
     splits = {}
-    geometry = None
     for name in ("train", "val", "test"):
-        sf = datamod.read_samples(_resolve_data(args.data, name))
+        path = _resolve_data(args.data, name)
+        sf = datamod.read_samples(path)
+        if not splits:
+            first, first_path = sf, path
+        elif (sf.repr_cfg, sf.num_classes) != (first.repr_cfg, first.num_classes):
+            raise DataError(f"{path} holds {_geometry(sf)}, but {first_path} "
+                            f"holds {_geometry(first)}")
         splits[name] = (sf.strides, sf.labels)
-        geometry = sf
-    if (splits["train"][1] < 0).any():
-        raise DataError("training split contains unlabeled samples")
-    cfg = cfgmod.build(nm.ModelConfig(), values,
-                       seq_len=geometry.n_strides + 1,
-                       stride_len=geometry.stride_len,
-                       num_classes=geometry.num_classes)
+    cfg = cfgmod.build(nm.ModelConfig(), values, seq_len=sf.n_strides + 1,
+                       stride_len=sf.stride_len, num_classes=sf.num_classes)
     tcfg = cfgmod.build(trainmod.finetune_defaults(), values)
     out_dir = Path(args.output)
     result = trainmod.finetune(splits, cfg, tcfg, init=args.init,

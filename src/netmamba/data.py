@@ -5,6 +5,8 @@ NMSTRIDE layout (all integers little-endian):
     8-byte magic "NMSTRIDE", version u16,
     M, N_h, N_p, L_s, C, sample_count as u32 each,
     then per sample: u32 label (0xFFFFFFFF = unlabeled) + L_b raw bytes.
+The header's M, N_h, N_p and L_s are a ``ReprConfig``: ``write_samples``
+takes one, and ``read_samples`` returns one as ``StrideFile.repr_cfg``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ def balance_dataset(per_class: dict, lower: int, upper: int,
         raise ConfigError(f"lower limit {lower} exceeds upper limit {upper}")
     rng = np.random.default_rng(seed)
     out = {}
-    for label in per_class:
-        samples = per_class[label]
+    for label, samples in per_class.items():
         if len(samples) < lower:
             continue
         if len(samples) > upper:
@@ -82,23 +83,22 @@ def split_dataset(samples, ratios, seed: int):
 
 @dataclass
 class StrideFile:
-    """In-memory view of one NMSTRIDE file."""
+    """In-memory view of one NMSTRIDE file. Its header geometry is
+    ``repr_cfg``: M, N_h, N_p and L_s come from the file, and the extraction
+    toggles, which the file does not record, keep their defaults."""
 
-    packets_per_flow: int
-    header_bytes: int
-    payload_bytes: int
-    stride_len: int
+    repr_cfg: ReprConfig
     num_classes: int
     data: np.ndarray       # (n, L_b) uint8
     labels: np.ndarray     # (n,) int64, -1 where unlabeled
 
     @property
-    def flow_bytes(self) -> int:
-        return self.packets_per_flow * (self.header_bytes + self.payload_bytes)
+    def n_strides(self) -> int:
+        return self.repr_cfg.n_strides
 
     @property
-    def n_strides(self) -> int:
-        return self.flow_bytes // self.stride_len
+    def stride_len(self) -> int:
+        return self.repr_cfg.stride_len
 
     @property
     def strides(self) -> np.ndarray:
@@ -115,15 +115,14 @@ def write_samples(path, samples, cfg: ReprConfig, num_classes: int) -> None:
             "<6I", cfg.packets_per_flow, cfg.header_bytes, cfg.payload_bytes,
             cfg.stride_len, num_classes, len(samples)))
         for i, s in enumerate(samples):
-            flat = s.flat
-            if flat.size != cfg.flow_bytes:
-                raise DataError(
-                    f"sample {i} holds {flat.size} bytes, expected {cfg.flow_bytes}")
+            if s.strides.size != cfg.flow_bytes:
+                raise DataError(f"sample {i} holds {s.strides.size} bytes, "
+                                f"expected {cfg.flow_bytes}")
             label = UNLABELED if s.label is None else int(s.label)
             if label != UNLABELED and not 0 <= label < num_classes:
                 raise DataError(f"sample {i} label {label} outside [0, {num_classes})")
             fh.write(struct.pack("<I", label))
-            fh.write(flat.astype(np.uint8).tobytes())
+            fh.write(s.strides.astype(np.uint8).tobytes())
 
 
 def read_samples(path) -> StrideFile:
@@ -138,11 +137,11 @@ def read_samples(path) -> StrideFile:
         raise ParseError(f"{path}: unsupported sample-file version {version}")
     m, n_h, n_p, l_s, c, count = struct.unpack_from("<6I", blob, 10)
     try:  # the geometry every written file has
-        ReprConfig(packets_per_flow=m, header_bytes=n_h, payload_bytes=n_p,
-                   stride_len=l_s)
+        repr_cfg = ReprConfig(packets_per_flow=m, header_bytes=n_h,
+                              payload_bytes=n_p, stride_len=l_s)
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    flow_bytes = m * (n_h + n_p)
+    flow_bytes = repr_cfg.flow_bytes
     if flow_bytes >= 2**31:  # numpy's limit on a record's subarray length
         raise ParseError(f"{path}: header declares {flow_bytes}-byte flows")
     expected = HEADER_BYTES + count * (4 + flow_bytes)
@@ -154,8 +153,7 @@ def read_samples(path) -> StrideFile:
         count=count, offset=HEADER_BYTES)
     labels = records["label"].astype(np.int64)
     labels[records["label"] == UNLABELED] = -1
-    return StrideFile(packets_per_flow=m, header_bytes=n_h, payload_bytes=n_p,
-                      stride_len=l_s, num_classes=c,
+    return StrideFile(repr_cfg=repr_cfg, num_classes=c,
                       data=records["data"].copy(), labels=labels)
 
 
@@ -190,34 +188,30 @@ def synthetic_samples(n_classes: int, per_class: int, cfg: ReprConfig,
     template = np.random.default_rng(_TEMPLATE_SEED).integers(
         0, 256, size=(cfg.packets_per_flow, cfg.header_bytes), dtype=np.uint8)
     n_sig = min(_SIG_BYTES_PER_PACKET, cfg.header_bytes)
-    sig_pos = (np.linspace(0, max(cfg.header_bytes - 1, 0), num=n_sig)
-               .astype(np.int64) if n_sig else np.empty(0, dtype=np.int64))
+    sig_pos = np.linspace(0, max(cfg.header_bytes - 1, 0),
+                          num=n_sig).astype(np.int64)
     samples = []
     for label in range(n_classes):
         flow = np.zeros((cfg.packets_per_flow, cfg.packet_bytes), dtype=np.uint8)
-        if cfg.header_bytes:
-            flow[:, :cfg.header_bytes] = template
-            for m in range(cfg.packets_per_flow):
-                sig = (17 * label + 11 * np.arange(n_sig) + 5 * m) % 256
-                flow[m, sig_pos] = sig
+        flow[:, :cfg.header_bytes] = template
+        for m in range(cfg.packets_per_flow):
+            flow[m, sig_pos] = (17 * label + 11 * np.arange(n_sig) + 5 * m) % 256
         for _ in range(per_class):
             sample = flow.copy()
-            if cfg.payload_bytes:
-                sample[:, cfg.header_bytes:] = rng.integers(
-                    0, 256, size=(cfg.packets_per_flow, cfg.payload_bytes),
-                    dtype=np.uint8)
+            sample[:, cfg.header_bytes:] = rng.integers(
+                0, 256, size=(cfg.packets_per_flow, cfg.payload_bytes),
+                dtype=np.uint8)
             samples.append(StrideSample(
-                strides=sample.reshape(cfg.n_strides, cfg.stride_len),
-                label=label,
-            ))
+                sample.reshape(cfg.n_strides, cfg.stride_len), label))
     return samples
 
 
 def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray]:
-    """(n, L_b) uint8 bytes plus int64 labels (-1 where unlabeled)."""
+    """(n, n_strides, stride_len) uint8 strides, the layout the model and
+    the training loops take, plus int64 labels (-1 where unlabeled)."""
     if not samples:
         raise DataError("no samples to pack into arrays")
-    data = np.stack([s.flat for s in samples])
+    strides = np.stack([s.strides for s in samples])
     labels = np.array([-1 if s.label is None else s.label for s in samples],
                       dtype=np.int64)
-    return data, labels
+    return strides, labels

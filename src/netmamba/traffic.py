@@ -8,7 +8,9 @@ makes the frame malformed; ``assemble_flows`` counts and skips it. For the
 first M datagrams of a flow, ``build_sample`` zeroes the IP address fields,
 splits header from payload at the stored length and crops/pads each part to
 a fixed budget; the rows concatenate into one byte array that is cut into
-non-overlapping strides.
+non-overlapping strides. A flow carries no label: the caller knows its class
+and hands it to ``build_sample``, so one capture file's flows can become
+samples, and be dropped, before the next file is read.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class Datagram:
 class FlowRecord:
     key: FiveTuple
     packets: list[Datagram]
-    label: int | None = None
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,6 @@ class StrideSample:
 
     strides: np.ndarray           # (n_strides, stride_len) uint8
     label: int | None = None
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.strides.reshape(-1)
 
 
 @dataclass
@@ -279,16 +276,15 @@ def assemble_flows(packets, cfg: ReprConfig,
     return out
 
 
-def build_sample(flow: FlowRecord, cfg: ReprConfig) -> StrideSample:
-    """First M datagrams, anonymized, cropped and concatenated, cut into
-    strides. Flows shorter than M packets are padded with all-zero packet
-    slots."""
+def build_sample(flow: FlowRecord, cfg: ReprConfig,
+                 label: int | None) -> StrideSample:
+    """The sample of class ``label`` (None: unlabeled): the first M
+    datagrams, anonymized, cropped and concatenated, cut into strides. Flows
+    shorter than M packets are padded with all-zero packet slots."""
     rows = np.zeros((cfg.packets_per_flow, cfg.packet_bytes), dtype=np.uint8)
     for row, datagram in zip(rows, flow.packets):
         ip_bytes = anonymize(datagram.ip_bytes, cfg)
         end = datagram.header_len
         row[:] = crop_pad(ip_bytes[:end], ip_bytes[end:], cfg)
     return StrideSample(
-        strides=rows.reshape(cfg.n_strides, cfg.stride_len),
-        label=flow.label,
-    )
+        strides=rows.reshape(cfg.n_strides, cfg.stride_len), label=label)

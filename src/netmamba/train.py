@@ -125,11 +125,14 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     or not; the earliest on ties) and ``last.nmckpt`` (with optimizer state,
     for exact resume) when ``out_dir`` is given. ``stop_at`` ends the run
     early while keeping the schedule of the full ``tcfg.steps``, so a later
-    resume replays the uninterrupted run exactly. A resumed run takes its
-    model config from the checkpoint and refuses one whose step is not a
-    step count, one without the optimizer moments of every tensor (a
-    ``best.nmckpt``), or one that disagrees with a field of ``cfg`` named in
-    ``given`` (the fields the caller set explicitly).
+    resume replays the uninterrupted run exactly. A run that would take no
+    step (``stop_at`` or ``tcfg.steps`` at or before the start step) is
+    refused: it has no loss to log, and a fresh one has no optimizer moments
+    to save. A resumed run takes its model config from the checkpoint and
+    refuses one whose step is not a step count, one without the optimizer
+    moments of every tensor (a ``best.nmckpt``), or one that disagrees with
+    a field of ``cfg`` named in ``given`` (the fields the caller set
+    explicitly).
     """
     n = len(strides)
     if n == 0:
@@ -163,13 +166,16 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     else:
         params = nm.init_params(cfg, rng_for(tcfg.seed, "init", 0),
                                 with_decoder=True)
+    end_step = tcfg.steps if stop_at is None else min(stop_at, tcfg.steps)
+    if end_step <= start_step:
+        raise ConfigError(f"the run would take no step: it starts at step "
+                          f"{start_step} and ends at step {end_step}")
     tensors = params.tensors()
     sched = Schedule(base_lr=tcfg.lr, total_steps=tcfg.steps,
                      warmup_steps=max(int(tcfg.warmup_frac * tcfg.steps), 1),
                      policy=tcfg.schedule)
     log: list = []
     best_loss, best_step, best_snap = np.inf, -1, None
-    end_step = tcfg.steps if stop_at is None else min(stop_at, tcfg.steps)
     for step in range(start_step, end_step):
         rng = rng_for(tcfg.seed, "pretrain", step)
         idx = rng.choice(n, size=tcfg.batch_size, replace=n < tcfg.batch_size)

@@ -189,10 +189,7 @@ def test_criterion_4_representation_golden_files(tmp_path):
 
     flows = assemble_flows(parse_capture(pcap_path), cfg)
     assert len(flows) == 3  # TCP conversation, UDP flow, VLAN flow
-    samples = []
-    for flow in flows:
-        flow.label = 0
-        samples.append(build_sample(flow, cfg))
+    samples = [build_sample(flow, cfg, 0) for flow in flows]
     out_path = tmp_path / "golden.nmstride"
     write_samples(out_path, samples, cfg, num_classes=1)
 
@@ -253,15 +250,10 @@ DESK_MODEL = nm.ModelConfig(
     seq_len=DESK_REPR.n_strides + 1, mask_ratio=0.9, num_classes=10)
 
 
-def _pack(part):
-    data, labels = samples_to_arrays(part)
-    return data.reshape(-1, DESK_REPR.n_strides, DESK_REPR.stride_len), labels
-
-
 def test_criterion_7_desk_scale_learning(tmp_path):
     started = time.perf_counter()
     samples = synthetic_samples(10, 200, DESK_REPR, seed=0)
-    all_strides, _ = _pack(samples)
+    all_strides, _ = samples_to_arrays(samples)
 
     # (a) 500 pre-training steps on 2000 samples halve the masked MSE
     tcfg = train.pretrain_defaults(steps=500, batch_size=32, lr=2e-3, seed=1,
@@ -273,7 +265,8 @@ def test_criterion_7_desk_scale_learning(tmp_path):
 
     # (b) fine-tuning the pre-trained model reaches >=95% test accuracy
     tr, va, te = split_dataset(samples, (0.8, 0.1, 0.1), seed=0)
-    splits = {"train": _pack(tr), "val": _pack(va), "test": _pack(te)}
+    splits = {"train": samples_to_arrays(tr), "val": samples_to_arrays(va),
+              "test": samples_to_arrays(te)}
     ft_cfg = train.finetune_defaults(epochs=60, batch_size=32, seed=2,
                                      early_stop_val_acc=0.995)
     full = train.finetune(splits, DESK_MODEL, ft_cfg,
@@ -346,15 +339,12 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
                          dt_rank=4, seq_len=repr_cfg.n_strides + 1,
                          mask_ratio=0.5, num_classes=2)
     samples = synthetic_samples(2, 24, repr_cfg, seed=5)
-    data, labels = samples_to_arrays(samples)
-    strides = data.reshape(-1, repr_cfg.n_strides, repr_cfg.stride_len)
+    strides, _ = samples_to_arrays(samples)
 
     # save -> load -> evaluate is bit-identical to in-memory evaluation
     tr, va, te = split_dataset(samples, (0.6, 0.2, 0.2), seed=1)
-    def pack(part):
-        d, l = samples_to_arrays(part)
-        return d.reshape(-1, repr_cfg.n_strides, repr_cfg.stride_len), l
-    splits = {"train": pack(tr), "val": pack(va), "test": pack(te)}
+    splits = {"train": samples_to_arrays(tr), "val": samples_to_arrays(va),
+              "test": samples_to_arrays(te)}
     ft = train.finetune(splits, cfg, train.finetune_defaults(
         epochs=3, batch_size=8, seed=6), out_dir=tmp_path / "ft")
     reloaded, _, _ = ckpt.load_model(tmp_path / "ft" / "best.nmckpt")

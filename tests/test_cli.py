@@ -3,6 +3,7 @@ config precedence, and exit codes."""
 
 import json
 import struct
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from netmamba import model as nm
 from netmamba import train
 from netmamba.data import read_samples, synthetic_samples, write_samples
 from netmamba.pcap import write_pcap
-from netmamba.traffic import ReprConfig
+from netmamba.traffic import ReprConfig, StrideSample
 
 from helpers import eth_frame, ipv4_packet, raw, tcp_segment, udp_datagram
 
@@ -145,6 +146,32 @@ def test_extract_counts_truncated_transport_headers_as_malformed(tmp_path):
     assert sf.labels.tolist() == [0]
     assert sf.data[0].tobytes() == expected.ljust(1600, b"\0")
 
+def test_extract_memory_is_bounded_by_one_capture_file(tmp_path):
+    # one class of 2 or 8 copies of a capture of 8 long flows: the flows of
+    # each file become samples before the next file is read, so 6 more files
+    # add only their 48 samples to the peak, not their 12k datagrams
+    packets = [raw(eth_frame(ipv4_packet(tcp_segment(bytes(500), 40000 + f, 443),
+                                         6), 0x0800), ts_sec=k, ts_nsec=f)
+               for k in range(250) for f in range(8)]
+    capture = tmp_path / "capture.pcap"
+    write_pcap(capture, packets)
+    file_bytes = capture.stat().st_size
+    peaks = {}
+    for copies in (2, 8):
+        class_dir = tmp_path / f"x{copies}" / "web"
+        class_dir.mkdir(parents=True)
+        for i in range(copies):
+            (class_dir / f"copy_{i}.pcap").write_bytes(capture.read_bytes())
+        tracemalloc.start()
+        try:
+            assert run(["extract", "--input", class_dir.parent,
+                        "--output", tmp_path / f"out{copies}"]) == 0
+            peaks[copies] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] > file_bytes
+    assert peaks[8] - peaks[2] < file_bytes / 4, (peaks, file_bytes)
+
 def test_extract_balance_limits(workspace):
     tmp, pcaps, cfg = workspace
     out = tmp / "balanced"
@@ -213,6 +240,34 @@ def test_finetune_requires_init_choice(extracted):
     tmp, dataset, cfg = extracted
     assert run(["finetune", "--data", dataset, "--output", tmp / "x",
                 "--config", cfg]) == 2
+
+@pytest.mark.parametrize("stride_len, num_classes", [(8, 2), (4, 3)])
+def test_finetune_refuses_splits_of_differing_geometry(extracted, capsys,
+                                                       stride_len, num_classes):
+    tmp, dataset, cfg = extracted
+    other = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8,
+                       stride_len=stride_len)
+    write_samples(dataset / "test.nmstride",
+                  synthetic_samples(2, 3, other, seed=0), other, num_classes)
+    out = tmp / "ft"
+    assert run(["finetune", "--data", dataset, "--output", out, "--config", cfg,
+                "--from-scratch", "--epochs", 1, "--batch", 8]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"L_s={stride_len} in {num_classes} classes" in err
+    assert str(dataset / "test.nmstride") in err
+    assert str(dataset / "train.nmstride") in err
+    assert not (out / "best.nmckpt").exists()
+
+def test_finetune_unlabeled_training_split_is_usage_error(extracted, capsys):
+    tmp, dataset, cfg = extracted
+    sf = read_samples(dataset / "train.nmstride")
+    unlabeled = [StrideSample(x, None) for x in sf.strides]
+    write_samples(dataset / "train.nmstride", unlabeled, sf.repr_cfg,
+                  sf.num_classes)
+    assert run(["finetune", "--data", dataset, "--output", tmp / "ft",
+                "--config", cfg, "--from-scratch", "--epochs", 1]) == 2
+    assert "sample 0 has label -1 outside [0, 2)" in capsys.readouterr().err
 
 def test_finetune_empty_val_split_is_usage_error(workspace, capsys):
     tmp, pcaps, _ = workspace
@@ -620,6 +675,20 @@ def test_finetune_init_accepts_other_decoder_widths_and_mask_ratio(
                 "--config", cfg, "--init", last, "--epochs", 1,
                 "--batch", 2]) == 0
     assert (out / "best.nmckpt").exists()
+
+
+def test_pretrain_resume_of_a_finished_run_is_usage_error(pretrained, capsys):
+    # resuming at the step the run already reached would take no step, and
+    # the run's loss log and last.nmckpt must stay as they were
+    cfg, data, last = pretrained
+    log = last.parent / "loss_log.csv"
+    before = log.read_bytes(), last.read_bytes()
+    capsys.readouterr()
+    assert run(["pretrain", "--data", data, "--output", last.parent,
+                "--config", cfg, "--resume", last, "--steps", 2,
+                "--batch", 2]) == 2
+    assert "starts at step 2 and ends at step 2" in capsys.readouterr().err
+    assert (log.read_bytes(), last.read_bytes()) == before
 
 
 @pytest.mark.parametrize("step", (None, "2", 2.0, True, -1),

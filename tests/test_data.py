@@ -106,15 +106,14 @@ def test_nmstride_round_trip(tmp_path):
     path = tmp_path / "train.nmstride"
     write_samples(path, samples, CFG, num_classes=2)
     loaded = read_samples(path)
-    assert loaded.packets_per_flow == 5
-    assert loaded.header_bytes == 80
-    assert loaded.payload_bytes == 240
-    assert loaded.stride_len == 4
+    assert loaded.repr_cfg == CFG
+    assert (loaded.n_strides, loaded.stride_len) == (400, 4)
     assert loaded.num_classes == 2
-    data, labels = samples_to_arrays(samples)
-    np.testing.assert_array_equal(loaded.data, data)
+    strides, labels = samples_to_arrays(samples)
+    assert strides.shape == (6, 400, 4)
+    np.testing.assert_array_equal(loaded.strides, strides)
+    np.testing.assert_array_equal(loaded.data, strides.reshape(6, 1600))
     np.testing.assert_array_equal(loaded.labels, labels)
-    assert loaded.strides.shape == (6, 400, 4)
 
 
 def test_samples_to_arrays_refuses_an_empty_list():
@@ -193,13 +192,13 @@ def test_synthetic_shapes_and_determinism():
 
 def test_synthetic_headers_separate_classes_payloads_random():
     samples = synthetic_samples(2, 2, CFG, seed=0)
-    flat = {s.label: s.flat.reshape(5, 320) for s in samples[:3:2]}
+    flat = {s.label: s.strides.reshape(5, 320) for s in samples[:3:2]}
     # header regions differ between classes, identical within a class
     assert not np.array_equal(flat[0][:, :80], flat[1][:, :80])
     same_class = [s for s in samples if s.label == 0]
-    h0 = same_class[0].flat.reshape(5, 320)[:, :80]
-    h1 = same_class[1].flat.reshape(5, 320)[:, :80]
+    h0 = same_class[0].strides.reshape(5, 320)[:, :80]
+    h1 = same_class[1].strides.reshape(5, 320)[:, :80]
     np.testing.assert_array_equal(h0, h1)
-    p0 = same_class[0].flat.reshape(5, 320)[:, 80:]
-    p1 = same_class[1].flat.reshape(5, 320)[:, 80:]
+    p0 = same_class[0].strides.reshape(5, 320)[:, 80:]
+    p1 = same_class[1].strides.reshape(5, 320)[:, 80:]
     assert not np.array_equal(p0, p1)

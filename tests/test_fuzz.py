@@ -4,6 +4,7 @@ bytes: only the declared error types may escape ``parse_capture`` and
 
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -95,7 +96,7 @@ def test_assemble_and_build_never_raise(frame_list, drop_dhcp, anonymize_ips):
             + stats.malformed_packets) == len(packets)
     assert sum(len(flow.packets) for flow in flows) == stats.kept_packets
     for flow in flows:
-        sample = build_sample(flow, cfg)
+        sample = build_sample(flow, cfg, None)
         assert sample.strides.shape == (cfg.n_strides, cfg.stride_len)
 
 
@@ -171,7 +172,7 @@ def test_read_samples_raises_only_parse_error(blob):
             return
     count = len(sf.labels)
     assert sf.strides.shape == (count, sf.n_strides, sf.stride_len)
-    assert len(blob) == HEADER_BYTES + count * (4 + sf.flow_bytes)
-    # a file that reads back holds a geometry ReprConfig accepts
-    ReprConfig(packets_per_flow=sf.packets_per_flow, header_bytes=sf.header_bytes,
-               payload_bytes=sf.payload_bytes, stride_len=sf.stride_len)
+    # a file that reads back holds its geometry as a ReprConfig; replace
+    # runs ReprConfig's validation again
+    assert replace(sf.repr_cfg) == sf.repr_cfg
+    assert len(blob) == HEADER_BYTES + count * (4 + sf.repr_cfg.flow_bytes)

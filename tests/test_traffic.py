@@ -231,15 +231,16 @@ def test_assemble_orders_flows_first_seen_and_packets_by_time():
 
 def test_build_sample_default_dimensions():
     flow = one_flow([tcp_flow_packet(i) for i in range(7)])
-    sample = build_sample(flow, CFG)
+    sample = build_sample(flow, CFG, 3)
     assert CFG.flow_bytes == 1600
     assert CFG.n_strides == 400
     assert sample.strides.shape == (400, 4)
+    assert sample.label == 3
 
 
 def test_build_sample_single_packet_padding():
     flow = one_flow([tcp_flow_packet(0, payload=b"\xff" * 600)])
-    sample = build_sample(flow, CFG)
+    sample = build_sample(flow, CFG, None)
     # one packet fills strides 0..79; the remaining 320 stride rows are zero
     assert sample.strides[:80].any()
     assert not sample.strides[80:].any()
@@ -251,26 +252,27 @@ def test_stride_cutting_indexing_identity():
                      stride_len=4, anonymize_ips=False)
     payload = bytes(range(16))
     packet = raw(eth_frame(ipv4_packet(udp_datagram(payload, 9, 10), 17), 0x0800))
-    sample = build_sample(one_flow([packet], cfg), cfg)
+    sample = build_sample(one_flow([packet], cfg), cfg, None)
     assert list(sample.strides[1]) == [4, 5, 6, 7]
 
 
 def test_round_trip_strides_equal_crop_pad_concat():
     packets = [tcp_flow_packet(i, payload=bytes([i]) * (20 * i)) for i in range(6)]
-    sample = build_sample(one_flow(packets), CFG)
+    sample = build_sample(one_flow(packets), CFG, None)
     expected = []
     for i in range(CFG.packets_per_flow):
         # the datagram with its addresses zeroed; 20-byte IP + 20-byte TCP
         anon = ipv4_packet(tcp_segment(bytes([i]) * (20 * i), 40000, 443), 6,
                            "0.0.0.0", "0.0.0.0")
         expected.append(crop_pad(anon[:40], anon[40:], CFG))
-    np.testing.assert_array_equal(sample.flat, np.concatenate(expected))
+    np.testing.assert_array_equal(sample.strides.reshape(-1),
+                                  np.concatenate(expected))
 
 
 def test_length_law_for_various_configs():
     for cfg in (CFG, ReprConfig(packets_per_flow=3, header_bytes=16,
                                 payload_bytes=8, stride_len=6)):
-        sample = build_sample(one_flow([tcp_flow_packet(0)], cfg), cfg)
+        sample = build_sample(one_flow([tcp_flow_packet(0)], cfg), cfg, None)
         assert sample.strides.size == cfg.packets_per_flow * cfg.packet_bytes
 
 

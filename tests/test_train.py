@@ -12,7 +12,7 @@ from netmamba import model as nm
 from netmamba import train
 from netmamba.data import samples_to_arrays, split_dataset, synthetic_samples
 from netmamba.errors import ConfigError, DataError
-from netmamba.traffic import ReprConfig
+from netmamba.traffic import ReprConfig, StrideSample
 
 TINY_REPR = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8,
                        stride_len=4)
@@ -42,8 +42,7 @@ def test_pretrain_rejects_empty_dataset():
 
 
 def test_pretrain_loss_decreases_and_logs(tmp_path):
-    data, _ = tiny_dataset()
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, _ = tiny_dataset()
     tcfg = train.pretrain_defaults(steps=60, batch_size=8, lr=3e-3, seed=1,
                                    log_every=1)
     result = train.pretrain(strides, TINY_MODEL, tcfg, out_dir=tmp_path)
@@ -57,8 +56,7 @@ def test_pretrain_loss_decreases_and_logs(tmp_path):
 
 
 def test_pretrain_deterministic_logs():
-    data, _ = tiny_dataset()
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, _ = tiny_dataset()
     tcfg = train.pretrain_defaults(steps=10, batch_size=4, seed=7, log_every=1)
     a = train.pretrain(strides, TINY_MODEL, tcfg)
     b = train.pretrain(strides, TINY_MODEL, tcfg)
@@ -66,8 +64,7 @@ def test_pretrain_deterministic_logs():
 
 
 def test_pretrain_best_is_lowest_loss_of_any_step(tmp_path):
-    data, _ = tiny_dataset()
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, _ = tiny_dataset()
     tcfg = train.pretrain_defaults(steps=12, batch_size=4, seed=5, log_every=1)
     every = train.pretrain(strides, TINY_MODEL, tcfg)
     losses = [row[1] for row in every.log]
@@ -83,8 +80,7 @@ def test_pretrain_best_is_lowest_loss_of_any_step(tmp_path):
 
 
 def test_pretrain_resume_matches_uninterrupted(tmp_path):
-    data, _ = tiny_dataset()
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, _ = tiny_dataset()
     full_cfg = train.pretrain_defaults(steps=12, batch_size=4, seed=3, log_every=1)
     full = train.pretrain(strides, TINY_MODEL, full_cfg)
 
@@ -98,11 +94,27 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path):
     assert resumed.log == full.log[6:]
 
 
+def test_pretrain_refuses_a_stop_at_that_runs_no_step(tmp_path):
+    # a run of no steps would write a last.nmckpt without optimizer moments,
+    # which --resume refuses
+    strides, _ = tiny_dataset(per_class=4)
+    tcfg = train.pretrain_defaults(steps=6, batch_size=4, seed=3)
+    with pytest.raises(ConfigError, match="starts at step 0 and ends at step 0"):
+        train.pretrain(strides, TINY_MODEL, tcfg, out_dir=tmp_path, stop_at=0)
+    assert not (tmp_path / "last.nmckpt").exists()
+    train.pretrain(strides, TINY_MODEL, tcfg, out_dir=tmp_path, stop_at=3)
+    with pytest.raises(ConfigError, match="starts at step 3 and ends at step 3"):
+        train.pretrain(strides, TINY_MODEL, tcfg, stop_at=3,
+                       resume=tmp_path / "last.nmckpt")
+    resumed = train.pretrain(strides, TINY_MODEL, tcfg, stop_at=4,
+                             resume=tmp_path / "last.nmckpt")
+    assert [row[0] for row in resumed.log] == [3]
+
+
 def test_pretrain_resume_keeps_the_checkpoint_tokenizer(tmp_path):
     # a resumed run that names no model key takes the checkpoint's config,
     # patch_split included, and replays the uninterrupted patch run
-    data, _ = tiny_dataset()
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, _ = tiny_dataset()
     patch_model = replace(TINY_MODEL, patch_split=True)
     full_cfg = train.pretrain_defaults(steps=8, batch_size=4, seed=3, log_every=1)
     full = train.pretrain(strides, patch_model, full_cfg)
@@ -113,24 +125,17 @@ def test_pretrain_resume_keeps_the_checkpoint_tokenizer(tmp_path):
     assert resumed.log == full.log[4:]
 
 
-def splits_for(data, labels, seed=0):
-    class S:
-        def __init__(self, flat, label):
-            self.flat = flat
-            self.label = label
-    samples = [S(d, int(l)) for d, l in zip(data, labels)]
+def splits_for(strides, labels, seed=0):
+    samples = [StrideSample(strides=x, label=int(y))
+               for x, y in zip(strides, labels)]
     tr, va, te = split_dataset(samples, (0.6, 0.2, 0.2), seed=seed)
-    def pack(part):
-        x = np.stack([s.flat for s in part]).reshape(
-            -1, TINY_REPR.n_strides, TINY_REPR.stride_len)
-        y = np.array([s.label for s in part], dtype=np.int64)
-        return x, y
-    return {"train": pack(tr), "val": pack(va), "test": pack(te)}
+    return {"train": samples_to_arrays(tr), "val": samples_to_arrays(va),
+            "test": samples_to_arrays(te)}
 
 
 def test_finetune_learns_separable_classes(tmp_path):
-    data, labels = tiny_dataset(per_class=30, seed=2)
-    splits = splits_for(data, labels)
+    strides, labels = tiny_dataset(per_class=30, seed=2)
+    splits = splits_for(strides, labels)
     tcfg = train.finetune_defaults(epochs=25, batch_size=8, seed=4,
                                    early_stop_val_acc=1.0)
     result = train.finetune(splits, TINY_MODEL, tcfg, out_dir=tmp_path)
@@ -145,11 +150,10 @@ def test_finetune_learns_separable_classes(tmp_path):
 
 
 def test_finetune_from_pretrained_checkpoint(tmp_path):
-    data, labels = tiny_dataset(per_class=12, seed=5)
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, labels = tiny_dataset(per_class=12, seed=5)
     pre_cfg = train.pretrain_defaults(steps=20, batch_size=8, seed=6)
     train.pretrain(strides, TINY_MODEL, pre_cfg, out_dir=tmp_path)
-    splits = splits_for(data, labels, seed=1)
+    splits = splits_for(strides, labels, seed=1)
     tcfg = train.finetune_defaults(epochs=4, batch_size=8, seed=7)
     result = train.finetune(splits, TINY_MODEL, tcfg,
                             init=tmp_path / "last.nmckpt")
@@ -158,8 +162,8 @@ def test_finetune_from_pretrained_checkpoint(tmp_path):
 
 
 def test_finetune_rejects_bad_labels():
-    data, labels = tiny_dataset(per_class=6)
-    splits = splits_for(data, labels)
+    strides, labels = tiny_dataset(per_class=6)
+    splits = splits_for(strides, labels)
     bad_x, bad_y = splits["train"]
     bad_y = bad_y.copy()
     bad_y[1] = 9
@@ -170,8 +174,8 @@ def test_finetune_rejects_bad_labels():
 
 
 def test_finetune_rejects_empty_val_split(tmp_path):
-    data, labels = tiny_dataset(per_class=6)
-    splits = splits_for(data, labels)
+    strides, labels = tiny_dataset(per_class=6)
+    splits = splits_for(strides, labels)
     val_x, val_y = splits["val"]
     splits["val"] = (val_x[:0], val_y[:0])
     tcfg = train.finetune_defaults(epochs=1, batch_size=4)
@@ -198,8 +202,7 @@ def track_embeddings(monkeypatch) -> list[bool]:
 
 
 def test_pretrain_frees_each_step_graph_before_the_next(monkeypatch):
-    data, _ = tiny_dataset(per_class=4)
-    strides = data.reshape(-1, TINY_REPR.n_strides, TINY_REPR.stride_len)
+    strides, _ = tiny_dataset(per_class=4)
     alive = track_embeddings(monkeypatch)
     train.pretrain(strides, TINY_MODEL,
                    train.pretrain_defaults(steps=2, batch_size=4, seed=1))
@@ -207,8 +210,8 @@ def test_pretrain_frees_each_step_graph_before_the_next(monkeypatch):
 
 
 def test_finetune_frees_each_step_graph_before_the_next(monkeypatch):
-    data, labels = tiny_dataset(per_class=6)
-    splits = splits_for(data, labels)
+    strides, labels = tiny_dataset(per_class=6)
+    splits = splits_for(strides, labels)
     assert len(splits["train"][0]) == 8                  # two steps of 4
     alive = track_embeddings(monkeypatch)
     train.finetune(splits, TINY_MODEL,
@@ -218,8 +221,8 @@ def test_finetune_frees_each_step_graph_before_the_next(monkeypatch):
 
 
 def test_evaluate_checkpoint_round_trip(tmp_path):
-    data, labels = tiny_dataset(per_class=10, seed=8)
-    splits = splits_for(data, labels, seed=2)
+    strides, labels = tiny_dataset(per_class=10, seed=8)
+    splits = splits_for(strides, labels, seed=2)
     tcfg = train.finetune_defaults(epochs=2, batch_size=8, seed=9)
     result = train.finetune(splits, TINY_MODEL, tcfg, out_dir=tmp_path)
     loaded, _, _ = ckpt.load_model(tmp_path / "best.nmckpt")
