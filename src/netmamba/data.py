@@ -12,6 +12,7 @@ takes one, and ``read_samples`` returns one as ``StrideFile.repr_cfg``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -89,7 +90,7 @@ class StrideFile:
 
     repr_cfg: ReprConfig
     num_classes: int
-    data: np.ndarray       # (n, L_b) uint8
+    data: np.ndarray       # (n, L_b) uint8, a field view of the file's records
     labels: np.ndarray     # (n,) int64, -1 where unlabeled
 
     @property
@@ -126,35 +127,39 @@ def write_samples(path, samples, cfg: ReprConfig, num_classes: int) -> None:
 
 
 def read_samples(path) -> StrideFile:
-    blob = Path(path).read_bytes()
-    if blob[:8] != MAGIC:
-        raise ParseError(f"{path}: bad sample-file magic {blob[:8]!r}")
-    if len(blob) < HEADER_BYTES:
-        raise ParseError(f"{path}: file is {len(blob)} bytes, shorter than "
-                         f"the {HEADER_BYTES}-byte header")
-    (version,) = struct.unpack_from("<H", blob, 8)
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported sample-file version {version}")
-    m, n_h, n_p, l_s, c, count = struct.unpack_from("<6I", blob, 10)
-    try:  # the geometry every written file has
-        repr_cfg = ReprConfig(packets_per_flow=m, header_bytes=n_h,
-                              payload_bytes=n_p, stride_len=l_s)
-    except ConfigError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    flow_bytes = repr_cfg.flow_bytes
-    if flow_bytes >= 2**31:  # numpy's limit on a record's subarray length
-        raise ParseError(f"{path}: header declares {flow_bytes}-byte flows")
-    expected = HEADER_BYTES + count * (4 + flow_bytes)
-    if len(blob) != expected:
-        raise ParseError(
-            f"{path}: file is {len(blob)} bytes, header implies {expected}")
-    records = np.frombuffer(
-        blob, dtype=[("label", "<u4"), ("data", np.uint8, (flow_bytes,))],
-        count=count, offset=HEADER_BYTES)
+    """The header, then the records read once into one array that ``data``
+    views, so loading holds the file's bytes once."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_BYTES)
+        if head[:8] != MAGIC:
+            raise ParseError(f"{path}: bad sample-file magic {head[:8]!r}")
+        if len(head) < HEADER_BYTES:
+            raise ParseError(f"{path}: file is {len(head)} bytes, shorter than "
+                             f"the {HEADER_BYTES}-byte header")
+        (version,) = struct.unpack_from("<H", head, 8)
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported sample-file version {version}")
+        m, n_h, n_p, l_s, c, count = struct.unpack_from("<6I", head, 10)
+        try:  # the geometry every written file has
+            repr_cfg = ReprConfig(packets_per_flow=m, header_bytes=n_h,
+                                  payload_bytes=n_p, stride_len=l_s)
+        except ConfigError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        flow_bytes = repr_cfg.flow_bytes
+        if flow_bytes >= 2**31:  # numpy's limit on a record's subarray length
+            raise ParseError(f"{path}: header declares {flow_bytes}-byte flows")
+        size = os.fstat(fh.fileno()).st_size
+        expected = HEADER_BYTES + count * (4 + flow_bytes)
+        if size != expected:
+            raise ParseError(
+                f"{path}: file is {size} bytes, header implies {expected}")
+        records = np.fromfile(
+            fh, dtype=[("label", "<u4"), ("data", np.uint8, (flow_bytes,))],
+            count=count)
     labels = records["label"].astype(np.int64)
     labels[records["label"] == UNLABELED] = -1
     return StrideFile(repr_cfg=repr_cfg, num_classes=c,
-                      data=records["data"].copy(), labels=labels)
+                      data=records["data"], labels=labels)
 
 
 def write_manifest(path, class_names) -> None:

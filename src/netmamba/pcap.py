@@ -3,13 +3,16 @@
 Only the original tcpdump format is handled: 24-byte global header, then
 16-byte per-record headers. Byte order and timestamp resolution come from
 the magic number. pcapng is out of scope and rejected by magic.
+
+A record is a ``NamedTuple``: extraction builds one per frame, and a tuple
+is built in C, where a dataclass runs Python code.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, UnsupportedFormatError
 
@@ -26,8 +29,7 @@ _MAGIC_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class RawPacket:
+class RawPacket(NamedTuple):
     """One captured record: link-layer bytes plus capture metadata."""
 
     ts_sec: int
@@ -60,25 +62,27 @@ def parse_capture(path) -> list[RawPacket]:
         raise UnsupportedFormatError(
             f"{path}: unsupported link type {linktype} (only Ethernet/1)")
 
-    rec = struct.Struct(order + "IIII")
+    unpack = struct.Struct(order + "IIII").unpack_from
     packets: list[RawPacket] = []
+    append = packets.append
+    new = tuple.__new__
+    end = len(blob)
     off = 24
-    while off < len(blob):
-        if off + 16 > len(blob):
-            raise ParseError(f"{path}: truncated record header at offset {off}")
-        ts_sec, ts_frac, incl_len, orig_len = rec.unpack_from(blob, off)
-        off += 16
-        if off + incl_len > len(blob):
-            raise ParseError(
-                f"{path}: truncated record at offset {off} "
-                f"(declared {incl_len} bytes, {len(blob) - off} remain)")
-        packets.append(RawPacket(
-            ts_sec=ts_sec,
-            ts_nsec=ts_frac * frac_to_ns,
-            link_bytes=blob[off:off + incl_len],
-            orig_len=orig_len,
-        ))
-        off += incl_len
+    try:
+        while off < end:
+            # raises struct.error when fewer than 16 bytes remain
+            ts_sec, ts_frac, incl_len, orig_len = unpack(blob, off)
+            start = off + 16
+            off = start + incl_len
+            if off > end:
+                raise ParseError(
+                    f"{path}: truncated record at offset {start} "
+                    f"(declared {incl_len} bytes, {end - start} remain)")
+            append(new(RawPacket, (ts_sec, ts_frac * frac_to_ns,
+                                   blob[start:off], orig_len)))
+    except struct.error:
+        raise ParseError(
+            f"{path}: truncated record header at offset {off}") from None
     return packets
 
 

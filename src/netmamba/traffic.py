@@ -11,11 +11,17 @@ a fixed budget; the rows concatenate into one byte array that is cut into
 non-overlapping strides. A flow carries no label: the caller knows its class
 and hands it to ``build_sample``, so one capture file's flows can become
 samples, and be dropped, before the next file is read.
+
+``FiveTuple`` and ``Datagram``, built for every kept frame, are
+``NamedTuple``s: a tuple is built, compared and hashed (a flow key is a dict
+key) in C, where a dataclass runs Python code for each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +38,7 @@ DHCP_PORTS = frozenset((67, 68, 546, 547))
 _V6_EXT = frozenset((0, 43, 44, 60, 51))
 
 
-@dataclass(frozen=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """Canonical conversation key: endpoint (ip_a, port_a) sorts <= (ip_b,
     port_b), so both directions map to the same tuple."""
 
@@ -46,13 +51,12 @@ class FiveTuple:
     @classmethod
     def canonical(cls, src_ip: bytes, src_port: int, dst_ip: bytes,
                   dst_port: int, protocol: int) -> "FiveTuple":
-        if (src_ip, src_port) <= (dst_ip, dst_port):
-            return cls(src_ip, src_port, dst_ip, dst_port, protocol)
-        return cls(dst_ip, dst_port, src_ip, src_port, protocol)
+        if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
+            return tuple.__new__(cls, (src_ip, src_port, dst_ip, dst_port, protocol))
+        return tuple.__new__(cls, (dst_ip, dst_port, src_ip, src_port, protocol))
 
 
-@dataclass(slots=True)
-class Datagram:
+class Datagram(NamedTuple):
     """One kept packet: capture time (seconds, nanoseconds), the IP
     datagram, and the length of its IP+transport header."""
 
@@ -127,24 +131,26 @@ def classify_and_strip(packet: RawPacket,
     """Dissect one frame: its flow key and IP datagram, or None for non-IP
     and filtered DHCP traffic. Raises MalformedPacketError for any header,
     from Ethernet to TCP/UDP, that is truncated or declares an impossible
-    length."""
-    data = packet.link_bytes
+    length. The datagram ends at its declared IP length, so Ethernet padding
+    or a trailer after it is not payload."""
+    ts_sec, ts_nsec, data, _ = packet
     if len(data) < 14:
         raise MalformedPacketError(
             f"packet of {len(data)} bytes is shorter than an Ethernet header")
-    off = 12
-    ethertype = int.from_bytes(data[off:off + 2], "big")
+    off = 14
+    ethertype = data[12] << 8 | data[13]
     while ethertype in VLAN_TPIDS:
         off += 4
-        if off + 2 > len(data):
+        if off > len(data):
             raise MalformedPacketError("truncated VLAN tag chain")
-        ethertype = int.from_bytes(data[off:off + 2], "big")
-    if ethertype not in (ETHERTYPE_IPV4, ETHERTYPE_IPV6):
+        ethertype = data[off - 2] << 8 | data[off - 1]
+    if ethertype != ETHERTYPE_IPV4 and ethertype != ETHERTYPE_IPV6:
         return None
-    ip_bytes = data[off + 2:]
+    ip_bytes = data[off:]
+    size = len(ip_bytes)
     version, proto, t_off = _transport_offset(ip_bytes)
     if proto == PROTO_TCP:
-        if t_off + 13 > len(ip_bytes):
+        if t_off + 13 > size:
             raise MalformedPacketError("TCP header truncated before data offset")
         doff = (ip_bytes[t_off + 12] >> 4) * 4
         if doff < 20:
@@ -154,22 +160,29 @@ def classify_and_strip(packet: RawPacket,
         end = t_off + 8
     else:
         end = t_off
-    if end > len(ip_bytes):
+    if end > size:
         raise MalformedPacketError(
-            f"declared header length {end} exceeds packet of {len(ip_bytes)}")
+            f"declared header length {end} exceeds packet of {size}")
     sport = dport = 0
-    if proto in (PROTO_TCP, PROTO_UDP):
-        sport = int.from_bytes(ip_bytes[t_off:t_off + 2], "big")
-        dport = int.from_bytes(ip_bytes[t_off + 2:t_off + 4], "big")
+    if proto == PROTO_TCP or proto == PROTO_UDP:
+        sport = ip_bytes[t_off] << 8 | ip_bytes[t_off + 1]
+        dport = ip_bytes[t_off + 2] << 8 | ip_bytes[t_off + 3]
         if (cfg.drop_dhcp and proto == PROTO_UDP
                 and (sport in DHCP_PORTS or dport in DHCP_PORTS)):
             return None
     if version == 4:
+        length_field = declared = ip_bytes[2] << 8 | ip_bytes[3]  # total length
         src, dst = ip_bytes[12:16], ip_bytes[16:20]
     else:
+        length_field = ip_bytes[4] << 8 | ip_bytes[5]    # payload length
+        declared = 40 + length_field
         src, dst = ip_bytes[8:24], ip_bytes[24:40]
+    # a zero field (TSO, jumbograms) or a length past the capture keeps the
+    # bytes as captured; a cut never reaches into the header
+    if length_field and end <= declared < size:
+        ip_bytes = ip_bytes[:declared]
     key = FiveTuple.canonical(src, sport, dst, dport, proto)
-    return key, Datagram(packet.sort_key, ip_bytes, end)
+    return key, tuple.__new__(Datagram, ((ts_sec, ts_nsec), ip_bytes, end))
 
 
 def anonymize(ip_bytes: bytes, cfg: ReprConfig) -> bytes:
@@ -253,27 +266,30 @@ def assemble_flows(packets, cfg: ReprConfig,
     packets are skipped and counted, never fatal."""
     if stats is None:
         stats = AssemblyStats()
-    flows: dict[FiveTuple, FlowRecord] = {}
+    flows: dict[FiveTuple, list[Datagram]] = {}
+    malformed = skipped = 0
     for packet in packets:
         try:
             dissected = classify_and_strip(packet, cfg)
         except MalformedPacketError:
-            stats.malformed_packets += 1
+            malformed += 1
             continue
         if dissected is None:
-            stats.skipped_packets += 1
+            skipped += 1
             continue
-        stats.kept_packets += 1
         key, datagram = dissected
-        record = flows.get(key)
-        if record is None:
-            flows[key] = FlowRecord(key=key, packets=[datagram])
+        group = flows.get(key)
+        if group is None:
+            flows[key] = [datagram]
         else:
-            record.packets.append(datagram)
-    out = list(flows.values())
-    for record in out:
-        record.packets.sort(key=lambda d: d.time)
-    return out
+            group.append(datagram)
+    stats.malformed_packets += malformed
+    stats.skipped_packets += skipped
+    stats.kept_packets += sum(map(len, flows.values()))
+    by_time = attrgetter("time")
+    for group in flows.values():
+        group.sort(key=by_time)
+    return [FlowRecord(key, group) for key, group in flows.items()]
 
 
 def build_sample(flow: FlowRecord, cfg: ReprConfig,

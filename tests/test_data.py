@@ -1,6 +1,8 @@
 """Balancing, stratified splitting, the NMSTRIDE container, and the
 synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,22 @@ def test_nmstride_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.strides, strides)
     np.testing.assert_array_equal(loaded.data, strides.reshape(6, 1600))
     np.testing.assert_array_equal(loaded.labels, labels)
+
+
+def test_read_samples_holds_the_file_once(tmp_path):
+    # 10k paper-geometry samples, a 16 MB file: loading holds its bytes once
+    path = tmp_path / "big.nmstride"
+    write_samples(path, make_samples(0, 1) * 10_000, CFG, num_classes=1)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = read_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * size
+    assert loaded.data.shape == (10_000, CFG.flow_bytes)
+    np.testing.assert_array_equal(loaded.strides[-1], make_samples(0, 1)[0].strides)
 
 
 def test_samples_to_arrays_refuses_an_empty_list():

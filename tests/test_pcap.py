@@ -89,5 +89,14 @@ def test_write_then_parse_round_trip(tmp_path):
     path = tmp_path / "rt.pcap"
     write_pcap(path, packets)
     parsed = parse_capture(path)
-    assert [p.link_bytes for p in parsed] == [p.link_bytes for p in packets]
-    assert parsed[1].orig_len == 90
+    assert parsed == packets
+    assert all(type(p) is RawPacket for p in parsed)
+    assert [p.sort_key for p in parsed] == [(1, 5000), (2, 0)]
+
+
+def test_raw_packet_fields_and_construction():
+    # the fixture and benchmark generators build records by keyword
+    packet = RawPacket(ts_sec=3, ts_nsec=7, link_bytes=b"\x01", orig_len=60)
+    assert RawPacket._fields == ("ts_sec", "ts_nsec", "link_bytes", "orig_len")
+    assert packet == RawPacket(3, 7, b"\x01", 60)
+    assert packet.sort_key == (3, 7)

@@ -1,6 +1,8 @@
 """Representation pipeline: dissection (stripping, header length, flow key),
 anonymization, crop/pad, flow assembly, and stride cutting."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from netmamba.errors import ConfigError, MalformedPacketError
 from netmamba.traffic import (
-    AssemblyStats, FiveTuple, FlowRecord, ReprConfig, anonymize,
+    AssemblyStats, Datagram, FiveTuple, FlowRecord, ReprConfig, anonymize,
     assemble_flows, build_sample, classify_and_strip, crop_pad,
 )
 
@@ -137,6 +139,50 @@ def test_dissect_declared_length_exceeds_packet(ip):
         classify_and_strip(raw(eth_frame(ip, 0x0800)), CFG)
 
 
+TRAILER = bytes(range(1, 7))     # e.g. padding plus a frame check sequence
+
+
+def with_length_field(ip: bytes, value: int) -> bytes:
+    """``ip`` with its IPv4 total length or IPv6 payload length set."""
+    at = 2 if ip[0] >> 4 == 4 else 4
+    return ip[:at] + struct.pack(">H", value) + ip[at + 2:]
+
+
+@pytest.mark.parametrize("ip", [
+    pytest.param(ipv4_packet(tcp_segment(b"", 1, 2), 6), id="ipv4_ack"),
+    pytest.param(ipv4_packet(tcp_segment(b"data", 1, 2), 6), id="ipv4_payload"),
+    pytest.param(ipv6_packet(udp_datagram(b"zz", 7, 8), 17), id="ipv6_udp"),
+])
+def test_link_trailer_is_cut_at_the_declared_ip_length(ip):
+    ethertype = 0x0800 if ip[0] >> 4 == 4 else 0x86DD
+    assert strip(eth_frame(ip, ethertype) + TRAILER) == ip
+
+
+def test_ack_with_a_trailer_gives_the_same_sample():
+    ack = tcp_flow_packet(0)
+    trailed = raw(ack.link_bytes + TRAILER)
+    np.testing.assert_array_equal(build_sample(one_flow([trailed]), CFG, 0).strides,
+                                  build_sample(one_flow([ack]), CFG, 0).strides)
+
+
+@pytest.mark.parametrize("ip", [
+    # TCP segmentation offload and jumbograms leave the length field 0
+    pytest.param(with_length_field(ipv4_packet(tcp_segment(b"abc", 1, 2), 6), 0),
+                 id="ipv4_zero_total_length"),
+    # no next header: the header ends at 40, where a zero field would cut
+    pytest.param(with_length_field(ipv6_packet(b"opaque", 59), 0),
+                 id="ipv6_zero_payload_length"),
+    pytest.param(ipv4_packet(tcp_segment(bytes(100), 1, 2), 6)[:70],
+                 id="truncated_capture"),
+    # a declared length inside the header cuts nothing and is not malformed
+    pytest.param(with_length_field(ipv4_packet(tcp_segment(b"abc", 1, 2), 6), 30),
+                 id="declared_inside_the_header"),
+])
+def test_declared_length_outside_the_capture_keeps_its_bytes(ip):
+    ethertype = 0x0800 if ip[0] >> 4 == 4 else 0x86DD
+    assert strip(eth_frame(ip, ethertype)) == ip
+
+
 def test_crop_pad_default_budgets():
     header, payload = bytes(range(40)), bytes(range(256)) + bytes(244)
     out = crop_pad(header, payload, CFG)
@@ -177,6 +223,19 @@ def test_canonical_key_symmetry_property(ip1, ip2, p1, p2, proto):
     b = FiveTuple.canonical(ip2, p2, ip1, p1, proto)
     assert a == b
     assert (a.ip_a, a.port_a) <= (a.ip_b, a.port_b)
+
+
+def test_record_fields_and_canonical_type():
+    # build_sample, the benchmark and library callers read these by name
+    assert FiveTuple._fields == ("ip_a", "port_a", "ip_b", "port_b", "protocol")
+    assert Datagram._fields == ("time", "ip_bytes", "header_len")
+    lo, hi = bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2])
+    key = FiveTuple.canonical(hi, 80, lo, 40000, 6)
+    assert type(key) is FiveTuple
+    assert key == FiveTuple(ip_a=lo, port_a=40000, ip_b=hi, port_b=80, protocol=6)
+    assert hash(key) == hash(FiveTuple.canonical(lo, 40000, hi, 80, 6))
+    # equal addresses: the lower port comes first
+    assert FiveTuple.canonical(lo, 9, lo, 3, 17) == (lo, 3, lo, 9, 17)
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,6 +286,21 @@ def test_assemble_orders_flows_first_seen_and_packets_by_time():
     assert flows[0].key.port_a in (80, 40000) or flows[0].key.port_b == 80
     assert [d.time for d in flows[0].packets] == [(1, 0), (5, 0)]
     assert len(flows) == 2
+
+
+def test_assemble_keeps_first_seen_flows_and_stable_time_order():
+    def packet(t, dport, tag):
+        return tcp_flow_packet(t, dport=dport, payload=tag)
+
+    packets = [packet(9, 443, b"a"), packet(3, 80, b"b"), packet(1, 443, b"c"),
+               packet(3, 80, b"d"), packet(2, 22, b"e"), packet(3, 80, b"f"),
+               packet(0, 80, b"g")]
+    flows = assemble_flows(packets, CFG)
+    assert [f.key.port_b for f in flows] == [443, 80, 22]
+    payloads = [[d.ip_bytes[d.header_len:] for d in f.packets] for f in flows]
+    # equal capture times keep their input order
+    assert payloads == [[b"c", b"a"], [b"g", b"b", b"d", b"f"], [b"e"]]
+    assert [d.time for d in flows[1].packets] == [(0, 0), (3, 0), (3, 0), (3, 0)]
 
 
 def test_build_sample_default_dimensions():
