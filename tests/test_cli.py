@@ -1,6 +1,7 @@
 """End-to-end command surface: extract golden runs, train/evaluate flows,
 config precedence, and exit codes."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -84,6 +85,39 @@ def test_extract_golden_determinism(workspace):
     sf = read_samples(out1 / "train.nmstride")
     assert sf.strides.shape[1:] == (16, 4)
     assert set(np.unique(sf.labels)) <= {0, 1}
+
+# sha256 of every extract output for the workspace tree, computed before
+# extraction kept only M datagrams per flow and split class by class: two
+# runs of the same code agreeing cannot show a changed split or balance
+# order, these can. The balanced run uses the small config, whose M = 2
+# cuts each 3-packet flow.
+GOLDEN_EXTRACTS = {
+    "defaults": (["--seed", 7], {
+        "train.nmstride": "65db2af8ab16ecb9be4630fee4ae8babd171f26812226333e6cc0999717f7604",
+        "val.nmstride": "c29244470ba469daeb7e224bf56267727a105c2bfe3d221696393151af8060df",
+        "test.nmstride": "a7c0b88d80a44f85203d0fe9dd363b91138615cb9cdad7ef0a2ac3fda7ad7803",
+        "manifest.json": "f64b65cc923386fd73f4a683573d749923d29d39a21cabf2c421d3203ced54db",
+        "summary.json": "e951d7676d916e992ad73df8a837ac95baece3598f33372204fa9748b812efb9",
+    }),
+    "balanced": (["--config", "SMALL_CFG", "--limit-lower", 1,
+                  "--limit-upper", 10, "--min-packets", 2, "--seed", 5], {
+        "train.nmstride": "eb96c0277013667634359666a9af1476e7de943f5fdfba1737ce8d3805e42fb9",
+        "val.nmstride": "38aa7b7e75df368f8d78d08b5ca9e5e3c23bbabed69d255233456a5236d7c640",
+        "test.nmstride": "c0a5b129b6e6eb0f1c4e505c9f701a5ef451cc55e239f49b8bc55395a074aaa6",
+        "manifest.json": "f64b65cc923386fd73f4a683573d749923d29d39a21cabf2c421d3203ced54db",
+        "summary.json": "c8780f3d2dbec604a9ba84c0ded23be45f6c915a532150dd844f43d824b0a8b1",
+    }),
+}
+
+@pytest.mark.parametrize("run_name", sorted(GOLDEN_EXTRACTS))
+def test_extract_outputs_match_pinned_digests(workspace, run_name):
+    tmp, pcaps, cfg = workspace
+    flags, digests = GOLDEN_EXTRACTS[run_name]
+    flags = [cfg if flag == "SMALL_CFG" else flag for flag in flags]
+    out = tmp / run_name
+    assert run(["extract", "--input", pcaps, "--output", out] + flags) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 def test_extract_no_header_zeroes_header_regions(workspace):
     tmp, pcaps, cfg = workspace
