@@ -31,19 +31,20 @@ RETIRED_CONFIG = {"norm": "rms", "recon_target": "bytes", "use_state_skip": Fals
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Written atomically: a crash mid-write leaves any previous checkpoint
-    at ``path`` intact."""
+    at ``path`` intact. Each tensor's buffer is written as it is, so a
+    contiguous little-endian float32 tensor is not copied."""
     index = []
-    blobs = []
+    arrays = []
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr, dtype="<f4")
         index.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += len(blobs[-1])
+        arrays.append(arr)
+        offset += arr.nbytes
     header = json.dumps({"meta": meta, "tensors": index}).encode()
     with atomic_write(path) as fh:
         fh.write(MAGIC + struct.pack("<I", len(header)) + header)
-        fh.writelines(blobs)
+        fh.writelines(arrays)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

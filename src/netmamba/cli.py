@@ -22,6 +22,7 @@ _cap_threads()  # must precede the first numpy import
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -54,6 +55,10 @@ def _values(args) -> dict:
 
 
 def cmd_extract(args) -> int:
+    """One class at a time: its capture files become sample rows (each file
+    freed before the next is read), the class is balanced and split, and its
+    rows are appended to the three sample files before the next class is
+    read. The balance and split rngs are consumed in label order."""
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         print(f"error: input directory {input_dir} does not exist",
@@ -63,63 +68,66 @@ def cmd_extract(args) -> int:
     repr_cfg = cfgmod.build(traffic.ReprConfig(), values)
     seed = values.get("seed", 0)
     min_packets = values.get("min_packets", 1)
-    ratios = (values.get("train_ratio", 0.8), values.get("val_ratio", 0.1),
-              values.get("test_ratio", 0.1))
+    split = datamod.StratifiedSplit(
+        (values.get("train_ratio", 0.8), values.get("val_ratio", 0.1),
+         values.get("test_ratio", 0.1)), seed)
+    balance = None
+    if "limit_lower" in values or "limit_upper" in values:
+        balance = datamod.ClassBalance(values.get("limit_lower", 0),
+                                       values.get("limit_upper", 2**31), seed)
 
     class_dirs = sorted(d for d in input_dir.iterdir() if d.is_dir())
     if not class_dirs:
         print(f"error: {input_dir} has no class subdirectories", file=sys.stderr)
         return EXIT_USAGE
 
-    per_class: dict[int, list] = {}
-    stats = traffic.AssemblyStats()
-    summary: dict = {"classes": {}, "file_errors": []}
-    for label, class_dir in enumerate(class_dirs):
-        kept, dropped = [], 0
-        for pcap_path in sorted(class_dir.glob("*.pcap")):
-            try:
-                packets = parse_capture(pcap_path)
-            except (ParseError, UnsupportedFormatError) as exc:
-                summary["file_errors"].append({"file": str(pcap_path),
-                                               "error": str(exc)})
-                continue
-            flows = traffic.assemble_flows(packets, repr_cfg, stats)
-            usable = [flow for flow in flows if len(flow.packets) >= min_packets]
-            dropped += len(flows) - len(usable)
-            kept += [traffic.build_sample(flow, repr_cfg, label) for flow in usable]
-            del packets, flows, usable  # free this file before reading the next
-        per_class[label] = kept
-        summary["classes"][class_dir.name] = {
-            "flows_kept": len(kept), "flows_dropped": dropped}
-    summary["malformed_packets"] = stats.malformed_packets
-    summary["skipped_packets"] = stats.skipped_packets
-
-    if "limit_lower" in values or "limit_upper" in values:
-        lower = values.get("limit_lower", 0)
-        upper = values.get("limit_upper", 2**31)
-        per_class = datamod.balance_dataset(per_class, lower, upper, seed)
-        for label, entry in enumerate(summary["classes"].values()):
-            entry["flows_after_balance"] = len(per_class.get(label, []))
-
-    samples = [s for label in sorted(per_class) for s in per_class[label]]
-    if not samples:
-        print("error: no usable flows were extracted", file=sys.stderr)
-        return EXIT_USAGE
-    train, val, test = datamod.split_dataset(samples, ratios, seed)
-
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_classes = len(class_dirs)
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        datamod.write_samples(out_dir / f"{name}.nmstride", part, repr_cfg,
-                              n_classes)
-        summary[f"{name}_samples"] = len(part)
+    stats = traffic.AssemblyStats()
+    summary: dict = {"classes": {}, "file_errors": []}
+    parts = ("train", "val", "test")
+    with ExitStack() as stack:
+        writers = [stack.enter_context(datamod.sample_writer(
+            out_dir / f"{name}.nmstride", repr_cfg, n_classes)) for name in parts]
+        for label, class_dir in enumerate(class_dirs):
+            rows, dropped = [], 0
+            for pcap_path in sorted(class_dir.glob("*.pcap")):
+                try:
+                    packets = parse_capture(pcap_path)
+                except (ParseError, UnsupportedFormatError) as exc:
+                    summary["file_errors"].append({"file": str(pcap_path),
+                                                   "error": str(exc)})
+                    continue
+                flows = traffic.assemble_flows(packets, repr_cfg, stats)
+                del packets  # the kept datagrams are copies of a few frames
+                for flow in flows:
+                    if flow.count >= min_packets:
+                        rows.append(traffic.build_sample(flow, repr_cfg))
+                    else:
+                        dropped += 1
+                del flows  # free this file before reading the next
+            entry = summary["classes"][class_dir.name] = {
+                "flows_kept": len(rows), "flows_dropped": dropped}
+            if balance is not None:
+                rows = balance(rows) or []
+                entry["flows_after_balance"] = len(rows)
+            if rows:
+                for writer, taken in zip(writers, split(label, rows)):
+                    for row in taken:
+                        writer.append(label, row)
+        total = sum(writer.count for writer in writers)
+        if not total:  # the writers then leave no file behind
+            raise DataError("no usable flows were extracted")
+    summary["malformed_packets"] = stats.malformed_packets
+    summary["skipped_packets"] = stats.skipped_packets
+    for name, writer in zip(parts, writers):
+        summary[f"{name}_samples"] = writer.count
     datamod.write_manifest(out_dir / "manifest.json",
                            [d.name for d in class_dirs])
     with atomic_write(out_dir / "summary.json", "w") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
-    print(f"extracted {len(samples)} flows from {n_classes} classes "
-          f"-> {out_dir}")
+    print(f"extracted {total} flows from {n_classes} classes -> {out_dir}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ NMSTRIDE layout (all integers little-endian):
     8-byte magic "NMSTRIDE", version u16,
     M, N_h, N_p, L_s, C, sample_count as u32 each,
     then per sample: u32 label (0xFFFFFFFF = unlabeled) + L_b raw bytes.
-The header's M, N_h, N_p and L_s are a ``ReprConfig``: ``write_samples``
+The header's M, N_h, N_p and L_s are a ``ReprConfig``: ``sample_writer``
 takes one, and ``read_samples`` returns one as ``StrideFile.repr_cfg``.
 """
 
@@ -15,6 +15,7 @@ import json
 import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,63 +23,101 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
 from .fileio import atomic_write
-from .traffic import ReprConfig, StrideSample
+from .traffic import ReprConfig
 
 MAGIC = b"NMSTRIDE"
 VERSION = 1
 UNLABELED = 0xFFFFFFFF
 HEADER_BYTES = 34  # magic, u16 version, six u32 fields
+_COUNT_OFFSET = HEADER_BYTES - 4  # sample_count is the header's last field
+
+
+@dataclass
+class StrideSample:
+    """One flow cut into n_strides rows of stride_len bytes."""
+
+    strides: np.ndarray           # (n_strides, stride_len) uint8
+    label: int | None = None
+
+
+class ClassBalance:
+    """The class-size limits, applied one class at a time: a class below
+    ``lower`` samples is dropped (None); one above ``upper`` is subsampled to
+    exactly ``upper`` without replacement, input order kept. One rng serves
+    every class, so the classes must come in one fixed order."""
+
+    def __init__(self, lower: int, upper: int, seed: int):
+        if lower > upper:
+            raise ConfigError(f"lower limit {lower} exceeds upper limit {upper}")
+        self.lower, self.upper = lower, upper
+        self._rng = np.random.default_rng(seed)
+
+    def __call__(self, samples) -> list | None:
+        if len(samples) < self.lower:
+            return None
+        if len(samples) > self.upper:
+            keep = np.sort(self._rng.choice(len(samples), size=self.upper,
+                                            replace=False))
+            return [samples[i] for i in keep]
+        return list(samples)
+
+
+class StratifiedSplit:
+    """A per-class shuffle into (train, val, test), one class at a time.
+
+    Val/test sizes are floored; the remainder goes to train. A class with
+    fewer than 3 samples is warned about and assigned wholly to train. One
+    rng serves every class, so the classes must come in one fixed order.
+    """
+
+    def __init__(self, ratios, seed: int):
+        ratios = tuple(float(r) for r in ratios)
+        if len(ratios) != 3 or any(r < 0 for r in ratios):
+            raise ConfigError(f"need three non-negative ratios, got {ratios}")
+        if abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")
+        self.ratios = ratios
+        self._rng = np.random.default_rng(seed)
+
+    def __call__(self, label, samples) -> tuple[list, list, list]:
+        n = len(samples)
+        if n < 3:
+            warnings.warn(f"class {label!r} has only {n} samples; "
+                          f"assigning all of them to train")
+            return list(samples), [], []
+        order = self._rng.permutation(n)
+        n_val = int(n * self.ratios[1])
+        n_test = int(n * self.ratios[2])
+        n_train = n - n_val - n_test
+        return ([samples[i] for i in order[:n_train]],
+                [samples[i] for i in order[n_train:n_train + n_val]],
+                [samples[i] for i in order[n_train + n_val:]])
 
 
 def balance_dataset(per_class: dict, lower: int, upper: int,
                     seed: int) -> dict:
-    """Drop classes below ``lower`` samples; subsample classes above
-    ``upper`` to exactly ``upper`` without replacement (input order kept)."""
-    if lower > upper:
-        raise ConfigError(f"lower limit {lower} exceeds upper limit {upper}")
-    rng = np.random.default_rng(seed)
+    """``ClassBalance`` over ``{label: samples}`` in dict order; dropped
+    classes are left out."""
+    balance = ClassBalance(lower, upper, seed)
     out = {}
     for label, samples in per_class.items():
-        if len(samples) < lower:
-            continue
-        if len(samples) > upper:
-            keep = np.sort(rng.choice(len(samples), size=upper, replace=False))
-            out[label] = [samples[i] for i in keep]
-        else:
-            out[label] = list(samples)
+        kept = balance(samples)
+        if kept is not None:
+            out[label] = kept
     return out
 
 
 def split_dataset(samples, ratios, seed: int):
-    """Per-class stratified shuffle into (train, val, test).
-
-    Val/test sizes are floored; the remainder goes to train. Classes with
-    fewer than 3 samples are warned about and assigned wholly to train.
-    """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"need three non-negative ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")
+    """``StratifiedSplit`` over samples grouped by label, classes in
+    first-seen order, each part the concatenation of its classes' parts."""
+    split = StratifiedSplit(ratios, seed)
     by_class: dict = {}
     for s in samples:
         by_class.setdefault(s.label, []).append(s)
-    rng = np.random.default_rng(seed)
     train, val, test = [], [], []
     for label, group in by_class.items():
-        n = len(group)
-        if n < 3:
-            warnings.warn(f"class {label!r} has only {n} samples; "
-                          f"assigning all of them to train")
-            train.extend(group)
-            continue
-        order = rng.permutation(n)
-        n_val = int(n * ratios[1])
-        n_test = int(n * ratios[2])
-        n_train = n - n_val - n_test
-        train.extend(group[i] for i in order[:n_train])
-        val.extend(group[i] for i in order[n_train:n_train + n_val])
-        test.extend(group[i] for i in order[n_train + n_val:])
+        for part, taken in zip((train, val, test), split(label, group)):
+            part.extend(taken)
     return train, val, test
 
 
@@ -106,24 +145,56 @@ class StrideFile:
         return self.data.reshape(len(self.data), self.n_strides, self.stride_len)
 
 
-def write_samples(path, samples, cfg: ReprConfig, num_classes: int) -> None:
-    """Written atomically: a bad sample raises ``DataError`` and leaves any
-    previous file at ``path`` as it was."""
+class SampleWriter:
+    """Appends the records of one NMSTRIDE file; see ``sample_writer``."""
+
+    def __init__(self, fh, cfg: ReprConfig, num_classes: int):
+        self._fh = fh
+        self._flow_bytes = cfg.flow_bytes
+        self._num_classes = num_classes
+        self.count = 0
+
+    def append(self, label: int | None, row) -> None:
+        """One record: ``row`` is the sample's L_b bytes, as any C-contiguous
+        buffer. A bad size or label raises ``DataError``."""
+        i = self.count
+        size = memoryview(row).nbytes
+        if size != self._flow_bytes:
+            raise DataError(f"sample {i} holds {size} bytes, "
+                            f"expected {self._flow_bytes}")
+        label = UNLABELED if label is None else int(label)
+        if label != UNLABELED and not 0 <= label < self._num_classes:
+            raise DataError(
+                f"sample {i} label {label} outside [0, {self._num_classes})")
+        self._fh.write(struct.pack("<I", label))
+        self._fh.write(row)
+        self.count = i + 1
+
+
+@contextmanager
+def sample_writer(path, cfg: ReprConfig, num_classes: int):
+    """Yield a ``SampleWriter`` that appends records to a temporary file
+    beside ``path``. When the block exits cleanly the header's sample count
+    is filled in and the file renamed over ``path``; if it raises, no new
+    file is left and any previous file at ``path`` is kept as it was."""
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         fh.write(struct.pack(
             "<6I", cfg.packets_per_flow, cfg.header_bytes, cfg.payload_bytes,
-            cfg.stride_len, num_classes, len(samples)))
-        for i, s in enumerate(samples):
-            if s.strides.size != cfg.flow_bytes:
-                raise DataError(f"sample {i} holds {s.strides.size} bytes, "
-                                f"expected {cfg.flow_bytes}")
-            label = UNLABELED if s.label is None else int(s.label)
-            if label != UNLABELED and not 0 <= label < num_classes:
-                raise DataError(f"sample {i} label {label} outside [0, {num_classes})")
-            fh.write(struct.pack("<I", label))
-            fh.write(s.strides.astype(np.uint8).tobytes())
+            cfg.stride_len, num_classes, 0))
+        writer = SampleWriter(fh, cfg, num_classes)
+        yield writer
+        fh.seek(_COUNT_OFFSET)
+        fh.write(struct.pack("<I", writer.count))
+
+
+def write_samples(path, samples, cfg: ReprConfig, num_classes: int) -> None:
+    """Written atomically: a bad sample raises ``DataError`` and leaves any
+    previous file at ``path`` as it was."""
+    with sample_writer(path, cfg, num_classes) as writer:
+        for s in samples:
+            writer.append(s.label, np.ascontiguousarray(s.strides, dtype=np.uint8))
 
 
 def read_samples(path) -> StrideFile:

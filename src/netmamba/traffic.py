@@ -4,13 +4,15 @@ Each frame is dissected once, by ``classify_and_strip``: strip the Ethernet
 (and VLAN) framing, drop non-IP and optionally DHCP traffic, find where the
 IP+transport header ends, and key the packet by its canonical 5-tuple. A
 truncated or impossible header at any layer, the TCP/UDP header included,
-makes the frame malformed; ``assemble_flows`` counts and skips it. For the
-first M datagrams of a flow, ``build_sample`` zeroes the IP address fields,
-splits header from payload at the stored length and crops/pads each part to
-a fixed budget; the rows concatenate into one byte array that is cut into
-non-overlapping strides. A flow carries no label: the caller knows its class
-and hands it to ``build_sample``, so one capture file's flows can become
-samples, and be dropped, before the next file is read.
+makes the frame malformed; ``assemble_flows`` counts and skips it.
+``assemble_flows`` keeps only what a sample reads: each flow's M earliest
+datagrams and a count of all its packets. For those datagrams,
+``build_sample`` zeroes the IP address fields, splits header from payload at
+the stored length and crops/pads each part to a fixed budget; the rows
+concatenate into the flow's sample bytes, which a reader cuts into
+non-overlapping strides. A flow carries no label: the caller knows its class,
+so one capture file's flows can become samples, and be dropped, before the
+next file is read.
 
 ``FiveTuple`` and ``Datagram``, built for every kept frame, are
 ``NamedTuple``s: a tuple is built, compared and hashed (a flow key is a dict
@@ -19,11 +21,10 @@ key) in C, where a dataclass runs Python code for each.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ConfigError, MalformedPacketError
 from .pcap import RawPacket
@@ -65,10 +66,14 @@ class Datagram(NamedTuple):
     header_len: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
+    """One flow: its M earliest datagrams by (capture time, file order), and
+    the number of its packets, kept or not."""
+
     key: FiveTuple
     packets: list[Datagram]
+    count: int
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,6 @@ class ReprConfig:
     def n_strides(self) -> int:
         """N_s = L_b / L_s."""
         return self.flow_bytes // self.stride_len
-
-
-@dataclass
-class StrideSample:
-    """One flow cut into n_strides rows of stride_len bytes."""
-
-    strides: np.ndarray           # (n_strides, stride_len) uint8
-    label: int | None = None
 
 
 @dataclass
@@ -246,27 +243,28 @@ def _transport_offset(ip_bytes: bytes) -> tuple[int, int, int]:
     return 6, proto, off
 
 
-def crop_pad(header: bytes, payload: bytes, cfg: ReprConfig) -> np.ndarray:
+def crop_pad(header: bytes, payload: bytes, cfg: ReprConfig) -> bytes:
     """Fixed byte budget per packet: header cropped/zero-padded to N_h, then
     payload to N_p. The include_* toggles blank a region entirely."""
-    out = np.zeros(cfg.packet_bytes, dtype=np.uint8)
-    if cfg.include_header and cfg.header_bytes:
-        h = np.frombuffer(header[:cfg.header_bytes], dtype=np.uint8)
-        out[:h.size] = h
-    if cfg.include_payload and cfg.payload_bytes:
-        p = np.frombuffer(payload[:cfg.payload_bytes], dtype=np.uint8)
-        out[cfg.header_bytes:cfg.header_bytes + p.size] = p
-    return out
+    header = header[:cfg.header_bytes] if cfg.include_header else b""
+    payload = payload[:cfg.payload_bytes] if cfg.include_payload else b""
+    return (header.ljust(cfg.header_bytes, b"\0")
+            + payload.ljust(cfg.payload_bytes, b"\0"))
+
+
+_time = itemgetter(0)  # a Datagram's capture time
 
 
 def assemble_flows(packets, cfg: ReprConfig,
                    stats: AssemblyStats | None = None) -> list[FlowRecord]:
-    """Group surviving packets by canonical 5-tuple, first-seen order;
-    packets within a flow are time-ordered with a stable sort. Malformed
-    packets are skipped and counted, never fatal."""
+    """Group surviving packets by canonical 5-tuple, first-seen order. Each
+    flow keeps its M earliest datagrams, the first M of a stable sort by
+    capture time, and counts every packet. Malformed packets are skipped and
+    counted, never fatal."""
     if stats is None:
         stats = AssemblyStats()
-    flows: dict[FiveTuple, list[Datagram]] = {}
+    m = cfg.packets_per_flow
+    flows: dict[FiveTuple, FlowRecord] = {}
     malformed = skipped = 0
     for packet in packets:
         try:
@@ -278,29 +276,33 @@ def assemble_flows(packets, cfg: ReprConfig,
             skipped += 1
             continue
         key, datagram = dissected
-        group = flows.get(key)
-        if group is None:
-            flows[key] = [datagram]
-        else:
-            group.append(datagram)
+        flow = flows.get(key)
+        if flow is None:
+            flows[key] = FlowRecord(key, [datagram], 1)
+            continue
+        flow.count += 1
+        kept = flow.packets
+        # in time order a packet costs one comparison: it goes last, or is
+        # past the first M; an equal time sorts after the kept ones
+        if datagram.time < kept[-1].time:
+            insort(kept, datagram, key=_time)
+            if len(kept) > m:
+                kept.pop()
+        elif len(kept) < m:
+            kept.append(datagram)
     stats.malformed_packets += malformed
     stats.skipped_packets += skipped
-    stats.kept_packets += sum(map(len, flows.values()))
-    by_time = attrgetter("time")
-    for group in flows.values():
-        group.sort(key=by_time)
-    return [FlowRecord(key, group) for key, group in flows.items()]
+    stats.kept_packets += sum(flow.count for flow in flows.values())
+    return list(flows.values())
 
 
-def build_sample(flow: FlowRecord, cfg: ReprConfig,
-                 label: int | None) -> StrideSample:
-    """The sample of class ``label`` (None: unlabeled): the first M
-    datagrams, anonymized, cropped and concatenated, cut into strides. Flows
-    shorter than M packets are padded with all-zero packet slots."""
-    rows = np.zeros((cfg.packets_per_flow, cfg.packet_bytes), dtype=np.uint8)
-    for row, datagram in zip(rows, flow.packets):
-        ip_bytes = anonymize(datagram.ip_bytes, cfg)
-        end = datagram.header_len
-        row[:] = crop_pad(ip_bytes[:end], ip_bytes[end:], cfg)
-    return StrideSample(
-        strides=rows.reshape(cfg.n_strides, cfg.stride_len), label=label)
+def build_sample(flow: FlowRecord, cfg: ReprConfig) -> bytes:
+    """The flow's L_b sample bytes: the first M datagrams, anonymized,
+    cropped and concatenated. Flows shorter than M packets are padded with
+    all-zero packet slots. Only a datagram's header and its first N_p
+    payload bytes are copied."""
+    rows = b"".join([
+        crop_pad(anonymize(ip_bytes[:end], cfg),
+                 ip_bytes[end:end + cfg.payload_bytes], cfg)
+        for _, ip_bytes, end in flow.packets[:cfg.packets_per_flow]])
+    return rows.ljust(cfg.flow_bytes, b"\0")

@@ -16,8 +16,8 @@ from netmamba import checkpoint as ckpt
 from netmamba import model as nm
 from netmamba import ssm
 from netmamba import train
-from netmamba.data import (read_samples, samples_to_arrays, split_dataset,
-                           synthetic_samples, write_samples)
+from netmamba.data import (read_samples, sample_writer, samples_to_arrays,
+                           split_dataset, synthetic_samples)
 from netmamba.metrics import compute_metrics
 from netmamba.pcap import parse_capture, write_pcap
 from netmamba.traffic import ReprConfig, assemble_flows, build_sample
@@ -189,9 +189,10 @@ def test_criterion_4_representation_golden_files(tmp_path):
 
     flows = assemble_flows(parse_capture(pcap_path), cfg)
     assert len(flows) == 3  # TCP conversation, UDP flow, VLAN flow
-    samples = [build_sample(flow, cfg, 0) for flow in flows]
     out_path = tmp_path / "golden.nmstride"
-    write_samples(out_path, samples, cfg, num_classes=1)
+    with sample_writer(out_path, cfg, num_classes=1) as writer:
+        for flow in flows:
+            writer.append(0, build_sample(flow, cfg))
 
     # expected bytes assembled independently, straight from the definitions
     def expect_row(ip: bytes, transport_header: int, payload: bytes) -> bytes:

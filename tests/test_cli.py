@@ -16,9 +16,11 @@ from netmamba import cli
 from netmamba import config as cfgmod
 from netmamba import model as nm
 from netmamba import train
-from netmamba.data import read_samples, synthetic_samples, write_samples
+from netmamba.data import (
+    StrideSample, read_samples, synthetic_samples, write_samples,
+)
 from netmamba.pcap import write_pcap
-from netmamba.traffic import ReprConfig, StrideSample
+from netmamba.traffic import ReprConfig
 
 from helpers import eth_frame, ipv4_packet, raw, tcp_segment, udp_datagram
 
@@ -214,6 +216,78 @@ def test_extract_balance_limits(workspace):
     summary = json.loads((out / "summary.json").read_text())
     for entry in summary["classes"].values():
         assert entry["flows_after_balance"] == 10
+
+def test_extract_memory_is_bounded_by_one_class(tmp_path):
+    # 2 or 8 classes of one capture of 300 one-packet flows each: a class is
+    # written before the next is read, so 6 more classes add their summary
+    # entries to the peak, not their 1800 rows of 1600 bytes
+    packets = [raw(eth_frame(ipv4_packet(tcp_segment(bytes(400), 1024 + f, 443),
+                                         6), 0x0800), ts_sec=f)
+               for f in range(300)]
+    peaks = {}
+    for n_classes in (2, 8):
+        root = tmp_path / f"c{n_classes}"
+        for c in range(n_classes):
+            (root / f"class_{c}").mkdir(parents=True)
+            write_pcap(root / f"class_{c}" / "a.pcap", packets)
+        tracemalloc.start()
+        try:
+            assert run(["extract", "--input", root,
+                        "--output", tmp_path / f"out{n_classes}"]) == 0
+            peaks[n_classes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    class_rows = 300 * ReprConfig().flow_bytes
+    assert peaks[2] > class_rows
+    assert peaks[8] - peaks[2] < class_rows / 4, (peaks, class_rows)
+
+@pytest.mark.parametrize("flags", [[], ["--limit-lower", 50]],
+                         ids=["no-flows", "every-class-below-the-limit"])
+def test_extract_without_usable_flows_leaves_no_outputs(workspace, capsys,
+                                                        flags):
+    tmp, pcaps, _ = workspace
+    if not flags:  # a tree whose only frame is ARP
+        pcaps = tmp / "arp"
+        (pcaps / "junk").mkdir(parents=True)
+        write_pcap(pcaps / "junk" / "a.pcap", [raw(eth_frame(bytes(28), 0x0806))])
+    out = tmp / "out"
+    assert run(["extract", "--input", pcaps, "--output", out] + flags) == 2
+    assert "no usable flows" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+def test_extract_failing_midway_keeps_the_previous_outputs(workspace,
+                                                           monkeypatch):
+    tmp, pcaps, cfg = workspace
+    out = tmp / "out"
+    assert run(["extract", "--input", pcaps, "--output", out, "--config", cfg,
+                "--seed", 7]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    build = cli.traffic.build_sample
+
+    def build_sample(flow, cfg):
+        if flow.key.ip_a.startswith(bytes([10, 0, 1])):  # the second class
+            raise RuntimeError("interrupted")
+        return build(flow, cfg)
+
+    monkeypatch.setattr(cli.traffic, "build_sample", build_sample)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run(["extract", "--input", pcaps, "--output", out, "--config", cfg,
+             "--seed", 8])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+def test_extract_refuses_inverted_limits_before_reading_a_capture(
+        workspace, monkeypatch, capsys):
+    tmp, pcaps, _ = workspace
+
+    def parse_capture(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "parse_capture", parse_capture)
+    out = tmp / "out"
+    assert run(["extract", "--input", pcaps, "--output", out,
+                "--limit-lower", 10, "--limit-upper", 5]) == 2
+    assert "lower limit 10 exceeds upper limit 5" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_unknown_config_key_is_usage_error(workspace):
     tmp, pcaps, _ = workspace
@@ -805,11 +879,11 @@ def built(monkeypatch):
     """Runs commands with the heavy work stubbed out and records the config
     dataclasses each one builds, by class."""
     seen = {}
-    write = cli.datamod.write_samples
+    open_writer = cli.datamod.sample_writer
 
-    def write_samples(path, samples, cfg, num_classes):
+    def sample_writer(path, cfg, num_classes):
         seen[ReprConfig] = cfg
-        write(path, samples, cfg, num_classes)
+        return open_writer(path, cfg, num_classes)
 
     def bench_forward(cfg, *args, **kwargs):
         seen[nm.ModelConfig] = cfg
@@ -825,7 +899,7 @@ def built(monkeypatch):
         report = SimpleNamespace(to_dict=dict, accuracy=0.0)
         return SimpleNamespace(report=report, best_val_acc=0.0, best_epoch=0)
 
-    monkeypatch.setattr(cli.datamod, "write_samples", write_samples)
+    monkeypatch.setattr(cli.datamod, "sample_writer", sample_writer)
     monkeypatch.setattr(cli.bench_mod, "bench_forward", bench_forward)
     monkeypatch.setattr(cli.trainmod, "pretrain", pretrain)
     monkeypatch.setattr(cli.trainmod, "finetune", finetune)

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmamba.data import (
-    balance_dataset, read_manifest, read_samples, samples_to_arrays,
-    split_dataset, synthetic_samples, write_manifest, write_samples,
+    StrideSample, balance_dataset, read_manifest, read_samples,
+    samples_to_arrays, split_dataset, synthetic_samples, write_manifest,
+    write_samples,
 )
 from netmamba.errors import ConfigError, DataError, ParseError
-from netmamba.traffic import ReprConfig, StrideSample
+from netmamba.traffic import ReprConfig
 
 CFG = ReprConfig()
 

@@ -94,10 +94,10 @@ def test_assemble_and_build_never_raise(frame_list, drop_dhcp, anonymize_ips):
     flows = assemble_flows(packets, cfg, stats)
     assert (stats.kept_packets + stats.skipped_packets
             + stats.malformed_packets) == len(packets)
-    assert sum(len(flow.packets) for flow in flows) == stats.kept_packets
+    assert sum(flow.count for flow in flows) == stats.kept_packets
     for flow in flows:
-        sample = build_sample(flow, cfg, None)
-        assert sample.strides.shape == (cfg.n_strides, cfg.stride_len)
+        assert 1 <= len(flow.packets) <= min(flow.count, cfg.packets_per_flow)
+        assert len(build_sample(flow, cfg)) == cfg.flow_bytes
 
 
 @st.composite

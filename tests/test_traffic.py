@@ -2,6 +2,7 @@
 anonymization, crop/pad, flow assembly, and stride cutting."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ def strip(frame: bytes, cfg: ReprConfig = CFG) -> bytes | None:
 def one_flow(packets, cfg: ReprConfig = CFG) -> FlowRecord:
     [flow] = assemble_flows(packets, cfg)
     return flow
+
+
+def strides_of(sample: bytes, cfg: ReprConfig = CFG) -> np.ndarray:
+    """A sample's bytes cut into (n_strides, stride_len) strides."""
+    return np.frombuffer(sample, dtype=np.uint8).reshape(cfg.n_strides,
+                                                          cfg.stride_len)
 
 
 def test_strip_plain_ipv4():
@@ -161,8 +168,7 @@ def test_link_trailer_is_cut_at_the_declared_ip_length(ip):
 def test_ack_with_a_trailer_gives_the_same_sample():
     ack = tcp_flow_packet(0)
     trailed = raw(ack.link_bytes + TRAILER)
-    np.testing.assert_array_equal(build_sample(one_flow([trailed]), CFG, 0).strides,
-                                  build_sample(one_flow([ack]), CFG, 0).strides)
+    assert build_sample(one_flow([trailed]), CFG) == build_sample(one_flow([ack]), CFG)
 
 
 @pytest.mark.parametrize("ip", [
@@ -186,22 +192,22 @@ def test_declared_length_outside_the_capture_keeps_its_bytes(ip):
 def test_crop_pad_default_budgets():
     header, payload = bytes(range(40)), bytes(range(256)) + bytes(244)
     out = crop_pad(header, payload, CFG)
-    assert out.shape == (320,)
-    assert bytes(out[:40]) == header
-    assert not out[40:80].any()
-    assert bytes(out[80:320]) == payload[:240]
+    assert len(out) == 320
+    assert out[:40] == header
+    assert out[40:80] == bytes(40)
+    assert out[80:320] == payload[:240]
 
 
 def test_crop_pad_empty_inputs():
-    assert not crop_pad(b"", b"", CFG).any()
+    assert crop_pad(b"", b"", CFG) == bytes(320)
 
 
 def test_crop_pad_toggles():
     header, payload = b"\xaa" * 100, b"\xbb" * 300
     no_header = crop_pad(header, payload, ReprConfig(include_header=False))
-    assert not no_header[:80].any() and no_header[80:].all()
+    assert no_header == bytes(80) + payload[:240]
     no_payload = crop_pad(header, payload, ReprConfig(include_payload=False))
-    assert no_payload[:80].all() and not no_payload[80:].any()
+    assert no_payload == header[:80] + bytes(240)
 
 
 def test_dissect_key_symmetry_example():
@@ -303,21 +309,70 @@ def test_assemble_keeps_first_seen_flows_and_stable_time_order():
     assert [d.time for d in flows[1].packets] == [(0, 0), (3, 0), (3, 0), (3, 0)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                          st.integers(0, 2)), max_size=40),
+       st.integers(1, 4))
+def test_assembly_keeps_the_first_m_of_a_stable_time_sort(events, m):
+    # (flow, seconds, nanoseconds) per packet: few distinct times, so ties
+    # and out-of-order packets are common; each payload is its input index
+    cfg = ReprConfig(packets_per_flow=m)
+    packets = [tcp_flow_packet(sec, dport=80 + flow,
+                               payload=struct.pack(">H", i))._replace(ts_nsec=nsec)
+               for i, (flow, sec, nsec) in enumerate(events)]
+    stats = AssemblyStats()
+    flows = assemble_flows(packets, cfg, stats)
+    by_flow: dict = {}
+    for i, (flow, sec, nsec) in enumerate(events):
+        by_flow.setdefault(80 + flow, []).append(((sec, nsec), i))
+    assert [f.key.port_b for f in flows] == list(by_flow)
+    for flow in flows:
+        every = by_flow[flow.key.port_b]
+        # sorting (time, index) pairs is a stable sort by time
+        expected = sorted(every)[:m]
+        kept = [(d.time, struct.unpack(">H", d.ip_bytes[d.header_len:])[0])
+                for d in flow.packets]
+        assert kept == expected
+        assert flow.count == len(every)
+    assert stats.kept_packets == len(events)
+
+
+def test_assembly_holds_m_datagrams_however_long_the_flows():
+    # the same 20 flows of 1000-byte packets, 10 or 100 packets long: the
+    # flows that assemble_flows returns hold M datagrams each either way
+    def traced(per_flow):
+        packets = [tcp_flow_packet(k, dport=1000 + f, payload=bytes(1000))
+                   for k in range(per_flow) for f in range(20)]
+        tracemalloc.start()
+        try:
+            flows = assemble_flows(packets, CFG)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [f.count for f in flows] == [per_flow] * 20
+        return held, peak
+
+    (short_held, short_peak), (long_held, long_peak) = traced(10), traced(100)
+    assert short_held > 20 * CFG.packets_per_flow * 1000
+    assert long_held < 1.05 * short_held, (short_held, long_held)
+    assert long_peak < 1.05 * short_peak, (short_peak, long_peak)
+
+
 def test_build_sample_default_dimensions():
     flow = one_flow([tcp_flow_packet(i) for i in range(7)])
-    sample = build_sample(flow, CFG, 3)
+    sample = build_sample(flow, CFG)
     assert CFG.flow_bytes == 1600
     assert CFG.n_strides == 400
-    assert sample.strides.shape == (400, 4)
-    assert sample.label == 3
+    assert len(sample) == 1600
+    assert strides_of(sample).shape == (400, 4)
 
 
 def test_build_sample_single_packet_padding():
     flow = one_flow([tcp_flow_packet(0, payload=b"\xff" * 600)])
-    sample = build_sample(flow, CFG, None)
+    strides = strides_of(build_sample(flow, CFG))
     # one packet fills strides 0..79; the remaining 320 stride rows are zero
-    assert sample.strides[:80].any()
-    assert not sample.strides[80:].any()
+    assert strides[:80].any()
+    assert not strides[80:].any()
 
 
 def test_stride_cutting_indexing_identity():
@@ -326,28 +381,27 @@ def test_stride_cutting_indexing_identity():
                      stride_len=4, anonymize_ips=False)
     payload = bytes(range(16))
     packet = raw(eth_frame(ipv4_packet(udp_datagram(payload, 9, 10), 17), 0x0800))
-    sample = build_sample(one_flow([packet], cfg), cfg, None)
-    assert list(sample.strides[1]) == [4, 5, 6, 7]
+    sample = build_sample(one_flow([packet], cfg), cfg)
+    assert list(strides_of(sample, cfg)[1]) == [4, 5, 6, 7]
 
 
 def test_round_trip_strides_equal_crop_pad_concat():
     packets = [tcp_flow_packet(i, payload=bytes([i]) * (20 * i)) for i in range(6)]
-    sample = build_sample(one_flow(packets), CFG, None)
+    sample = build_sample(one_flow(packets), CFG)
     expected = []
     for i in range(CFG.packets_per_flow):
         # the datagram with its addresses zeroed; 20-byte IP + 20-byte TCP
         anon = ipv4_packet(tcp_segment(bytes([i]) * (20 * i), 40000, 443), 6,
                            "0.0.0.0", "0.0.0.0")
         expected.append(crop_pad(anon[:40], anon[40:], CFG))
-    np.testing.assert_array_equal(sample.strides.reshape(-1),
-                                  np.concatenate(expected))
+    assert sample == b"".join(expected)
 
 
 def test_length_law_for_various_configs():
     for cfg in (CFG, ReprConfig(packets_per_flow=3, header_bytes=16,
                                 payload_bytes=8, stride_len=6)):
-        sample = build_sample(one_flow([tcp_flow_packet(0)], cfg), cfg, None)
-        assert sample.strides.size == cfg.packets_per_flow * cfg.packet_bytes
+        sample = build_sample(one_flow([tcp_flow_packet(0)], cfg), cfg)
+        assert len(sample) == cfg.packets_per_flow * cfg.packet_bytes
 
 
 def test_repr_config_validation():

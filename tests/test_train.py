@@ -10,9 +10,11 @@ import pytest
 from netmamba import checkpoint as ckpt
 from netmamba import model as nm
 from netmamba import train
-from netmamba.data import samples_to_arrays, split_dataset, synthetic_samples
+from netmamba.data import (
+    StrideSample, samples_to_arrays, split_dataset, synthetic_samples,
+)
 from netmamba.errors import ConfigError, DataError
-from netmamba.traffic import ReprConfig, StrideSample
+from netmamba.traffic import ReprConfig
 
 TINY_REPR = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8,
                        stride_len=4)
