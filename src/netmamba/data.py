@@ -94,19 +94,6 @@ class StratifiedSplit:
                 [samples[i] for i in order[n_train + n_val:]])
 
 
-def balance_dataset(per_class: dict, lower: int, upper: int,
-                    seed: int) -> dict:
-    """``ClassBalance`` over ``{label: samples}`` in dict order; dropped
-    classes are left out."""
-    balance = ClassBalance(lower, upper, seed)
-    out = {}
-    for label, samples in per_class.items():
-        kept = balance(samples)
-        if kept is not None:
-            out[label] = kept
-    return out
-
-
 def split_dataset(samples, ratios, seed: int):
     """``StratifiedSplit`` over samples grouped by label, classes in
     first-seen order, each part the concatenation of its classes' parts."""

@@ -4,15 +4,14 @@ Each frame is dissected once, by ``classify_and_strip``: strip the Ethernet
 (and VLAN) framing, drop non-IP and optionally DHCP traffic, find where the
 IP+transport header ends, and key the packet by its canonical 5-tuple. A
 truncated or impossible header at any layer, the TCP/UDP header included,
-makes the frame malformed; ``assemble_flows`` counts and skips it.
-``assemble_flows`` keeps only what a sample reads: each flow's M earliest
-datagrams and a count of all its packets. For those datagrams,
-``build_sample`` zeroes the IP address fields, splits header from payload at
-the stored length and crops/pads each part to a fixed budget; the rows
-concatenate into the flow's sample bytes, which a reader cuts into
-non-overlapping strides. A flow carries no label: the caller knows its class,
-so one capture file's flows can become samples, and be dropped, before the
-next file is read.
+makes the frame malformed; ``assemble_flows`` counts and skips it, and keeps
+only what a sample reads: each flow's M earliest datagrams and a count of
+all its packets. For those datagrams, ``build_sample`` zeroes the IP address
+fields, splits header from payload at the stored length and crops/pads each
+part to a fixed budget; the rows concatenate into the flow's sample bytes,
+which a reader cuts into non-overlapping strides. A flow carries no label:
+the caller knows its class, so one capture file's flows can become samples,
+and be dropped, before the next file is read.
 
 ``FiveTuple`` and ``Datagram``, built for every kept frame, are
 ``NamedTuple``s: a tuple is built, compared and hashed (a flow key is a dict

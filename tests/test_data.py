@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmamba.data import (
-    StrideSample, balance_dataset, read_manifest, read_samples,
+    ClassBalance, StrideSample, read_manifest, read_samples,
     samples_to_arrays, split_dataset, synthetic_samples, write_manifest,
     write_samples,
 )
@@ -29,29 +29,32 @@ def make_samples(label, n, cfg=CFG):
 
 
 def test_balance_drops_small_classes():
-    out = balance_dataset({0: make_samples(0, 3), 1: make_samples(1, 10)},
-                          lower=5, upper=100, seed=0)
-    assert set(out) == {1}
+    balance = ClassBalance(lower=5, upper=100, seed=0)
+    assert balance(make_samples(0, 3)) is None
+    assert len(balance(make_samples(1, 10))) == 10
 
 
 def test_balance_subsamples_deterministically():
     big = make_samples(0, 1000)
-    a = balance_dataset({0: big}, lower=1, upper=500, seed=42)
-    b = balance_dataset({0: big}, lower=1, upper=500, seed=42)
-    assert len(a[0]) == 500
-    assert [id(s) for s in a[0]] == [id(s) for s in b[0]]
-    c = balance_dataset({0: big}, lower=1, upper=500, seed=43)
-    assert [id(s) for s in a[0]] != [id(s) for s in c[0]]
+    a = ClassBalance(lower=1, upper=500, seed=42)(big)
+    b = ClassBalance(lower=1, upper=500, seed=42)(big)
+    assert len(a) == 500
+    assert [id(s) for s in a] == [id(s) for s in b]
+    position = {id(s): i for i, s in enumerate(big)}
+    kept = [position[id(s)] for s in a]
+    assert kept == sorted(kept)  # input order kept
+    c = ClassBalance(lower=1, upper=500, seed=43)(big)
+    assert [id(s) for s in a] != [id(s) for s in c]
 
 
 def test_balance_passthrough_in_range():
-    out = balance_dataset({0: make_samples(0, 100)}, lower=10, upper=500, seed=0)
-    assert len(out[0]) == 100
+    balance = ClassBalance(lower=10, upper=500, seed=0)
+    assert len(balance(make_samples(0, 100))) == 100
 
 
 def test_balance_validates_limits():
     with pytest.raises(ConfigError):
-        balance_dataset({}, lower=10, upper=5, seed=0)
+        ClassBalance(lower=10, upper=5, seed=0)
 
 
 def test_split_default_ratios():
