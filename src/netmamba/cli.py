@@ -112,7 +112,7 @@ def cmd_extract(args) -> int:
             if balance is not None:
                 rows = balance(rows) or []
                 entry["flows_after_balance"] = len(rows)
-            if rows:
+            if rows:  # an empty class is neither split nor warned about
                 for writer, taken in zip(writers, split(label, rows)):
                     for row in taken:
                         writer.append(label, row)
