@@ -6,8 +6,9 @@ raw little-endian float32 data per tensor in index order. Loading verifies
 the magic, every indexed name/shape, and the total byte length.
 
 A model checkpoint holds the whole model, its config (tokenizer included)
-and every tensor, plus optimizer moments in a ``last.nmckpt``;
-``load_model`` is the one reader of model checkpoints.
+and every tensor, plus optimizer moments in a ``last.nmckpt``. This module
+owns every check that a checkpoint fits the run that loads it: its kind
+(``load_model``, the one reader), the data's geometry and the run's config.
 """
 
 from __future__ import annotations
@@ -105,19 +106,25 @@ def _model_kind(params: ModelParams) -> str:
     return "pretrain" if has_dec else "finetune"
 
 
-def load_model(path) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
+def load_model(path, kind: str | None = None
+               ) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
     """Rebuild a model exactly as saved; every expected tensor must be
     present with the right shape, and every other tensor must be an
-    optimizer moment of one of them, of its shape. Returns (params, meta,
-    the optimizer moments by their checkpoint names)."""
+    optimizer moment of one of them, of its shape; a ``kind`` refuses a
+    checkpoint of the other kind. Returns (params, meta, the optimizer
+    moments by their checkpoint names)."""
     meta, tensors = load_checkpoint(path)
     cfg = _model_config(path, meta.get("config"))
-    kind = meta.get("kind", "pretrain")
-    if kind not in ("pretrain", "finetune"):
-        raise CheckpointMismatchError(f"{path}: unknown model kind {kind!r}")
+    saved = meta.get("kind", "pretrain")
+    if saved not in ("pretrain", "finetune"):
+        raise CheckpointMismatchError(f"{path}: unknown model kind {saved!r}")
+    if kind not in (None, saved):
+        part = "a decoder" if kind == "pretrain" else "a classification head"
+        raise CheckpointMismatchError(f"{path} is a {saved} checkpoint "
+                                      f"without {part}; expected a {kind} one")
     params = init_params(cfg, np.random.default_rng(0),
-                         with_decoder=kind == "pretrain",
-                         with_head=kind == "finetune")
+                         with_decoder=saved == "pretrain",
+                         with_head=saved == "finetune")
     ours = params.tensors()
     for name, arr in tensors.items():
         owner = ours.get(name[6:] if name.startswith(("opt.m.", "opt.v.")) else name)
@@ -141,6 +148,15 @@ def check_geometry(path, cfg: ModelConfig, strides: np.ndarray, source) -> None:
         raise CheckpointMismatchError(
             f"{path} expects {cfg.n_strides} strides of {cfg.stride_len} "
             f"bytes, but {source} has {strides.shape[1]} of {strides.shape[2]}")
+
+
+def check_config(path, saved: ModelConfig, cfg: ModelConfig, keys) -> None:
+    """Refuse a run ``cfg`` that differs from the checkpoint's on a key."""
+    for key in keys:
+        if getattr(cfg, key) != getattr(saved, key):
+            raise CheckpointMismatchError(
+                f"{path} was trained with {key} = {getattr(saved, key)!r}, "
+                f"not {getattr(cfg, key)!r}")
 
 
 def _model_config(path, saved) -> ModelConfig:
@@ -186,12 +202,8 @@ def load_encoder_weights(params: ModelParams, path) -> None:
     shape (``use_pos_embed``, ``patch_split``). Nothing is loaded unless
     every check passes."""
     saved, _, _ = load_model(path)
-    for f in fields(ModelConfig):
-        value, pretrained = getattr(params.cfg, f.name), getattr(saved.cfg, f.name)
-        if f.name not in NOT_ENCODER_KEYS and value != pretrained:
-            raise CheckpointMismatchError(
-                f"{path}: the encoder was pre-trained with {f.name} = "
-                f"{pretrained!r}, not {value!r}")
+    check_config(path, saved.cfg, params.cfg, [
+        f.name for f in fields(ModelConfig) if f.name not in NOT_ENCODER_KEYS])
     ours = params.tensors()
     for name, t in saved.named():
         if name.startswith(("enc.", "embed.")):

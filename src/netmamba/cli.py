@@ -47,7 +47,9 @@ _USAGE_ERRORS = (ConfigError, DataError, ParseError, UnsupportedFormatError,
 def _values(args) -> dict:
     """The config file merged under the flags whose ``dest`` is a config key."""
     flags = {k: v for k, v in vars(args).items() if k in cfgmod.SCHEMA}
-    return cfgmod.merge(cfgmod.load_config(args.config), flags)
+    values = cfgmod.merge(cfgmod.load_config(args.config), flags)
+    trainmod.check_min("seed", values.get("seed", 0), 0)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,8 @@ def cmd_finetune(args) -> int:
     if args.init is None and not args.from_scratch:
         print("error: pass --init CHECKPOINT or --from-scratch", file=sys.stderr)
         return EXIT_USAGE
+    if not Path(args.data).is_dir():
+        raise ConfigError(f"--data {args.data} is not an extract directory")
     values = _values(args)
     splits = {}
     for name in ("train", "val", "test"):
@@ -195,11 +199,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, meta, _ = ckpt.load_model(args.checkpoint)
-    if params.head_w1 is None:
-        raise CheckpointMismatchError(
-            f"{args.checkpoint} is a {meta.get('kind', 'pretrain')} checkpoint "
-            "without a classification head; evaluate needs a fine-tuning one")
+    params, _, _ = ckpt.load_model(args.checkpoint, "finetune")
     data_path = _resolve_data(args.data, "test")
     sf = datamod.read_samples(data_path)
     ckpt.check_geometry(args.checkpoint, params.cfg, sf.strides, data_path)

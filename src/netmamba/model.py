@@ -310,8 +310,6 @@ def finetune_forward(strides: np.ndarray, params: ModelParams) -> Tensor:
     cfg = params.cfg
     if params.head_w1 is None:
         raise ContractError("model was built without a classification head")
-    if cfg.num_classes < 2:
-        raise ConfigError("classification needs at least 2 classes")
     norm = _tokens(strides, params)
     x0 = ssm.Rows((len(norm), cfg.seq_len, cfg.d_enc),
                   lambda r0, r1: embed_batch(norm, params, slice(r0, r1)))

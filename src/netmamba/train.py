@@ -46,12 +46,13 @@ class TrainConfig:
 
     def __post_init__(self):
         for key in ("batch_size", "log_every"):
-            _check_positive(key, getattr(self, key))
+            check_min(key, getattr(self, key))
+        check_min("seed", self.seed, 0)  # numpy seeds from non-negative ints
 
 
-def _check_positive(key: str, value: int) -> None:
-    if value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value}")
+def check_min(key: str, value: int, low: int = 1) -> None:
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 
 def pretrain_defaults(**overrides) -> TrainConfig:
@@ -79,12 +80,15 @@ class FinetuneResult:
     best_val_acc: float
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+def _check_split(name: str, strides, labels, num_classes: int) -> None:
+    if len(strides) == 0:
+        raise ConfigError(f"{name} split is empty")
+    labels = np.asarray(labels)
     bad = np.where((labels < 0) | (labels >= num_classes))[0]
     if bad.size:
         raise DataError(
-            f"sample {int(bad[0])} has label {int(labels[bad[0]])} "
-            f"outside [0, {num_classes})")
+            f"{name} split: sample {int(bad[0])} has label "
+            f"{int(labels[bad[0]])} outside [0, {num_classes})")
 
 
 def _snapshot(params: nm.ModelParams) -> dict[str, np.ndarray]:
@@ -130,8 +134,9 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     refused: it has no loss to log, and a fresh one has no optimizer moments
     to save. A resumed run takes its model config from the checkpoint and
     refuses one whose step is not a step count, one without the optimizer
-    moments of every tensor (a ``best.nmckpt``), or one that disagrees with
-    a field of ``cfg`` named in ``given`` (the fields the caller set
+    moments of every tensor (a ``best.nmckpt``); ``checkpoint`` refuses one
+    without a decoder, one of other stride geometry, and one that disagrees
+    with a field of ``cfg`` named in ``given`` (the fields the caller set
     explicitly).
     """
     n = len(strides)
@@ -140,19 +145,10 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
     state = OptimState(weight_decay=tcfg.weight_decay)
     start_step = 0
     if resume is not None:
-        params, meta, extra = ckpt.load_model(resume)
-        if params.recon_w is None:
-            raise CheckpointMismatchError(
-                f"{resume} is a {meta['kind']} checkpoint without a "
-                "decoder; resuming pre-training needs a pre-training one")
-        saved = params.cfg
-        ckpt.check_geometry(resume, saved, strides, "the data")
-        for key in given:
-            if getattr(cfg, key) != getattr(saved, key):
-                raise CheckpointMismatchError(
-                    f"{resume} was trained with {key} = "
-                    f"{getattr(saved, key)!r}, not {getattr(cfg, key)!r}")
-        cfg = saved
+        params, meta, extra = ckpt.load_model(resume, "pretrain")
+        ckpt.check_geometry(resume, params.cfg, strides, "the data")
+        ckpt.check_config(resume, params.cfg, cfg, given)
+        cfg = params.cfg
         start_step = meta.get("step")
         if type(start_step) is not int or start_step < 0:
             raise CheckpointMismatchError(
@@ -210,7 +206,7 @@ def predict(params: nm.ModelParams, strides: np.ndarray,
     """Class predictions, ``batch_size`` flows per no-grad pass of
     ``nm.finetune_forward``, the forward that fine-tuning trains; without
     grad it streams each batch along the sequence in row chunks."""
-    _check_positive("batch_size", batch_size)
+    check_min("batch_size", batch_size)
     preds = []
     with ad.no_grad():
         for lo in range(0, len(strides), batch_size):
@@ -221,9 +217,7 @@ def predict(params: nm.ModelParams, strides: np.ndarray,
 
 def evaluate(params: nm.ModelParams, strides: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> MetricsReport:
-    if len(strides) == 0:
-        raise ConfigError("evaluation split is empty")
-    _check_labels(np.asarray(labels), params.cfg.num_classes)
+    _check_split("evaluation", strides, labels, params.cfg.num_classes)
     preds = predict(params, strides, batch_size)
     return compute_metrics(labels, preds, params.cfg.num_classes)
 
@@ -237,18 +231,15 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
     with the best validation accuracy (ties resolved to the earliest epoch).
 
     ``init`` points at a pre-training checkpoint for the encoder; None means
-    the from-scratch ablation.
+    the from-scratch ablation. Every split is checked before the first step.
     """
-    for name in ("train", "val", "test"):
-        if name not in splits:
-            raise ConfigError(f"missing split {name!r}")
+    for key, name in (("train", "training"), ("val", "validation"),
+                      ("test", "test")):
+        if key not in splits:
+            raise ConfigError(f"missing split {key!r}")
+        _check_split(name, *splits[key], cfg.num_classes)
     train_x, train_y = splits["train"]
-    val_x, val_y = splits["val"]
-    for name, xs in (("training", train_x), ("validation", val_x)):
-        if len(xs) == 0:
-            raise ConfigError(f"{name} split is empty")
     train_y = np.asarray(train_y, dtype=np.int64)
-    _check_labels(train_y, cfg.num_classes)
 
     params = nm.init_params(rng=rng_for(tcfg.seed, "init", 1), cfg=cfg,
                             with_decoder=False, with_head=True)
@@ -275,7 +266,7 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
                     nm.finetune_forward(train_x[sel], params), train_y[sel]),
                 tensors, state, sched.lr_at(step), tcfg.grad_clip))
             step += 1
-        val_acc = evaluate(params, val_x, val_y, tcfg.batch_size).accuracy
+        val_acc = evaluate(params, *splits["val"], tcfg.batch_size).accuracy
         history.append((epoch, float(np.mean(losses)), val_acc))
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
@@ -284,8 +275,7 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
             break
     if best_snap is not None:
         _restore(params, best_snap)
-    test_x, test_y = splits["test"]
-    report = evaluate(params, test_x, test_y, tcfg.batch_size)
+    report = evaluate(params, *splits["test"], tcfg.batch_size)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -274,3 +274,21 @@ def test_save_model_writes_one_kind_per_model(tmp_path, decoder, head, kind):
     loaded, meta, extra = ckpt.load_model(path)
     assert meta["kind"] == kind and extra == {}
     assert [n for n, _ in loaded.named()] == [n for n, _ in params.named()]
+
+
+@pytest.mark.parametrize("saved, other", [("pretrain", "finetune"),
+                                          ("finetune", "pretrain")])
+def test_load_model_refuses_a_checkpoint_of_another_kind(tmp_path, saved, other):
+    params = nm.init_params(CFG, np.random.default_rng(8),
+                            with_decoder=saved == "pretrain",
+                            with_head=saved == "finetune")
+    path = tmp_path / "m.nmckpt"
+    ckpt.save_model(path, params)
+    missing = "a decoder" if other == "pretrain" else "a classification head"
+    with pytest.raises(CheckpointMismatchError,
+                       match=f"{saved} checkpoint without {missing}"):
+        ckpt.load_model(path, other)
+    for kind in (None, saved):
+        loaded, meta, _ = ckpt.load_model(path, kind)
+        assert meta["kind"] == saved
+        assert [n for n, _ in loaded.named()] == [n for n, _ in params.named()]

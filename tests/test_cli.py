@@ -1028,6 +1028,35 @@ def test_training_refuses_a_batch_or_log_interval_below_one(
     assert not (tmp_path / command).exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("command", ["extract", "pretrain", "finetune", "bench"])
+def test_a_negative_seed_is_refused_before_any_work(
+        tmp_path, tiny_split, capsys, command, where):
+    # numpy seeds only from non-negative ints: a negative seed used to end
+    # in its ValueError traceback with exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_MODEL + ("seed = -3\n" if where == "file" else ""))
+    argv = command_argv(command, tmp_path, tiny_split) + ["--config", cfg]
+    assert run(argv + (["--seed", -1] if where == "flag" else [])) == 2
+    err = capsys.readouterr().err
+    value = -1 if where == "flag" else -3
+    assert f"seed must be >= 0, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / command).exists() and not (tmp_path / "x").exists()
+
+
+def test_finetune_refuses_a_data_path_that_is_not_a_directory(
+        tmp_path, tiny_split, capsys):
+    # a file used to stand for all three splits, so the test metrics came
+    # from the training flows
+    data = tiny_split / "train.nmstride"
+    out = tmp_path / "ft"
+    assert run(["finetune", "--data", data, "--output", out,
+                "--from-scratch", "--epochs", 1]) == 2
+    err = capsys.readouterr().err
+    assert f"{data} is not an extract directory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 def test_evaluate_refuses_a_batch_below_one(head_checkpoint, capsys, batch):
     # 0 used to run silently at the default of 64, and -1 failed with a

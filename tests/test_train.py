@@ -186,6 +186,39 @@ def test_finetune_rejects_empty_val_split(tmp_path):
     assert not (tmp_path / "best.nmckpt").exists()
 
 
+@pytest.mark.parametrize("split, spoil, error, text", [
+    ("test", None, ConfigError, "missing split 'test'"),
+    ("test", lambda x, y: (x[:0], y[:0]), ConfigError, "test split is empty"),
+    ("val", lambda x, y: (x, np.full_like(y, -1)), DataError,
+     "validation split: sample 0 has label -1"),
+    ("test", lambda x, y: (x, np.full_like(y, 2)), DataError,
+     "test split: sample 0 has label 2"),
+], ids=["test-missing", "test-empty", "val-unlabeled", "test-out-of-range"])
+def test_finetune_checks_every_split_before_its_first_step(
+        monkeypatch, tmp_path, split, spoil, error, text):
+    # an empty or out-of-range test split used to fail after the last epoch,
+    # an unlabeled validation split after the first
+    strides, labels = tiny_dataset(per_class=6)
+    splits = splits_for(strides, labels)
+    xy = splits.pop(split)
+    if spoil is not None:
+        splits[split] = spoil(*xy)
+    steps = []
+    monkeypatch.setattr(train, "_step", lambda *a: steps.append(a) or 0.0)
+    with pytest.raises(error, match=text):
+        train.finetune(splits, TINY_MODEL,
+                       train.finetune_defaults(epochs=3, batch_size=4),
+                       out_dir=tmp_path / "ft")
+    assert steps == [] and not (tmp_path / "ft").exists()
+
+
+def test_training_config_refuses_a_negative_seed():
+    # numpy's SeedSequence raises a bare ValueError for one
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        train.TrainConfig(seed=-1)
+    assert train.finetune_defaults(seed=0).seed == 0
+
+
 def track_embeddings(monkeypatch) -> list[bool]:
     """Patch ``nm.embed_batch`` to note, at each call, whether the array the
     previous call returned is still alive. Every training graph starts from
