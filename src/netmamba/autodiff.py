@@ -458,7 +458,7 @@ def layernorm(x, gain) -> Tensor:
 _CONV_BLOCK = 1 << 17
 
 
-def causal_conv1d(x, weight, bias, past: np.ndarray | None = None) -> Tensor:
+def causal_conv1d(x, weight, bias) -> Tensor:
     """silu(per-channel causal convolution + bias) on (B, L, E), Mamba's
     causal_conv1d_fn with activation="silu". The (E,) bias is required.
 
@@ -469,13 +469,6 @@ def causal_conv1d(x, weight, bias, past: np.ndarray | None = None) -> Tensor:
     sigmoid. Both passes work in blocks of rows, each block's temporaries in
     buffers allocated once per call. Every product and sum is the one a
     separate convolution and ``silu`` would form, in the same order.
-
-    ``past`` (B, P, E), no-grad only: the P <= k-1 input rows just before
-    x, as Mamba's conv_state carries them from one piece of a sequence to
-    the next. The taps read them as x's own earlier rows, so a sequence run
-    in pieces gives, row for row, the bits of one run over the whole. A past
-    with no rows is the sequence start. Passing one while the op would
-    record a graph raises ContractError.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3:
@@ -490,16 +483,6 @@ def causal_conv1d(x, weight, bias, past: np.ndarray | None = None) -> Tensor:
     # strided column wd[:, j] took three times as long
     taps = np.ascontiguousarray(wd.T)
     k = len(taps)
-    P = 0
-    if past is not None:
-        if records_graph(x, weight, bias):
-            raise ContractError("causal_conv1d: past rows are for no-grad passes only")
-        P = past.shape[1] if past.ndim == 3 else -1
-        if past.shape != (B, P, E) or P > k - 1:
-            raise ShapeError(f"causal_conv1d: past {past.shape} is not "
-                             f"({B}, <= {k - 1}, {E})")
-    # the past rows and x as one input, whose rows P.. are the output's
-    xf = np.concatenate([past, xd], axis=1) if P else xd
     rows = min(L, max(1, _CONV_BLOCK // (B * E)))
     blocks = [(r0, min(L, r0 + rows)) for r0 in range(0, L, rows)]
 
@@ -507,10 +490,9 @@ def causal_conv1d(x, weight, bias, past: np.ndarray | None = None) -> Tensor:
         # rows r0..r1-1 of the convolution + bias, in pre
         p = pre[:, :r1 - r0]
         p[...] = 0
-        r0, r1 = r0 + P, r1 + P
         for j in range(min(k, r1)):
             lo = max(r0, j)
-            np.multiply(xf[:, lo - j:r1 - j], taps[j], out=tmp[:, :r1 - lo])
+            np.multiply(xd[:, lo - j:r1 - j], taps[j], out=tmp[:, :r1 - lo])
             p[:, lo - r0:] += tmp[:, :r1 - lo]
         p += bd
         return p

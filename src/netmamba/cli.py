@@ -35,7 +35,7 @@ from . import train as trainmod
 from .errors import (
     EXIT_CHECKPOINT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
     CheckpointMismatchError, ConfigError, DataError, NumericFaultError,
-    ParseError, UnsupportedFormatError,
+    ParseError, UnsupportedFormatError, check_min,
 )
 from .fileio import atomic_write
 from .pcap import parse_capture
@@ -48,7 +48,7 @@ def _values(args) -> dict:
     """The config file merged under the flags whose ``dest`` is a config key."""
     flags = {k: v for k, v in vars(args).items() if k in cfgmod.SCHEMA}
     values = cfgmod.merge(cfgmod.load_config(args.config), flags)
-    trainmod.check_min("seed", values.get("seed", 0), 0)
+    check_min("seed", values.get("seed", 0), 0)
     return values
 
 
@@ -148,11 +148,11 @@ def _resolve_data(path, split: str) -> Path:
 
 def cmd_pretrain(args) -> int:
     values = _values(args)
+    tcfg = cfgmod.build(trainmod.pretrain_defaults(), values)
     sf = datamod.read_samples(_resolve_data(args.data, "train"))
     cfg = cfgmod.build(nm.ModelConfig(), values, seq_len=sf.n_strides + 1,
                        stride_len=sf.stride_len,
                        num_classes=max(sf.num_classes, 2))
-    tcfg = cfgmod.build(trainmod.pretrain_defaults(), values)
     out_dir = Path(args.output)
     result = trainmod.pretrain(sf.strides, cfg, tcfg, out_dir=out_dir,
                                resume=args.resume,
@@ -172,9 +172,10 @@ def cmd_finetune(args) -> int:
     if args.init is None and not args.from_scratch:
         print("error: pass --init CHECKPOINT or --from-scratch", file=sys.stderr)
         return EXIT_USAGE
+    values = _values(args)
+    tcfg = cfgmod.build(trainmod.finetune_defaults(), values)
     if not Path(args.data).is_dir():
         raise ConfigError(f"--data {args.data} is not an extract directory")
-    values = _values(args)
     splits = {}
     for name in ("train", "val", "test"):
         path = _resolve_data(args.data, name)
@@ -187,7 +188,6 @@ def cmd_finetune(args) -> int:
         splits[name] = (sf.strides, sf.labels)
     cfg = cfgmod.build(nm.ModelConfig(), values, seq_len=sf.n_strides + 1,
                        stride_len=sf.stride_len, num_classes=sf.num_classes)
-    tcfg = cfgmod.build(trainmod.finetune_defaults(), values)
     out_dir = Path(args.output)
     result = trainmod.finetune(splits, cfg, tcfg, init=args.init,
                                out_dir=out_dir)

@@ -37,6 +37,12 @@ class CheckpointMismatchError(ValueError):
     """Checkpoint contents disagree with the expected tensor set; names the tensor."""
 
 
+def check_min(key: str, value: float, low: float = 1) -> None:
+    """Refuse a config value below ``low`` with a ConfigError naming the key."""
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value}")
+
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3

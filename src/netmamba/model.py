@@ -23,7 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from . import ssm
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericFaultError, ShapeError
+from .errors import (ConfigError, ContractError, NumericFaultError, ShapeError,
+                     check_min)
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,12 @@ class ModelConfig:
     patch_split: bool = False     # 2-D patch tokens instead of 1-D strides
 
     def __post_init__(self):
-        if self.seq_len < 2:
-            raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
+        for key in ("d_enc", "e_enc", "d_dec", "e_dec", "state_dim", "dt_rank",
+                    "conv_kernel"):
+            check_min(key, getattr(self, key))
+        for key in ("depth_enc", "depth_dec"):
+            check_min(key, getattr(self, key), 0)
+        check_min("seq_len", self.seq_len, 2)
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
 

@@ -98,22 +98,17 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Linear warmup to base_lr, then cosine decay to zero; or constant."""
+    """Linear warmup to base_lr, then cosine decay to zero."""
 
     base_lr: float
     total_steps: int
     warmup_steps: int = 0
-    policy: str = "cosine"
 
     def __post_init__(self):
         if self.base_lr < 0 or self.total_steps < 1 or self.warmup_steps < 0:
             raise ConfigError(f"invalid schedule {self}")
-        if self.policy not in ("cosine", "constant"):
-            raise ConfigError(f"unknown schedule policy {self.policy!r}")
 
     def lr_at(self, step: int) -> float:
-        if self.policy == "constant":
-            return self.base_lr
         if step < self.warmup_steps:
             return self.base_lr * (step + 1) / self.warmup_steps
         span = max(self.total_steps - self.warmup_steps, 1)

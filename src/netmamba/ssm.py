@@ -24,21 +24,21 @@ streams along the sequence: it runs every block over one row chunk at a
 time, as Mamba's own inference steps along a sequence with a conv_state and
 an ssm_state (arXiv:2312.00752). Each block carries a ``BlockCarry`` from
 one chunk to the next: the last k-1 rows of its in-projection x, which
-``ad.causal_conv1d`` reads as the past of the next chunk, and its (B, N, E)
-scan state, which ``selective_scan`` starts from and steps in place. Its
-input can be ``Rows`` that form each chunk on demand, so a no-grad pass
-holds a block's arrays for one chunk only, and its memory beyond its output
-does not grow with L. The carry is no-grad only: the conv and the scan
-refuse it while they would record a graph, and with grad on the one chunk
-is the whole sequence.
+the block puts in front of the next chunk's before the conv, and its
+(B, N, E) scan state, which ``selective_scan`` starts from and steps in
+place. The conv itself is a pure function of its input and weights. The
+stack's input can be ``Rows`` that form each chunk on demand, so a no-grad
+pass holds a block's arrays for one chunk only, and its memory beyond its
+output does not grow with L. The carry is no-grad only: the block refuses
+it under grad, and with grad on the one chunk is the whole sequence.
 
-The scan, the block and the stack are told how many final rows the caller
-reads (``tail``; all of them by default). A classifier that reads the last
-row alone gets it without the rows before: below the top block every row is
-needed, but the top block forms z, C, y, the gate, the out-projection and
-the residual only for the rows read, and elsewhere only steps its conv tail
-and scan state; the scan's backward skips the per-step work of the rows not
-read.
+The block and the stack are told how many final rows the caller reads
+(``tail``; all of them by default), and the scan reads it from the rows of
+its c and z. A classifier that reads the last row alone gets it without the
+rows before: below the top block every row is needed, but the top block
+forms z, C, y, the gate, the out-projection and the residual only for the
+rows read, and elsewhere only steps its conv tail and scan state; the
+scan's backward skips the per-step work of the rows not read.
 
 ``selective_scan`` takes exactly the block's inputs; the block is its only
 caller. The tests keep the plain recurrence as their oracle and reach it
@@ -145,7 +145,7 @@ _CHUNK = 16  # scan steps per stored state in grad mode
 
 def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
                    dt_bias: Tensor, z: Tensor, w_dt_up: Tensor, w_out: Tensor, *,
-                   state: np.ndarray | None = None, tail: int | None = None) -> Tensor:
+                   state: np.ndarray | None = None) -> Tensor:
     """The block's zero-order-hold selective scan, with the ops around it
     taken in as Mamba's mamba_inner_fn does (arXiv:2312.00752):
 
@@ -155,9 +155,9 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
 
     dt_low (B, L, R) is the step's down-projection and w_dt_up (R, E) its
     up-projection; dt_bias (E,); a (E, N); b (B, L, N); x (B, L, E); c
-    (B, T, N) and z (B, T, E); w_out (E, D); returns (B, T, D). Strictly
-    causal; the recurrence is sequential per (batch, channel) lane. The
-    state is (B, N, E), channels innermost, and each step writes into
+    (B, T, N) and z (B, T, E) with T <= L; w_out (E, D); returns (B, T, D).
+    Strictly causal; the recurrence is sequential per (batch, channel) lane.
+    The state is (B, N, E), channels innermost, and each step writes into
     buffers allocated once per call.
 
     The forward pass walks the steps in chunks of _CHUNK, forming each
@@ -175,11 +175,11 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
     reads the saved arrays, never writing into them, so repeated backward
     calls accumulate.
 
-    ``tail``: how many final rows the caller reads, all L by default. With
-    tail = T every step still moves the state, but y, C_t, the gate and the
-    out-projection exist for rows L-T..L-1 alone, and the backward pass
-    skips, at each earlier step, the C_t (x) dloss/dy_t outer product, the
-    recomputed y_t and its gate. T = 0 steps the state only.
+    c and z hold the T final rows the caller reads. With T < L every step
+    still moves the state, but y, C_t, the gate and the out-projection
+    exist for rows L-T..L-1 alone, and the backward pass skips, at each
+    earlier step, the C_t (x) dloss/dy_t outer product, the recomputed y_t
+    and its gate. T = 0 steps the state only.
 
     ``state`` (B, N, E), no-grad only: the state before the first step, as
     Mamba's ssm_state carries it from one piece of a sequence to the next.
@@ -192,9 +192,10 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
     if x.ndim != 3:
         raise ShapeError(f"selective_scan: x={x.shape} is not (B, L, E)")
     B, L, E = x.shape
-    T = L if tail is None else tail
+    T = c.shape[1] if c.ndim == 3 else -1
     if not 0 <= T <= L:
-        raise ContractError(f"selective_scan: tail {tail} is not within 0..{L} rows")
+        raise ShapeError(f"selective_scan: c={c.shape} is not (B, T, N) with "
+                         f"T <= {L}, the rows of x={x.shape}")
     N, R, width = (t.shape[-1] if t.ndim else 0 for t in (a, dt_low, w_out))
     expected = {"dt_low": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, T, N),
                 "x": (B, L, E), "dt_bias": (E,), "z": (B, T, E), "w_dt_up": (R, E),
@@ -357,14 +358,6 @@ class BlockCarry:
                    np.zeros((batch, dims.n, dims.e), dtype=dtype))
 
 
-def _last_rows(past: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """The last n rows of past followed by x, in an array of their own."""
-    if x.shape[1] >= n:
-        return x[:, x.shape[1] - n:].copy()
-    both = np.concatenate([past, x], axis=1)
-    return both[:, max(0, both.shape[1] - n):]
-
-
 def _tail(t: Tensor, n: int) -> Tensor:
     """The last n rows of a (B, L, ...) tensor: t itself when n = L."""
     rows = t.shape[1]
@@ -382,33 +375,44 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     are formed for the last ``tail`` rows alone (see ``selective_scan``).
 
     With a ``carry`` (no-grad only) x_prev is the next row chunk of a
-    longer sequence: the conv reads the carried in-projection rows as its
-    past, the scan starts from the carried state, and both are updated for
-    the chunk after this one.
+    longer sequence. The carried in-projection rows go in front of the
+    chunk's, the conv runs over both and the rows it gives for the carried
+    ones are dropped, so each row sees the taps of one pass over the whole;
+    the last k-1 rows of that input are carried on. The scan starts from the
+    carried state and steps it in place. A carry under grad raises
+    ContractError before the carry changes.
     """
     p = params
     if x_prev.ndim != 3 or x_prev.shape[-1] != p.dims.d:
         raise ShapeError(
             f"block_forward: input {x_prev.shape} does not match d={p.dims.d}")
-    T = x_prev.shape[1] if tail is None else tail
+    if carry is not None and ad.grad_enabled():
+        raise ContractError("block_forward: a carry is for no-grad passes only")
+    L = x_prev.shape[1]
+    T = L if tail is None else tail
+    if not 0 <= T <= L:
+        raise ContractError(f"block_forward: tail {tail} is not within 0..{L} rows")
     xn = ad.rmsnorm(x_prev, p.norm_gain)
     x = ad.matmul(xn, p.w_in_x)
     z = ad.matmul(_tail(xn, T), p.w_in_z)
     # without grad the normalized input and the in-projection are freed
     # after their last use
     del xn
-    past = None if carry is None else carry.conv
-    xc = ad.causal_conv1d(x, p.conv_w, p.conv_b, past=past)
+    P = 0
     if carry is not None:
-        carry.conv = _last_rows(past, x.data, p.dims.k - 1)
+        P = carry.conv.shape[1]
+        x = ad.concat([carry.conv, x], axis=1)
+        carry.conv = x.data[:, max(0, x.shape[1] - (p.dims.k - 1)):].copy()
+    xc = ad.causal_conv1d(x, p.conv_w, p.conv_b)
     del x
+    if P:
+        xc = Tensor(xc.data[:, P:])     # this chunk's rows, as a view
     b_in = ad.matmul(xc, p.w_b)
     c = ad.matmul(_tail(xc, T), p.w_c)
     dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
     out = ad.add(selective_scan(dt_low, a, b_in, c, xc, p.dt_bias, z, p.w_dt_up,
-                                p.w_out, state=None if carry is None else carry.state,
-                                tail=T),
+                                p.w_out, state=None if carry is None else carry.state),
                  _tail(x_prev, T))
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as nm
-from .errors import CheckpointMismatchError, ConfigError, DataError
+from .errors import CheckpointMismatchError, ConfigError, DataError, check_min
 from .fileio import atomic_write
 from .metrics import MetricsReport, compute_metrics
 from .optim import OptimState, Schedule, adamw_step, clip_global_norm, zero_grads
@@ -38,21 +38,16 @@ class TrainConfig:
     epochs: int = 120
     weight_decay: float = 0.05
     warmup_frac: float = 0.05
-    schedule: str = "cosine"
     grad_clip: float = 1.0
     seed: int = 0
     log_every: int = 10
     early_stop_val_acc: float | None = None
 
     def __post_init__(self):
-        for key in ("batch_size", "log_every"):
+        for key in ("batch_size", "log_every", "steps", "epochs"):
             check_min(key, getattr(self, key))
         check_min("seed", self.seed, 0)  # numpy seeds from non-negative ints
-
-
-def check_min(key: str, value: int, low: int = 1) -> None:
-    if value < low:
-        raise ConfigError(f"{key} must be >= {low}, got {value}")
+        check_min("lr", self.lr, 0)
 
 
 def pretrain_defaults(**overrides) -> TrainConfig:
@@ -168,8 +163,7 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
                           f"{start_step} and ends at step {end_step}")
     tensors = params.tensors()
     sched = Schedule(base_lr=tcfg.lr, total_steps=tcfg.steps,
-                     warmup_steps=max(int(tcfg.warmup_frac * tcfg.steps), 1),
-                     policy=tcfg.schedule)
+                     warmup_steps=max(int(tcfg.warmup_frac * tcfg.steps), 1))
     log: list = []
     best_loss, best_step, best_snap = np.inf, -1, None
     for step in range(start_step, end_step):
@@ -191,11 +185,10 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
         ckpt.save_model(out_dir / "last.nmckpt", params, step=end_step,
                         opt_tensors=state.tensors())
-        if best_snap is not None:
-            current = _snapshot(params)
-            _restore(params, best_snap)
-            ckpt.save_model(out_dir / "best.nmckpt", params, step=best_step)
-            _restore(params, current)
+        current = _snapshot(params)
+        _restore(params, best_snap)
+        ckpt.save_model(out_dir / "best.nmckpt", params, step=best_step)
+        _restore(params, current)
         write_loss_log(out_dir / "loss_log.csv", log)
     return PretrainResult(params=params, log=log, best_step=best_step,
                           best_loss=best_loss)
@@ -247,11 +240,10 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
         ckpt.load_encoder_weights(params, init)
     tensors = params.tensors()
     n = len(train_x)
-    steps_per_epoch = max((n + tcfg.batch_size - 1) // tcfg.batch_size, 1)
+    steps_per_epoch = (n + tcfg.batch_size - 1) // tcfg.batch_size
     sched = Schedule(base_lr=tcfg.lr, total_steps=tcfg.epochs * steps_per_epoch,
                      warmup_steps=max(int(tcfg.warmup_frac * tcfg.epochs
-                                          * steps_per_epoch), 1),
-                     policy=tcfg.schedule)
+                                          * steps_per_epoch), 1))
     state = OptimState(weight_decay=tcfg.weight_decay)
     history: list = []
     best_acc, best_epoch, best_snap = -1.0, -1, None
@@ -273,8 +265,7 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
             best_snap = _snapshot(params)
         if tcfg.early_stop_val_acc is not None and val_acc >= tcfg.early_stop_val_acc:
             break
-    if best_snap is not None:
-        _restore(params, best_snap)
+    _restore(params, best_snap)
     report = evaluate(params, *splits["test"], tcfg.batch_size)
     if out_dir is not None:
         out_dir = Path(out_dir)

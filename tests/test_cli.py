@@ -866,9 +866,8 @@ FIELD_VALUES = {
                      "conv_kernel": "3", "patch_split": "true"},
     train.TrainConfig: {"batch_size": "7", "lr": "0.01", "steps": "3",
                         "epochs": "2", "weight_decay": "0.1",
-                        "warmup_frac": "0.2", "schedule": "constant",
-                        "grad_clip": "2.0", "seed": "5", "log_every": "2",
-                        "early_stop_val_acc": "0.5"},
+                        "warmup_frac": "0.2", "grad_clip": "2.0", "seed": "5",
+                        "log_every": "2", "early_stop_val_acc": "0.5"},
 }
 CONFIG_FIELDS = [(cls, f.name) for cls in FIELD_VALUES for f in fields(cls)
                  if f.name not in ("seq_len", "num_classes")]
@@ -1025,6 +1024,47 @@ def test_training_refuses_a_batch_or_log_interval_below_one(
     assert run(argv + ["--config", cfg] + length + flags) == 2
     err = capsys.readouterr().err
     assert f"{key} must be >= 1, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("key, value, low", [
+    ("d_enc", 0, 1), ("e_enc", 0, 1), ("d_dec", 0, 1), ("e_dec", 0, 1),
+    ("state_dim", 0, 1), ("dt_rank", 0, 1), ("conv_kernel", 0, 1),
+    ("depth_enc", -1, 0), ("depth_dec", -1, 0),
+])
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "bench"])
+def test_a_model_width_below_one_is_refused(
+        tmp_path, tiny_split, capsys, command, key, value, low):
+    # a width below 1 used to end in the block's ContractError traceback
+    # with exit 1, and a negative depth built no blocks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_MODEL + f"{key} = {value}\n")
+    argv = command_argv(command, tmp_path, tiny_split) + ["--config", cfg]
+    length = {"pretrain": ["--steps", 1], "finetune": ["--epochs", 1]}
+    assert run(argv + length.get(command, [])) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be >= {low}, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("command, flags, key, value", [
+    ("pretrain", ["--steps", 0], "steps", 0),
+    ("finetune", ["--epochs", 0], "epochs", 0),
+    ("pretrain", ["--steps", 1, "--lr", -1], "lr", -1.0),
+    ("finetune", ["--epochs", 1, "--lr", -1], "lr", -1.0),
+])
+def test_a_run_without_steps_or_with_a_negative_rate_is_refused(
+        tmp_path, tiny_split, capsys, command, flags, key, value):
+    # refused, naming the key, before the data is read: the data path given
+    # does not exist. These used to exit 2 after reading the data, with a
+    # message naming no key
+    argv = [command, "--data", tmp_path / "missing", "--output", tmp_path / command]
+    if command == "finetune":
+        argv += ["--from-scratch"]
+    assert run(argv + flags) == 2
+    err = capsys.readouterr().err
+    low = 0 if key == "lr" else 1
+    assert f"{key} must be >= {low}, got {value}" in err and "Traceback" not in err
     assert not (tmp_path / command).exists()
 
 

@@ -21,12 +21,12 @@ def test_load_config_types_and_comments(tmp_path):
         "packets_per_flow = 5\n"
         "mask_ratio = 0.9   # ratio of masked strides\n"
         "anonymize_ips = false\n"
-        "schedule = constant\n"
+        "lr = 2.5e-4\n"
         "\n"
     )
     values = load_config(path)
     assert values == {"packets_per_flow": 5, "mask_ratio": 0.9,
-                      "anonymize_ips": False, "schedule": "constant"}
+                      "anonymize_ips": False, "lr": 2.5e-4}
 
 
 def test_unknown_key_rejected(tmp_path):

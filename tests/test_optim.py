@@ -104,13 +104,6 @@ def test_schedule_warmup_then_cosine():
     assert sched.lr_at(99) == pytest.approx(0.0, abs=1e-3)
 
 
-def test_schedule_constant_policy():
-    sched = Schedule(base_lr=0.5, total_steps=10, policy="constant")
-    assert sched.lr_at(0) == sched.lr_at(9) == 0.5
-
-
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         Schedule(base_lr=-1.0, total_steps=10)
-    with pytest.raises(ConfigError):
-        Schedule(base_lr=1.0, total_steps=10, policy="step")

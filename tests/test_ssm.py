@@ -6,6 +6,7 @@ through ``identity_scan``, whose identity projections make it the plain
 scan of step softplus(dt_low) bit for bit."""
 
 import contextlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -89,19 +90,21 @@ def test_scan_rejects_mismatched_shapes():
     with pytest.raises(ShapeError, match="selective_scan"):
         scan(delta, a.T, b_in, c, x)
     with pytest.raises(ShapeError, match="selective_scan"):
-        scan(delta, a, b_in, c[:, :-1], x)
+        scan(delta, a, b_in, np.concatenate([c, c], axis=1), x)   # more rows than x
+    with pytest.raises(ShapeError, match="selective_scan"):
+        scan(delta, a, b_in[:, :-1], c, x)
 
 
 def test_scan_names_a_wrong_rank_x_before_its_tail():
     # a 2-D x has no rows to read a tail of: the caller gets the shape
-    # fault, whatever the tail
+    # fault, whatever rows c and z hold
     delta, a, b_in, c, x = random_instance(np.random.default_rng(0))
-    args = list(identity_layout(*(ad.Tensor(v) for v in
-                                  (softplus_inverse(delta), a, b_in, c, x))))
-    args[4] = ad.Tensor(x[0])
-    for tail in (None, 0, 1):
+    for n in (c.shape[1], 0, 1):
+        args = list(identity_layout(*(ad.Tensor(v) for v in (
+            softplus_inverse(delta), a, b_in, c[:, c.shape[1] - n:], x))))
+        args[4] = ad.Tensor(x[0])
         with pytest.raises(ShapeError, match=r"x=\(8, 3\) is not \(B, L, E\)"):
-            ssm.selective_scan(*args, tail=tail)
+            ssm.selective_scan(*args)
 
 
 def test_scan_single_step_unrolls():
@@ -485,7 +488,7 @@ def test_tail_scan_matches_the_last_rows_of_the_full_scan(layout, n):
     cut = read_tail(full, n)
     whole = scan_of(full)
     ad.backward(ad.sum(ad.mul(whole, w * (np.arange(L) >= L - n)[:, None])))
-    out = scan_of(cut, tail=n)
+    out = scan_of(cut)
     assert out.shape == (2, n, whole.shape[-1])
     ad.backward(ad.sum(ad.mul(out, w[:, L - n:])))
     for k in ("c", "z"):
@@ -504,7 +507,7 @@ def test_tail_scan_matches_the_last_rows_of_the_full_scan(layout, n):
     states = [np.zeros((2, 3, 5)), np.zeros((2, 3, 5))]
     with ad.no_grad():
         scan_of(full, state=states[0])
-        scan_of(cut, state=states[1], tail=n)
+        scan_of(cut, state=states[1])
     assert states[0].tobytes() == states[1].tobytes()
 
 
@@ -515,21 +518,23 @@ def test_tail_scan_gradients_match_finite_differences():
                                   np.float64)
         t["dt_bias"].data[:] = [-1.5, -0.5]
         t = read_tail(t, 1)
-        f = lambda: ad.sum(ad.mul(scan_of(t, tail=1), w[:, -1:]))
+        f = lambda: ad.sum(ad.mul(scan_of(t), w[:, -1:]))
         assert max_rel_err(f, list(t.values())) < 1e-6, L
 
 
 def test_scan_refuses_a_tail_it_cannot_read():
+    # the rows of c are the rows read: more than x has, or a c without
+    # rows, is refused naming c, and a z of other rows naming z
     t, _ = projected_instance(np.random.default_rng(54), 1, 4, 3, 2, 2, 4, np.float64)
-    for tail in (-1, 5):
-        with pytest.raises(ContractError, match="tail"):
-            scan_of(t, tail=tail)
-    with pytest.raises(ShapeError, match="c="):
-        scan_of(t, tail=2)                      # c and z still hold all 4 rows
+    for c in (np.zeros((1, 5, 2)), np.zeros((4, 2))):
+        with pytest.raises(ShapeError, match="c="):
+            scan_of(t | {"c": ad.Tensor(c)})
+    with pytest.raises(ShapeError, match="z="):
+        scan_of(read_tail(t, 2) | {"z": t["z"]})      # z still holds all 4 rows
 
 
-def small_dims(d=8, e=16, n=4, r=4):
-    return ssm.SSMDims(d=d, e=e, n=n, r=r)
+def small_dims(d=8, e=16, n=4, r=4, k=4):
+    return ssm.SSMDims(d=d, e=e, n=n, r=r, k=k)
 
 
 def test_block_residual_identity_with_zero_out_proj():
@@ -763,9 +768,9 @@ def stream_rows(monkeypatch, rows, batch, width):
         yield
 
 
-def stack_inputs(dtype, B=2, L=37, depth=3, seed=60):
+def stack_inputs(dtype, B=2, L=37, depth=3, seed=60, k=4):
     rng = np.random.default_rng(seed)
-    blocks = [ssm.init_mamba_block(small_dims(), rng, dtype=dtype, index=i)
+    blocks = [ssm.init_mamba_block(small_dims(k=k), rng, dtype=dtype, index=i)
               for i in range(depth)]
     for p in blocks:   # steps large enough that the carried state matters
         p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=16)
@@ -800,19 +805,23 @@ def test_streamed_stack_matches_grad_mode(monkeypatch, L, rows, dtype):
         assert rel <= 1e-5
 
 
-@pytest.mark.parametrize("L, rows, n", [
-    (37, 5, 1),      # L not a multiple of the chunk
-    (37, 12, 1),     # the last chunk holds the last row alone
-    (37, 5, 9),      # the rows read span chunks
-    (2, 1, 1),       # L < k-1
-    (1, 1, 1),
-    (9, 40, 3),      # one chunk holds the whole sequence
-], ids=("37by5", "37by12", "37by5-9rows", "2by1", "1by1", "9by40"))
+@pytest.mark.parametrize("L, rows, n, k", [
+    pytest.param(L, rows, n, k, id=name if k == 4 else f"{name}-k{k}")
+    for L, rows, n, name in [
+        (37, 5, 1, "37by5"),         # L not a multiple of the chunk
+        (37, 12, 1, "37by12"),       # the last chunk holds the last row alone
+        (37, 5, 9, "37by5-9rows"),   # the rows read span chunks
+        (2, 1, 1, "2by1"),           # L < k-1 at k = 4
+        (1, 1, 1, "1by1"),
+        (9, 40, 3, "9by40"),         # one chunk holds the whole sequence
+    ] for k in (4, 2, 1)])
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
-def test_streamed_stack_tail_matches_grad_mode(monkeypatch, L, rows, n, dtype):
+def test_streamed_stack_tail_matches_grad_mode(monkeypatch, L, rows, n, k, dtype):
     # the normalized last n rows, streamed from a tensor or from Rows formed
-    # on demand, and in grad mode, against the grad-mode pass over all rows
-    blocks, gain, x = stack_inputs(dtype, L=L)
+    # on demand, and in grad mode, against the grad-mode pass over all rows.
+    # Conv kernels of 4, 2 and 1 taps carry 3, 1 and no rows; the one-row
+    # chunks of 2by1 and 1by1 are shorter than three
+    blocks, gain, x = stack_inputs(dtype, L=L, k=k)
     whole = ssm.stack_forward(ad.Tensor(x), blocks, gain).data[:, L - n:]
     graded = ssm.stack_forward(ad.Tensor(x), blocks, gain, tail=n)
     assert graded.requires_grad
@@ -880,14 +889,14 @@ def test_streamed_stack_memory_does_not_grow_with_length(monkeypatch):
 
 
 def test_carry_under_grad_is_refused():
+    # the block refuses a carry under grad before it changes the carry
     blocks, _, x = stack_inputs(np.float64, L=5)
     p = blocks[0]
     carry = ssm.BlockCarry.start(p.dims, 2, np.float64)
+    conv, state = carry.conv, carry.state.copy()
     with pytest.raises(ContractError, match="no-grad"):
         ssm.block_forward(ad.Tensor(x), p, carry)
-    with pytest.raises(ContractError, match="no-grad"):
-        ad.causal_conv1d(ad.Tensor(np.zeros((2, 5, 16))), p.conv_w, p.conv_b,
-                         past=np.zeros((2, 3, 16)))
+    assert carry.conv is conv and carry.state.tobytes() == state.tobytes()
     inputs = [ad.Tensor(v, requires_grad=True) for v in scan_inputs(2, 5, 16, 4)]
     with pytest.raises(ContractError, match="no-grad"):
         identity_scan(*inputs, state=np.zeros((2, 4, 16)))
@@ -902,30 +911,40 @@ def scan_inputs(B, L, E, N, seed=61):
             rng.standard_normal((B, L, E)))
 
 
+def exact_block(dtype, k=4, seed=62):
+    """A block whose every projection has one nonzero entry per column, a
+    signed power of two: each product against it is exact, so a GEMM gives
+    the same bits over any rows (and through gemv for one row)."""
+    rng = np.random.default_rng(seed)
+    p = ssm.init_mamba_block(small_dims(k=k), rng, dtype=dtype)
+    p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=16)
+    for w in (p.w_in_x, p.w_in_z, p.w_b, p.w_c, p.w_dt_down, p.w_dt_up, p.w_out):
+        rows, cols = w.shape
+        w.data[:] = 0
+        w.data[np.arange(cols) % rows, np.arange(cols)] = (
+            rng.choice((-1.0, 1.0), cols) * 2.0 ** rng.integers(-2, 2, cols))
+    return p
+
+
 def test_scan_and_conv_in_pieces_give_the_bits_of_one_pass():
-    # the conv holds no GEMM and the scan's GEMMs against identity
-    # projections are exact, so a sequence split at any rows gives the same
-    # bits as one pass over it: the scan continues from the carried state,
-    # the conv reads the carried rows as its past
-    B, L, E, N, k = 2, 29, 16, 4, 4
-    dt, a, b_in, c, x = scan_inputs(B, L, E, N)
-    rng = np.random.default_rng(62)
-    w, bias = rng.standard_normal((E, k)), rng.standard_normal(E)
-    with ad.no_grad():
-        y = identity_scan(*(ad.Tensor(v) for v in (dt, a, b_in, c, x))).data
-        xc = ad.causal_conv1d(ad.Tensor(x), w, bias).data
-        for cuts in ((1, 2, 3, 20), (7, 16), (28,)):
-            state, past = np.zeros((B, N, E)), np.zeros((B, 0, E))
-            bounds = (0,) + cuts + (L,)
-            for r0, r1 in zip(bounds, bounds[1:]):
-                rows = slice(r0, r1)
-                piece = identity_scan(
-                    ad.Tensor(dt[:, rows]), ad.Tensor(a),
-                    *(ad.Tensor(v[:, rows]) for v in (b_in, c, x)), state=state)
-                assert piece.data.tobytes() == y[:, rows].tobytes()
-                conv = ad.causal_conv1d(ad.Tensor(x[:, rows]), w, bias, past=past)
-                assert conv.data.tobytes() == xc[:, rows].tobytes()
-                past = np.concatenate([past, x[:, rows]], axis=1)[:, -(k - 1):]
+    # with exact GEMMs the rest of the block works row by row, so a
+    # sequence split at any rows and run through block_forward with a
+    # BlockCarry gives the bits of one pass over it: the conv sees the
+    # carried in-projection rows in front of each piece, and the scan
+    # continues from the carried state. The carry holds k-1 rows at most
+    B, L = 2, 29
+    for dtype, k in itertools.product((np.float64, np.float32), (4, 2, 1)):
+        p = exact_block(dtype, k)
+        x = np.random.default_rng(63).standard_normal((B, L, 8)).astype(dtype)
+        with ad.no_grad():
+            whole = ssm.block_forward(ad.Tensor(x), p).data
+            for cuts in ((1, 2, 3, 20), (7, 16), (28,)):
+                carry = ssm.BlockCarry.start(p.dims, B, dtype)
+                bounds = (0,) + cuts + (L,)
+                for r0, r1 in zip(bounds, bounds[1:]):
+                    piece = ssm.block_forward(ad.Tensor(x[:, r0:r1]), p, carry)
+                    assert piece.data.tobytes() == whole[:, r0:r1].tobytes()
+                    assert carry.conv.shape == (B, min(r1, k - 1), 16)
 
 
 def test_carry_of_the_wrong_shape_is_refused():
@@ -936,6 +955,3 @@ def test_carry_of_the_wrong_shape_is_refused():
             identity_scan(*inputs, state=np.zeros((B, E, N)))
         with pytest.raises(ShapeError, match="state"):
             identity_scan(*inputs, state=np.zeros((B, N, E), dtype=np.float32))
-        with pytest.raises(ShapeError, match="past"):
-            ad.causal_conv1d(inputs[-1], np.ones((E, 4)), np.zeros(E),
-                             past=np.zeros((B, 4, E)))

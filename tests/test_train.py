@@ -219,6 +219,16 @@ def test_training_config_refuses_a_negative_seed():
     assert train.finetune_defaults(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("key, value, low", [
+    ("steps", 0, 1), ("epochs", 0, 1), ("lr", -1e-3, 0)])
+def test_training_config_refuses_no_steps_or_a_negative_rate(key, value, low):
+    # Schedule refused these once the data was read, with a message naming
+    # no key
+    with pytest.raises(ConfigError, match=f"{key} must be >= {low}, got {value}"):
+        train.TrainConfig(**{key: value})
+    assert getattr(train.TrainConfig(**{key: low}), key) == low
+
+
 def track_embeddings(monkeypatch) -> list[bool]:
     """Patch ``nm.embed_batch`` to note, at each call, whether the array the
     previous call returned is still alive. Every training graph starts from
