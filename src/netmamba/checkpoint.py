@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointMismatchError, ContractError, ParseError
+from .errors import (
+    CheckpointMismatchError, ConfigError, ContractError, ParseError,
+)
 from .fileio import atomic_write
 from .model import ModelConfig, ModelParams, init_params
 
@@ -164,7 +166,8 @@ def _model_config(path, saved) -> ModelConfig:
     implements, and of those values' types (0 is not False), are dropped;
     any other key it does not have is refused, and so is a value of the
     wrong type: an int field takes an int (not a bool), a float field an int
-    or a float, a bool field a bool."""
+    or a float, a bool field a bool. A value ModelConfig refuses, such as a
+    width below 1, is a mismatch naming the file."""
     if not isinstance(saved, dict):
         raise CheckpointMismatchError(f"{path}: metadata holds no model config")
     kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
@@ -178,7 +181,10 @@ def _model_config(path, saved) -> ModelConfig:
             raise CheckpointMismatchError(
                 f"{path}: model config key {key!r} = {value!r} is not of type "
                 f"{kinds[key].__name__}")
-    return ModelConfig(**{k: v for k, v in saved.items() if k in kinds})
+    try:
+        return ModelConfig(**{k: v for k, v in saved.items() if k in kinds})
+    except ConfigError as exc:
+        raise CheckpointMismatchError(f"{path}: {exc}") from None
 
 
 def _has_kind(value, kind: type) -> bool:

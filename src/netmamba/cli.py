@@ -199,12 +199,13 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    batch_size = 64 if args.batch is None else args.batch
+    check_min("batch_size", batch_size)
     params, _, _ = ckpt.load_model(args.checkpoint, "finetune")
     data_path = _resolve_data(args.data, "test")
     sf = datamod.read_samples(data_path)
     ckpt.check_geometry(args.checkpoint, params.cfg, sf.strides, data_path)
-    report = trainmod.evaluate(params, sf.strides, sf.labels,
-                               batch_size=64 if args.batch is None else args.batch)
+    report = trainmod.evaluate(params, sf.strides, sf.labels, batch_size)
     text = report.to_json(indent=2)
     print(text)
     if args.output:

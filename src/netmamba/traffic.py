@@ -15,11 +15,16 @@ and be dropped, before the next file is read.
 
 ``FiveTuple`` and ``Datagram``, built for every kept frame, are
 ``NamedTuple``s: a tuple is built, compared and hashed (a flow key is a dict
-key) in C, where a dataclass runs Python code for each.
+key) in C, where a dataclass runs Python code for each. For the same reason
+each header layer is read by one precompiled ``struct`` call at its offset
+in the frame, not a byte at a time, and the datagram is the one slice of the
+frame that is copied: most frames come after their flow's first M
+datagrams, so their header fields are all that is ever read.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import insort
 from dataclasses import dataclass
 from operator import itemgetter
@@ -36,6 +41,14 @@ PROTO_UDP = 17
 DHCP_PORTS = frozenset((67, 68, 546, 547))
 # IPv6 extension headers counted as part of the packet header
 _V6_EXT = frozenset((0, 43, 44, 60, 51))
+# One read per header layer, at an offset into the frame: IPv4's
+# version/IHL byte, total length, protocol and addresses; IPv6's payload
+# length, next header and addresses; the ports, and TCP's data-offset byte.
+_IPV4 = struct.Struct(">BxH5xB2x4s4s").unpack_from
+_IPV6 = struct.Struct(">4xHBx16s16s").unpack_from
+_TCP = struct.Struct(">HH8xB").unpack_from
+_UDP = struct.Struct(">HH").unpack_from
+_new = tuple.__new__   # builds a NamedTuple from a tuple in C
 
 
 class FiveTuple(NamedTuple):
@@ -47,13 +60,6 @@ class FiveTuple(NamedTuple):
     ip_b: bytes
     port_b: int
     protocol: int
-
-    @classmethod
-    def canonical(cls, src_ip: bytes, src_port: int, dst_ip: bytes,
-                  dst_port: int, protocol: int) -> "FiveTuple":
-        if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
-            return tuple.__new__(cls, (src_ip, src_port, dst_ip, dst_port, protocol))
-        return tuple.__new__(cls, (dst_ip, dst_port, src_ip, src_port, protocol))
 
 
 class Datagram(NamedTuple):
@@ -128,27 +134,49 @@ def classify_and_strip(packet: RawPacket,
     and filtered DHCP traffic. Raises MalformedPacketError for any header,
     from Ethernet to TCP/UDP, that is truncated or declares an impossible
     length. The datagram ends at its declared IP length, so Ethernet padding
-    or a trailer after it is not payload."""
+    or a trailer after it is not payload. Offsets and lengths in the errors
+    count from the start of the IP header."""
     ts_sec, ts_nsec, data, _ = packet
-    if len(data) < 14:
+    stop = len(data)
+    if stop < 14:
         raise MalformedPacketError(
-            f"packet of {len(data)} bytes is shorter than an Ethernet header")
-    off = 14
+            f"packet of {stop} bytes is shorter than an Ethernet header")
+    ip = 14
     ethertype = data[12] << 8 | data[13]
     while ethertype in VLAN_TPIDS:
-        off += 4
-        if off > len(data):
+        ip += 4
+        if ip > stop:
             raise MalformedPacketError("truncated VLAN tag chain")
-        ethertype = data[off - 2] << 8 | data[off - 1]
+        ethertype = data[ip - 2] << 8 | data[ip - 1]
     if ethertype != ETHERTYPE_IPV4 and ethertype != ETHERTYPE_IPV6:
         return None
-    ip_bytes = data[off:]
-    size = len(ip_bytes)
-    version, proto, t_off = _transport_offset(ip_bytes)
+    size = stop - ip
+    version = data[ip] >> 4 if size else None
+    if version == 4:
+        if size < 20:
+            raise MalformedPacketError("IPv4 packet shorter than 20 bytes")
+        ver_ihl, length_field, proto, src, dst = _IPV4(data, ip)
+        t_off = (ver_ihl & 0x0F) * 4
+        if t_off < 20:
+            raise MalformedPacketError(f"IPv4 IHL of {t_off} bytes is invalid")
+        if t_off > size:
+            raise MalformedPacketError(
+                f"IPv4 header length {t_off} exceeds packet of {size}")
+        declared = length_field                    # the total length
+    elif version == 6:
+        if size < 40:
+            raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
+        length_field, proto, src, dst = _IPV6(data, ip)
+        declared = 40 + length_field               # 40 + the payload length
+        proto, t_off = _transport_offset(data, ip, proto)
+    else:
+        raise _version_error(version)
+    sport = dport = 0
     if proto == PROTO_TCP:
         if t_off + 13 > size:
             raise MalformedPacketError("TCP header truncated before data offset")
-        doff = (ip_bytes[t_off + 12] >> 4) * 4
+        sport, dport, doff = _TCP(data, ip + t_off)
+        doff = (doff >> 4) * 4
         if doff < 20:
             raise MalformedPacketError(f"TCP data offset of {doff} bytes is invalid")
         end = t_off + doff
@@ -159,26 +187,20 @@ def classify_and_strip(packet: RawPacket,
     if end > size:
         raise MalformedPacketError(
             f"declared header length {end} exceeds packet of {size}")
-    sport = dport = 0
-    if proto == PROTO_TCP or proto == PROTO_UDP:
-        sport = ip_bytes[t_off] << 8 | ip_bytes[t_off + 1]
-        dport = ip_bytes[t_off + 2] << 8 | ip_bytes[t_off + 3]
-        if (cfg.drop_dhcp and proto == PROTO_UDP
-                and (sport in DHCP_PORTS or dport in DHCP_PORTS)):
+    if proto == PROTO_UDP:
+        sport, dport = _UDP(data, ip + t_off)
+        if cfg.drop_dhcp and (sport in DHCP_PORTS or dport in DHCP_PORTS):
             return None
-    if version == 4:
-        length_field = declared = ip_bytes[2] << 8 | ip_bytes[3]  # total length
-        src, dst = ip_bytes[12:16], ip_bytes[16:20]
-    else:
-        length_field = ip_bytes[4] << 8 | ip_bytes[5]    # payload length
-        declared = 40 + length_field
-        src, dst = ip_bytes[8:24], ip_bytes[24:40]
     # a zero field (TSO, jumbograms) or a length past the capture keeps the
     # bytes as captured; a cut never reaches into the header
     if length_field and end <= declared < size:
-        ip_bytes = ip_bytes[:declared]
-    key = FiveTuple.canonical(src, sport, dst, dport, proto)
-    return key, tuple.__new__(Datagram, ((ts_sec, ts_nsec), ip_bytes, end))
+        stop = ip + declared
+    if src < dst or (src == dst and sport <= dport):
+        key = (src, sport, dst, dport, proto)
+    else:
+        key = (dst, dport, src, sport, proto)
+    return (_new(FiveTuple, key),
+            _new(Datagram, ((ts_sec, ts_nsec), data[ip:stop], end)))
 
 
 def anonymize(ip_bytes: bytes, cfg: ReprConfig) -> bytes:
@@ -186,60 +208,49 @@ def anonymize(ip_bytes: bytes, cfg: ReprConfig) -> bytes:
     IPv6 offsets 8..39); identity when anonymization is off."""
     if not cfg.anonymize_ips:
         return ip_bytes
-    version = _ip_version(ip_bytes)
+    version = ip_bytes[0] >> 4 if ip_bytes else None
     if version == 4:
         if len(ip_bytes) < 20:
             raise MalformedPacketError("IPv4 packet shorter than 20 bytes")
         return ip_bytes[:12] + bytes(8) + ip_bytes[20:]
-    if len(ip_bytes) < 40:
-        raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
-    return ip_bytes[:8] + bytes(32) + ip_bytes[40:]
+    if version == 6:
+        if len(ip_bytes) < 40:
+            raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
+        return ip_bytes[:8] + bytes(32) + ip_bytes[40:]
+    raise _version_error(version)
 
 
-def _ip_version(ip_bytes: bytes) -> int:
-    if not ip_bytes:
-        raise MalformedPacketError("empty IP packet")
-    version = ip_bytes[0] >> 4
-    if version not in (4, 6):
-        raise MalformedPacketError(f"IP version nibble is {version}, not 4 or 6")
-    return version
+def _version_error(version: int | None) -> MalformedPacketError:
+    """The error for an IP header whose version nibble is neither 4 nor 6,
+    or None for no header at all."""
+    if version is None:
+        return MalformedPacketError("empty IP packet")
+    return MalformedPacketError(f"IP version nibble is {version}, not 4 or 6")
 
 
-def _transport_offset(ip_bytes: bytes) -> tuple[int, int, int]:
-    """(IP version, protocol, offset of the transport header); IPv6
-    extension headers are walked and counted as header."""
-    version = _ip_version(ip_bytes)
-    if version == 4:
-        if len(ip_bytes) < 20:
-            raise MalformedPacketError("IPv4 packet shorter than 20 bytes")
-        ihl = (ip_bytes[0] & 0x0F) * 4
-        if ihl < 20:
-            raise MalformedPacketError(f"IPv4 IHL of {ihl} bytes is invalid")
-        if ihl > len(ip_bytes):
-            raise MalformedPacketError(
-                f"IPv4 header length {ihl} exceeds packet of {len(ip_bytes)}")
-        return 4, ip_bytes[9], ihl
-    if len(ip_bytes) < 40:
-        raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
-    proto = ip_bytes[6]
+def _transport_offset(data: bytes, start: int, proto: int) -> tuple[int, int]:
+    """(protocol, offset of the transport header from ``start``) past the
+    extension headers of the IPv6 datagram at ``start``, whose fixed header
+    names ``proto`` next; the extension headers count as header."""
+    size = len(data) - start
     off = 40
     while proto in _V6_EXT:
-        if off + 2 > len(ip_bytes):
+        if off + 2 > size:
             raise MalformedPacketError(
                 f"IPv6 extension chain exceeds packet at offset {off}")
-        nxt = ip_bytes[off]
+        nxt, units = data[start + off], data[start + off + 1]
         if proto == 44:          # fragment header: fixed 8 bytes
             ext_len = 8
         elif proto == 51:        # AH counts in 4-byte units
-            ext_len = (ip_bytes[off + 1] + 2) * 4
+            ext_len = (units + 2) * 4
         else:
-            ext_len = (ip_bytes[off + 1] + 1) * 8
+            ext_len = (units + 1) * 8
         off += ext_len
-        if off > len(ip_bytes):
+        if off > size:
             raise MalformedPacketError(
                 f"IPv6 extension header length exceeds packet at offset {off}")
         proto = nxt
-    return 6, proto, off
+    return proto, off
 
 
 def crop_pad(header: bytes, payload: bytes, cfg: ReprConfig) -> bytes:
@@ -264,10 +275,12 @@ def assemble_flows(packets, cfg: ReprConfig,
         stats = AssemblyStats()
     m = cfg.packets_per_flow
     flows: dict[FiveTuple, FlowRecord] = {}
+    # bound per call, so a wrapped module attribute is what runs
+    dissect, get = classify_and_strip, flows.get
     malformed = skipped = 0
     for packet in packets:
         try:
-            dissected = classify_and_strip(packet, cfg)
+            dissected = dissect(packet, cfg)
         except MalformedPacketError:
             malformed += 1
             continue
@@ -275,7 +288,7 @@ def assemble_flows(packets, cfg: ReprConfig,
             skipped += 1
             continue
         key, datagram = dissected
-        flow = flows.get(key)
+        flow = get(key)
         if flow is None:
             flows[key] = FlowRecord(key, [datagram], 1)
             continue
@@ -283,7 +296,7 @@ def assemble_flows(packets, cfg: ReprConfig,
         kept = flow.packets
         # in time order a packet costs one comparison: it goes last, or is
         # past the first M; an equal time sorts after the kept ones
-        if datagram.time < kept[-1].time:
+        if datagram[0] < kept[-1][0]:
             insort(kept, datagram, key=_time)
             if len(kept) > m:
                 kept.pop()

@@ -290,3 +290,119 @@ def tcp_flow_packet(seq: int, sport=40000, dport=443, src="10.0.0.1",
     segment = tcp_segment(payload, sport, dport)
     return raw(eth_frame(ipv4_packet(segment, 6, src, dst), 0x0800),
                ts_sec=seq, ts_nsec=0)
+
+
+# ---------------------------------------------------------------------------
+# the dissection oracle: the byte-at-a-time reading of each header field,
+# over a copy of the IP datagram, that ``traffic.classify_and_strip`` must
+# agree with frame for frame
+
+from netmamba.errors import MalformedPacketError
+from netmamba.traffic import (
+    DHCP_PORTS, ETHERTYPE_IPV4, ETHERTYPE_IPV6, PROTO_TCP, PROTO_UDP,
+    VLAN_TPIDS, Datagram, FiveTuple,
+)
+
+V6_EXTENSIONS = frozenset((0, 43, 44, 60, 51))
+
+
+def canonical(src_ip: bytes, src_port: int, dst_ip: bytes, dst_port: int,
+              protocol: int) -> FiveTuple:
+    """The flow key of both directions: the endpoint (ip, port) that sorts
+    first becomes (ip_a, port_a)."""
+    if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
+        return FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol)
+    return FiveTuple(dst_ip, dst_port, src_ip, src_port, protocol)
+
+
+def reference_dissect(packet: RawPacket, drop_dhcp: bool = True):
+    """Oracle for ``classify_and_strip``: the same key and ``Datagram``, the
+    same None, or a MalformedPacketError with the same message."""
+    ts_sec, ts_nsec, data, _ = packet
+    if len(data) < 14:
+        raise MalformedPacketError(
+            f"packet of {len(data)} bytes is shorter than an Ethernet header")
+    off = 14
+    ethertype = data[12] << 8 | data[13]
+    while ethertype in VLAN_TPIDS:
+        off += 4
+        if off > len(data):
+            raise MalformedPacketError("truncated VLAN tag chain")
+        ethertype = data[off - 2] << 8 | data[off - 1]
+    if ethertype != ETHERTYPE_IPV4 and ethertype != ETHERTYPE_IPV6:
+        return None
+    ip_bytes = data[off:]
+    size = len(ip_bytes)
+    version, proto, t_off = _reference_transport_offset(ip_bytes)
+    if proto == PROTO_TCP:
+        if t_off + 13 > size:
+            raise MalformedPacketError("TCP header truncated before data offset")
+        doff = (ip_bytes[t_off + 12] >> 4) * 4
+        if doff < 20:
+            raise MalformedPacketError(f"TCP data offset of {doff} bytes is invalid")
+        end = t_off + doff
+    elif proto == PROTO_UDP:
+        end = t_off + 8
+    else:
+        end = t_off
+    if end > size:
+        raise MalformedPacketError(
+            f"declared header length {end} exceeds packet of {size}")
+    sport = dport = 0
+    if proto == PROTO_TCP or proto == PROTO_UDP:
+        sport = ip_bytes[t_off] << 8 | ip_bytes[t_off + 1]
+        dport = ip_bytes[t_off + 2] << 8 | ip_bytes[t_off + 3]
+        if (drop_dhcp and proto == PROTO_UDP
+                and (sport in DHCP_PORTS or dport in DHCP_PORTS)):
+            return None
+    if version == 4:
+        length_field = declared = ip_bytes[2] << 8 | ip_bytes[3]
+        src, dst = ip_bytes[12:16], ip_bytes[16:20]
+    else:
+        length_field = ip_bytes[4] << 8 | ip_bytes[5]
+        declared = 40 + length_field
+        src, dst = ip_bytes[8:24], ip_bytes[24:40]
+    if length_field and end <= declared < size:
+        ip_bytes = ip_bytes[:declared]
+    return (canonical(src, sport, dst, dport, proto),
+            Datagram((ts_sec, ts_nsec), ip_bytes, end))
+
+
+def _reference_transport_offset(ip_bytes: bytes) -> tuple[int, int, int]:
+    """(IP version, protocol, offset of the transport header)."""
+    if not ip_bytes:
+        raise MalformedPacketError("empty IP packet")
+    version = ip_bytes[0] >> 4
+    if version not in (4, 6):
+        raise MalformedPacketError(f"IP version nibble is {version}, not 4 or 6")
+    if version == 4:
+        if len(ip_bytes) < 20:
+            raise MalformedPacketError("IPv4 packet shorter than 20 bytes")
+        ihl = (ip_bytes[0] & 0x0F) * 4
+        if ihl < 20:
+            raise MalformedPacketError(f"IPv4 IHL of {ihl} bytes is invalid")
+        if ihl > len(ip_bytes):
+            raise MalformedPacketError(
+                f"IPv4 header length {ihl} exceeds packet of {len(ip_bytes)}")
+        return 4, ip_bytes[9], ihl
+    if len(ip_bytes) < 40:
+        raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
+    proto = ip_bytes[6]
+    off = 40
+    while proto in V6_EXTENSIONS:
+        if off + 2 > len(ip_bytes):
+            raise MalformedPacketError(
+                f"IPv6 extension chain exceeds packet at offset {off}")
+        nxt = ip_bytes[off]
+        if proto == 44:          # fragment header: fixed 8 bytes
+            ext_len = 8
+        elif proto == 51:        # AH counts in 4-byte units
+            ext_len = (ip_bytes[off + 1] + 2) * 4
+        else:
+            ext_len = (ip_bytes[off + 1] + 1) * 8
+        off += ext_len
+        if off > len(ip_bytes):
+            raise MalformedPacketError(
+                f"IPv6 extension header length exceeds packet at offset {off}")
+        proto = nxt
+    return 6, proto, off

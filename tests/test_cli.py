@@ -503,6 +503,22 @@ def test_evaluate_checks_checkpoint_config_value_types(head_checkpoint, capsys,
     assert f"{key!r} = {value!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, low", [("state_dim", 0, 1),
+                                             ("depth_enc", -1, 0)])
+def test_evaluate_names_the_checkpoint_of_an_out_of_range_config(
+        head_checkpoint, capsys, key, value, low):
+    # ModelConfig's refusal used to reach the user as a usage error (exit 2)
+    # that did not name the checkpoint
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"][key] = value
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint mismatch:") and str(path) in err
+    assert f"{key} must be >= {low}, got {value}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["bogus", "full", None])
 def test_evaluate_refuses_an_unknown_model_kind(head_checkpoint, capsys, kind):
     # an unknown kind must not load as an encoder-only model with the head
@@ -1098,7 +1114,8 @@ def test_finetune_refuses_a_data_path_that_is_not_a_directory(
 
 
 @pytest.mark.parametrize("batch", [0, -1])
-def test_evaluate_refuses_a_batch_below_one(head_checkpoint, capsys, batch):
+def test_evaluate_refuses_a_batch_below_one(head_checkpoint, tmp_path, capsys,
+                                            batch):
     # 0 used to run silently at the default of 64, and -1 failed with a
     # message about label and prediction counts
     data, path = head_checkpoint
@@ -1108,3 +1125,10 @@ def test_evaluate_refuses_a_batch_below_one(head_checkpoint, capsys, batch):
     assert f"batch_size must be >= 1, got {batch}" in err and "Traceback" not in err
     assert run(["evaluate", "--data", data, "--checkpoint", path,
                 "--batch", 1]) == 0
+    # refused before either file is read: the batch used to be checked
+    # after both were, so a missing data path was reported instead
+    missing = tmp_path / "missing"
+    assert run(["evaluate", "--data", missing, "--checkpoint", missing,
+                "--batch", batch]) == 2
+    err = capsys.readouterr().err
+    assert f"batch_size must be >= 1, got {batch}" in err and "missing" not in err

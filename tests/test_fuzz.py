@@ -1,24 +1,29 @@
 """Hypothesis fuzz of the capture-to-sample path on random and truncated
 bytes: only the declared error types may escape ``parse_capture`` and
-``read_samples``, and ``assemble_flows``/``build_sample`` never raise."""
+``read_samples``, ``assemble_flows``/``build_sample`` never raise, and
+``classify_and_strip`` dissects every frame as the byte-at-a-time oracle
+does."""
 
 import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netmamba.data import HEADER_BYTES, MAGIC, VERSION, read_samples
-from netmamba.errors import ParseError, UnsupportedFormatError
+from netmamba.errors import MalformedPacketError, ParseError, UnsupportedFormatError
 from netmamba.pcap import MAGIC_NS, MAGIC_US, parse_capture
 from netmamba.traffic import (
-    AssemblyStats, ReprConfig, assemble_flows, build_sample,
+    AssemblyStats, Datagram, FiveTuple, ReprConfig, assemble_flows,
+    build_sample, classify_and_strip,
 )
 
 from helpers import (
-    eth_frame, ipv4_packet, ipv6_packet, raw, tcp_segment, udp_datagram,
+    eth_frame, ipv4_packet, ipv6_packet, raw, reference_dissect, tcp_segment,
+    udp_datagram,
 )
 
 PORTS = st.one_of(st.sampled_from([53, 67, 68, 443, 546, 547]),
@@ -61,8 +66,9 @@ def ipv6_chains(draw, proto: int):
 
 @st.composite
 def frames(draw):
-    """Random bytes, or an Ethernet/IP/transport frame that may be cut at
-    any byte and may have one byte overwritten."""
+    """Random bytes, or an Ethernet/IP/transport frame that may carry a
+    trailer after the datagram, may be cut at any byte and may have one byte
+    overwritten."""
     if draw(st.integers(0, 3)) == 0:
         return draw(st.binary(max_size=96))
     proto, transport = draw(transports())
@@ -78,6 +84,8 @@ def frames(draw):
         ethertype = draw(st.sampled_from([0x0806, 0x8100, 0x88A8, 0x86DD]))
     vlans = draw(st.lists(st.integers(0, 0xFFFF), max_size=2))
     frame = bytearray(eth_frame(ip, ethertype, vlan_tcis=vlans))
+    if draw(st.booleans()):
+        frame += draw(st.binary(max_size=8))     # Ethernet padding or FCS
     if draw(st.booleans()):
         frame = frame[:draw(st.integers(0, len(frame)))]
     if frame and draw(st.booleans()):
@@ -98,6 +106,28 @@ def test_assemble_and_build_never_raise(frame_list, drop_dhcp, anonymize_ips):
     for flow in flows:
         assert 1 <= len(flow.packets) <= min(flow.count, cfg.packets_per_flow)
         assert len(build_sample(flow, cfg)) == cfg.flow_bytes
+
+
+@settings(max_examples=1000, deadline=None)
+@given(frames(), st.booleans())
+# an IPv6 frame cut one byte into its hop-by-hop header
+@example(eth_frame(ipv6_packet(bytes(8), 0), 0x86DD)[:55], True)
+def test_dissection_matches_the_byte_at_a_time_oracle(frame, drop_dhcp):
+    packet = raw(frame, ts_sec=3, ts_nsec=7)
+    cfg = ReprConfig(drop_dhcp=drop_dhcp)
+    try:
+        expected = reference_dissect(packet, drop_dhcp)
+    except MalformedPacketError as exc:
+        with pytest.raises(MalformedPacketError) as got:
+            classify_and_strip(packet, cfg)
+        assert str(got.value) == str(exc)
+        return
+    dissected = classify_and_strip(packet, cfg)
+    assert dissected == expected
+    if dissected is not None:
+        key, datagram = dissected
+        assert type(key) is FiveTuple and type(datagram) is Datagram
+        assert type(datagram.ip_bytes) is bytes
 
 
 @st.composite

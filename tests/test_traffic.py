@@ -29,6 +29,19 @@ def strip(frame: bytes, cfg: ReprConfig = CFG) -> bytes | None:
     return None if dissected is None else dissected[1].ip_bytes
 
 
+def dissected_key(src: bytes, sport: int, dst: bytes, dport: int,
+                  proto: int) -> FiveTuple:
+    """The flow key ``classify_and_strip`` gives an IPv4 TCP or UDP frame."""
+    if proto == 6:
+        transport = tcp_segment(b"", sport, dport)
+    else:
+        transport = udp_datagram(b"", sport, dport)
+    ip = ipv4_packet(transport, proto, src, dst)
+    key, _ = classify_and_strip(raw(eth_frame(ip, 0x0800)),
+                                ReprConfig(drop_dhcp=False))
+    return key
+
+
 def one_flow(packets, cfg: ReprConfig = CFG) -> FlowRecord:
     [flow] = assemble_flows(packets, cfg)
     return flow
@@ -225,10 +238,11 @@ def test_dissect_key_symmetry_example():
     proto=st.sampled_from([6, 17]),
 )
 def test_canonical_key_symmetry_property(ip1, ip2, p1, p2, proto):
-    a = FiveTuple.canonical(ip1, p1, ip2, p2, proto)
-    b = FiveTuple.canonical(ip2, p2, ip1, p1, proto)
+    a = dissected_key(ip1, p1, ip2, p2, proto)
+    b = dissected_key(ip2, p2, ip1, p1, proto)
     assert a == b
     assert (a.ip_a, a.port_a) <= (a.ip_b, a.port_b)
+    assert {(a.ip_a, a.port_a), (a.ip_b, a.port_b)} == {(ip1, p1), (ip2, p2)}
 
 
 def test_record_fields_and_canonical_type():
@@ -236,12 +250,12 @@ def test_record_fields_and_canonical_type():
     assert FiveTuple._fields == ("ip_a", "port_a", "ip_b", "port_b", "protocol")
     assert Datagram._fields == ("time", "ip_bytes", "header_len")
     lo, hi = bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2])
-    key = FiveTuple.canonical(hi, 80, lo, 40000, 6)
+    key = dissected_key(hi, 80, lo, 40000, 6)
     assert type(key) is FiveTuple
     assert key == FiveTuple(ip_a=lo, port_a=40000, ip_b=hi, port_b=80, protocol=6)
-    assert hash(key) == hash(FiveTuple.canonical(lo, 40000, hi, 80, 6))
+    assert hash(key) == hash(dissected_key(lo, 40000, hi, 80, 6))
     # equal addresses: the lower port comes first
-    assert FiveTuple.canonical(lo, 9, lo, 3, 17) == (lo, 3, lo, 9, 17)
+    assert dissected_key(lo, 9, lo, 3, 17) == (lo, 3, lo, 9, 17)
 
 
 @settings(max_examples=40, deadline=None)
