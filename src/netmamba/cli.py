@@ -70,6 +70,9 @@ def cmd_extract(args) -> int:
     repr_cfg = cfgmod.build(traffic.ReprConfig(), values)
     seed = values.get("seed", 0)
     min_packets = values.get("min_packets", 1)
+    check_min("min_packets", min_packets)
+    for key in ("limit_lower", "limit_upper"):
+        check_min(key, values.get(key, 0), 0)
     split = datamod.StratifiedSplit(
         (values.get("train_ratio", 0.8), values.get("val_ratio", 0.1),
          values.get("test_ratio", 0.1)), seed)

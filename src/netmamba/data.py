@@ -204,8 +204,6 @@ def read_samples(path) -> StrideFile:
         except ConfigError as exc:
             raise ParseError(f"{path}: {exc}") from None
         flow_bytes = repr_cfg.flow_bytes
-        if flow_bytes >= 2**31:  # numpy's limit on a record's subarray length
-            raise ParseError(f"{path}: header declares {flow_bytes}-byte flows")
         size = os.fstat(fh.fileno()).st_size
         expected = HEADER_BYTES + count * (4 + flow_bytes)
         if size != expected:

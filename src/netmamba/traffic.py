@@ -13,13 +13,14 @@ which a reader cuts into non-overlapping strides. A flow carries no label:
 the caller knows its class, so one capture file's flows can become samples,
 and be dropped, before the next file is read.
 
-``FiveTuple`` and ``Datagram``, built for every kept frame, are
-``NamedTuple``s: a tuple is built, compared and hashed (a flow key is a dict
-key) in C, where a dataclass runs Python code for each. For the same reason
-each header layer is read by one precompiled ``struct`` call at its offset
-in the frame, not a byte at a time, and the datagram is the one slice of the
-frame that is copied: most frames come after their flow's first M
-datagrams, so their header fields are all that is ever read.
+Most frames come after their flow's first M datagrams, so per frame only
+their header fields are read, each layer by one precompiled ``struct`` call
+at its offset in the frame, and the dissector returns a plain key tuple and
+the datagram's bounds in the frame. A frame then costs a dict lookup, a
+count and one time comparison. Only a kept datagram is copied out of its
+frame into a ``Datagram``, and only a new flow builds its ``FiveTuple``;
+both are ``NamedTuple``s, built, compared and hashed in C, where a
+dataclass runs Python code for each.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ class ReprConfig:
             raise ConfigError("byte budgets must be non-negative")
         if self.header_bytes + self.payload_bytes < 1:
             raise ConfigError("need at least one byte per packet")
+        if not (self.include_header or self.include_payload):
+            raise ConfigError("include_header and include_payload are both "
+                              "false, so every sample would be all zeros")
+        # numpy's limit on a record's subarray length, which a sample file's
+        # reader needs
+        if self.flow_bytes >= 2**31:
+            raise ConfigError(f"flow byte length {self.flow_bytes} is not "
+                              f"below 2**31")
         if self.stride_len < 1:
             raise ConfigError("stride_len must be >= 1")
         if self.flow_bytes % self.stride_len:
@@ -128,15 +137,19 @@ class AssemblyStats:
     malformed_packets: int = 0
 
 
-def classify_and_strip(packet: RawPacket,
-                       cfg: ReprConfig) -> tuple[FiveTuple, Datagram] | None:
-    """Dissect one frame: its flow key and IP datagram, or None for non-IP
-    and filtered DHCP traffic. Raises MalformedPacketError for any header,
-    from Ethernet to TCP/UDP, that is truncated or declares an impossible
-    length. The datagram ends at its declared IP length, so Ethernet padding
-    or a trailer after it is not payload. Offsets and lengths in the errors
-    count from the start of the IP header."""
-    ts_sec, ts_nsec, data, _ = packet
+def classify_and_strip(packet: RawPacket, cfg: ReprConfig
+                       ) -> tuple[tuple, int, int, int] | None:
+    """Dissect one frame: ``(key, start, stop, header_len)``, or None for
+    non-IP and filtered DHCP traffic. ``key`` is the canonical 5-tuple as a
+    plain tuple, equal to (and hashing as) the ``FiveTuple`` of its fields;
+    ``packet.link_bytes[start:stop]`` is the IP datagram, and ``header_len``
+    its IP+transport header length. Nothing is copied. Raises
+    MalformedPacketError for any header, from Ethernet to TCP/UDP, that is
+    truncated or declares an impossible length. The datagram ends at its
+    declared IP length, so Ethernet padding or a trailer after it is not
+    payload. Offsets and lengths in the errors count from the start of the
+    IP header."""
+    data = packet.link_bytes
     stop = len(data)
     if stop < 14:
         raise MalformedPacketError(
@@ -196,11 +209,8 @@ def classify_and_strip(packet: RawPacket,
     if length_field and end <= declared < size:
         stop = ip + declared
     if src < dst or (src == dst and sport <= dport):
-        key = (src, sport, dst, dport, proto)
-    else:
-        key = (dst, dport, src, sport, proto)
-    return (_new(FiveTuple, key),
-            _new(Datagram, ((ts_sec, ts_nsec), data[ip:stop], end)))
+        return (src, sport, dst, dport, proto), ip, stop, end
+    return (dst, dport, src, sport, proto), ip, stop, end
 
 
 def anonymize(ip_bytes: bytes, cfg: ReprConfig) -> bytes:
@@ -274,7 +284,7 @@ def assemble_flows(packets, cfg: ReprConfig,
     if stats is None:
         stats = AssemblyStats()
     m = cfg.packets_per_flow
-    flows: dict[FiveTuple, FlowRecord] = {}
+    flows: dict[tuple, FlowRecord] = {}
     # bound per call, so a wrapped module attribute is what runs
     dissect, get = classify_and_strip, flows.get
     malformed = skipped = 0
@@ -287,21 +297,28 @@ def assemble_flows(packets, cfg: ReprConfig,
         if dissected is None:
             skipped += 1
             continue
-        key, datagram = dissected
+        key, start, stop, end = dissected
+        time = packet[:2]   # (seconds, nanoseconds)
         flow = get(key)
         if flow is None:
-            flows[key] = FlowRecord(key, [datagram], 1)
+            datagram = (time, packet.link_bytes[start:stop], end)
+            flows[key] = FlowRecord(_new(FiveTuple, key),
+                                    [_new(Datagram, datagram)], 1)
             continue
         flow.count += 1
         kept = flow.packets
         # in time order a packet costs one comparison: it goes last, or is
-        # past the first M; an equal time sorts after the kept ones
-        if datagram[0] < kept[-1][0]:
-            insort(kept, datagram, key=_time)
+        # past the first M; an equal time sorts after the kept ones. Only a
+        # datagram that is kept is copied out of its frame
+        if time < kept[-1][0]:
+            insort(kept, _new(Datagram,
+                              (time, packet.link_bytes[start:stop], end)),
+                   key=_time)
             if len(kept) > m:
                 kept.pop()
         elif len(kept) < m:
-            kept.append(datagram)
+            kept.append(_new(Datagram,
+                             (time, packet.link_bytes[start:stop], end)))
     stats.malformed_packets += malformed
     stats.skipped_packets += skipped
     stats.kept_packets += sum(flow.count for flow in flows.values())

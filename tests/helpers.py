@@ -300,7 +300,7 @@ def tcp_flow_packet(seq: int, sport=40000, dport=443, src="10.0.0.1",
 from netmamba.errors import MalformedPacketError
 from netmamba.traffic import (
     DHCP_PORTS, ETHERTYPE_IPV4, ETHERTYPE_IPV6, PROTO_TCP, PROTO_UDP,
-    VLAN_TPIDS, Datagram, FiveTuple,
+    VLAN_TPIDS, AssemblyStats, Datagram, FiveTuple, FlowRecord, ReprConfig,
 )
 
 V6_EXTENSIONS = frozenset((0, 43, 44, 60, 51))
@@ -366,6 +366,31 @@ def reference_dissect(packet: RawPacket, drop_dhcp: bool = True):
         ip_bytes = ip_bytes[:declared]
     return (canonical(src, sport, dst, dport, proto),
             Datagram((ts_sec, ts_nsec), ip_bytes, end))
+
+
+def reference_assemble(packets, cfg: ReprConfig
+                       ) -> tuple[list[FlowRecord], AssemblyStats]:
+    """Oracle for ``assemble_flows``: every frame's ``Datagram`` from
+    ``reference_dissect``, held per flow in first-seen order, then each
+    flow's first M of a stable sort by capture time, and the stats."""
+    stats = AssemblyStats()
+    every: dict[FiveTuple, list[Datagram]] = {}
+    for packet in packets:
+        try:
+            dissected = reference_dissect(packet, cfg.drop_dhcp)
+        except MalformedPacketError:
+            stats.malformed_packets += 1
+            continue
+        if dissected is None:
+            stats.skipped_packets += 1
+            continue
+        key, datagram = dissected
+        every.setdefault(key, []).append(datagram)
+    stats.kept_packets = sum(len(datagrams) for datagrams in every.values())
+    flows = [FlowRecord(key, sorted(datagrams, key=lambda d: d.time)
+                        [:cfg.packets_per_flow], len(datagrams))
+             for key, datagrams in every.items()]
+    return flows, stats
 
 
 def _reference_transport_offset(ip_bytes: bytes) -> tuple[int, int, int]:

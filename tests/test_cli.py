@@ -275,8 +275,10 @@ def test_extract_failing_midway_keeps_the_previous_outputs(workspace,
              "--seed", 8])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-def test_extract_refuses_inverted_limits_before_reading_a_capture(
-        workspace, monkeypatch, capsys):
+def refuses_before_reading(workspace, monkeypatch, capsys, argv) -> str:
+    """Runs ``extract`` over the workspace tree with ``argv`` added, which
+    must exit 2 before any capture is read or the output directory made;
+    returns standard error."""
     tmp, pcaps, _ = workspace
 
     def parse_capture(path):
@@ -284,10 +286,48 @@ def test_extract_refuses_inverted_limits_before_reading_a_capture(
 
     monkeypatch.setattr(cli, "parse_capture", parse_capture)
     out = tmp / "out"
-    assert run(["extract", "--input", pcaps, "--output", out,
-                "--limit-lower", 10, "--limit-upper", 5]) == 2
-    assert "lower limit 10 exceeds upper limit 5" in capsys.readouterr().err
+    assert run(["extract", "--input", pcaps, "--output", out] + argv) == 2
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_extract_refuses_inverted_limits_before_reading_a_capture(
+        workspace, monkeypatch, capsys):
+    err = refuses_before_reading(workspace, monkeypatch, capsys,
+                                 ["--limit-lower", 10, "--limit-upper", 5])
+    assert "lower limit 10 exceeds upper limit 5" in err
+
+
+def test_extract_refuses_no_header_and_no_payload(workspace, monkeypatch,
+                                                  capsys):
+    # both regions blanked would write all-zero samples
+    err = refuses_before_reading(workspace, monkeypatch, capsys,
+                                 ["--no-header", "--no-payload"])
+    assert "include_header and include_payload" in err
+
+
+def test_extract_refuses_flows_its_reader_refuses(workspace, monkeypatch,
+                                                  capsys):
+    # 8388608 packets of 320 bytes make 2**31 + 2**29 bytes per flow
+    tmp = workspace[0]
+    huge = tmp / "huge.cfg"
+    huge.write_text("packets_per_flow = 8388608\n")
+    err = refuses_before_reading(workspace, monkeypatch, capsys,
+                                 ["--config", huge])
+    assert "flow byte length 2684354560 is not below 2**31" in err
+
+
+@pytest.mark.parametrize("flag,value,low", [
+    ("--min-packets", 0, 1), ("--min-packets", -3, 1),
+    ("--limit-lower", -5, 0), ("--limit-upper", -1, 0),
+], ids=["min_packets_0", "min_packets_negative", "limit_lower_negative",
+        "limit_upper_negative"])
+def test_extract_refuses_limits_below_their_floor(workspace, monkeypatch,
+                                                  capsys, flag, value, low):
+    err = refuses_before_reading(workspace, monkeypatch, capsys,
+                                 [flag, value])
+    key = flag[2:].replace("-", "_")
+    assert f"{key} must be >= {low}, got {value}" in err
 
 def test_unknown_config_key_is_usage_error(workspace):
     tmp, pcaps, _ = workspace

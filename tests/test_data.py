@@ -1,6 +1,7 @@
 """Balancing, stratified splitting, the NMSTRIDE container, and the
 synthetic generator."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netmamba.data import (
-    ClassBalance, StrideSample, read_manifest, read_samples,
+    MAGIC, VERSION, ClassBalance, StrideSample, read_manifest, read_samples,
     samples_to_arrays, split_dataset, synthetic_samples, write_manifest,
     write_samples,
 )
@@ -166,6 +167,17 @@ def test_nmstride_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ParseError, match="bytes"):
         read_samples(path)
+
+
+def test_nmstride_rejects_flows_of_2_gib(tmp_path):
+    # a header whose M * (N_h + N_p) is 2**31 bytes, over no records
+    path = tmp_path / "huge.nmstride"
+    path.write_bytes(MAGIC + struct.pack("<H6I", VERSION, 2**23, 256, 0, 4,
+                                         2, 0))
+    with pytest.raises(ParseError) as err:
+        read_samples(path)
+    assert str(err.value).startswith(
+        f"{path}: flow byte length 2147483648 is not below 2**31")
 
 
 def test_nmstride_rejects_bad_label(tmp_path):

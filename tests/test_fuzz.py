@@ -1,8 +1,9 @@
 """Hypothesis fuzz of the capture-to-sample path on random and truncated
 bytes: only the declared error types may escape ``parse_capture`` and
-``read_samples``, ``assemble_flows``/``build_sample`` never raise, and
+``read_samples``, ``assemble_flows``/``build_sample`` never raise,
 ``classify_and_strip`` dissects every frame as the byte-at-a-time oracle
-does."""
+does, and ``assemble_flows`` keeps what an oracle that holds every frame's
+datagram keeps."""
 
 import struct
 import tempfile
@@ -22,8 +23,8 @@ from netmamba.traffic import (
 )
 
 from helpers import (
-    eth_frame, ipv4_packet, ipv6_packet, raw, reference_dissect, tcp_segment,
-    udp_datagram,
+    eth_frame, ipv4_packet, ipv6_packet, raw, reference_assemble,
+    reference_dissect, tcp_segment, udp_datagram,
 )
 
 PORTS = st.one_of(st.sampled_from([53, 67, 68, 443, 546, 547]),
@@ -123,11 +124,38 @@ def test_dissection_matches_the_byte_at_a_time_oracle(frame, drop_dhcp):
         assert str(got.value) == str(exc)
         return
     dissected = classify_and_strip(packet, cfg)
-    assert dissected == expected
-    if dissected is not None:
-        key, datagram = dissected
-        assert type(key) is FiveTuple and type(datagram) is Datagram
-        assert type(datagram.ip_bytes) is bytes
+    if expected is None:
+        assert dissected is None
+        return
+    key, start, stop, header_len = dissected
+    assert (key, Datagram((3, 7), frame[start:stop], header_len)) == expected
+    assert type(key) is tuple and hash(key) == hash(expected[0])
+    assert [type(v) for v in (*key, start, stop, header_len)] == [
+        bytes, int, bytes, int, int, int, int, int]
+    # the frame is not copied: the only bytes returned are the addresses
+    assert len(key[0]) <= 16 and len(key[2]) <= 16
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(frames(), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                          st.integers(0, 2)), max_size=16),
+       st.integers(1, 4), st.booleans())
+def test_assembly_matches_the_every_datagram_oracle(pool, events, m, drop_dhcp):
+    # each packet is one of a few frames at one of a few times, so flows
+    # repeat, and capture times tie and go out of order
+    cfg = ReprConfig(packets_per_flow=m, drop_dhcp=drop_dhcp)
+    packets = [raw(pool[i % len(pool)], ts_sec=sec, ts_nsec=nsec)
+               for i, sec, nsec in events]
+    stats = AssemblyStats()
+    flows = assemble_flows(packets, cfg, stats)
+    expected, expected_stats = reference_assemble(packets, cfg)
+    assert flows == expected
+    assert stats == expected_stats
+    for flow in flows:
+        assert type(flow.key) is FiveTuple
+        assert all(type(d) is Datagram and type(d.ip_bytes) is bytes
+                   for d in flow.packets)
 
 
 @st.composite

@@ -24,22 +24,27 @@ CFG = ReprConfig()
 
 
 def strip(frame: bytes, cfg: ReprConfig = CFG) -> bytes | None:
-    """The IP datagram ``classify_and_strip`` keeps, or None."""
+    """The IP datagram ``classify_and_strip`` finds in the frame, or None."""
     dissected = classify_and_strip(raw(frame), cfg)
-    return None if dissected is None else dissected[1].ip_bytes
+    if dissected is None:
+        return None
+    _, start, stop, _ = dissected
+    return frame[start:stop]
 
 
 def dissected_key(src: bytes, sport: int, dst: bytes, dport: int,
                   proto: int) -> FiveTuple:
-    """The flow key ``classify_and_strip`` gives an IPv4 TCP or UDP frame."""
+    """The flow key ``classify_and_strip`` gives an IPv4 TCP or UDP frame, a
+    plain tuple, read back by field name."""
     if proto == 6:
         transport = tcp_segment(b"", sport, dport)
     else:
         transport = udp_datagram(b"", sport, dport)
     ip = ipv4_packet(transport, proto, src, dst)
-    key, _ = classify_and_strip(raw(eth_frame(ip, 0x0800)),
-                                ReprConfig(drop_dhcp=False))
-    return key
+    key, *_ = classify_and_strip(raw(eth_frame(ip, 0x0800)),
+                                 ReprConfig(drop_dhcp=False))
+    assert type(key) is tuple
+    return FiveTuple(*key)
 
 
 def one_flow(packets, cfg: ReprConfig = CFG) -> FlowRecord:
@@ -138,9 +143,10 @@ def test_anonymize_rejects_bad_version():
 ])
 def test_dissect_header_length(ip, header_len, payload):
     ethertype = 0x0800 if ip[0] >> 4 == 4 else 0x86DD
-    _, datagram = classify_and_strip(raw(eth_frame(ip, ethertype)), CFG)
-    assert datagram.ip_bytes == ip
-    assert datagram.header_len == header_len
+    frame = eth_frame(ip, ethertype)
+    _, start, stop, end = classify_and_strip(raw(frame), CFG)
+    assert frame[start:stop] == ip
+    assert end == header_len
     assert ip[header_len:] == payload
 
 
@@ -226,8 +232,8 @@ def test_crop_pad_toggles():
 def test_dissect_key_symmetry_example():
     fwd = ipv4_packet(tcp_segment(b"", 1111, 2222), 6, "10.0.0.1", "10.0.0.2")
     rev = ipv4_packet(tcp_segment(b"", 2222, 1111), 6, "10.0.0.2", "10.0.0.1")
-    fwd_key, _ = classify_and_strip(raw(eth_frame(fwd, 0x0800)), CFG)
-    rev_key, _ = classify_and_strip(raw(eth_frame(rev, 0x0800)), CFG)
+    fwd_key, *_ = classify_and_strip(raw(eth_frame(fwd, 0x0800)), CFG)
+    rev_key, *_ = classify_and_strip(raw(eth_frame(rev, 0x0800)), CFG)
     assert fwd_key == rev_key
 
 
@@ -251,11 +257,21 @@ def test_record_fields_and_canonical_type():
     assert Datagram._fields == ("time", "ip_bytes", "header_len")
     lo, hi = bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2])
     key = dissected_key(hi, 80, lo, 40000, 6)
-    assert type(key) is FiveTuple
     assert key == FiveTuple(ip_a=lo, port_a=40000, ip_b=hi, port_b=80, protocol=6)
     assert hash(key) == hash(dissected_key(lo, 40000, hi, 80, 6))
     # equal addresses: the lower port comes first
     assert dissected_key(lo, 9, lo, 3, 17) == (lo, 3, lo, 9, 17)
+    # the dissector's plain key finds the flow that assembly keys by its
+    # FiveTuple, and what a flow holds is typed
+    packet = tcp_flow_packet(0, src="10.0.0.2", dst="10.0.0.1", sport=80,
+                             dport=40000)
+    plain, *_ = classify_and_strip(packet, CFG)
+    flow = one_flow([packet])
+    assert type(plain) is tuple and type(flow.key) is FiveTuple
+    assert plain == flow.key == key and hash(plain) == hash(flow.key)
+    assert {flow.key: flow}[plain] is flow
+    [datagram] = flow.packets
+    assert type(datagram) is Datagram and type(datagram.ip_bytes) is bytes
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,3 +441,10 @@ def test_repr_config_validation():
         ReprConfig(packets_per_flow=0)
     with pytest.raises(ConfigError):
         ReprConfig(header_bytes=0, payload_bytes=0)
+    with pytest.raises(ConfigError, match="include_header and include_payload"):
+        ReprConfig(include_header=False, include_payload=False)
+    # a sample file's reader holds a flow as one record of under 2**31 bytes
+    big = dict(packets_per_flow=1, header_bytes=0, stride_len=4)
+    assert ReprConfig(payload_bytes=2**31 - 4, **big).flow_bytes == 2**31 - 4
+    with pytest.raises(ConfigError, match="2147483648 is not below 2"):
+        ReprConfig(payload_bytes=2**31, **big)
