@@ -22,6 +22,7 @@ _cap_threads()  # must precede the first numpy import
 import argparse
 import json
 import sys
+import warnings
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -58,9 +59,12 @@ def _values(args) -> dict:
 
 def cmd_extract(args) -> int:
     """One class at a time: its capture files become sample rows (each file
-    freed before the next is read), the class is balanced and split, and its
-    rows are appended to the three sample files before the next class is
-    read. The balance and split rngs are consumed in label order."""
+    streamed through assembly, its flows freed before the next is read), the
+    class is balanced and split, and its rows are appended to the three
+    sample files before the next class is read. The balance and split rngs
+    are consumed in label order. A capture that cannot be read or parsed,
+    even part-way, adds no flow and no count (assembly adds to its stats
+    only at its end); it is named in ``summary.json`` and warned about."""
     input_dir = Path(args.input)
     if not input_dir.is_dir():
         print(f"error: input directory {input_dir} does not exist",
@@ -97,15 +101,16 @@ def cmd_extract(args) -> int:
             out_dir / f"{name}.nmstride", repr_cfg, n_classes)) for name in parts]
         for label, class_dir in enumerate(class_dirs):
             rows, dropped = [], 0
-            for pcap_path in sorted(class_dir.glob("*.pcap")):
+            for pcap_path in sorted(p for p in class_dir.glob("*.pcap")
+                                    if p.is_file()):
                 try:
-                    packets = parse_capture(pcap_path)
-                except (ParseError, UnsupportedFormatError) as exc:
+                    flows = traffic.assemble_flows(parse_capture(pcap_path),
+                                                   repr_cfg, stats)
+                except (ParseError, UnsupportedFormatError, OSError) as exc:
                     summary["file_errors"].append({"file": str(pcap_path),
                                                    "error": str(exc)})
+                    warnings.warn(f"skipped {pcap_path}: {exc}")
                     continue
-                flows = traffic.assemble_flows(packets, repr_cfg, stats)
-                del packets  # the kept datagrams are copies of a few frames
                 for flow in flows:
                     if flow.count >= min_packets:
                         rows.append(traffic.build_sample(flow, repr_cfg))

@@ -4,15 +4,19 @@ Only the original tcpdump format is handled: 24-byte global header, then
 16-byte per-record headers. Byte order and timestamp resolution come from
 the magic number. pcapng is out of scope and rejected by magic.
 
-A record is a ``NamedTuple``: extraction builds one per frame, and a tuple
-is built in C, where a dataclass runs Python code.
+``parse_capture`` checks the global header and returns a ``Capture``, which
+reads the records as it is iterated, in pieces of at most ``_READ_PIECE``
+bytes. A file of any size is thus read in about one piece of memory, plus
+whatever the caller keeps of its records. A record is a ``NamedTuple``:
+extraction builds one per frame, and a tuple is built in C, where a
+dataclass runs Python code.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError, UnsupportedFormatError
 
@@ -28,6 +32,10 @@ _MAGIC_TABLE = {
     struct.pack(">I", MAGIC_NS): (">", 1),
 }
 
+# the most bytes one read asks for; the rest of a record cut by the end of a
+# piece is read on its own, so one piece and one record are held at a time
+_READ_PIECE = 1 << 20
+
 
 class RawPacket(NamedTuple):
     """One captured record: link-layer bytes plus capture metadata."""
@@ -42,13 +50,104 @@ class RawPacket(NamedTuple):
         return (self.ts_sec, self.ts_nsec)
 
 
-def parse_capture(path) -> list[RawPacket]:
-    """Read every record of a classic pcap file, in file order.
+class Capture:
+    """The records of one classic pcap file whose global header was checked.
+
+    Each iteration reads the file from its first record and yields each
+    one as a ``RawPacket``, in file order; a truncated record raises
+    ParseError (naming its byte offset) when the iteration reaches it, after
+    the records before it; the file ends at its size when it was opened.
+    ``len()`` counts the records by a walk over their headers and raises
+    the same error; ``list()`` asks it first.
+    """
+
+    def __init__(self, path, order: str, frac_to_ns: int):
+        self.path = path
+        self._unpack = struct.Struct(order + "IIII").unpack_from
+        self._frac_to_ns = frac_to_ns
+
+    def __iter__(self) -> Iterator[RawPacket]:
+        path, unpack, frac_to_ns = self.path, self._unpack, self._frac_to_ns
+        new = tuple.__new__
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            fh.seek(24)
+            read = fh.read
+            buf, at, off = b"", 24, 0   # buf holds the file from offset at
+            while True:
+                end = len(buf)
+                try:
+                    while True:
+                        # raises struct.error when fewer than 16 bytes remain
+                        ts_sec, ts_frac, incl_len, orig_len = unpack(buf, off)
+                        start = off + 16
+                        stop = start + incl_len
+                        if stop > end:
+                            break
+                        yield new(RawPacket, (ts_sec, ts_frac * frac_to_ns,
+                                              buf[start:stop], orig_len))
+                        off = stop
+                except struct.error:
+                    stop, incl_len = off + 16, 0
+                # buf[off:] is the head of the record at file offset head,
+                # which ends at file offset tail
+                head, tail = at + off, at + stop
+                if tail > size:
+                    if head == size:
+                        return
+                    raise _truncated(path, head, size, incl_len)
+                # a record cut by the end of buf is completed on its own;
+                # nothing past the size taken at open is read
+                have = end - off
+                want = tail - head if have else min(_READ_PIECE, size - head)
+                pieces = [buf[off:]] if have else []
+                del buf  # freed before the next piece is read
+                while have < want:
+                    piece = read(min(_READ_PIECE, want - have))
+                    if not piece:  # the file shrank since it was opened
+                        size = head + have
+                        break
+                    pieces.append(piece)
+                    have += len(piece)
+                buf, at, off = b"".join(pieces), head, 0
+
+    def __len__(self) -> int:
+        """The record count, from a walk over the record headers only."""
+        count = 0
+        with open(self.path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = 24
+            while head < size:
+                if head + 16 > size:
+                    raise _truncated(self.path, head, size, 0)
+                fh.seek(head)
+                incl_len = self._unpack(fh.read(16))[2]
+                tail = head + 16 + incl_len
+                if tail > size:
+                    raise _truncated(self.path, head, size, incl_len)
+                head = tail
+                count += 1
+        return count
+
+
+def _truncated(path, head: int, size: int, incl_len: int) -> ParseError:
+    """The error for the record at file offset ``head`` of a file of
+    ``size`` bytes that ends inside it."""
+    if head + 16 > size:
+        return ParseError(f"{path}: truncated record header at offset {head}")
+    return ParseError(f"{path}: truncated record at offset {head + 16} "
+                      f"(declared {incl_len} bytes, {size - head - 16} remain)")
+
+
+def parse_capture(path) -> Capture:
+    """Check a classic pcap file's global header and return its records,
+    which are read as the ``Capture`` is iterated.
 
     Raises UnsupportedFormatError for unknown magics or non-Ethernet link
     types, ParseError (naming the byte offset) for truncation.
     """
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read(24)
     if len(blob) < 24:
         raise ParseError(f"{path}: truncated global header at offset 0 "
                          f"(need 24 bytes, have {len(blob)})")
@@ -61,29 +160,7 @@ def parse_capture(path) -> list[RawPacket]:
     if linktype != LINKTYPE_ETHERNET:
         raise UnsupportedFormatError(
             f"{path}: unsupported link type {linktype} (only Ethernet/1)")
-
-    unpack = struct.Struct(order + "IIII").unpack_from
-    packets: list[RawPacket] = []
-    append = packets.append
-    new = tuple.__new__
-    end = len(blob)
-    off = 24
-    try:
-        while off < end:
-            # raises struct.error when fewer than 16 bytes remain
-            ts_sec, ts_frac, incl_len, orig_len = unpack(blob, off)
-            start = off + 16
-            off = start + incl_len
-            if off > end:
-                raise ParseError(
-                    f"{path}: truncated record at offset {start} "
-                    f"(declared {incl_len} bytes, {end - start} remain)")
-            append(new(RawPacket, (ts_sec, ts_frac * frac_to_ns,
-                                   blob[start:off], orig_len)))
-    except struct.error:
-        raise ParseError(
-            f"{path}: truncated record header at offset {off}") from None
-    return packets
+    return Capture(path, order, frac_to_ns)
 
 
 def write_pcap(path, packets) -> None:

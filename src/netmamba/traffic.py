@@ -280,7 +280,8 @@ def assemble_flows(packets, cfg: ReprConfig,
     """Group surviving packets by canonical 5-tuple, first-seen order. Each
     flow keeps its M earliest datagrams, the first M of a stable sort by
     capture time, and counts every packet. Malformed packets are skipped and
-    counted, never fatal."""
+    counted, never fatal. ``stats`` is added to only once ``packets`` is
+    exhausted, so an iterable that raises part-way leaves it as it was."""
     if stats is None:
         stats = AssemblyStats()
     m = cfg.packets_per_flow

@@ -431,3 +431,86 @@ def _reference_transport_offset(ip_bytes: bytes) -> tuple[int, int, int]:
                 f"IPv6 extension header length exceeds packet at offset {off}")
         proto = nxt
     return 6, proto, off
+
+
+# ---------------------------------------------------------------------------
+# the capture oracle: the whole-file reading of a classic pcap, every record
+# copied into one list, that ``pcap.parse_capture`` must agree with record
+# for record and error for error
+
+from pathlib import Path
+
+from netmamba.errors import ParseError, UnsupportedFormatError
+from netmamba.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, parse_capture
+
+
+def read_records(path) -> list[RawPacket]:
+    """``parse_capture(path)``'s records, read by iteration alone: ``list()``
+    of a capture would first ask its ``len()``, which walks the headers."""
+    return [packet for packet in parse_capture(path)]
+
+
+def reference_parse_capture(path) -> list[RawPacket]:
+    """Oracle for ``parse_capture``: the file read whole, then cut into
+    records; the same errors with the same messages."""
+    blob = Path(path).read_bytes()
+    if len(blob) < 24:
+        raise ParseError(f"{path}: truncated global header at offset 0 "
+                         f"(need 24 bytes, have {len(blob)})")
+    magics = {struct.pack(order + "I", magic): (order, frac_to_ns)
+              for order in "<>"
+              for magic, frac_to_ns in ((MAGIC_US, 1000), (MAGIC_NS, 1))}
+    try:
+        order, frac_to_ns = magics[blob[:4]]
+    except KeyError:
+        raise UnsupportedFormatError(
+            f"{path}: unknown capture magic {blob[:4].hex()}") from None
+    linktype = struct.unpack(order + "I", blob[20:24])[0]
+    if linktype != LINKTYPE_ETHERNET:
+        raise UnsupportedFormatError(
+            f"{path}: unsupported link type {linktype} (only Ethernet/1)")
+    packets = []
+    off = 24
+    while off < len(blob):
+        if off + 16 > len(blob):
+            raise ParseError(f"{path}: truncated record header at offset {off}")
+        ts_sec, ts_frac, incl_len, orig_len = struct.unpack_from(
+            order + "IIII", blob, off)
+        start = off + 16
+        off = start + incl_len
+        if off > len(blob):
+            raise ParseError(
+                f"{path}: truncated record at offset {start} "
+                f"(declared {incl_len} bytes, {len(blob) - start} remain)")
+        packets.append(RawPacket(ts_sec, ts_frac * frac_to_ns,
+                                 blob[start:off], orig_len))
+    return packets
+
+
+class ReadSpy:
+    """Stands in for ``open`` in a module: the files it opens record the
+    size asked of each ``read`` in ``sizes``."""
+
+    def __init__(self):
+        self.sizes: list[int] = []
+
+    def __call__(self, *args):
+        return _SpiedFile(open(*args), self.sizes)
+
+
+class _SpiedFile:
+    def __init__(self, fh, sizes):
+        self._fh, self._sizes = fh, sizes
+
+    def read(self, size=-1):
+        self._sizes.append(size)
+        return self._fh.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()

@@ -3,9 +3,11 @@ config precedence, and exit codes."""
 
 import hashlib
 import json
+import shutil
 import struct
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +17,7 @@ from netmamba import checkpoint as ckpt
 from netmamba import cli
 from netmamba import config as cfgmod
 from netmamba import model as nm
+from netmamba import pcap
 from netmamba import train
 from netmamba.data import (
     StrideSample, read_samples, synthetic_samples, write_samples,
@@ -22,7 +25,9 @@ from netmamba.data import (
 from netmamba.pcap import write_pcap
 from netmamba.traffic import ReprConfig
 
-from helpers import eth_frame, ipv4_packet, raw, tcp_segment, udp_datagram
+from helpers import (
+    ReadSpy, eth_frame, ipv4_packet, raw, tcp_segment, udp_datagram,
+)
 
 SMALL_CFG = """
 packets_per_flow = 2
@@ -146,11 +151,83 @@ def test_extract_records_per_file_errors_and_continues(workspace):
     tmp, pcaps, cfg = workspace
     (pcaps / "chat" / "broken.pcap").write_bytes(b"\x00" * 30)
     out = tmp / "witherr"
-    assert run(["extract", "--input", pcaps, "--output", out,
-                "--config", cfg, "--seed", 3]) == 0
+    with pytest.warns(UserWarning, match="broken.pcap: .*unknown capture magic"):
+        assert run(["extract", "--input", pcaps, "--output", out,
+                    "--config", cfg, "--seed", 3]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["file_errors"]) == 1
     assert "broken.pcap" in summary["file_errors"][0]["file"]
+
+SAMPLE_FILES = ("train.nmstride", "val.nmstride", "test.nmstride")
+
+def extract_beside(workspace, add, name) -> tuple[dict, dict]:
+    """Extracts the workspace tree and a copy of it that ``add(class_dir)``
+    adds to; returns the copy's summary and whether each sample file of the
+    copy equals the clean tree's."""
+    tmp, pcaps, cfg = workspace
+    shutil.copytree(pcaps, tmp / name)
+    add(tmp / name / "chat")
+    outs = {}
+    for tree in (pcaps, tmp / name):
+        outs[tree] = tmp / f"out-{tree.name}"
+        assert run(["extract", "--input", tree, "--output", outs[tree],
+                    "--config", cfg, "--seed", 3]) == 0
+    clean, added = outs.values()
+    same = {f: (clean / f).read_bytes() == (added / f).read_bytes()
+            for f in SAMPLE_FILES}
+    return json.loads((added / "summary.json").read_text()), same
+
+def cut_capture(class_dir):
+    # two flows of three packets, the file cut inside the last record: its
+    # first five frames parse before the cut is reached
+    packets = [raw(eth_frame(ipv4_packet(tcp_segment(bytes(40), 30000 + f, 443),
+                                         6, "10.0.0.99"), 0x0800), ts_sec=k)
+               for k in range(3) for f in range(2)]
+    write_pcap(class_dir / "cut.pcap", packets)
+    blob = (class_dir / "cut.pcap").read_bytes()
+    (class_dir / "cut.pcap").write_bytes(blob[:-5])
+
+def test_extract_drops_a_capture_cut_mid_record_whole(workspace):
+    with pytest.warns(UserWarning, match="cut.pcap: .*truncated record"):
+        summary, same = extract_beside(workspace, cut_capture, "cut")
+    assert same == dict.fromkeys(SAMPLE_FILES, True)
+    [error] = summary["file_errors"]
+    assert error["file"].endswith("cut.pcap")
+    assert "truncated record at offset" in error["error"]
+    assert summary["classes"]["chat"]["flows_kept"] == 24
+
+def test_extract_skips_a_directory_named_like_a_capture(workspace):
+    def add(class_dir):
+        (class_dir / "dir.pcap").mkdir()
+        (class_dir / "dir.pcap" / "inner.pcap").write_bytes(b"")
+
+    summary, same = extract_beside(workspace, add, "withdir")
+    assert same == dict.fromkeys(SAMPLE_FILES, True)
+    assert summary["file_errors"] == []
+
+def test_extract_records_a_capture_that_fails_to_read(workspace, monkeypatch):
+    # a read error part-way, after some records: the file adds no flow
+    parse = cli.parse_capture
+
+    def parse_capture(path):
+        if path.name != "capture_03.pcap":
+            return parse(path)
+
+        def records():
+            yield from parse(path)
+            raise OSError(5, "Input/output error")
+
+        return records()
+
+    monkeypatch.setattr(cli, "parse_capture", parse_capture)
+    tmp, pcaps, cfg = workspace
+    with pytest.warns(UserWarning, match="capture_03.pcap: .*Input/output"):
+        assert run(["extract", "--input", pcaps, "--output", tmp / "eio",
+                    "--config", cfg]) == 0
+    summary = json.loads((tmp / "eio" / "summary.json").read_text())
+    assert [Path(e["file"]).name for e in summary["file_errors"]] == [
+        "capture_03.pcap"] * 2   # one per class
+    assert summary["classes"]["chat"]["flows_kept"] == 22
 
 def test_extract_counts_truncated_transport_headers_as_malformed(tmp_path):
     class_dir = tmp_path / "pcaps" / "web"
@@ -205,8 +282,35 @@ def test_extract_memory_is_bounded_by_one_capture_file(tmp_path):
             peaks[copies] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[2] > file_bytes
+    assert peaks[8] < pcap._READ_PIECE + file_bytes / 4, (peaks, file_bytes)
     assert peaks[8] - peaks[2] < file_bytes / 4, (peaks, file_bytes)
+
+def test_extract_memory_is_flat_in_the_capture_size(tmp_path, monkeypatch):
+    # one capture of 8 long flows (its run also makes the first extract's
+    # imports), then one whose flows hold 10 times the packets: records are
+    # read a piece at a time and only the kept datagrams outlive their
+    # piece, so the peak holds one piece, not the file
+    spy = ReadSpy()
+    monkeypatch.setattr(pcap, "open", spy, raising=False)
+    peaks, file_bytes = {}, {}
+    for times in (1, 10):
+        class_dir = tmp_path / f"x{times}" / "web"
+        class_dir.mkdir(parents=True)
+        write_pcap(class_dir / "capture.pcap", [
+            raw(eth_frame(ipv4_packet(tcp_segment(bytes(500), 40000 + f, 443),
+                                      6), 0x0800), ts_sec=k, ts_nsec=f)
+            for k in range(250 * times) for f in range(8)])
+        file_bytes[times] = (class_dir / "capture.pcap").stat().st_size
+        tracemalloc.start()
+        try:
+            assert run(["extract", "--input", class_dir.parent,
+                        "--output", tmp_path / f"out{times}"]) == 0
+            peaks[times] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert file_bytes[10] > 10 * pcap._READ_PIECE
+    assert peaks[10] < pcap._READ_PIECE + 256 * 1024, (peaks, file_bytes)
+    assert all(0 < size <= pcap._READ_PIECE for size in spy.sizes), spy.sizes
 
 def test_extract_balance_limits(workspace):
     tmp, pcaps, cfg = workspace

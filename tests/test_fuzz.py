@@ -1,6 +1,7 @@
 """Hypothesis fuzz of the capture-to-sample path on random and truncated
 bytes: only the declared error types may escape ``parse_capture`` and
-``read_samples``, ``assemble_flows``/``build_sample`` never raise,
+``read_samples``, ``parse_capture`` reads what the whole-file oracle reads
+whatever its piece size, ``assemble_flows``/``build_sample`` never raise,
 ``classify_and_strip`` dissects every frame as the byte-at-a-time oracle
 does, and ``assemble_flows`` keeps what an oracle that holds every frame's
 datagram keeps."""
@@ -16,15 +17,17 @@ from hypothesis import strategies as st
 
 from netmamba.data import HEADER_BYTES, MAGIC, VERSION, read_samples
 from netmamba.errors import MalformedPacketError, ParseError, UnsupportedFormatError
-from netmamba.pcap import MAGIC_NS, MAGIC_US, parse_capture
+from netmamba import pcap
+from netmamba.pcap import MAGIC_NS, MAGIC_US, RawPacket, parse_capture
 from netmamba.traffic import (
     AssemblyStats, Datagram, FiveTuple, ReprConfig, assemble_flows,
     build_sample, classify_and_strip,
 )
 
 from helpers import (
-    eth_frame, ipv4_packet, ipv6_packet, raw, reference_assemble,
-    reference_dissect, tcp_segment, udp_datagram,
+    ReadSpy, eth_frame, ipv4_packet, ipv6_packet, raw, reference_assemble,
+    read_records, reference_dissect, reference_parse_capture, tcp_segment,
+    udp_datagram,
 )
 
 PORTS = st.one_of(st.sampled_from([53, 67, 68, 443, 546, 547]),
@@ -187,10 +190,45 @@ def test_parse_capture_raises_only_declared_errors(blob):
         path = Path(tmp) / "fuzz.pcap"
         path.write_bytes(blob)
         try:
-            packets = parse_capture(path)
+            packets = read_records(path)
         except (ParseError, UnsupportedFormatError):
             return
     assert all(len(p.link_bytes) <= len(blob) for p in packets)
+
+
+def outcome(read, path):
+    """``read(path)``, or the type and message of the declared error it
+    raises."""
+    try:
+        return read(path)
+    except (ParseError, UnsupportedFormatError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(captures(), st.integers(1, 48))
+@example(struct.pack("<IHHiIIIIIII", MAGIC_US, 2, 4, 0, 0, 65535, 1, 0, 0, 2,
+                     2) + b"ab" + b"\0\0", 5)
+def test_streamed_capture_matches_the_whole_file_oracle(blob, piece):
+    # pieces of a few bytes: records straddle pieces and some are longer
+    # than a piece, as a long record is on a 1 MiB piece; no read asks for
+    # more than a piece
+    spy = ReadSpy()
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pcap, "_READ_PIECE", piece)
+        patch.setattr(pcap, "open", spy, raising=False)
+        path = Path(tmp) / "fuzz.pcap"
+        path.write_bytes(blob)
+        expected = outcome(reference_parse_capture, path)
+        got = outcome(read_records, path)
+        assert got == expected
+        if isinstance(expected, list):
+            assert all(type(p) is RawPacket and type(p.link_bytes) is bytes
+                       for p in got)
+            expected = len(expected)
+        assert outcome(lambda p: len(parse_capture(p)), path) == expected
+    assert all(0 < size <= max(piece, 24) for size in spy.sizes), spy.sizes
 
 
 @st.composite
