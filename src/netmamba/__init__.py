@@ -1,8 +1,8 @@
 """netmamba: pcap flows -> stride samples -> selective-SSM traffic classifier.
 
 Submodules are imported explicitly (``from netmamba import model``); the top
-level stays import-light so the CLI can configure thread limits before numpy
-loads.
+level imports none of them, so a tool that needs one module (the pcap reader,
+say) does not load numpy and the model code with it.
 """
 
 __version__ = "0.1.0"

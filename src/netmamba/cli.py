@@ -1,23 +1,10 @@
 """Command-line surface: extract, pretrain, finetune, evaluate, bench.
 
-Exit codes: 0 success, 2 usage/data problems, 3 checkpoint mismatches,
-4 numeric faults during training or inference.
+Exit codes: 0 success; a failure exits with the code its error type carries
+(``errors.py``), and an OS error on a given path exits 2.
 """
 
 from __future__ import annotations
-
-import os
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("NETMAMBA_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_cap_threads()  # must precede the first numpy import
 
 import argparse
 import json
@@ -34,15 +21,11 @@ from . import model as nm
 from . import traffic
 from . import train as trainmod
 from .errors import (
-    EXIT_CHECKPOINT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
-    CheckpointMismatchError, ConfigError, DataError, NumericFaultError,
-    ParseError, UnsupportedFormatError, check_min,
+    ConfigError, DataError, ParseError, Refusal, UnsupportedFormatError,
+    check_min,
 )
 from .fileio import atomic_write
 from .pcap import parse_capture
-
-_USAGE_ERRORS = (ConfigError, DataError, ParseError, UnsupportedFormatError,
-                 FileNotFoundError, NotADirectoryError)
 
 
 def _values(args) -> dict:
@@ -57,7 +40,7 @@ def _values(args) -> dict:
 # extract
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> None:
     """One class at a time: its capture files become sample rows (each file
     streamed through assembly, its flows freed before the next is read), the
     class is balanced and split, and its rows are appended to the three
@@ -67,9 +50,7 @@ def cmd_extract(args) -> int:
     only at its end); it is named in ``summary.json`` and warned about."""
     input_dir = Path(args.input)
     if not input_dir.is_dir():
-        print(f"error: input directory {input_dir} does not exist",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"input directory {input_dir} does not exist")
     values = _values(args)
     repr_cfg = cfgmod.build(traffic.ReprConfig(), values)
     seed = values.get("seed", 0)
@@ -87,8 +68,7 @@ def cmd_extract(args) -> int:
 
     class_dirs = sorted(d for d in input_dir.iterdir() if d.is_dir())
     if not class_dirs:
-        print(f"error: {input_dir} has no class subdirectories", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"{input_dir} has no class subdirectories")
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,7 +118,6 @@ def cmd_extract(args) -> int:
     with atomic_write(out_dir / "summary.json", "w") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
     print(f"extracted {total} flows from {n_classes} classes -> {out_dir}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +133,7 @@ def _resolve_data(path, split: str) -> Path:
     return p
 
 
-def cmd_pretrain(args) -> int:
+def cmd_pretrain(args) -> None:
     values = _values(args)
     tcfg = cfgmod.build(trainmod.pretrain_defaults(), values)
     sf = datamod.read_samples(_resolve_data(args.data, "train"))
@@ -167,7 +146,6 @@ def cmd_pretrain(args) -> int:
                                given=[k for k in values if k in cfg.to_dict()])
     print(f"pre-training done: best loss {result.best_loss:.6f} at step "
           f"{result.best_step}; artifacts in {out_dir}")
-    return EXIT_OK
 
 
 def _geometry(sf: datamod.StrideFile) -> str:
@@ -176,10 +154,9 @@ def _geometry(sf: datamod.StrideFile) -> str:
             f"{r.payload_bytes}, L_s={r.stride_len} in {sf.num_classes} classes")
 
 
-def cmd_finetune(args) -> int:
+def cmd_finetune(args) -> None:
     if args.init is None and not args.from_scratch:
-        print("error: pass --init CHECKPOINT or --from-scratch", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("pass --init CHECKPOINT or --from-scratch")
     values = _values(args)
     tcfg = cfgmod.build(trainmod.finetune_defaults(), values)
     if not Path(args.data).is_dir():
@@ -203,10 +180,9 @@ def cmd_finetune(args) -> int:
     print(f"fine-tuning done: best val acc {result.best_val_acc:.4f} at epoch "
           f"{result.best_epoch}; test acc {result.report.accuracy:.4f}; "
           f"artifacts in {out_dir}")
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     batch_size = 64 if args.batch is None else args.batch
     check_min("batch_size", batch_size)
     params, _, _ = ckpt.load_model(args.checkpoint, "finetune")
@@ -219,7 +195,6 @@ def cmd_evaluate(args) -> int:
     if args.output:
         with atomic_write(args.output, "w") as fh:
             fh.write(text + "\n")
-    return EXIT_OK
 
 
 def _positive_ints(flag: str, text: str) -> list[int]:
@@ -235,7 +210,7 @@ def _positive_ints(flag: str, text: str) -> list[int]:
     return values
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     batch_sizes = _positive_ints("--batch-sizes", args.batch_sizes)
     lengths = _positive_ints("--lengths", args.lengths)
     if args.repeats < 1:
@@ -257,7 +232,6 @@ def cmd_bench(args) -> int:
         exponent = bench_mod.fit_scaling_exponent(*zip(*series))
         print(f"scaling exponent over lengths {[s for s, _ in series]}: "
               f"{exponent:.3f}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckpointMismatchError as exc:
-        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except NumericFaultError as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        args.func(args)
+    except (Refusal, OSError) as exc:
+        # an OS error concerns a path given on the command line
+        kind = exc if isinstance(exc, Refusal) else Refusal
+        print(f"{kind.label}: {exc}", file=sys.stderr)
+        return kind.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -76,7 +76,11 @@ def load_config(path) -> dict:
     values: dict = {}
     if path is None:
         return values
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason} "
+                          f"at byte {exc.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -99,8 +103,13 @@ def merge(*layers: dict) -> dict:
 
 
 def build(base, values: dict, **fixed):
-    """The config dataclass ``base`` with every field that ``values`` names
-    replaced, then the fields the sample file fixes (``fixed``) on top."""
+    """The config dataclass ``base`` with every field that ``values`` or the
+    sample file (``fixed``) names replaced; a key that both name with
+    different values is refused."""
+    for key, value in fixed.items():
+        if values.get(key, value) != value:
+            raise ConfigError(f"{key} = {values[key]} is set, but the sample "
+                              f"file fixes {key} = {value}")
     names = {f.name for f in fields(base)}
     return replace(base, **{**{k: v for k, v in values.items() if k in names},
                             **fixed})

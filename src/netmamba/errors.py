@@ -1,11 +1,23 @@
-"""Exception types shared across the package, plus the CLI exit-code map."""
+"""Exception types shared across the package.
+
+A ``Refusal`` reaches the user: the CLI prints its ``label`` and message
+and exits with its ``exit_code``. The other types mean a program bug or are
+caught inside extraction.
+"""
 
 
-class ParseError(ValueError):
+class Refusal(Exception):
+    """A failure the CLI reports as ``label: message`` with ``exit_code``."""
+
+    exit_code = 2
+    label = "error"
+
+
+class ParseError(Refusal, ValueError):
     """Malformed or truncated capture file; message names the byte offset."""
 
 
-class UnsupportedFormatError(ValueError):
+class UnsupportedFormatError(Refusal, ValueError):
     """Capture format we deliberately do not read (unknown magic, link type)."""
 
 
@@ -13,7 +25,7 @@ class MalformedPacketError(ValueError):
     """Packet bytes shorter than their declared headers, or a bad IP version."""
 
 
-class ConfigError(ValueError):
+class ConfigError(Refusal, ValueError):
     """Invalid configuration value, unknown key, or inconsistent settings."""
 
 
@@ -25,25 +37,25 @@ class ContractError(ValueError):
     """Caller violated an operation precondition (non-scalar loss, bad label)."""
 
 
-class DataError(ValueError):
+class DataError(Refusal, ValueError):
     """Dataset-level problem such as an out-of-range label; names the sample."""
 
 
-class NumericFaultError(ArithmeticError):
+class NumericFaultError(Refusal, ArithmeticError):
     """Non-finite value detected during forward/backward/optimizer step."""
 
+    exit_code = 4
+    label = "numeric fault"
 
-class CheckpointMismatchError(ValueError):
+
+class CheckpointMismatchError(Refusal, ValueError):
     """Checkpoint contents disagree with the expected tensor set; names the tensor."""
+
+    exit_code = 3
+    label = "checkpoint mismatch"
 
 
 def check_min(key: str, value: float, low: float = 1) -> None:
     """Refuse a config value below ``low`` with a ConfigError naming the key."""
     if value < low:
         raise ConfigError(f"{key} must be >= {low}, got {value}")
-
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_CHECKPOINT = 3
-EXIT_NUMERIC = 4

@@ -57,8 +57,8 @@ class Capture:
     one as a ``RawPacket``, in file order; a truncated record raises
     ParseError (naming its byte offset) when the iteration reaches it, after
     the records before it; the file ends at its size when it was opened.
-    ``len()`` counts the records by a walk over their headers and raises
-    the same error; ``list()`` asks it first.
+    ``len()`` counts the records one iteration yields and raises the same
+    error; ``list()`` asks it first.
     """
 
     def __init__(self, path, order: str, frac_to_ns: int):
@@ -112,22 +112,8 @@ class Capture:
                 buf, at, off = b"".join(pieces), head, 0
 
     def __len__(self) -> int:
-        """The record count, from a walk over the record headers only."""
-        count = 0
-        with open(self.path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = 24
-            while head < size:
-                if head + 16 > size:
-                    raise _truncated(self.path, head, size, 0)
-                fh.seek(head)
-                incl_len = self._unpack(fh.read(16))[2]
-                tail = head + 16 + incl_len
-                if tail > size:
-                    raise _truncated(self.path, head, size, incl_len)
-                head = tail
-                count += 1
-        return count
+        """The record count, from one iteration over the records."""
+        return sum(1 for _ in self)
 
 
 def _truncated(path, head: int, size: int, incl_len: int) -> ParseError:

@@ -446,7 +446,7 @@ from netmamba.pcap import LINKTYPE_ETHERNET, MAGIC_NS, MAGIC_US, parse_capture
 
 def read_records(path) -> list[RawPacket]:
     """``parse_capture(path)``'s records, read by iteration alone: ``list()``
-    of a capture would first ask its ``len()``, which walks the headers."""
+    of a capture would first ask its ``len()``, which iterates it once more."""
     return [packet for packet in parse_capture(path)]
 
 

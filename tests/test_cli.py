@@ -729,15 +729,6 @@ def test_patch_split_config_path(extracted, monkeypatch):
     np.testing.assert_array_equal(
         embedded[0], nm.normalize_strides(nm.patch_tokens(sf.data, 4)))
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("NETMAMBA_THREADS", "3")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    cli._cap_threads()
-    import os
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-
 def test_console_entry_point():
     import os, subprocess, sys
     # the child imports netmamba from wherever this process does, so the
@@ -1276,3 +1267,59 @@ def test_evaluate_refuses_a_batch_below_one(head_checkpoint, tmp_path, capsys,
                 "--batch", batch]) == 2
     err = capsys.readouterr().err
     assert f"batch_size must be >= 1, got {batch}" in err and "missing" not in err
+
+
+def refused_argv(case, tmp_path, request):
+    """The argv of one refused invocation, its inputs made under tmp_path."""
+    command, what = case.split("-", 1)
+    if command == "extract":
+        pcaps = build_pcap_tree(tmp_path / "pcaps", files_per_class=1)
+        argv = ["extract", "--input", pcaps, "--output", tmp_path / "x"]
+        if what == "output-is-a-file":
+            argv[-1] = tmp_path / "taken"
+            argv[-1].write_text("")
+        elif what == "config-not-utf8":
+            cfg = tmp_path / "latin1.cfg"
+            cfg.write_bytes(b"seed = 1  # caf\xe9\n")
+            argv += ["--config", cfg]
+        else:
+            argv += ["--config", tmp_path]
+        return argv
+    if command == "evaluate":
+        data, path = request.getfixturevalue("head_checkpoint")
+        if what == "output-is-a-dir":
+            return ["evaluate", "--data", data, "--checkpoint", path,
+                    "--output", tmp_path]
+        return ["evaluate", "--data", data, "--checkpoint", tmp_path]
+    cfg = tmp_path / "stride8.cfg"
+    cfg.write_text("stride_len = 8\n")
+    split = request.getfixturevalue("tiny_split")
+    return command_argv(command, tmp_path, split) + ["--config", cfg]
+
+
+@pytest.mark.parametrize("case", [
+    "extract-output-is-a-file", "extract-config-not-utf8",
+    "extract-config-is-a-dir", "evaluate-output-is-a-dir",
+    "evaluate-checkpoint-is-a-dir", "pretrain-stride-conflict",
+    "finetune-stride-conflict"])
+def test_os_errors_and_contradicted_keys_exit_2_with_one_line(
+        tmp_path, request, capsys, case):
+    # each used to end in a traceback with exit 1, except the stride_len
+    # conflicts, which ran at the sample file's stride length
+    argv = refused_argv(case, tmp_path, request)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if case.endswith("stride-conflict"):
+        assert "stride_len = 8" in err and "stride_len = 4" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence itself
+def test_a_diverging_run_exits_4_with_the_numeric_fault_label(
+        tmp_path, tiny_split, capsys):
+    argv = command_argv("pretrain", tmp_path, tiny_split)
+    assert run(argv + ["--lr", 1e38, "--steps", 3, "--batch", 2]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric fault: non-finite") and "Traceback" not in err

@@ -73,12 +73,17 @@ def test_merge_precedence_three_layers():
     assert merged["seed"] == 0         # default survives
 
 
-def test_build_takes_named_fields_and_lets_fixed_values_win():
-    values = {"lr": 5e-4, "d_enc": 8, "stride_len": 2, "min_packets": 3}
+def test_build_takes_named_fields_and_refuses_fixed_values_they_contradict():
+    values = {"lr": 5e-4, "d_enc": 8, "stride_len": 4, "min_packets": 3}
     tcfg = build(finetune_defaults(), values)
     assert (tcfg.lr, tcfg.batch_size) == (5e-4, 64)
     cfg = build(ModelConfig(), values, seq_len=9, stride_len=4)
     assert (cfg.d_enc, cfg.seq_len, cfg.stride_len) == (8, 9, 4)
+    # the sample file's value used to win silently
+    with pytest.raises(ConfigError, match="stride_len = 2 is set, but the "
+                                          "sample file fixes stride_len = 4"):
+        build(ModelConfig(), {**values, "stride_len": 2}, seq_len=9,
+              stride_len=4)
 
 
 def test_readme_documents_every_config_key():
