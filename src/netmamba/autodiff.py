@@ -458,6 +458,79 @@ def layernorm(x, gain) -> Tensor:
 _CONV_BLOCK = 1 << 17
 
 
+def _conv_rows(shape) -> int:
+    """Rows per block of the convolution of a (B, L, E) array."""
+    B, L, E = shape
+    return min(L, max(1, _CONV_BLOCK // (B * E)))
+
+
+def _conv_pre_into(xd, taps, bias, r0, r1, pre, tmp) -> np.ndarray:
+    """Rows r0..r1-1 of the causal convolution of xd (B, L, E) plus bias,
+    in pre[:, :r1 - r0]; ``taps`` is the (k, E) kernel, tap j multiplying
+    the input j steps back, and tmp a buffer of as many rows. Each sum
+    starts from zero and adds the taps in order, so any split into rows
+    gives the same bits."""
+    p = pre[:, :r1 - r0]
+    p[...] = 0
+    for j in range(min(len(taps), r1)):
+        lo = max(r0, j)
+        np.multiply(xd[:, lo - j:r1 - j], taps[j], out=tmp[:, :r1 - lo])
+        p[:, lo - r0:] += tmp[:, :r1 - lo]
+    p += bias
+    return p
+
+
+def _silu_into(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p * sigmoid(p) in ``out``, which must not be p."""
+    o = _sigmoid_into(p, out)
+    o *= p
+    return o
+
+
+def _silu_slope_into(p: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The SiLU's derivative s * (1 + p * (1 - s)) in ``out``, each product
+    in place, with s = sigmoid(p) left in ``s``."""
+    _sigmoid_into(p, s)
+    np.subtract(1.0, s, out=out)
+    out *= p
+    out += 1.0
+    out *= s
+    return out
+
+
+def _conv_silu_into(xd, taps, bias, out) -> np.ndarray:
+    """silu(causal convolution of xd + bias) in ``out``, row block by row
+    block from the last: ``out`` may be xd itself, since each block reads
+    only rows that no block after it has overwritten."""
+    rows = _conv_rows(xd.shape)
+    pre, tmp = (np.empty((xd.shape[0], rows, xd.shape[2]), dtype=out.dtype)
+                for _ in range(2))
+    for r0 in reversed(range(0, xd.shape[1], rows)):
+        r1 = min(xd.shape[1], r0 + rows)
+        _silu_into(_conv_pre_into(xd, taps, bias, r0, r1, pre, tmp), out[:, r0:r1])
+    return out
+
+
+def _conv_grads_into(gp, xd, taps, gx) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of the convolution + bias from gp = dloss/d(its
+    output): the input's in ``gx``, and the (E, k) weight's and (E,) bias's
+    returned."""
+    B, L, E = xd.shape
+    k, rows = len(taps), _conv_rows(xd.shape)
+    tmp = np.empty((B, rows, E), dtype=gx.dtype)
+    gx[...] = 0
+    for r0 in range(0, L, rows):
+        r1 = min(L, r0 + rows)
+        for j in range(min(k, L - r0)):
+            hi = min(r1, L - j)
+            np.multiply(gp[:, r0 + j:hi + j], taps[j], out=tmp[:, :hi - r0])
+            gx[:, r0:hi] += tmp[:, :hi - r0]
+    gw = np.zeros((E, k), dtype=taps.dtype)
+    for j in range(min(k, L)):
+        gw[:, j] = np.einsum("ble,ble->e", gp[:, j:], xd[:, :L - j])
+    return gw, gp.sum(axis=(0, 1))
+
+
 def causal_conv1d(x, weight, bias) -> Tensor:
     """silu(per-channel causal convolution + bias) on (B, L, E), Mamba's
     causal_conv1d_fn with activation="silu". The (E,) bias is required.
@@ -469,6 +542,7 @@ def causal_conv1d(x, weight, bias) -> Tensor:
     sigmoid. Both passes work in blocks of rows, each block's temporaries in
     buffers allocated once per call. Every product and sum is the one a
     separate convolution and ``silu`` would form, in the same order.
+    ``ssm.selective_scan`` runs the same kernels on its own input.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3:
@@ -478,55 +552,24 @@ def causal_conv1d(x, weight, bias) -> Tensor:
         raise ShapeError(f"causal_conv1d: weight {weight.shape} does not match E={E}")
     if bias.shape != (E,):
         raise ShapeError(f"causal_conv1d: bias {bias.shape} does not match E={E}")
-    xd, wd, bd = x.data, weight.data, bias.data
+    xd, bd = x.data, bias.data
     # tap j as a contiguous row, which numpy multiplies with SIMD; the
-    # strided column wd[:, j] took three times as long
-    taps = np.ascontiguousarray(wd.T)
-    k = len(taps)
-    rows = min(L, max(1, _CONV_BLOCK // (B * E)))
-    blocks = [(r0, min(L, r0 + rows)) for r0 in range(0, L, rows)]
-
-    def pre_activation(r0, r1, pre, tmp):
-        # rows r0..r1-1 of the convolution + bias, in pre
-        p = pre[:, :r1 - r0]
-        p[...] = 0
-        for j in range(min(k, r1)):
-            lo = max(r0, j)
-            np.multiply(xd[:, lo - j:r1 - j], taps[j], out=tmp[:, :r1 - lo])
-            p[:, lo - r0:] += tmp[:, :r1 - lo]
-        p += bd
-        return p
-
-    out = np.empty_like(xd)
-    pre, tmp = (np.empty((B, rows, E), dtype=xd.dtype) for _ in range(2))
-    for r0, r1 in blocks:
-        p = pre_activation(r0, r1, pre, tmp)
-        o = _sigmoid_into(p, out[:, r0:r1])
-        o *= p                                 # x * sigmoid(x)
-    del pre, tmp
+    # strided column weight[:, j] took three times as long
+    taps = np.ascontiguousarray(weight.data.T)
+    out = _conv_silu_into(xd, taps, bd, np.empty_like(xd))
 
     def vjp(g):
+        rows = _conv_rows(xd.shape)
         pre, s, tmp = (np.empty((B, rows, E), dtype=xd.dtype) for _ in range(3))
         gp = np.empty_like(xd)                 # dloss/d(pre-activation)
-        for r0, r1 in blocks:
-            p = pre_activation(r0, r1, pre, tmp)
-            sb = _sigmoid_into(p, s[:, :r1 - r0])
-            # g * (s * (1 + pre * (1 - s))), each product in place
-            d = np.subtract(1.0, sb, out=gp[:, r0:r1])
-            d *= p
-            d += 1.0
-            d *= sb
+        for r0 in range(0, L, rows):
+            r1 = min(L, r0 + rows)
+            p = _conv_pre_into(xd, taps, bd, r0, r1, pre, tmp)
+            d = _silu_slope_into(p, s[:, :r1 - r0], gp[:, r0:r1])
             d *= g[:, r0:r1]
-        gx = np.zeros_like(xd)
-        for r0, r1 in blocks:
-            for j in range(min(k, L - r0)):
-                hi = min(r1, L - j)
-                np.multiply(gp[:, r0 + j:hi + j], taps[j], out=tmp[:, :hi - r0])
-                gx[:, r0:hi] += tmp[:, :hi - r0]
-        gw = np.zeros_like(wd)
-        for j in range(min(k, L)):
-            gw[:, j] = np.einsum("ble,ble->e", gp[:, j:], xd[:, :L - j])
-        return [gx, gw, gp.sum(axis=(0, 1))]
+        del pre, s, tmp
+        gx = np.empty_like(xd)
+        return [gx, *_conv_grads_into(gp, xd, taps, gx)]
 
     return custom_op(out, (x, weight, bias), vjp)
 

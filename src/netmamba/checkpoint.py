@@ -14,9 +14,9 @@ owns every check that a checkpoint fits the run that loads it: its kind
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -50,37 +50,52 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
         fh.writelines(arrays)
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
-    if blob[:8] != MAGIC:
-        raise ParseError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    (hlen,) = struct.unpack_from("<I", blob, 8)
-    if 12 + hlen > len(blob):
+def _read_index(fh, path) -> tuple[dict, list[tuple[str, tuple, int]]]:
+    """The metadata of the open checkpoint ``fh`` and its tensor index as
+    (name, shape, file offset), once the magic, the metadata and the extent
+    of every tensor are checked."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if head[:8] != MAGIC:
+        raise ParseError(f"{path}: bad checkpoint magic {head[:8]!r}")
+    hlen = struct.unpack("<I", head[8:])[0] if len(head) == 12 else None
+    if hlen is None or 12 + hlen > size:
         raise ParseError(f"{path}: truncated checkpoint metadata")
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        header = json.loads(blob[12:12 + hlen].decode())
+        header = json.loads(fh.read(hlen).decode())
         meta = dict(header["meta"])
-        index = [(e["name"], tuple(e["shape"]), e["offset"])
-                 for e in header["tensors"]]
+        entries = [(e["name"], tuple(e["shape"]), e["offset"])
+                   for e in header["tensors"]]
     except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
-    data_start = 12 + hlen
-    tensors: dict[str, np.ndarray] = {}
-    expected_end = data_start
-    for name, shape, offset in index:
-        count = int(np.prod(shape)) if shape else 1
-        start = data_start + offset
-        end = start + 4 * count
-        if end > len(blob):
+    index, expected_end = [], 12 + hlen
+    for name, shape, offset in entries:
+        start = 12 + hlen + offset
+        end = start + 4 * (int(np.prod(shape)) if shape else 1)
+        if end > size:
             raise CheckpointMismatchError(
                 f"{path}: tensor {name} runs past end of file")
-        tensors[name] = np.frombuffer(
-            blob, dtype="<f4", count=count, offset=start).reshape(shape)
+        index.append((name, shape, start))
         expected_end = max(expected_end, end)
-    if expected_end != len(blob):
+    if expected_end != size:
         raise ParseError(
-            f"{path}: {len(blob) - expected_end} trailing bytes after tensor data")
-    return meta, tensors
+            f"{path}: {size - expected_end} trailing bytes after tensor data")
+    return meta, index
+
+
+def _read_into(fh, start: int, out: np.ndarray) -> np.ndarray:
+    """The tensor at file offset ``start`` read into ``out``, a contiguous
+    little-endian float32 array of its shape."""
+    fh.seek(start)
+    fh.readinto(out)
+    return out
+
+
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    with open(path, "rb") as fh:
+        meta, index = _read_index(fh, path)
+        return meta, {name: _read_into(fh, start, np.empty(shape, dtype="<f4"))
+                      for name, shape, start in index}
 
 
 def model_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -114,33 +129,45 @@ def load_model(path, kind: str | None = None
     present with the right shape, and every other tensor must be an
     optimizer moment of one of them, of its shape; a ``kind`` refuses a
     checkpoint of the other kind. Returns (params, meta, the optimizer
-    moments by their checkpoint names)."""
-    meta, tensors = load_checkpoint(path)
-    cfg = _model_config(path, meta.get("config"))
-    saved = meta.get("kind", "pretrain")
-    if saved not in ("pretrain", "finetune"):
-        raise CheckpointMismatchError(f"{path}: unknown model kind {saved!r}")
-    if kind not in (None, saved):
-        part = "a decoder" if kind == "pretrain" else "a classification head"
-        raise CheckpointMismatchError(f"{path} is a {saved} checkpoint "
-                                      f"without {part}; expected a {kind} one")
-    params = init_params(cfg, np.random.default_rng(0),
-                         with_decoder=saved == "pretrain",
-                         with_head=saved == "finetune")
-    ours = params.tensors()
-    for name, arr in tensors.items():
-        owner = ours.get(name[6:] if name.startswith(("opt.m.", "opt.v.")) else name)
-        if owner is None:
-            raise CheckpointMismatchError(
-                f"{path}: tensor {name} has no place in this model")
-        if arr.shape != owner.shape:
-            raise CheckpointMismatchError(
-                f"{path}: tensor {name} has shape {arr.shape}, expected {owner.shape}")
-    for name, t in ours.items():
-        if name not in tensors:
-            raise CheckpointMismatchError(f"{path}: missing tensor {name}")
-        t.data = tensors[name].astype(t.dtype, copy=True)
-    return params, meta, {k: v for k, v in tensors.items() if k not in ours}
+    moments by their checkpoint names). Once every check has passed, each
+    parameter's bytes are read straight into its array and each moment
+    into an array of its own, so a load never holds the file's bytes."""
+    with open(path, "rb") as fh:
+        meta, index = _read_index(fh, path)
+        cfg = _model_config(path, meta.get("config"))
+        saved = meta.get("kind", "pretrain")
+        if saved not in ("pretrain", "finetune"):
+            raise CheckpointMismatchError(f"{path}: unknown model kind {saved!r}")
+        if kind not in (None, saved):
+            part = "a decoder" if kind == "pretrain" else "a classification head"
+            raise CheckpointMismatchError(f"{path} is a {saved} checkpoint "
+                                          f"without {part}; expected a {kind} one")
+        params = init_params(cfg, np.random.default_rng(0), dtype=np.dtype("<f4"),
+                             with_decoder=saved == "pretrain",
+                             with_head=saved == "finetune")
+        ours = params.tensors()
+        for name, shape, _ in index:
+            owner = ours.get(name[6:] if name.startswith(("opt.m.", "opt.v."))
+                             else name)
+            if owner is None:
+                raise CheckpointMismatchError(
+                    f"{path}: tensor {name} has no place in this model")
+            if shape != owner.shape:
+                raise CheckpointMismatchError(
+                    f"{path}: tensor {name} has shape {shape}, expected {owner.shape}")
+        names = {name for name, _, _ in index}
+        for name in ours:
+            if name not in names:
+                raise CheckpointMismatchError(f"{path}: missing tensor {name}")
+        # each parameter's bytes go straight into its array; each optimizer
+        # moment gets an array of its own
+        moments = {}
+        for name, shape, start in index:
+            if name in ours:
+                _read_into(fh, start, ours[name].data)
+            else:
+                moments[name] = _read_into(fh, start, np.empty(shape, dtype="<f4"))
+    return params, meta, moments
 
 
 def check_geometry(path, cfg: ModelConfig, strides: np.ndarray, source) -> None:

@@ -185,6 +185,8 @@ def cmd_finetune(args) -> None:
 def cmd_evaluate(args) -> None:
     batch_size = 64 if args.batch is None else args.batch
     check_min("batch_size", batch_size)
+    if args.output and Path(args.output).is_dir():
+        raise ConfigError(f"--output {args.output} is a directory")
     params, _, _ = ckpt.load_model(args.checkpoint, "finetune")
     data_path = _resolve_data(args.data, "test")
     sf = datamod.read_samples(data_path)

@@ -8,41 +8,42 @@ projection with a residual connection.
 
 What one block keeps for its backward pass, as Mamba's mamba_inner_fn does
 with checkpoint_lvl=1 (arXiv:2312.00752): of its (B, L, E) arrays only the
-in-projection x, the conv + SiLU output xc and the gate input z; of its
-(B, L, D) arrays only its input and the normalized input; plus the
-(B, L, R) step down-projection, B and C, and the scan's chunk-entry
-states. Everything else is recomputed in the backward pass:
-``ad.causal_conv1d`` applies the SiLU itself and recomputes the
-convolution from x, and ``selective_scan`` takes in the step's
-up-projection, softplus, gate and the output projection, recomputing the
-raw step, the step, y, silu(z) and the gated output. Each recomputation
-repeats the forward's arithmetic on the same layout, so the gradients are
-bit for bit those of the separate ops.
+in-projection x and the gate input z; of its (B, L, D) arrays only its
+input and the normalized input; plus the (B, L, R) step down-projection, B
+and C, and the scan's chunk-entry states. Everything else is recomputed in
+the backward pass: ``selective_scan`` takes in the causal conv + SiLU, the
+B, C and step down-projections, the step's up-projection, softplus, gate
+and the output projection, and recomputes the conv output xc chunk by
+chunk from x (keeping the convolution + bias for the conv's own backward),
+the raw step, the step, y, silu(z) and the gated output. Each
+recomputation repeats the forward's arithmetic on the same layout, so the
+gradients are bit for bit those of the separate ops.
 
 Without grad nothing is kept for a backward pass, and ``stack_forward``
 streams along the sequence: it runs every block over one row chunk at a
 time, as Mamba's own inference steps along a sequence with a conv_state and
 an ssm_state (arXiv:2312.00752). Each block carries a ``BlockCarry`` from
 one chunk to the next: the last k-1 rows of its in-projection x, which
-the block puts in front of the next chunk's before the conv, and its
-(B, N, E) scan state, which ``selective_scan`` starts from and steps in
-place. The conv itself is a pure function of its input and weights. The
-stack's input can be ``Rows`` that form each chunk on demand, so a no-grad
-pass holds a block's arrays for one chunk only, and its memory beyond its
-output does not grow with L. The carry is no-grad only: the block refuses
-it under grad, and with grad on the one chunk is the whole sequence.
+``selective_scan`` puts in front of the next chunk's before the conv, and
+its (B, N, E) scan state, which the scan starts from and steps in place.
+The stack's input can be ``Rows`` that form each chunk on demand, so a
+no-grad pass holds a block's arrays for one chunk only, and its memory
+beyond its output does not grow with L. The carry is no-grad only: the
+scan refuses it under grad, and with grad on the one chunk is the whole
+sequence.
 
 The block and the stack are told how many final rows the caller reads
 (``tail``; all of them by default), and the scan reads it from the rows of
-its c and z. A classifier that reads the last row alone gets it without the
+z. A classifier that reads the last row alone gets it without the
 rows before: below the top block every row is needed, but the top block
 forms z, C, y, the gate, the out-projection and the residual only for the
 rows read, and elsewhere only steps its conv tail and scan state; the
 scan's backward skips the per-step work of the rows not read.
 
 ``selective_scan`` takes exactly the block's inputs; the block is its only
-caller. The tests keep the plain recurrence as their oracle and reach it
-through the op with identity projections.
+caller. Its scan is ``_recurrence``, which works on arrays; the tests keep
+the plain recurrence as their oracle and reach ``_recurrence`` with
+identity projections.
 
 For training the scan keeps only the state entering each chunk of _CHUNK
 steps; its backward pass recomputes each chunk from the arrays it saved.
@@ -143,37 +144,40 @@ def init_mamba_block(dims: SSMDims, rng: np.random.Generator, dtype=np.float32,
 _CHUNK = 16  # scan steps per stored state in grad mode
 
 
-def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
-                   dt_bias: Tensor, z: Tensor, w_dt_up: Tensor, w_out: Tensor, *,
-                   state: np.ndarray | None = None) -> Tensor:
-    """The block's zero-order-hold selective scan, with the ops around it
-    taken in as Mamba's mamba_inner_fn does (arXiv:2312.00752):
+def _recurrence(low, a, b, c, x, bias, z, wu, wo, *, keep=False, state=None,
+                y_buf=None):
+    """The zero-order-hold selective scan on arrays, with the step's
+    up-projection, softplus, gate and out-projection taken in:
 
-        dt_t = softplus(dt_low_t @ w_dt_up + dt_bias)
+        dt_t = softplus(low_t @ wu + bias)
         h_t = exp(dt_t*A) * h_{t-1} + dt_t*B_t*x_t;  y_t = <C_t, h_t>
-        out_t = (y_t * silu(z_t)) @ w_out
+        out_t = (y_t * silu(z_t)) @ wo
 
-    dt_low (B, L, R) is the step's down-projection and w_dt_up (R, E) its
-    up-projection; dt_bias (E,); a (E, N); b (B, L, N); x (B, L, E); c
-    (B, T, N) and z (B, T, E) with T <= L; w_out (E, D); returns (B, T, D).
-    Strictly causal; the recurrence is sequential per (batch, channel) lane.
-    The state is (B, N, E), channels innermost, and each step writes into
-    buffers allocated once per call.
+    low (B, L, R) is the step's down-projection and wu (R, E) its
+    up-projection; bias (E,); a (E, N); b (B, L, N); x (B, L, E); c
+    (B, T, N) and z (B, T, E) with T <= L; wo (E, D). Returns the (B, T, D)
+    output and, when ``keep``, ``backward(g, x_rows)``, which returns the
+    gradients of the nine inputs in this order for the upstream gradient g
+    and reads the rows t0..t1-1 of x as ``x_rows(t0, t1)`` gives them: the
+    backward keeps no reference to x. Strictly causal; the recurrence is
+    sequential per (batch, channel) lane. The state is (B, N, E), channels
+    innermost, and each step writes into buffers allocated once per call.
 
     The forward pass walks the steps in chunks of _CHUNK, forming each
-    chunk's raw step, step and dt*x only for that chunk, and keeps, when
-    grad mode is on and an input requires grad, only the state entering
-    each chunk. The backward pass walks the chunks last to first and
-    recomputes each chunk's raw step, step, dt*x, states, exp(dt_t*A), y,
-    silu(z) and gated output with the forward's own arithmetic and layout,
-    so output and gradients are bit for bit those of the same ops applied
-    one by one. A chunk's rows of dt_low @ w_dt_up round as the whole
-    product's do: numpy multiplies both with gemm, and a lone step is taken
-    with the one before it, as a one-row product would go to gemv. At the
-    start of each chunk the backward zeroes the entries of the adjoint
-    dloss/dh_t below np.finfo(dtype).tiny (see the module docstring). It
-    reads the saved arrays, never writing into them, so repeated backward
-    calls accumulate.
+    chunk's raw step, step and dt*x only for that chunk, and keeps, with
+    ``keep``, only the state entering each chunk. The backward pass walks
+    the chunks last to first and recomputes each chunk's raw step, step,
+    dt*x, states, exp(dt_t*A), y, silu(z) and gated output with the
+    forward's own arithmetic and layout, so output and gradients are bit
+    for bit those of the same ops applied one by one. A chunk's rows of
+    low @ wu round as the whole product's do: numpy multiplies both with
+    gemm, and a lone step is taken with the one before it, as a one-row
+    product would go to gemv. At the start of each chunk the backward
+    zeroes the entries of the adjoint dloss/dh_t below np.finfo(dtype).tiny
+    (see the module docstring). It reads the arrays it kept, never writing
+    into them, so repeated backward calls accumulate. Once a chunk is done
+    its rows of dloss/dy are not read again, and with T = L it writes
+    dloss/dx over them, so x's gradient takes no buffer of its own.
 
     c and z hold the T final rows the caller reads. With T < L every step
     still moves the state, but y, C_t, the gate and the out-projection
@@ -181,45 +185,18 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
     earlier step, the C_t (x) dloss/dy_t outer product, the recomputed y_t
     and its gate. T = 0 steps the state only.
 
-    ``state`` (B, N, E), no-grad only: the state before the first step, as
-    Mamba's ssm_state carries it from one piece of a sequence to the next.
-    The scan steps it in place, so on return it holds the state after the
-    last step; without it the scan starts from zeros. Passing one while the
-    op would record a graph raises ContractError.
+    ``state`` (B, N, E), no-grad only: the state before the first step,
+    stepped in place, so on return it holds the state after the last step;
+    without it the scan starts from zeros. ``y_buf`` (B, T, E), optional:
+    the buffer y and the gated output are formed in. It may be x itself,
+    whose rows are read for a chunk before any of them is written.
     """
-    given = {"dt_low": dt_low, "a": a, "b": b, "c": c, "x": x, "dt_bias": dt_bias,
-             "z": z, "w_dt_up": w_dt_up, "w_out": w_out}
-    if x.ndim != 3:
-        raise ShapeError(f"selective_scan: x={x.shape} is not (B, L, E)")
     B, L, E = x.shape
-    T = c.shape[1] if c.ndim == 3 else -1
-    if not 0 <= T <= L:
-        raise ShapeError(f"selective_scan: c={c.shape} is not (B, T, N) with "
-                         f"T <= {L}, the rows of x={x.shape}")
-    N, R, width = (t.shape[-1] if t.ndim else 0 for t in (a, dt_low, w_out))
-    expected = {"dt_low": (B, L, R), "a": (E, N), "b": (B, L, N), "c": (B, T, N),
-                "x": (B, L, E), "dt_bias": (E,), "z": (B, T, E), "w_dt_up": (R, E),
-                "w_out": (E, width)}
-    wrong = [f"{name}={t.shape} (expected {expected[name]})"
-             for name, t in given.items() if t.shape != expected[name]]
-    if wrong:
-        raise ShapeError(f"selective_scan: x={x.shape} gives (B, L, E); "
-                         + ", ".join(wrong))
-    parents = tuple(given.values())
-    dtype = np.result_type(*(p.data for p in parents))
-    keep = ad.records_graph(*parents)
-    if state is not None:
-        if keep:
-            raise ContractError("selective_scan: a starting state is for "
-                                "no-grad passes only")
-        if state.shape != (B, N, E) or state.dtype != dtype:
-            raise ShapeError(f"selective_scan: state {state.shape} {state.dtype} "
-                             f"is not ({B}, {N}, {E}) {np.dtype(dtype)}")
-    At = np.ascontiguousarray(a.data.T, dtype=dtype)             # (N, E)
-    low, xd, bias, zd, wu, wo = (t.data for t in (dt_low, x, dt_bias, z, w_dt_up,
-                                                  w_out))
+    T, N = c.shape[1], a.shape[1]
+    dtype = np.result_type(low, a, b, c, x, bias, z, wu, wo)
+    At = np.ascontiguousarray(a.T, dtype=dtype)                  # (N, E)
     # time-major views: X is (L, B, E), Bm (L, B, N) and C (T, B, N)
-    X, Bm, C = (np.moveaxis(v, 1, 0) for v in (xd, b.data, c.data))
+    X, Bm, C = (np.moveaxis(v, 1, 0) for v in (x, b, c))
     K, first = _CHUNK, L - T                      # first: the first row read
     entry = np.empty((-(-L // K), B, N, E), dtype=dtype) if keep else None
     h = np.zeros((B, N, E), dtype=dtype) if state is None else state
@@ -249,8 +226,8 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
         np.multiply(abar, h_prev, out=h_out)
         h_out += bx
 
-    out = np.empty((B, T, E), dtype=dtype)
-    y = np.moveaxis(out, 1, 0)                                   # (T, B, E) view
+    out = np.empty((B, T, E), dtype=dtype) if y_buf is None else y_buf
+    ys = np.moveaxis(out, 1, 0)                                  # (T, B, E) view
     for t0 in range(0, L, K):
         n = min(K, L - t0)
         D = step_sizes(t0, n)[0]
@@ -261,21 +238,24 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
             t = t0 + j
             step(D[j], Bm[t], U[j], h, h, abar)
             if t >= first:
-                np.matmul(C[t - first][:, None, :], h, out=y[t - first][:, None, :])
+                np.matmul(C[t - first][:, None, :], h, out=ys[t - first][:, None, :])
         j0, rows = read(t0, n)
         if j0 < n:
-            zc = np.ascontiguousarray(zd[:, rows])
+            zc = np.ascontiguousarray(z[:, rows])
             out[:, rows] *= zc * ad._sigmoid(zc)
-    del D, U
+    del D, U, X, ys
     out = out @ wo
+    if not keep:
+        return out, None
 
-    def vjp(g):
+    def backward(g, x_rows):
         # g_y: dloss/dy, written chunk by chunk over the op's own buffer of
-        # dloss/d(gated output) = g @ w_outᵀ
+        # dloss/d(gated output) = g @ woᵀ
         g_y = g @ np.swapaxes(wo, -1, -2)
         g_z, gated = (np.empty((B, T, E), dtype=dtype) for _ in range(2))
         gy = np.moveaxis(g_y, 1, 0)                              # (T, B, E)
-        g_x = np.empty((L, B, E), dtype=dtype)
+        g_x = g_y if T == L else np.empty((B, L, E), dtype=dtype)
+        gx = np.moveaxis(g_x, 1, 0)                              # (L, B, E)
         g_dt = np.empty((B, L, E), dtype=dtype)                  # wrt the raw step
         g_u, g_step = np.empty((K, B, E), dtype=dtype), np.empty((K, B, E), dtype=dtype)
         g_b, g_c = np.empty((L, B, N), dtype=dtype), np.empty((T, B, N), dtype=dtype)
@@ -293,7 +273,8 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
             n = min(K, L - t0)
             rows = slice(t0, t0 + n)
             Dc, pre = step_sizes(t0, n)
-            Uc = Dc * X[rows]                                    # this chunk's dt*x
+            Xc = np.moveaxis(x_rows(t0, t0 + n), 1, 0)           # this chunk's x
+            Uc = Dc * Xc                                         # and dt*x
             hs[0] = entry[t0 // K]
             for j in range(n):
                 step(Dc[j], Bm[t0 + j], Uc[j], hs[j], hs[j + 1], abars[j])
@@ -303,7 +284,7 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
                     np.matmul(C[t0 + j - first][:, None, :], hs[j + 1],
                               out=ys[j][:, None, :])
                 y = np.moveaxis(ys[j0:n], 0, 1)                  # (B, n - j0, E)
-                zc = np.ascontiguousarray(zd[:, out_rows])
+                zc = np.ascontiguousarray(z[:, out_rows])
                 sig = ad._sigmoid(zc)
                 gate = zc * sig
                 np.multiply(g_y[:, out_rows] * y, sig * (1.0 + zc * (1.0 - sig)),
@@ -325,20 +306,147 @@ def selective_scan(dt_low: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor,
                     g_a += np.multiply(s, Dc[j][:, None, :], out=s)
                 else:
                     g_step[j] = 0
-            np.multiply(g_u[:n], Dc, out=g_x[rows])
-            np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * X[rows], 0, 1),
+            np.multiply(g_u[:n], Dc, out=gx[rows])
+            np.multiply(np.moveaxis(g_step[:n] + g_u[:n] * Xc, 0, 1),
                         ad._sigmoid(pre), out=g_dt[:, rows])
         del hs, abars
         g_a = np.ascontiguousarray(g_a.sum(0).T)                # (E, N)
-        g_b, g_c, g_x = (np.moveaxis(v, 0, 1) for v in (g_b, g_c, g_x))
+        g_b, g_c = (np.moveaxis(v, 0, 1) for v in (g_b, g_c))
         g_bias = ad._unbroadcast(g_dt, bias.shape)
-        # as ad.matmul's vjp: w_dt_up, the step's down-projection and w_out;
-        # the (B, L, E) g_dt goes before the last GEMM
+        # as ad.matmul's vjp: wu, the step's down-projection and wo; the
+        # (B, L, E) g_dt goes before the last GEMM
         g_wu = ad._unbroadcast(np.swapaxes(low, -1, -2) @ g_dt, wu.shape)
         g_low = g_dt @ np.swapaxes(wu, -1, -2)
         del g_dt
         g_wo = ad._unbroadcast(np.swapaxes(gated, -1, -2) @ g, wo.shape)
         return [g_low, g_a, g_b, g_c, g_x, g_bias, g_z, g_wu, g_wo]
+
+    return out, backward
+
+
+def selective_scan(x: Tensor, z: Tensor, conv_w: Tensor, conv_b: Tensor, w_b: Tensor,
+                   w_c: Tensor, w_dt_down: Tensor, w_dt_up: Tensor, dt_bias: Tensor,
+                   a: Tensor, w_out: Tensor, *, carry: BlockCarry | None = None) -> Tensor:
+    """A block from its in-projection to its out-projection, as Mamba's
+    mamba_inner_fn (arXiv:2312.00752): the causal conv + SiLU of the
+    in-projection x, the B, C and step down-projections of its output xc,
+    then the scan of xc with the step's up-projection, softplus, gate and
+    out-projection (see ``_recurrence``):
+
+        xc = silu(causal_conv(x, conv_w) + conv_b)
+        B = xc @ w_b;  C = xc @ w_c;  dt_low = xc @ w_dt_down
+        out = scan(dt_low, a, B, C, xc, dt_bias, z, w_dt_up, w_out)
+
+    x (B, L, E); z (B, T, E) with T <= L, the rows the caller reads; conv_w
+    (E, k); conv_b (E,); w_b and w_c (E, N); w_dt_down (E, R); w_dt_up
+    (R, E); dt_bias (E,); a (E, N); w_out (E, D); returns (B, T, D). C
+    exists for the T rows read alone.
+
+    For its backward pass the op keeps x, z, B, C, dt_low and the scan's
+    chunk-entry states, never xc. The backward pass recomputes xc chunk by
+    chunk with ``ad.causal_conv1d``'s kernels, keeping the convolution +
+    bias of each row for the conv's own backward, so the conv is
+    recomputed once. The gradient reaching xc sums the scan's, the step's,
+    C's and B's contributions in the order the separate ops' backward
+    passes would add them; the projections' products are whole-array
+    GEMMs, as the separate ops form them; so every output and gradient is
+    bit for bit that of the separate ops.
+
+    ``carry`` (no-grad only): a ``BlockCarry`` from the previous row chunk
+    of a longer sequence. Its in-projection rows go in front of x's, the
+    conv runs over both and the rows it gives for the carried ones are
+    dropped, so each row sees the taps of one pass over the whole; the last
+    k-1 rows of that input are carried on. The scan starts from the carried
+    state and steps it in place. A carry while the op would record a graph
+    raises ContractError before the carry changes.
+    """
+    given = {"x": x, "z": z, "conv_w": conv_w, "conv_b": conv_b, "w_b": w_b,
+             "w_c": w_c, "w_dt_down": w_dt_down, "w_dt_up": w_dt_up,
+             "dt_bias": dt_bias, "a": a, "w_out": w_out}
+    if x.ndim != 3:
+        raise ShapeError(f"selective_scan: x={x.shape} is not (B, L, E)")
+    B, L, E = x.shape
+    T = z.shape[1] if z.ndim == 3 else -1
+    if not 0 <= T <= L:
+        raise ShapeError(f"selective_scan: z={z.shape} is not (B, T, E) with "
+                         f"T <= {L}, the rows of x={x.shape}")
+    k, N, R, width = (t.shape[-1] if t.ndim else 0 for t in (conv_w, a, w_dt_down,
+                                                              w_out))
+    expected = {"x": (B, L, E), "z": (B, T, E), "conv_w": (E, k), "conv_b": (E,),
+                "w_b": (E, N), "w_c": (E, N), "w_dt_down": (E, R), "w_dt_up": (R, E),
+                "dt_bias": (E,), "a": (E, N), "w_out": (E, width)}
+    wrong = [f"{name}={t.shape} (expected {expected[name]})"
+             for name, t in given.items() if t.shape != expected[name]]
+    if wrong:
+        raise ShapeError(f"selective_scan: x={x.shape} gives (B, L, E); "
+                         + ", ".join(wrong))
+    parents = tuple(given.values())
+    dtype = np.result_type(*(p.data for p in parents))
+    keep = ad.records_graph(*parents)
+    xd, P = x.data, 0
+    if carry is not None:
+        if keep:
+            raise ContractError("selective_scan: a carry is for no-grad passes only")
+        if (carry.state.shape != (B, N, E) or carry.state.dtype != dtype
+                or carry.conv.shape[::2] != (B, E) or carry.conv.shape[1] >= k):
+            raise ShapeError(f"selective_scan: carry of conv rows {carry.conv.shape} "
+                             f"and state {carry.state.shape} {carry.state.dtype} "
+                             f"does not fit x={x.shape}, k={k}, N={N} in "
+                             f"{np.dtype(dtype)}")
+        P = carry.conv.shape[1]
+        xd = np.concatenate([carry.conv, xd], axis=1)
+        carry.conv = xd[:, max(0, P + L - (k - 1)):].copy()
+    taps, bd = np.ascontiguousarray(conv_w.data.T), conv_b.data
+    # the concatenation is the op's own, so xc overwrites it
+    xc = ad._conv_silu_into(xd, taps, bd,
+                            np.empty_like(xd) if carry is None else xd)[:, P:]
+    first = L - T
+    wb, wc, wd = w_b.data, w_c.data, w_dt_down.data
+    out, back = _recurrence(xc @ wd, a.data, xc @ wb, xc[:, first:] @ wc, xc,
+                            dt_bias.data, z.data, w_dt_up.data, w_out.data, keep=keep,
+                            state=None if carry is None else carry.state,
+                            y_buf=xc if T == L else None)
+    del xc
+
+    def vjp(g):
+        # xc again, chunk by chunk: its convolution + bias into pre, which
+        # the conv's own backward reads, and its SiLU for the scan
+        pre = np.empty_like(xd)
+        xs, tmp = (np.empty((B, _CHUNK, E), dtype=xd.dtype) for _ in range(2))
+
+        def x_rows(t0, t1):
+            p = ad._conv_pre_into(xd, taps, bd, t0, t1, pre[:, t0:], tmp)
+            return ad._silu_into(p, xs[:, :t1 - t0])
+
+        g_low, g_a, g_b, g_c, g_xc, g_bias, g_z, g_wu, g_wo = back(g, x_rows)
+        del xs, tmp
+        # xc's gradient, written over the scan's: the step's, C's and B's
+        # down-projections add theirs, each as ad.matmul's vjp forms it; C's
+        # row selection scatters into zeros, so the rows it does not read
+        # add 0.0 (a -0.0 lands as +0.0)
+        g_xc += g_low @ np.swapaxes(wd, -1, -2)
+        g_xc[:, first:] += g_c @ np.swapaxes(wc, -1, -2)
+        if first:
+            g_xc[:, :first] += 0.0
+        g_xc += g_b @ np.swapaxes(wb, -1, -2)
+        # the SiLU's backward turns g_xc into the gradient of the
+        # convolution + bias, and pre into xc for the projections' weights
+        rows = ad._conv_rows(pre.shape)
+        s, d = (np.empty((B, rows, E), dtype=pre.dtype) for _ in range(2))
+        for r0 in range(0, L, rows):
+            r1 = min(L, r0 + rows)
+            p = pre[:, r0:r1]
+            g_xc[:, r0:r1] *= ad._silu_slope_into(p, s[:, :r1 - r0], d[:, :r1 - r0])
+            p *= s[:, :r1 - r0]
+        del s, d
+        xct = np.swapaxes(pre, -1, -2)          # xc, as ad.matmul's vjp takes it
+        g_wb = ad._unbroadcast(xct @ g_b, wb.shape)
+        g_wc = ad._unbroadcast(xct[..., first:] @ g_c, wc.shape)
+        g_wd = ad._unbroadcast(xct @ g_low, wd.shape)
+        del xct
+        g_conv_w, g_conv_b = ad._conv_grads_into(g_xc, xd, taps, pre)   # pre: dloss/dx
+        return [pre, g_z, g_conv_w, g_conv_b, g_wb, g_wc, g_wd, g_wu, g_bias, g_a,
+                g_wo]
 
     return ad.custom_op(out, parents, vjp)
 
@@ -375,19 +483,14 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     are formed for the last ``tail`` rows alone (see ``selective_scan``).
 
     With a ``carry`` (no-grad only) x_prev is the next row chunk of a
-    longer sequence. The carried in-projection rows go in front of the
-    chunk's, the conv runs over both and the rows it gives for the carried
-    ones are dropped, so each row sees the taps of one pass over the whole;
-    the last k-1 rows of that input are carried on. The scan starts from the
-    carried state and steps it in place. A carry under grad raises
+    longer sequence, and ``selective_scan`` continues the conv and the scan
+    from the carried rows and state. A carry under grad raises
     ContractError before the carry changes.
     """
     p = params
     if x_prev.ndim != 3 or x_prev.shape[-1] != p.dims.d:
         raise ShapeError(
             f"block_forward: input {x_prev.shape} does not match d={p.dims.d}")
-    if carry is not None and ad.grad_enabled():
-        raise ContractError("block_forward: a carry is for no-grad passes only")
     L = x_prev.shape[1]
     T = L if tail is None else tail
     if not 0 <= T <= L:
@@ -395,24 +498,11 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     xn = ad.rmsnorm(x_prev, p.norm_gain)
     x = ad.matmul(xn, p.w_in_x)
     z = ad.matmul(_tail(xn, T), p.w_in_z)
-    # without grad the normalized input and the in-projection are freed
-    # after their last use
+    # without grad the normalized input is freed after its last use
     del xn
-    P = 0
-    if carry is not None:
-        P = carry.conv.shape[1]
-        x = ad.concat([carry.conv, x], axis=1)
-        carry.conv = x.data[:, max(0, x.shape[1] - (p.dims.k - 1)):].copy()
-    xc = ad.causal_conv1d(x, p.conv_w, p.conv_b)
-    del x
-    if P:
-        xc = Tensor(xc.data[:, P:])     # this chunk's rows, as a view
-    b_in = ad.matmul(xc, p.w_b)
-    c = ad.matmul(_tail(xc, T), p.w_c)
-    dt_low = ad.matmul(xc, p.w_dt_down)
     a = ad.neg(ad.exp(p.a_log))
-    out = ad.add(selective_scan(dt_low, a, b_in, c, xc, p.dt_bias, z, p.w_dt_up,
-                                p.w_out, state=None if carry is None else carry.state),
+    out = ad.add(selective_scan(x, z, p.conv_w, p.conv_b, p.w_b, p.w_c, p.w_dt_down,
+                                p.w_dt_up, p.dt_bias, a, p.w_out, carry=carry),
                  _tail(x_prev, T))
     if not np.all(np.isfinite(out.data)):
         raise NumericFaultError(f"non-finite activation in block {p.index}")

@@ -167,7 +167,7 @@ def conv_form_oracle(abar, bbar, c, x):
 def unflushed_scan(dt, a, b, c, x, g):
     """Reference forward and backward pass of the plain scan over a full
     state history, with no subnormal flush: the arithmetic of
-    ``ssm.selective_scan``'s recurrence in the same order, so it matches
+    ``ssm._recurrence`` in the same order, so it matches
     the op bit for bit wherever the flush changes nothing. Returns y, the
     gradients wrt (dt, a, b, c, x) for the upstream gradient g and the
     number of subnormal adjoint entries it carried."""
@@ -212,9 +212,21 @@ def softplus_inverse(dt):
     return dt + np.log(-np.expm1(-dt))
 
 
+def scan_op(dt_low, a, b, c, x, dt_bias, z, w_dt_up, w_out, *, state=None) -> ad.Tensor:
+    """``ssm._recurrence``, the scan inside ``ssm.selective_scan``, as a
+    graph op of its own over its nine inputs: the scan with xc, B, C and the
+    step's down-projection given rather than formed from the in-projection.
+    Its backward reads the rows of x as given."""
+    tensors = (dt_low, a, b, c, x, dt_bias, z, w_dt_up, w_out)
+    arrays = [t.data for t in tensors]
+    out, back = ssm._recurrence(*arrays, keep=ad.records_graph(*tensors), state=state)
+    xd = arrays[4]
+    return ad.custom_op(out, tensors, lambda g: back(g, lambda t0, t1: xd[:, t0:t1]))
+
+
 def identity_layout(dt_low, a, b, c, x) -> tuple:
-    """``ssm.selective_scan``'s nine inputs that make it the plain scan with
-    step softplus(dt_low): R = D = E, w_dt_up = I, dt_bias = 0, z = 64 and
+    """``scan_op``'s nine inputs that make it the plain scan with step
+    softplus(dt_low): R = D = E, w_dt_up = I, dt_bias = 0, z = 64 and
     w_out = I/64. silu(64) is exactly 64 in float32 and float64 and every
     GEMM against these projections is exact, so the op returns y, and the
     adjoint its recurrence carries is the upstream gradient, bit for bit.
@@ -227,9 +239,9 @@ def identity_layout(dt_low, a, b, c, x) -> tuple:
 
 
 def identity_scan(dt_low, a, b, c, x, **kwargs) -> ad.Tensor:
-    """``ssm.selective_scan`` through ``identity_layout``: the plain scan
-    of step softplus(dt_low), (B, T, E)."""
-    return ssm.selective_scan(*identity_layout(dt_low, a, b, c, x), **kwargs)
+    """``scan_op`` through ``identity_layout``: the plain scan of step
+    softplus(dt_low), (B, T, E)."""
+    return scan_op(*identity_layout(dt_low, a, b, c, x), **kwargs)
 
 
 # ---------------------------------------------------------------------------

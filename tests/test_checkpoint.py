@@ -255,6 +255,36 @@ def test_optimizer_tensors_round_trip(tmp_path):
     np.testing.assert_array_equal(extra["opt.m.embed.w"], opt["opt.m.embed.w"])
 
 
+def test_load_reads_each_tensor_into_place(tmp_path):
+    # a paper-width fine-tuning model with both optimizer moments of every
+    # tensor. Its parameters are read straight into their arrays and each
+    # moment into an array of its own: the load holds what it returns plus
+    # init_params' float64 draw of one tensor at a time. It used to hold the
+    # file's bytes too, which the moments were views of
+    params = nm.init_params(nm.ModelConfig(), np.random.default_rng(8),
+                            with_decoder=False, with_head=True)
+    opt = {f"opt.{k}.{name}": np.full(t.shape, i, dtype=np.float32)
+           for k in "mv" for i, (name, t) in enumerate(params.named())}
+    sizes = [t.data.nbytes for _, t in params.named()]
+    for path, moments in ((tmp_path / "best.nmckpt", {}),
+                          (tmp_path / "last.nmckpt", opt)):
+        ckpt.save_model(path, params, opt_tensors=moments)
+        ckpt.load_model(path)                   # first-call allocations
+        tracemalloc.start()
+        try:
+            loaded, _, extra = ckpt.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(sizes) * (1 + len(moments) // len(sizes))
+        assert peak < held + 2 * max(sizes), (peak, held)
+        for (_, got), (_, ref) in zip(loaded.named(), params.named()):
+            assert got.data.tobytes() == ref.data.tobytes()
+        assert extra.keys() == moments.keys()
+        for name, m in extra.items():
+            assert m.flags.owndata and m.tobytes() == moments[name].tobytes()
+
+
 @pytest.mark.parametrize("decoder, head, kind", [
     (True, False, "pretrain"), (False, True, "finetune"),
     (False, False, None), (True, True, None),

@@ -1269,6 +1269,20 @@ def test_evaluate_refuses_a_batch_below_one(head_checkpoint, tmp_path, capsys,
     assert f"batch_size must be >= 1, got {batch}" in err and "missing" not in err
 
 
+def test_evaluate_refuses_an_output_directory_before_reading_the_checkpoint(
+        head_checkpoint, tmp_path, capsys, monkeypatch):
+    # it used to run the whole evaluation and print the report before the
+    # write into the directory failed
+    data, path = head_checkpoint
+    read = []
+    monkeypatch.setattr(ckpt, "load_model", lambda *args: read.append(args))
+    assert run(["evaluate", "--data", data, "--checkpoint", path,
+                "--output", tmp_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and read == []
+    assert err == f"error: --output {tmp_path} is a directory\n"
+
+
 def refused_argv(case, tmp_path, request):
     """The argv of one refused invocation, its inputs made under tmp_path."""
     command, what = case.split("-", 1)

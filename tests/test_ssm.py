@@ -1,9 +1,11 @@
 """Recurrence correctness: the fused scan vs convolutional form vs direct
 summation, causality, stability, and block-level gradients.
 
-The scan has the block's layout only; the tests of its recurrence reach it
-through ``identity_scan``, whose identity projections make it the plain
-scan of step softplus(dt_low) bit for bit."""
+``ssm.selective_scan`` forms xc, B, C and the step's down-projection from
+the in-projection itself; the tests of its recurrence reach the scan inside
+it, ``ssm._recurrence``, through ``scan_op``, and ``identity_scan``'s
+identity projections make that the plain scan of step softplus(dt_low) bit
+for bit."""
 
 import contextlib
 import itertools
@@ -18,8 +20,8 @@ from netmamba.errors import ContractError, NumericFaultError, ShapeError
 
 from helpers import (causal_conv1d, conv_form_oracle, direct_scan_oracle,
                      discretize_loop_oracle, identity_layout, identity_scan,
-                     max_rel_err, plain_scan, random_instance, softplus_inverse,
-                     unflushed_scan)
+                     max_rel_err, plain_scan, random_instance, scan_op,
+                     softplus_inverse, unflushed_scan)
 
 RNG = np.random.default_rng(11)
 
@@ -85,26 +87,43 @@ def test_discretize_matches_scalar_loop():
                                            rtol=1e-12)
 
 
+OP_INPUTS = ("x", "z", "conv_w", "conv_b", "w_b", "w_c", "w_dt_down", "w_dt_up",
+             "dt_bias", "a", "w_out")
+
+
+def op_inputs(seed, B=1, L=8, tail=None, dtype=np.float64):
+    """``ssm.selective_scan``'s eleven inputs at small_dims: an in-projection
+    and gate input that require grad, a block's weights and its A."""
+    rng = np.random.default_rng(seed)
+    p = ssm.init_mamba_block(small_dims(), rng, dtype=dtype)
+    t = {k: getattr(p, k) for k in OP_INPUTS[2:] if k != "a"}
+    t["a"] = ad.Tensor(-np.exp(p.a_log.data))
+    T = L if tail is None else tail
+    for k, rows in (("x", L), ("z", T)):
+        t[k] = ad.Tensor(rng.standard_normal((B, rows, p.dims.e)).astype(dtype),
+                         requires_grad=True)
+    return t
+
+
+def fused(t, **kwargs):
+    return ssm.selective_scan(*(t[k] for k in OP_INPUTS), **kwargs)
+
+
 def test_scan_rejects_mismatched_shapes():
-    delta, a, b_in, c, x = random_instance(np.random.default_rng(0))
-    with pytest.raises(ShapeError, match="selective_scan"):
-        scan(delta, a.T, b_in, c, x)
-    with pytest.raises(ShapeError, match="selective_scan"):
-        scan(delta, a, b_in, np.concatenate([c, c], axis=1), x)   # more rows than x
-    with pytest.raises(ShapeError, match="selective_scan"):
-        scan(delta, a, b_in[:, :-1], c, x)
+    t = op_inputs(0)
+    for name, value in (("a", t["a"].data.T), ("w_b", t["w_b"].data[:-1]),
+                        ("z", np.concatenate([t["z"].data] * 2, axis=1))):
+        with pytest.raises(ShapeError, match=f"selective_scan: .*{name}="):
+            fused(t | {name: ad.Tensor(value)})
 
 
 def test_scan_names_a_wrong_rank_x_before_its_tail():
     # a 2-D x has no rows to read a tail of: the caller gets the shape
-    # fault, whatever rows c and z hold
-    delta, a, b_in, c, x = random_instance(np.random.default_rng(0))
-    for n in (c.shape[1], 0, 1):
-        args = list(identity_layout(*(ad.Tensor(v) for v in (
-            softplus_inverse(delta), a, b_in, c[:, c.shape[1] - n:], x))))
-        args[4] = ad.Tensor(x[0])
-        with pytest.raises(ShapeError, match=r"x=\(8, 3\) is not \(B, L, E\)"):
-            ssm.selective_scan(*args)
+    # fault, whatever rows z holds
+    for n in (8, 0, 1):
+        t = op_inputs(0, tail=n)
+        with pytest.raises(ShapeError, match=r"x=\(8, 16\) is not \(B, L, E\)"):
+            fused(t | {"x": ad.Tensor(t["x"].data[0])})
 
 
 def test_scan_single_step_unrolls():
@@ -343,7 +362,7 @@ def test_scan_keeps_output_and_chunk_states_but_not_dt_x():
                                                                N=N)))
     tracemalloc.start()
     try:
-        y = ssm.selective_scan(*inputs)
+        y = scan_op(*inputs)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -365,7 +384,7 @@ def test_scan_keeps_no_state_history_without_grad():
         tracemalloc.start()
         try:
             with contextlib.nullcontext() if grad else ad.no_grad():
-                ssm.selective_scan(*inputs)
+                scan_op(*inputs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +413,7 @@ SCAN_INPUTS = ("low", "a", "b", "c", "x", "dt_bias", "z", "w_dt_up", "w_out")
 
 
 def projected(t, **kwargs):
-    return ssm.selective_scan(*(t[k] for k in SCAN_INPUTS), **kwargs)
+    return scan_op(*(t[k] for k in SCAN_INPUTS), **kwargs)
 
 
 def unprojected(t):
@@ -446,13 +465,15 @@ def test_projected_scan_output_identical_with_and_without_grad():
 
 
 def test_projected_scan_rejects_mismatched_projections():
-    t, _ = projected_instance(np.random.default_rng(50), 1, 4, 3, 2, 2, 4, np.float64)
-    for name, shape in (("w_dt_up", (3, 3)), ("z", (1, 4, 2)), ("dt_bias", (2,))):
-        bad = {**t, name: ad.Tensor(np.zeros(shape))}
+    # E = 16, N = 4, R = 4, k = 4 at small_dims
+    t = op_inputs(50, L=4)
+    for name, shape in (("w_dt_up", (3, 3)), ("z", (1, 4, 2)), ("dt_bias", (2,)),
+                        ("conv_w", (15, 4)), ("conv_b", (4,)), ("w_c", (16, 3)),
+                        ("w_dt_down", (4, 16))):
         with pytest.raises(ShapeError, match=f"{name}="):
-            projected(bad)
+            fused(t | {name: ad.Tensor(np.zeros(shape))})
     with pytest.raises(ShapeError, match="w_out="):
-        projected({**t, "w_out": ad.Tensor(np.zeros((2, 4)))})
+        fused(t | {"w_out": ad.Tensor(np.zeros((2, 4)))})
 
 
 def read_tail(t, n):
@@ -523,14 +544,12 @@ def test_tail_scan_gradients_match_finite_differences():
 
 
 def test_scan_refuses_a_tail_it_cannot_read():
-    # the rows of c are the rows read: more than x has, or a c without
-    # rows, is refused naming c, and a z of other rows naming z
-    t, _ = projected_instance(np.random.default_rng(54), 1, 4, 3, 2, 2, 4, np.float64)
-    for c in (np.zeros((1, 5, 2)), np.zeros((4, 2))):
-        with pytest.raises(ShapeError, match="c="):
-            scan_of(t | {"c": ad.Tensor(c)})
-    with pytest.raises(ShapeError, match="z="):
-        scan_of(read_tail(t, 2) | {"z": t["z"]})      # z still holds all 4 rows
+    # the rows of z are the rows read: more than x has, or a z without
+    # rows, is refused naming z
+    t = op_inputs(54, L=4)
+    for z in (np.zeros((1, 5, 16)), np.zeros((4, 16))):
+        with pytest.raises(ShapeError, match="z="):
+            fused(t | {"z": ad.Tensor(z)})
 
 
 def small_dims(d=8, e=16, n=4, r=4, k=4):
@@ -690,11 +709,11 @@ def test_block_tail_matches_the_last_rows_of_the_full_block(n):
 
 def test_block_keeps_only_what_its_backward_reads():
     # one grad-mode block at small widths leaves allocated its output and
-    # the arrays its vjps read, listed below. Three (B, L, E) arrays stay
-    # (``wide``); the conv output before its SiLU, the raw step and the
-    # gated output are recomputed in the backward, and the matmul products
-    # before the bias and residual adds, the step, y and silu(z) are never
-    # kept
+    # the arrays its vjps read, listed below. Two (B, L, E) arrays stay
+    # (``wide``); the conv output, before and after its SiLU, the raw step
+    # and the gated output are recomputed in the backward, and the matmul
+    # products before the bias and residual adds, the step, y and silu(z)
+    # are never kept
     B, L, D, E, N, R = 2, 256, 16, 32, 4, 4
     p = ssm.init_mamba_block(ssm.SSMDims(d=D, e=E, n=N, r=R),
                              np.random.default_rng(45), dtype=np.float64)
@@ -710,9 +729,8 @@ def test_block_keeps_only_what_its_backward_reads():
     assert out.requires_grad
     f = 8
     wide = {
-        "in-projection x, read by the conv (B, L, E)": B * L * E * f,
-        "conv + SiLU output xc, read by the B/C/dt projections and the scan "
-        "(B, L, E)": B * L * E * f,
+        "in-projection x, from which the scan recomputes xc (B, L, E)":
+            B * L * E * f,
         "z, read by the scan (B, L, E)": B * L * E * f,
     }
     narrow = {
@@ -724,7 +742,7 @@ def test_block_keeps_only_what_its_backward_reads():
         "the scan's chunk-entry states": -(-L // ssm._CHUNK) * B * N * E * f,
         "the block output (B, L, D)": B * L * D * f,
     }
-    assert sum(wide.values()) == 3 * B * L * E * f
+    assert sum(wide.values()) == 2 * B * L * E * f
     expected = sum(wide.values()) + sum(narrow.values())
     assert kept < expected + B * L * E * f // 4
 
@@ -889,17 +907,17 @@ def test_streamed_stack_memory_does_not_grow_with_length(monkeypatch):
 
 
 def test_carry_under_grad_is_refused():
-    # the block refuses a carry under grad before it changes the carry
+    # the block, and the scan op it hands the carry to, refuse a carry
+    # under grad before they change it
     blocks, _, x = stack_inputs(np.float64, L=5)
     p = blocks[0]
     carry = ssm.BlockCarry.start(p.dims, 2, np.float64)
     conv, state = carry.conv, carry.state.copy()
     with pytest.raises(ContractError, match="no-grad"):
         ssm.block_forward(ad.Tensor(x), p, carry)
-    assert carry.conv is conv and carry.state.tobytes() == state.tobytes()
-    inputs = [ad.Tensor(v, requires_grad=True) for v in scan_inputs(2, 5, 16, 4)]
     with pytest.raises(ContractError, match="no-grad"):
-        identity_scan(*inputs, state=np.zeros((2, 4, 16)))
+        fused(op_inputs(1, B=2, L=5), carry=carry)
+    assert carry.conv is conv and carry.state.tobytes() == state.tobytes()
 
 
 def scan_inputs(B, L, E, N, seed=61):
@@ -948,10 +966,15 @@ def test_scan_and_conv_in_pieces_give_the_bits_of_one_pass():
 
 
 def test_carry_of_the_wrong_shape_is_refused():
-    B, L, E, N = 2, 5, 16, 4
-    inputs = [ad.Tensor(v) for v in scan_inputs(B, L, E, N)]
-    with ad.no_grad():
-        with pytest.raises(ShapeError, match="state"):
-            identity_scan(*inputs, state=np.zeros((B, E, N)))
-        with pytest.raises(ShapeError, match="state"):
-            identity_scan(*inputs, state=np.zeros((B, N, E), dtype=np.float32))
+    # a state of other axes or dtype, or conv rows as many as the taps, is
+    # refused before the carry changes
+    B, L, E, N, k = 2, 5, 16, 4, 4
+    t = op_inputs(2, B=B, L=L)
+    for conv, state in ((np.zeros((B, 0, E)), np.zeros((B, E, N))),
+                        (np.zeros((B, 0, E)), np.zeros((B, N, E), dtype=np.float32)),
+                        (np.zeros((B, k, E)), np.zeros((B, N, E))),
+                        (np.zeros((B, 1, E + 1)), np.zeros((B, N, E)))):
+        carry = ssm.BlockCarry(conv, state)
+        with ad.no_grad(), pytest.raises(ShapeError, match="carry .* state"):
+            fused(t, carry=carry)
+        assert carry.conv is conv and carry.state is state

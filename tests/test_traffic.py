@@ -1,6 +1,7 @@
 """Representation pipeline: dissection (stripping, header length, flow key),
 anonymization, crop/pad, flow assembly, and stride cutting."""
 
+import gc
 import struct
 import tracemalloc
 
@@ -369,10 +370,17 @@ def test_assembly_keeps_the_first_m_of_a_stable_time_sort(events, m):
 
 def test_assembly_holds_m_datagrams_however_long_the_flows():
     # the same 20 flows of 1000-byte packets, 10 or 100 packets long: the
-    # flows that assemble_flows returns hold M datagrams each either way
+    # flows that assemble_flows returns hold M datagrams each either way.
+    # An object taken from one of CPython's per-type free lists (tuples,
+    # lists, dicts) is not allocated through the traced allocator, so what
+    # earlier code left on those lists moved the held bytes by up to 8 KB;
+    # a full collection empties them, and a warm-up call makes the
+    # first-call allocations before tracing
     def traced(per_flow):
         packets = [tcp_flow_packet(k, dport=1000 + f, payload=bytes(1000))
                    for k in range(per_flow) for f in range(20)]
+        assemble_flows(packets, CFG)
+        gc.collect()
         tracemalloc.start()
         try:
             flows = assemble_flows(packets, CFG)
