@@ -76,6 +76,18 @@ def test_container_rejects_bad_magic(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cut", (8, 10, 13))
+def test_container_rejects_truncated_metadata(tmp_path, cut):
+    # a file cut inside its 4-byte header length used to fail in struct
+    # with a traceback; one cut inside the JSON block was already refused
+    path = tmp_path / "t.nmckpt"
+    ckpt.save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)}, {})
+    path.write_bytes(path.read_bytes()[:cut])
+    for load in (ckpt.load_checkpoint, ckpt.load_model):
+        with pytest.raises(ParseError, match="truncated checkpoint metadata"):
+            load(path)
+
+
 def test_container_rejects_truncated_data(tmp_path):
     path = tmp_path / "t.nmckpt"
     ckpt.save_checkpoint(path, {"w": np.ones((4, 4), dtype=np.float32)}, {})
