@@ -77,9 +77,13 @@ def scaling_exponent(cfg: nm.ModelConfig, lengths=(400, 800, 1600),
                                 [r["median_seconds"] for r in rows])
 
 
+def csv_text(rows) -> str:
+    """The CSV header and one line per row, each ending in a newline."""
+    lines = [CSV_HEADER] + [f"{r['batch']},{r['seq_len']},{r['samples_per_sec']:.6g},"
+                            f"{r['peak_bytes']}" for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_bench_csv(rows, path) -> None:
     with atomic_write(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r['batch']},{r['seq_len']},"
-                     f"{r['samples_per_sec']:.6g},{r['peak_bytes']}\n")
+        fh.write(csv_text(rows))

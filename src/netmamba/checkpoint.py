@@ -142,9 +142,12 @@ def load_model(path, kind: str | None = None
             part = "a decoder" if kind == "pretrain" else "a classification head"
             raise CheckpointMismatchError(f"{path} is a {saved} checkpoint "
                                           f"without {part}; expected a {kind} one")
-        params = init_params(cfg, np.random.default_rng(0), dtype=np.dtype("<f4"),
-                             with_decoder=saved == "pretrain",
-                             with_head=saved == "finetune")
+        try:    # a head needs two classes, which ModelConfig does not check
+            params = init_params(cfg, np.random.default_rng(0), dtype=np.dtype("<f4"),
+                                 with_decoder=saved == "pretrain",
+                                 with_head=saved == "finetune")
+        except ConfigError as exc:
+            raise CheckpointMismatchError(f"{path}: {exc}") from None
         ours = params.tensors()
         for name, shape, _ in index:
             owner = ours.get(name[6:] if name.startswith(("opt.m.", "opt.v."))

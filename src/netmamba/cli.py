@@ -155,8 +155,8 @@ def _geometry(sf: datamod.StrideFile) -> str:
 
 
 def cmd_finetune(args) -> None:
-    if args.init is None and not args.from_scratch:
-        raise ConfigError("pass --init CHECKPOINT or --from-scratch")
+    if (args.init is None) != args.from_scratch:
+        raise ConfigError("pass exactly one of --init and --from-scratch")
     values = _values(args)
     tcfg = cfgmod.build(trainmod.finetune_defaults(), values)
     if not Path(args.data).is_dir():
@@ -223,10 +223,7 @@ def cmd_bench(args) -> None:
                                    repeats=args.repeats, seed=args.seed or 0)
     if args.output:
         bench_mod.write_bench_csv(rows, args.output)
-    print(bench_mod.CSV_HEADER)
-    for r in rows:
-        print(f"{r['batch']},{r['seq_len']},{r['samples_per_sec']:.6g},"
-              f"{r['peak_bytes']}")
+    print(bench_mod.csv_text(rows), end="")
     first_batch = rows[0]["batch"]
     series = [(r["seq_len"], r["median_seconds"]) for r in rows
               if r["batch"] == first_batch]

@@ -59,3 +59,9 @@ def check_min(key: str, value: float, low: float = 1) -> None:
     """Refuse a config value below ``low`` with a ConfigError naming the key."""
     if value < low:
         raise ConfigError(f"{key} must be >= {low}, got {value}")
+
+
+def check_unit(key: str, value: float) -> None:
+    """Refuse a config value outside [0, 1], naming the key and the value."""
+    if not 0 <= value <= 1:
+        raise ConfigError(f"{key} must lie in [0, 1], got {value}")

@@ -28,9 +28,9 @@ one chunk to the next: the last k-1 rows of its in-projection x, which
 its (B, N, E) scan state, which the scan starts from and steps in place.
 The stack's input can be ``Rows`` that form each chunk on demand, so a
 no-grad pass holds a block's arrays for one chunk only, and its memory
-beyond its output does not grow with L. The carry is no-grad only: the
-scan refuses it under grad, and with grad on the one chunk is the whole
-sequence.
+beyond its output does not grow with L. The carry is no-grad only:
+``stack_forward`` makes carries only without grad, and with grad on the
+one chunk is the whole sequence.
 
 The block and the stack are told how many final rows the caller reads
 (``tail``; all of them by default), and the scan reads it from the rows of
@@ -40,10 +40,12 @@ forms z, C, y, the gate, the out-projection and the residual only for the
 rows read, and elsewhere only steps its conv tail and scan state; the
 scan's backward skips the per-step work of the rows not read.
 
-``selective_scan`` takes exactly the block's inputs; the block is its only
-caller. Its scan is ``_recurrence``, which works on arrays; the tests keep
-the plain recurrence as their oracle and reach ``_recurrence`` with
-identity projections.
+``selective_scan`` takes exactly the block's inputs. The block is its only
+caller, and ``stack_forward`` the block's: it checks the stack's input
+(rank and tail; ``ad.rmsnorm`` refuses a wrong width), and neither the
+block nor the scan re-checks a shape. The scan is ``_recurrence``, which
+works on arrays; the tests keep the plain recurrence as their oracle and
+reach ``_recurrence`` with identity projections.
 
 For training the scan keeps only the state entering each chunk of _CHUNK
 steps; its backward pass recomputes each chunk from the arrays it saved.
@@ -70,17 +72,14 @@ from .errors import ContractError, NumericFaultError, ShapeError
 
 @dataclass(frozen=True)
 class SSMDims:
-    """Static widths of one block; batch and length come from the input."""
+    """Static widths of one block, from a ModelConfig, which checks them;
+    batch and length come from the input."""
 
     d: int          # residual stream width
     e: int          # expanded inner width (2*d by default upstream)
     n: int          # state size per inner channel
     r: int = 16     # rank of the factored step-size projection
     k: int = 4      # depthwise conv taps
-
-    def __post_init__(self):
-        if min(self.d, self.e, self.n, self.r, self.k) < 1:
-            raise ContractError(f"all SSM dims must be >= 1, got {self}")
 
 
 @dataclass
@@ -357,42 +356,15 @@ def selective_scan(x: Tensor, z: Tensor, conv_w: Tensor, conv_b: Tensor, w_b: Te
     conv runs over both and the rows it gives for the carried ones are
     dropped, so each row sees the taps of one pass over the whole; the last
     k-1 rows of that input are carried on. The scan starts from the carried
-    state and steps it in place. A carry while the op would record a graph
-    raises ContractError before the carry changes.
+    state and steps it in place. ``stack_forward`` makes carries only
+    without grad, of this block's widths and the pass's dtype.
     """
-    given = {"x": x, "z": z, "conv_w": conv_w, "conv_b": conv_b, "w_b": w_b,
-             "w_c": w_c, "w_dt_down": w_dt_down, "w_dt_up": w_dt_up,
-             "dt_bias": dt_bias, "a": a, "w_out": w_out}
-    if x.ndim != 3:
-        raise ShapeError(f"selective_scan: x={x.shape} is not (B, L, E)")
-    B, L, E = x.shape
-    T = z.shape[1] if z.ndim == 3 else -1
-    if not 0 <= T <= L:
-        raise ShapeError(f"selective_scan: z={z.shape} is not (B, T, E) with "
-                         f"T <= {L}, the rows of x={x.shape}")
-    k, N, R, width = (t.shape[-1] if t.ndim else 0 for t in (conv_w, a, w_dt_down,
-                                                              w_out))
-    expected = {"x": (B, L, E), "z": (B, T, E), "conv_w": (E, k), "conv_b": (E,),
-                "w_b": (E, N), "w_c": (E, N), "w_dt_down": (E, R), "w_dt_up": (R, E),
-                "dt_bias": (E,), "a": (E, N), "w_out": (E, width)}
-    wrong = [f"{name}={t.shape} (expected {expected[name]})"
-             for name, t in given.items() if t.shape != expected[name]]
-    if wrong:
-        raise ShapeError(f"selective_scan: x={x.shape} gives (B, L, E); "
-                         + ", ".join(wrong))
-    parents = tuple(given.values())
-    dtype = np.result_type(*(p.data for p in parents))
+    parents = (x, z, conv_w, conv_b, w_b, w_c, w_dt_down, w_dt_up, dt_bias, a, w_out)
     keep = ad.records_graph(*parents)
+    B, L, E = x.shape
+    T, k = z.shape[1], conv_w.shape[1]
     xd, P = x.data, 0
     if carry is not None:
-        if keep:
-            raise ContractError("selective_scan: a carry is for no-grad passes only")
-        if (carry.state.shape != (B, N, E) or carry.state.dtype != dtype
-                or carry.conv.shape[::2] != (B, E) or carry.conv.shape[1] >= k):
-            raise ShapeError(f"selective_scan: carry of conv rows {carry.conv.shape} "
-                             f"and state {carry.state.shape} {carry.state.dtype} "
-                             f"does not fit x={x.shape}, k={k}, N={N} in "
-                             f"{np.dtype(dtype)}")
         P = carry.conv.shape[1]
         xd = np.concatenate([carry.conv, xd], axis=1)
         carry.conv = xd[:, max(0, P + L - (k - 1)):].copy()
@@ -484,17 +456,12 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
 
     With a ``carry`` (no-grad only) x_prev is the next row chunk of a
     longer sequence, and ``selective_scan`` continues the conv and the scan
-    from the carried rows and state. A carry under grad raises
-    ContractError before the carry changes.
+    from the carried rows and state. ``stack_forward``, the one caller,
+    checks the input's rank and the tail, and makes carries only without
+    grad; ``ad.rmsnorm`` refuses an input of another width than d.
     """
     p = params
-    if x_prev.ndim != 3 or x_prev.shape[-1] != p.dims.d:
-        raise ShapeError(
-            f"block_forward: input {x_prev.shape} does not match d={p.dims.d}")
-    L = x_prev.shape[1]
-    T = L if tail is None else tail
-    if not 0 <= T <= L:
-        raise ContractError(f"block_forward: tail {tail} is not within 0..{L} rows")
+    T = x_prev.shape[1] if tail is None else tail
     xn = ad.rmsnorm(x_prev, p.norm_gain)
     x = ad.matmul(xn, p.w_in_x)
     z = ad.matmul(_tail(xn, T), p.w_in_z)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ConfigError, MalformedPacketError
+from .errors import ConfigError, MalformedPacketError, check_min
 from .pcap import RawPacket
 
 ETHERTYPE_IPV4 = 0x0800
@@ -94,10 +94,9 @@ class ReprConfig:
     drop_dhcp: bool = True
 
     def __post_init__(self):
-        if self.packets_per_flow < 1:
-            raise ConfigError("packets_per_flow must be >= 1")
-        if self.header_bytes < 0 or self.payload_bytes < 0:
-            raise ConfigError("byte budgets must be non-negative")
+        for key, low in (("packets_per_flow", 1), ("header_bytes", 0),
+                         ("payload_bytes", 0), ("stride_len", 1)):
+            check_min(key, getattr(self, key), low)
         if self.header_bytes + self.payload_bytes < 1:
             raise ConfigError("need at least one byte per packet")
         if not (self.include_header or self.include_payload):
@@ -108,8 +107,6 @@ class ReprConfig:
         if self.flow_bytes >= 2**31:
             raise ConfigError(f"flow byte length {self.flow_bytes} is not "
                               f"below 2**31")
-        if self.stride_len < 1:
-            raise ConfigError("stride_len must be >= 1")
         if self.flow_bytes % self.stride_len:
             raise ConfigError(
                 f"flow byte length {self.flow_bytes} is not divisible by "

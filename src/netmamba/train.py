@@ -17,7 +17,8 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as nm
-from .errors import CheckpointMismatchError, ConfigError, DataError, check_min
+from .errors import (CheckpointMismatchError, ConfigError, DataError, check_min,
+                     check_unit)
 from .fileio import atomic_write
 from .metrics import MetricsReport, compute_metrics
 from .optim import OptimState, Schedule, adamw_step, clip_global_norm, zero_grads
@@ -47,15 +48,20 @@ class TrainConfig:
         for key in ("batch_size", "log_every", "steps", "epochs"):
             check_min(key, getattr(self, key))
         check_min("seed", self.seed, 0)  # numpy seeds from non-negative ints
-        check_min("lr", self.lr, 0)
+        for key in ("lr", "weight_decay", "grad_clip"):  # grad_clip 0: no clipping
+            check_min(key, getattr(self, key), 0)
+        check_unit("warmup_frac", self.warmup_frac)
+        if self.early_stop_val_acc is not None:
+            check_unit("early_stop_val_acc", self.early_stop_val_acc)
 
 
 def pretrain_defaults(**overrides) -> TrainConfig:
-    return replace(TrainConfig(batch_size=128, lr=1e-3, steps=150_000), **overrides)
+    """TrainConfig's own defaults are pre-training's."""
+    return TrainConfig(**overrides)
 
 
 def finetune_defaults(**overrides) -> TrainConfig:
-    return replace(TrainConfig(batch_size=64, lr=2e-3, epochs=120), **overrides)
+    return replace(TrainConfig(batch_size=64, lr=2e-3), **overrides)
 
 
 @dataclass

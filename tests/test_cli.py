@@ -433,6 +433,21 @@ def test_extract_refuses_limits_below_their_floor(workspace, monkeypatch,
     key = flag[2:].replace("-", "_")
     assert f"{key} must be >= {low}, got {value}" in err
 
+
+@pytest.mark.parametrize("key, value, low", [
+    ("packets_per_flow", 0, 1), ("header_bytes", -1, 0),
+    ("payload_bytes", -1, 0), ("stride_len", 0, 1),
+])
+def test_extract_refuses_a_geometry_below_its_floor(workspace, monkeypatch,
+                                                    capsys, key, value, low):
+    # these used to leave out the value, and the byte budgets the key
+    cfg = workspace[0] / "geometry.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    err = refuses_before_reading(workspace, monkeypatch, capsys,
+                                 ["--config", cfg])
+    assert f"{key} must be >= {low}, got {value}" in err
+
+
 def test_unknown_config_key_is_usage_error(workspace):
     tmp, pcaps, _ = workspace
     bad = tmp / "bad.cfg"
@@ -488,10 +503,18 @@ def test_finetune_from_scratch_ablation(extracted):
                 "--batch", 8, "--seed", 4]) == 0
     assert (out / "best.nmckpt").exists()
 
-def test_finetune_requires_init_choice(extracted):
+def test_finetune_requires_init_choice(extracted, capsys, monkeypatch):
+    # exactly one of the two: with both, --from-scratch used to be ignored
+    # and the run initialized from the checkpoint
     tmp, dataset, cfg = extracted
-    assert run(["finetune", "--data", dataset, "--output", tmp / "x",
-                "--config", cfg]) == 2
+    called = []
+    monkeypatch.setattr(cli.trainmod, "finetune", lambda *a, **k: called.append(k))
+    for flags in ([], ["--init", tmp / "pre.nmckpt", "--from-scratch"]):
+        assert run(["finetune", "--data", dataset, "--output", tmp / "x",
+                    "--config", cfg] + flags) == 2
+        err = capsys.readouterr().err
+        assert err == "error: pass exactly one of --init and --from-scratch\n"
+    assert not called and not (tmp / "x").exists()
 
 @pytest.mark.parametrize("stride_len, num_classes", [(8, 2), (4, 3)])
 def test_finetune_refuses_splits_of_differing_geometry(extracted, capsys,
@@ -663,6 +686,19 @@ def test_evaluate_names_the_checkpoint_of_an_out_of_range_config(
     assert f"{key} must be >= {low}, got {value}" in err and "Traceback" not in err
 
 
+def test_evaluate_names_the_checkpoint_of_a_head_with_one_class(
+        head_checkpoint, capsys):
+    # the head's refusal used to escape the loader's wrapping and exit 2
+    # without the path
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"]["num_classes"] = 1
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert err == f"checkpoint mismatch: {path}: need at least 2 classes, got 1\n"
+
+
 @pytest.mark.parametrize("kind", ["bogus", "full", None])
 def test_evaluate_refuses_an_unknown_model_kind(head_checkpoint, capsys, kind):
     # an unknown kind must not load as an encoder-only model with the head
@@ -749,7 +785,8 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "batch,seq_len,samples_per_sec,peak_bytes"
     assert len(lines) == 3
-    assert "scaling exponent" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert printed.startswith(out.read_text()) and "scaling exponent" in printed
 
 @pytest.mark.parametrize("flag, value, text", [
     ("--batch-sizes", "0", "'0'"),
@@ -1216,6 +1253,28 @@ def test_a_run_without_steps_or_with_a_negative_rate_is_refused(
     err = capsys.readouterr().err
     low = 0 if key == "lr" else 1
     assert f"{key} must be >= {low}, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("pretrain", "warmup_frac = 2", "warmup_frac must lie in [0, 1], got 2.0"),
+    ("finetune", "weight_decay = -0.5", "weight_decay must be >= 0, got -0.5"),
+    ("pretrain", "grad_clip = -1", "grad_clip must be >= 0, got -1.0"),
+    ("finetune", "early_stop_val_acc = 7",
+     "early_stop_val_acc must lie in [0, 1], got 7.0"),
+], ids=["warmup_frac", "weight_decay", "grad_clip", "early_stop_val_acc"])
+def test_an_optimizer_setting_out_of_range_is_refused(
+        tmp_path, capsys, command, line, message):
+    # each used to be accepted, and a negative grad_clip turned clipping off.
+    # Refused before the data is read: the data path given does not exist
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    argv = [command, "--data", tmp_path / "missing", "--output", tmp_path / command,
+            "--config", cfg]
+    if command == "finetune":
+        argv += ["--from-scratch"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / command).exists()
 
 

@@ -87,45 +87,6 @@ def test_discretize_matches_scalar_loop():
                                            rtol=1e-12)
 
 
-OP_INPUTS = ("x", "z", "conv_w", "conv_b", "w_b", "w_c", "w_dt_down", "w_dt_up",
-             "dt_bias", "a", "w_out")
-
-
-def op_inputs(seed, B=1, L=8, tail=None, dtype=np.float64):
-    """``ssm.selective_scan``'s eleven inputs at small_dims: an in-projection
-    and gate input that require grad, a block's weights and its A."""
-    rng = np.random.default_rng(seed)
-    p = ssm.init_mamba_block(small_dims(), rng, dtype=dtype)
-    t = {k: getattr(p, k) for k in OP_INPUTS[2:] if k != "a"}
-    t["a"] = ad.Tensor(-np.exp(p.a_log.data))
-    T = L if tail is None else tail
-    for k, rows in (("x", L), ("z", T)):
-        t[k] = ad.Tensor(rng.standard_normal((B, rows, p.dims.e)).astype(dtype),
-                         requires_grad=True)
-    return t
-
-
-def fused(t, **kwargs):
-    return ssm.selective_scan(*(t[k] for k in OP_INPUTS), **kwargs)
-
-
-def test_scan_rejects_mismatched_shapes():
-    t = op_inputs(0)
-    for name, value in (("a", t["a"].data.T), ("w_b", t["w_b"].data[:-1]),
-                        ("z", np.concatenate([t["z"].data] * 2, axis=1))):
-        with pytest.raises(ShapeError, match=f"selective_scan: .*{name}="):
-            fused(t | {name: ad.Tensor(value)})
-
-
-def test_scan_names_a_wrong_rank_x_before_its_tail():
-    # a 2-D x has no rows to read a tail of: the caller gets the shape
-    # fault, whatever rows z holds
-    for n in (8, 0, 1):
-        t = op_inputs(0, tail=n)
-        with pytest.raises(ShapeError, match=r"x=\(8, 16\) is not \(B, L, E\)"):
-            fused(t | {"x": ad.Tensor(t["x"].data[0])})
-
-
 def test_scan_single_step_unrolls():
     rng = np.random.default_rng(2)
     delta, a, b_in, c, x = random_instance(rng, B=1, L=1, E=2, N=3)
@@ -464,18 +425,6 @@ def test_projected_scan_output_identical_with_and_without_grad():
     np.testing.assert_array_equal(graded.data, plain.data)
 
 
-def test_projected_scan_rejects_mismatched_projections():
-    # E = 16, N = 4, R = 4, k = 4 at small_dims
-    t = op_inputs(50, L=4)
-    for name, shape in (("w_dt_up", (3, 3)), ("z", (1, 4, 2)), ("dt_bias", (2,)),
-                        ("conv_w", (15, 4)), ("conv_b", (4,)), ("w_c", (16, 3)),
-                        ("w_dt_down", (4, 16))):
-        with pytest.raises(ShapeError, match=f"{name}="):
-            fused(t | {name: ad.Tensor(np.zeros(shape))})
-    with pytest.raises(ShapeError, match="w_out="):
-        fused(t | {"w_out": ad.Tensor(np.zeros((2, 4)))})
-
-
 def read_tail(t, n):
     """The scan's inputs with c (and z) cut to their last n rows."""
     return t | {k: ad.Tensor(t[k].data[:, t[k].shape[1] - n:], requires_grad=True)
@@ -541,15 +490,6 @@ def test_tail_scan_gradients_match_finite_differences():
         t = read_tail(t, 1)
         f = lambda: ad.sum(ad.mul(scan_of(t), w[:, -1:]))
         assert max_rel_err(f, list(t.values())) < 1e-6, L
-
-
-def test_scan_refuses_a_tail_it_cannot_read():
-    # the rows of z are the rows read: more than x has, or a z without
-    # rows, is refused naming z
-    t = op_inputs(54, L=4)
-    for z in (np.zeros((1, 5, 16)), np.zeros((4, 16))):
-        with pytest.raises(ShapeError, match="z="):
-            fused(t | {"z": ad.Tensor(z)})
 
 
 def small_dims(d=8, e=16, n=4, r=4, k=4):
@@ -906,20 +846,6 @@ def test_streamed_stack_memory_does_not_grow_with_length(monkeypatch):
     assert peaks[1024] - peaks[256] <= in_and_out + 16 * 1024
 
 
-def test_carry_under_grad_is_refused():
-    # the block, and the scan op it hands the carry to, refuse a carry
-    # under grad before they change it
-    blocks, _, x = stack_inputs(np.float64, L=5)
-    p = blocks[0]
-    carry = ssm.BlockCarry.start(p.dims, 2, np.float64)
-    conv, state = carry.conv, carry.state.copy()
-    with pytest.raises(ContractError, match="no-grad"):
-        ssm.block_forward(ad.Tensor(x), p, carry)
-    with pytest.raises(ContractError, match="no-grad"):
-        fused(op_inputs(1, B=2, L=5), carry=carry)
-    assert carry.conv is conv and carry.state.tobytes() == state.tobytes()
-
-
 def scan_inputs(B, L, E, N, seed=61):
     """A plain scan instance (dt_low, a, b, c, x) with steps in (0.1, 0.9)."""
     rng = np.random.default_rng(seed)
@@ -963,18 +889,3 @@ def test_scan_and_conv_in_pieces_give_the_bits_of_one_pass():
                     piece = ssm.block_forward(ad.Tensor(x[:, r0:r1]), p, carry)
                     assert piece.data.tobytes() == whole[:, r0:r1].tobytes()
                     assert carry.conv.shape == (B, min(r1, k - 1), 16)
-
-
-def test_carry_of_the_wrong_shape_is_refused():
-    # a state of other axes or dtype, or conv rows as many as the taps, is
-    # refused before the carry changes
-    B, L, E, N, k = 2, 5, 16, 4, 4
-    t = op_inputs(2, B=B, L=L)
-    for conv, state in ((np.zeros((B, 0, E)), np.zeros((B, E, N))),
-                        (np.zeros((B, 0, E)), np.zeros((B, N, E), dtype=np.float32)),
-                        (np.zeros((B, k, E)), np.zeros((B, N, E))),
-                        (np.zeros((B, 1, E + 1)), np.zeros((B, N, E)))):
-        carry = ssm.BlockCarry(conv, state)
-        with ad.no_grad(), pytest.raises(ShapeError, match="carry .* state"):
-            fused(t, carry=carry)
-        assert carry.conv is conv and carry.state is state

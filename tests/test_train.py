@@ -229,6 +229,13 @@ def test_training_config_refuses_no_steps_or_a_negative_rate(key, value, low):
     assert getattr(train.TrainConfig(**{key: low}), key) == low
 
 
+def test_training_config_accepts_the_ends_of_its_ranges():
+    # grad_clip = 0 means no clipping, as clip_global_norm reads it
+    for key in ("weight_decay", "grad_clip", "warmup_frac", "early_stop_val_acc"):
+        for value in (0.0, 1.0):
+            assert getattr(train.TrainConfig(**{key: value}), key) == value
+
+
 def track_embeddings(monkeypatch) -> list[bool]:
     """Patch ``nm.embed_batch`` to note, at each call, whether the array the
     previous call returned is still alive. Every training graph starts from
