@@ -72,7 +72,7 @@ class StratifiedSplit:
 
     def __init__(self, ratios, seed: int):
         ratios = tuple(float(r) for r in ratios)
-        if len(ratios) != 3 or any(r < 0 for r in ratios):
+        if len(ratios) != 3 or any(not r >= 0 for r in ratios):
             raise ConfigError(f"need three non-negative ratios, got {ratios}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(f"ratios must sum to 1, got {sum(ratios)}")

@@ -56,8 +56,8 @@ class CheckpointMismatchError(Refusal, ValueError):
 
 
 def check_min(key: str, value: float, low: float = 1) -> None:
-    """Refuse a config value below ``low`` with a ConfigError naming the key."""
-    if value < low:
+    """Refuse a config value below ``low``, or NaN, naming the key."""
+    if not value >= low:
         raise ConfigError(f"{key} must be >= {low}, got {value}")
 
 

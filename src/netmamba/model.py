@@ -46,14 +46,26 @@ class ModelConfig:
     patch_split: bool = False     # 2-D patch tokens instead of 1-D strides
 
     def __post_init__(self):
-        for key in ("d_enc", "e_enc", "d_dec", "e_dec", "state_dim", "dt_rank",
-                    "conv_kernel"):
+        for key in ("stride_len", "d_enc", "e_enc", "d_dec", "e_dec", "state_dim",
+                    "dt_rank", "conv_kernel"):
             check_min(key, getattr(self, key))
         for key in ("depth_enc", "depth_dec"):
             check_min(key, getattr(self, key), 0)
         check_min("seq_len", self.seq_len, 2)
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
+        if self.patch_split:  # the geometry that patch_tokens cuts
+            total = self.n_strides * self.stride_len
+            side = math.isqrt(total)
+            if side * side != total:
+                raise ConfigError(
+                    f"patch splitting needs a square byte count, got {total}")
+            if self.stride_len % 2:
+                raise ConfigError("patch splitting needs an even stride_len")
+            cols = self.stride_len // 2
+            if side % 2 or side % cols:
+                raise ConfigError(
+                    f"matrix side {side} is not divisible by the 2x{cols} patch shape")
 
     @property
     def n_strides(self) -> int:
@@ -74,8 +86,6 @@ class MaskPlan:
 
 
 def make_mask(seq_len: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
-    if not 0.0 < ratio < 1.0:
-        raise ContractError(f"mask ratio must lie in (0, 1), got {ratio}")
     n_strides = seq_len - 1
     n_visible = math.ceil((1.0 - ratio) * seq_len) - 1
     perm = rng.permutation(n_strides)
@@ -269,18 +279,14 @@ def _restore_indices(plans: list[MaskPlan], seq_len: int) -> np.ndarray:
 def pretrain_forward(strides: np.ndarray, plans: list[MaskPlan],
                      params: ModelParams) -> tuple[Tensor, Tensor]:
     """Masked-reconstruction pass over a (B, n_strides, stride_len) byte
-    batch. Returns the per-masked-position predictions
-    (B, n_masked, stride_len) and the scalar MSE against those tokens'
-    normalized bytes (exactly 0 when nothing is masked).
+    batch, one of ``plans`` per flow. Returns the per-masked-position
+    predictions (B, n_masked, stride_len) and the scalar MSE against those
+    tokens' normalized bytes (exactly 0 when nothing is masked).
     """
     cfg = params.cfg
-    if params.recon_w is None:
-        raise ContractError("model was built without a decoder")
     norm = _tokens(strides, params)
     x0 = embed_batch(norm, params)
     B, L, _ = x0.shape
-    if len(plans) != B:
-        raise ContractError(f"{len(plans)} mask plans for batch of {B}")
     vis_idx = np.stack([np.concatenate([p.visible, [L - 1]]) for p in plans])
     enc_out = ssm.stack_forward(ad.gather_rows(x0, vis_idx), params.enc_blocks,
                                 params.enc_norm)
@@ -313,8 +319,6 @@ def finetune_forward(strides: np.ndarray, params: ModelParams) -> Tensor:
     block's scan state (``ssm.stack_forward`` with tail 1), and that row
     alone feeds the MLP head."""
     cfg = params.cfg
-    if params.head_w1 is None:
-        raise ContractError("model was built without a classification head")
     norm = _tokens(strides, params)
     x0 = ssm.Rows((len(norm), cfg.seq_len, cfg.d_enc),
                   lambda r0, r1: embed_batch(norm, params, slice(r0, r1)))
@@ -328,19 +332,12 @@ def patch_tokens(flat: np.ndarray, stride_len: int) -> np.ndarray:
     emit 2 x (stride_len/2) patches, flattened row-major, row-major over the
     patch grid. Token count and width match 1-D stride cutting, but each
     token now groups vertically adjacent (semantically unrelated) bytes.
+    ``ModelConfig`` refuses a geometry that does not cut so.
     """
     flat = np.asarray(flat)
     n, total = flat.shape
     side = math.isqrt(total)
-    if side * side != total:
-        raise ConfigError(
-            f"patch splitting needs a square byte count, got {total}")
-    if stride_len % 2:
-        raise ConfigError("patch splitting needs an even stride_len")
     cols = stride_len // 2
-    if side % 2 or side % cols:
-        raise ConfigError(
-            f"matrix side {side} is not divisible by the 2x{cols} patch shape")
     grid = flat.reshape(n, side // 2, 2, side // cols, cols)
     return np.ascontiguousarray(
         grid.transpose(0, 1, 3, 2, 4).reshape(n, total // stride_len, stride_len))

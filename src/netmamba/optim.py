@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, NumericFaultError
+from .errors import NumericFaultError
 
 _NO_DECAY_SUFFIXES = ("a_log",)
 
@@ -103,10 +103,6 @@ class Schedule:
     base_lr: float
     total_steps: int
     warmup_steps: int = 0
-
-    def __post_init__(self):
-        if self.base_lr < 0 or self.total_steps < 1 or self.warmup_steps < 0:
-            raise ConfigError(f"invalid schedule {self}")
 
     def lr_at(self, step: int) -> float:
         if step < self.warmup_steps:

@@ -179,8 +179,10 @@ def classify_and_strip(packet: RawPacket, cfg: ReprConfig
         length_field, proto, src, dst = _IPV6(data, ip)
         declared = 40 + length_field               # 40 + the payload length
         proto, t_off = _transport_offset(data, ip, proto)
+    elif version is None:
+        raise MalformedPacketError("empty IP packet")
     else:
-        raise _version_error(version)
+        raise MalformedPacketError(f"IP version nibble is {version}, not 4 or 6")
     sport = dport = 0
     if proto == PROTO_TCP:
         if t_off + 13 > size:
@@ -212,27 +214,13 @@ def classify_and_strip(packet: RawPacket, cfg: ReprConfig
 
 def anonymize(ip_bytes: bytes, cfg: ReprConfig) -> bytes:
     """Zero the source and destination address fields (IPv4 offsets 12..19,
-    IPv6 offsets 8..39); identity when anonymization is off."""
+    IPv6 offsets 8..39) of a datagram that ``classify_and_strip`` accepted;
+    identity when anonymization is off."""
     if not cfg.anonymize_ips:
         return ip_bytes
-    version = ip_bytes[0] >> 4 if ip_bytes else None
-    if version == 4:
-        if len(ip_bytes) < 20:
-            raise MalformedPacketError("IPv4 packet shorter than 20 bytes")
+    if ip_bytes[0] >> 4 == 4:
         return ip_bytes[:12] + bytes(8) + ip_bytes[20:]
-    if version == 6:
-        if len(ip_bytes) < 40:
-            raise MalformedPacketError("IPv6 packet shorter than 40 bytes")
-        return ip_bytes[:8] + bytes(32) + ip_bytes[40:]
-    raise _version_error(version)
-
-
-def _version_error(version: int | None) -> MalformedPacketError:
-    """The error for an IP header whose version nibble is neither 4 nor 6,
-    or None for no header at all."""
-    if version is None:
-        return MalformedPacketError("empty IP packet")
-    return MalformedPacketError(f"IP version nibble is {version}, not 4 or 6")
+    return ip_bytes[:8] + bytes(32) + ip_bytes[40:]
 
 
 def _transport_offset(data: bytes, start: int, proto: int) -> tuple[int, int]:

@@ -50,6 +50,9 @@ class TrainConfig:
         check_min("seed", self.seed, 0)  # numpy seeds from non-negative ints
         for key in ("lr", "weight_decay", "grad_clip"):  # grad_clip 0: no clipping
             check_min(key, getattr(self, key), 0)
+        for key in ("lr", "weight_decay"):
+            if np.isinf(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         check_unit("warmup_frac", self.warmup_frac)
         if self.early_stop_val_acc is not None:
             check_unit("early_stop_val_acc", self.early_stop_val_acc)
@@ -205,7 +208,6 @@ def predict(params: nm.ModelParams, strides: np.ndarray,
     """Class predictions, ``batch_size`` flows per no-grad pass of
     ``nm.finetune_forward``, the forward that fine-tuning trains; without
     grad it streams each batch along the sequence in row chunks."""
-    check_min("batch_size", batch_size)
     preds = []
     with ad.no_grad():
         for lo in range(0, len(strides), batch_size):
@@ -234,8 +236,6 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
     """
     for key, name in (("train", "training"), ("val", "validation"),
                       ("test", "test")):
-        if key not in splits:
-            raise ConfigError(f"missing split {key!r}")
         _check_split(name, *splits[key], cfg.num_classes)
     train_x, train_y = splits["train"]
     train_y = np.asarray(train_y, dtype=np.int64)

@@ -448,6 +448,16 @@ def test_extract_refuses_a_geometry_below_its_floor(workspace, monkeypatch,
     assert f"{key} must be >= {low}, got {value}" in err
 
 
+def test_extract_refuses_a_nan_split_ratio(workspace, monkeypatch, capsys):
+    # NaN passed both ratio checks and ended in a ValueError traceback
+    cfg = workspace[0] / "nan.cfg"
+    cfg.write_text("val_ratio = nan\n")
+    err = refuses_before_reading(workspace, monkeypatch, capsys,
+                                 ["--config", cfg])
+    assert "need three non-negative ratios, got (0.8, nan, 0.1)" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_is_usage_error(workspace):
     tmp, pcaps, _ = workspace
     bad = tmp / "bad.cfg"
@@ -671,7 +681,8 @@ def test_evaluate_checks_checkpoint_config_value_types(head_checkpoint, capsys,
 
 
 @pytest.mark.parametrize("key, value, low", [("state_dim", 0, 1),
-                                             ("depth_enc", -1, 0)])
+                                             ("depth_enc", -1, 0),
+                                             ("stride_len", 0, 1)])
 def test_evaluate_names_the_checkpoint_of_an_out_of_range_config(
         head_checkpoint, capsys, key, value, low):
     # ModelConfig's refusal used to reach the user as a usage error (exit 2)
@@ -697,6 +708,35 @@ def test_evaluate_names_the_checkpoint_of_a_head_with_one_class(
     assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
     err = capsys.readouterr().err
     assert err == f"checkpoint mismatch: {path}: need at least 2 classes, got 1\n"
+
+
+def test_evaluate_names_the_checkpoint_of_an_impossible_patch_geometry(
+        head_checkpoint, capsys):
+    # 16 one-byte strides make a 4x4 matrix, but a 1-byte token cannot be a
+    # 2-row patch
+    data, path = head_checkpoint
+    meta, tensors = ckpt.load_checkpoint(path)
+    meta["config"].update(patch_split=True, stride_len=1)
+    ckpt.save_checkpoint(path, tensors, meta)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"checkpoint mismatch: {path}: patch splitting needs an "
+                   "even stride_len\n")
+
+
+def test_evaluate_refuses_a_label_the_head_lacks(head_checkpoint, tmp_path,
+                                                 capsys):
+    # the split check names the sample; the metrics no longer check labels
+    data, path = head_checkpoint
+    geometry = ReprConfig(packets_per_flow=2, header_bytes=24, payload_bytes=8)
+    three = tmp_path / "three.nmstride"
+    write_samples(three, synthetic_samples(3, 2, geometry, seed=0), geometry,
+                  num_classes=3)
+    assert run(["evaluate", "--data", three, "--checkpoint", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: evaluation split: sample 4 has label 2 outside "
+                   "[0, 2)\n")
 
 
 @pytest.mark.parametrize("kind", ["bogus", "full", None])
@@ -764,6 +804,30 @@ def test_patch_split_config_path(extracted, monkeypatch):
     sf = read_samples(dataset / "test.nmstride")
     np.testing.assert_array_equal(
         embedded[0], nm.normalize_strides(nm.patch_tokens(sf.data, 4)))
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_patch_split_of_a_non_square_extract_is_refused_before_training(
+        tmp_path, monkeypatch, capsys, command):
+    # 2 packets of 160 bytes make 320 bytes, no square matrix: this used to
+    # exit 2 only at the first forward, after the model was built
+    geometry = ReprConfig(packets_per_flow=2, header_bytes=40, payload_bytes=120)
+    for name in ("train", "val", "test"):
+        write_samples(tmp_path / f"{name}.nmstride",
+                      synthetic_samples(2, 2, geometry, seed=0), geometry,
+                      num_classes=2)
+    cfg = tmp_path / "patch.cfg"
+    cfg.write_text(SMALL_MODEL + "patch_split = true\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.trainmod, "pretrain", never)
+    monkeypatch.setattr(cli.trainmod, "finetune", never)
+    argv = command_argv(command, tmp_path, tmp_path) + ["--config", cfg]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: patch splitting needs a square byte count, got 320\n")
+    assert not (tmp_path / command).exists()
 
 def test_console_entry_point():
     import os, subprocess, sys
@@ -1262,10 +1326,18 @@ def test_a_run_without_steps_or_with_a_negative_rate_is_refused(
     ("pretrain", "grad_clip = -1", "grad_clip must be >= 0, got -1.0"),
     ("finetune", "early_stop_val_acc = 7",
      "early_stop_val_acc must lie in [0, 1], got 7.0"),
-], ids=["warmup_frac", "weight_decay", "grad_clip", "early_stop_val_acc"])
+    ("pretrain", "lr = nan", "lr must be >= 0, got nan"),
+    ("pretrain", "lr = inf", "lr must be finite, got inf"),
+    ("finetune", "weight_decay = nan", "weight_decay must be >= 0, got nan"),
+    ("finetune", "weight_decay = inf", "weight_decay must be finite, got inf"),
+    ("pretrain", "grad_clip = nan", "grad_clip must be >= 0, got nan"),
+], ids=["warmup_frac", "weight_decay", "grad_clip", "early_stop_val_acc",
+        "lr-nan", "lr-inf", "weight_decay-nan", "weight_decay-inf",
+        "grad_clip-nan"])
 def test_an_optimizer_setting_out_of_range_is_refused(
         tmp_path, capsys, command, line, message):
-    # each used to be accepted, and a negative grad_clip turned clipping off.
+    # each used to be accepted, and a negative grad_clip turned clipping off;
+    # a NaN or infinite rate trained to all non-finite parameters.
     # Refused before the data is read: the data path given does not exist
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")

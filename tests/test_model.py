@@ -94,11 +94,6 @@ def test_make_mask_vanishing_ratio_keeps_everything_visible():
     assert plan.visible.size == 10
 
 
-def test_make_mask_ratio_bounds():
-    with pytest.raises(ContractError):
-        nm.make_mask(11, 1.0, np.random.default_rng(0))
-
-
 def test_mask_statistics_monte_carlo():
     # visibility frequency per stride tracks the hypergeometric mean 40/400
     rng = np.random.default_rng(3)
@@ -361,10 +356,6 @@ def test_class_token_jacobian_covers_all_strides():
 
 
 def test_finetune_requires_head_and_classes():
-    params = small_params(with_decoder=True)
-    with pytest.raises(ContractError):
-        nm.finetune_forward(np.zeros((1, SMALL.n_strides, SMALL.stride_len),
-                                     dtype=np.uint8), params)
     # a single-class config is fine for pre-training, but the head rejects it
     cfg = nm.ModelConfig(**{**SMALL.to_dict(), "num_classes": 1})
     with pytest.raises(ConfigError):
@@ -426,8 +417,17 @@ def test_patch_tokens_layout():
 
 
 def test_patch_tokens_requires_square():
-    with pytest.raises(ConfigError):
-        nm.patch_tokens(np.zeros((1, 48), dtype=np.uint8), stride_len=4)
+    # the model config refuses each geometry that patch_tokens cannot cut;
+    # an odd stride_len, here 1, is refused before the side test, which
+    # would divide by zero
+    for seq_len, stride_len, message in [
+            (13, 4, "patch splitting needs a square byte count, got 48"),
+            (65, 1, "patch splitting needs an even stride_len"),
+            (3, 18, "matrix side 6 is not divisible by the 2x9 patch shape")]:
+        geometry = {"seq_len": seq_len, "stride_len": stride_len}
+        nm.ModelConfig(**geometry)
+        with pytest.raises(ConfigError, match=message):
+            nm.ModelConfig(**geometry, patch_split=True)
 
 
 def test_patch_split_forwards_read_patch_tokens():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netmamba import autodiff as ad
-from netmamba.errors import ConfigError, NumericFaultError
+from netmamba.errors import NumericFaultError
 from netmamba.optim import (
     OptimState, Schedule, adamw_step, clip_global_norm, decayable, zero_grads,
 )
@@ -102,8 +102,3 @@ def test_schedule_warmup_then_cosine():
     after = [sched.lr_at(s) for s in range(10, 100)]
     assert all(a >= b - 1e-12 for a, b in zip(after, after[1:]))
     assert sched.lr_at(99) == pytest.approx(0.0, abs=1e-3)
-
-
-def test_schedule_validation():
-    with pytest.raises(ConfigError):
-        Schedule(base_lr=-1.0, total_steps=10)

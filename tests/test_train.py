@@ -187,22 +187,19 @@ def test_finetune_rejects_empty_val_split(tmp_path):
 
 
 @pytest.mark.parametrize("split, spoil, error, text", [
-    ("test", None, ConfigError, "missing split 'test'"),
     ("test", lambda x, y: (x[:0], y[:0]), ConfigError, "test split is empty"),
     ("val", lambda x, y: (x, np.full_like(y, -1)), DataError,
      "validation split: sample 0 has label -1"),
     ("test", lambda x, y: (x, np.full_like(y, 2)), DataError,
      "test split: sample 0 has label 2"),
-], ids=["test-missing", "test-empty", "val-unlabeled", "test-out-of-range"])
+], ids=["test-empty", "val-unlabeled", "test-out-of-range"])
 def test_finetune_checks_every_split_before_its_first_step(
         monkeypatch, tmp_path, split, spoil, error, text):
     # an empty or out-of-range test split used to fail after the last epoch,
     # an unlabeled validation split after the first
     strides, labels = tiny_dataset(per_class=6)
     splits = splits_for(strides, labels)
-    xy = splits.pop(split)
-    if spoil is not None:
-        splits[split] = spoil(*xy)
+    splits[split] = spoil(*splits[split])
     steps = []
     monkeypatch.setattr(train, "_step", lambda *a: steps.append(a) or 0.0)
     with pytest.raises(error, match=text):
