@@ -125,12 +125,10 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     but still participate in differentiation.
     """
     out = Tensor(data)
-    if grad_enabled():
-        links = tuple(p._node if p._node is not None
-                      else (p if p.requires_grad else None) for p in parents)
-        if any(link is not None for link in links):
-            out.requires_grad = True
-            out._node = _Node(links, vjp, next(_order_counter))
+    if records_graph(*parents):
+        links = tuple(p._node or (p if p.requires_grad else None) for p in parents)
+        out.requires_grad = True
+        out._node = _Node(links, vjp, next(_order_counter))
     return out
 
 
@@ -242,6 +240,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return _sigmoid_into(x, np.empty_like(x))
 
 
+def _silu_into(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """p * sigmoid(p) in ``out``, which must not be p."""
+    o = _sigmoid_into(p, out)
+    o *= p
+    return o
+
+
+def _silu_slope_into(p: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The SiLU's derivative s * (1 + p * (1 - s)) in ``out``, each product
+    in place, with s = sigmoid(p) left in ``s``."""
+    _sigmoid_into(p, s)
+    np.subtract(1.0, s, out=out)
+    out *= p
+    out += 1.0
+    out *= s
+    return out
+
+
 def silu(a) -> Tensor:
     """x * sigmoid(x); the backward recomputes the sigmoid instead of
     keeping it."""
@@ -249,10 +265,9 @@ def silu(a) -> Tensor:
     x = a.data
 
     def vjp(g):
-        s = _sigmoid(x)
-        return (g * (s * (1.0 + x * (1.0 - s))),)
+        return (g * _silu_slope_into(x, np.empty_like(x), np.empty_like(x)),)
 
-    return custom_op(x * _sigmoid(x), (a,), vjp)
+    return custom_op(_silu_into(x, np.empty_like(x)), (a,), vjp)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -480,24 +495,6 @@ def _conv_pre_into(xd, taps, bias, r0, r1, pre, tmp) -> np.ndarray:
     return p
 
 
-def _silu_into(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """p * sigmoid(p) in ``out``, which must not be p."""
-    o = _sigmoid_into(p, out)
-    o *= p
-    return o
-
-
-def _silu_slope_into(p: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The SiLU's derivative s * (1 + p * (1 - s)) in ``out``, each product
-    in place, with s = sigmoid(p) left in ``s``."""
-    _sigmoid_into(p, s)
-    np.subtract(1.0, s, out=out)
-    out *= p
-    out += 1.0
-    out *= s
-    return out
-
-
 def _conv_silu_into(xd, taps, bias, out) -> np.ndarray:
     """silu(causal convolution of xd + bias) in ``out``, row block by row
     block from the last: ``out`` may be xd itself, since each block reads
@@ -531,6 +528,17 @@ def _conv_grads_into(gp, xd, taps, gx) -> tuple[np.ndarray, np.ndarray]:
     return gw, gp.sum(axis=(0, 1))
 
 
+def _silu_backward_into(pre: np.ndarray, g: np.ndarray) -> None:
+    """The SiLU's backward in place, in blocks of _conv_rows rows: g, dloss/d
+    silu(pre), becomes dloss/d pre, and pre becomes silu(pre)."""
+    rows = _conv_rows(pre.shape)
+    s, d = (np.empty_like(pre[:, :rows]) for _ in range(2))
+    for r0 in range(0, pre.shape[1], rows):
+        p, n = pre[:, r0:r0 + rows], min(rows, pre.shape[1] - r0)
+        g[:, r0:r0 + n] *= _silu_slope_into(p, s[:, :n], d[:, :n])
+        p *= s[:, :n]
+
+
 def causal_conv1d(x, weight, bias) -> Tensor:
     """silu(per-channel causal convolution + bias) on (B, L, E), Mamba's
     causal_conv1d_fn with activation="silu". The (E,) bias is required.
@@ -538,11 +546,11 @@ def causal_conv1d(x, weight, bias) -> Tensor:
     ``weight[e, j]`` multiplies the input j steps in the past, so a kernel of
     (1, 0, ..., 0) is the identity before the SiLU; positions before the
     sequence start have no tap term at all (the sum skips it). The graph
-    keeps the input alone: the backward recomputes the convolution and the
-    sigmoid. Both passes work in blocks of rows, each block's temporaries in
-    buffers allocated once per call. Every product and sum is the one a
-    separate convolution and ``silu`` would form, in the same order.
-    ``ssm.selective_scan`` runs the same kernels on its own input.
+    keeps the input alone: the backward recomputes the convolution + bias
+    whole, then the SiLU's backward in blocks of rows, as the forward works.
+    Every product and sum is the one a separate convolution and ``silu``
+    would form, in the same order. ``ssm.selective_scan`` runs the same
+    kernels on its own input.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.ndim != 3:
@@ -559,17 +567,10 @@ def causal_conv1d(x, weight, bias) -> Tensor:
     out = _conv_silu_into(xd, taps, bd, np.empty_like(xd))
 
     def vjp(g):
-        rows = _conv_rows(xd.shape)
-        pre, s, tmp = (np.empty((B, rows, E), dtype=xd.dtype) for _ in range(3))
-        gp = np.empty_like(xd)                 # dloss/d(pre-activation)
-        for r0 in range(0, L, rows):
-            r1 = min(L, r0 + rows)
-            p = _conv_pre_into(xd, taps, bd, r0, r1, pre, tmp)
-            d = _silu_slope_into(p, s[:, :r1 - r0], gp[:, r0:r1])
-            d *= g[:, r0:r1]
-        del pre, s, tmp
-        gx = np.empty_like(xd)
-        return [gx, *_conv_grads_into(gp, xd, taps, gx)]
+        pre = _conv_pre_into(xd, taps, bd, 0, L, np.empty_like(xd), np.empty_like(xd))
+        gp = g.astype(xd.dtype)                # dloss/d(pre-activation)
+        _silu_backward_into(pre, gp)
+        return [pre, *_conv_grads_into(gp, xd, taps, pre)]   # pre: dloss/dx
 
     return custom_op(out, (x, weight, bias), vjp)
 

@@ -3,7 +3,7 @@
 Layout: 8-byte magic "NMCKPT01", u32 little-endian length of a JSON metadata
 block (config, step, named tensor index with shapes and byte offsets), then
 raw little-endian float32 data per tensor in index order. Loading verifies
-the magic, every indexed name/shape, and the total byte length.
+the magic, that each index entry is one the writer makes, and the length.
 
 A model checkpoint holds the whole model, its config (tokenizer included)
 and every tensor, plus optimizer moments in a ``last.nmckpt``. This module
@@ -14,6 +14,7 @@ owns every check that a checkpoint fits the run that loads it: its kind
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import fields
@@ -53,7 +54,9 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 def _read_index(fh, path) -> tuple[dict, list[tuple[str, tuple, int]]]:
     """The metadata of the open checkpoint ``fh`` and its tensor index as
     (name, shape, file offset), once the magic, the metadata and the extent
-    of every tensor are checked."""
+    of every tensor are checked. Each entry must be one that
+    ``save_checkpoint`` writes: a new name, a list of non-negative ints for
+    its shape, and the offset where the tensors before it end."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(12)
     if head[:8] != MAGIC:
@@ -64,22 +67,27 @@ def _read_index(fh, path) -> tuple[dict, list[tuple[str, tuple, int]]]:
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         header = json.loads(fh.read(hlen).decode())
         meta = dict(header["meta"])
-        entries = [(e["name"], tuple(e["shape"]), e["offset"])
-                   for e in header["tensors"]]
+        entries = [(e["name"], e["shape"], e["offset"]) for e in header["tensors"]]
     except (ValueError, TypeError, KeyError) as exc:
         raise ParseError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
-    index, expected_end = [], 12 + hlen
-    for name, shape, offset in entries:
-        start = 12 + hlen + offset
-        end = start + 4 * (int(np.prod(shape)) if shape else 1)
-        if end > size:
-            raise CheckpointMismatchError(
-                f"{path}: tensor {name} runs past end of file")
-        index.append((name, shape, start))
-        expected_end = max(expected_end, end)
-    if expected_end != size:
-        raise ParseError(
-            f"{path}: {size - expected_end} trailing bytes after tensor data")
+    index, seen, start = [], set(), 12 + hlen
+    for i, (name, shape, offset) in enumerate(entries):
+        if type(name) is not str or name in seen:
+            raise ParseError(f"{path}: tensor index entry {i}: {name!r} is not a "
+                             "new tensor name")
+        seen.add(name)
+        if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+            raise ParseError(f"{path}: tensor {name} has shape {shape!r}, not a "
+                             "list of non-negative ints")
+        if type(offset) is not int or 12 + hlen + offset != start:
+            raise ParseError(f"{path}: tensor {name} has offset {offset!r}, not "
+                             f"{start - 12 - hlen}, where the tensors before it end")
+        index.append((name, tuple(shape), start))
+        start += 4 * math.prod(shape)
+        if start > size:
+            raise CheckpointMismatchError(f"{path}: tensor {name} runs past end of file")
+    if start != size:
+        raise ParseError(f"{path}: {size - start} trailing bytes after tensor data")
     return meta, index
 
 

@@ -81,6 +81,7 @@ def load_config(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a UTF-8 text file ({exc.reason} "
                           f"at byte {exc.start})") from None
+    first: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -88,7 +89,11 @@ def load_config(path) -> dict:
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
-        values[key.strip()] = parse_value(key.strip(), raw)
+        key = key.strip()
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: {key} is set again, first on line "
+                              f"{first[key]}")
+        first[key], values[key] = lineno, parse_value(key, raw)
     return values
 
 

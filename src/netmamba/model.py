@@ -125,24 +125,17 @@ class ModelParams:
         for i, blk in enumerate(self.enc_blocks):
             yield from blk.named(f"enc.{i}.")
         yield "enc.norm_gain", self.enc_norm
-        simple = [
+        optional = [
             ("enc2dec.w", self.enc2dec_w), ("enc2dec.b", self.enc2dec_b),
             ("dec.pos", self.dec_pos), ("dec.mask_token", self.mask_token),
-        ]
-        for name, t in simple:
-            if t is not None:
-                yield name, t
-        for i, blk in enumerate(self.dec_blocks):
-            yield from blk.named(f"dec.{i}.")
-        tail = [
+            *(item for i, blk in enumerate(self.dec_blocks)
+              for item in blk.named(f"dec.{i}.")),
             ("dec.norm_gain", self.dec_norm),
             ("recon.w", self.recon_w), ("recon.b", self.recon_b),
             ("head.w1", self.head_w1), ("head.b1", self.head_b1),
             ("head.w2", self.head_w2), ("head.b2", self.head_b2),
         ]
-        for name, t in tail:
-            if t is not None:
-                yield name, t
+        yield from ((name, t) for name, t in optional if t is not None)
 
     def tensors(self) -> dict[str, Tensor]:
         return dict(self.named())
@@ -154,14 +147,8 @@ class ModelParams:
         return total
 
 
-def _enc_dims(cfg: ModelConfig) -> ssm.SSMDims:
-    return ssm.SSMDims(d=cfg.d_enc, e=cfg.e_enc, n=cfg.state_dim,
-                       r=cfg.dt_rank, k=cfg.conv_kernel)
-
-
-def _dec_dims(cfg: ModelConfig) -> ssm.SSMDims:
-    return ssm.SSMDims(d=cfg.d_dec, e=cfg.e_dec, n=cfg.state_dim,
-                       r=cfg.dt_rank, k=cfg.conv_kernel)
+def _dims(cfg: ModelConfig, d: int, e: int) -> ssm.SSMDims:
+    return ssm.SSMDims(d=d, e=e, n=cfg.state_dim, r=cfg.dt_rank, k=cfg.conv_kernel)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
@@ -172,29 +159,30 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
     def normal(*shape):
         return ad.parameter((rng.standard_normal(shape) * 0.02).astype(dtype))
 
+    def fan_in(rows, cols):
+        return ad.parameter(
+            (rng.uniform(-1, 1, size=(rows, cols)) / np.sqrt(rows)).astype(dtype))
+
     L, D = cfg.seq_len, cfg.d_enc
     params = ModelParams(
         cfg=cfg,
-        embed_w=ad.parameter(
-            (rng.uniform(-1, 1, size=(cfg.stride_len, D))
-             / np.sqrt(cfg.stride_len)).astype(dtype)),
+        embed_w=fan_in(cfg.stride_len, D),
         cls_token=normal(D),
         pos_enc=normal(L, D),
         enc_blocks=[
-            ssm.init_mamba_block(_enc_dims(cfg), rng, dtype, index=i)
+            ssm.init_mamba_block(_dims(cfg, D, cfg.e_enc), rng, dtype, name=f"enc.{i}")
             for i in range(cfg.depth_enc)
         ],
         enc_norm=ad.parameter(np.ones(D, dtype=dtype)),
     )
     if with_decoder:
         Dd = cfg.d_dec
-        params.enc2dec_w = ad.parameter(
-            (rng.uniform(-1, 1, size=(D, Dd)) / np.sqrt(D)).astype(dtype))
+        params.enc2dec_w = fan_in(D, Dd)
         params.enc2dec_b = ad.parameter(np.zeros(Dd, dtype=dtype))
         params.dec_pos = normal(L, Dd)
         params.mask_token = normal(Dd)
         params.dec_blocks = [
-            ssm.init_mamba_block(_dec_dims(cfg), rng, dtype, index=i)
+            ssm.init_mamba_block(_dims(cfg, Dd, cfg.e_dec), rng, dtype, name=f"dec.{i}")
             for i in range(cfg.depth_dec)
         ]
         params.dec_norm = ad.parameter(np.ones(Dd, dtype=dtype))
@@ -209,11 +197,9 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
         if cfg.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {cfg.num_classes}")
         C = cfg.num_classes
-        params.head_w1 = ad.parameter(
-            (rng.uniform(-1, 1, size=(D, D)) / np.sqrt(D)).astype(dtype))
+        params.head_w1 = fan_in(D, D)
         params.head_b1 = ad.parameter(np.zeros(D, dtype=dtype))
-        params.head_w2 = ad.parameter(
-            (rng.uniform(-1, 1, size=(D, C)) / np.sqrt(D)).astype(dtype))
+        params.head_w2 = fan_in(D, C)
         params.head_b2 = ad.parameter(np.zeros(C, dtype=dtype))
     return params
 

@@ -35,19 +35,17 @@ class OptimState:
     v: dict = field(default_factory=dict)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, arr in self.m.items():
-            out[f"opt.m.{name}"] = arr
-        for name, arr in self.v.items():
-            out[f"opt.v.{name}"] = arr
-        return out
+        return {f"opt.{kind}.{name}": arr
+                for kind, moments in (("m", self.m), ("v", self.v))
+                for name, arr in moments.items()}
 
     def load_tensors(self, tensors: dict[str, np.ndarray], names, step: int) -> None:
         """The moments of every parameter in ``names``, from ``tensors`` named
-        as ``tensors()`` names them; a KeyError names a missing one."""
+        as ``tensors()`` names them; a KeyError names a missing one. The
+        state keeps the given arrays, and updates them in place."""
         self.step = step
-        self.m = {name: tensors[f"opt.m.{name}"].copy() for name in names}
-        self.v = {name: tensors[f"opt.v.{name}"].copy() for name in names}
+        self.m = {name: tensors[f"opt.m.{name}"] for name in names}
+        self.v = {name: tensors[f"opt.v.{name}"] for name in names}
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimState, lr_t: float) -> None:

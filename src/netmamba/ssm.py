@@ -100,7 +100,7 @@ class MambaBlockParams:
     dt_bias: Tensor     # (e,)
     a_log: Tensor       # (e, n)
     w_out: Tensor       # (e, d)
-    index: int = 0
+    name: str = "0"     # in a model, its tensors' checkpoint prefix: enc.0, dec.1
 
     def named(self, prefix: str = ""):
         for name in ("norm_gain", "w_in_x", "w_in_z", "conv_w", "conv_b", "w_b",
@@ -114,7 +114,7 @@ def _linear_init(rng: np.random.Generator, fan_in: int, shape, dtype) -> Tensor:
 
 
 def init_mamba_block(dims: SSMDims, rng: np.random.Generator, dtype=np.float32,
-                     index: int = 0) -> MambaBlockParams:
+                     name: str = "0") -> MambaBlockParams:
     """S4-style stable initialization: A[e, n] = -(n+1), and a dt bias chosen
     so softplus(dt_bias) is log-uniform in [1e-3, 1e-1]."""
     d, e, n, r, k = dims.d, dims.e, dims.n, dims.r, dims.k
@@ -136,7 +136,7 @@ def init_mamba_block(dims: SSMDims, rng: np.random.Generator, dtype=np.float32,
         dt_bias=ad.parameter(dt_bias.astype(dtype)),
         a_log=ad.parameter(np.log(a_init).astype(dtype)),
         w_out=_linear_init(rng, e, (e, d), dtype),
-        index=index,
+        name=name,
     )
 
 
@@ -241,7 +241,7 @@ def _recurrence(low, a, b, c, x, bias, z, wu, wo, *, keep=False, state=None,
         j0, rows = read(t0, n)
         if j0 < n:
             zc = np.ascontiguousarray(z[:, rows])
-            out[:, rows] *= zc * ad._sigmoid(zc)
+            out[:, rows] *= ad._silu_into(zc, np.empty_like(zc))
     del D, U, X, ys
     out = out @ wo
     if not keep:
@@ -284,10 +284,10 @@ def _recurrence(low, a, b, c, x, bias, z, wu, wo, *, keep=False, state=None,
                               out=ys[j][:, None, :])
                 y = np.moveaxis(ys[j0:n], 0, 1)                  # (B, n - j0, E)
                 zc = np.ascontiguousarray(z[:, out_rows])
-                sig = ad._sigmoid(zc)
-                gate = zc * sig
-                np.multiply(g_y[:, out_rows] * y, sig * (1.0 + zc * (1.0 - sig)),
-                            out=g_z[:, out_rows])
+                sig = np.empty_like(zc)
+                gz = ad._silu_slope_into(zc, sig, g_z[:, out_rows])
+                gz *= g_y[:, out_rows] * y
+                gate = np.multiply(sig, zc, out=sig)             # silu(z)
                 np.multiply(g_y[:, out_rows], gate, out=g_y[:, out_rows])
                 np.multiply(y, gate, out=gated[:, out_rows])
                 np.matmul(hs[j0 + 1:n + 1], gy[out_rows, :, :, None],
@@ -403,14 +403,7 @@ def selective_scan(x: Tensor, z: Tensor, conv_w: Tensor, conv_b: Tensor, w_b: Te
         g_xc += g_b @ np.swapaxes(wb, -1, -2)
         # the SiLU's backward turns g_xc into the gradient of the
         # convolution + bias, and pre into xc for the projections' weights
-        rows = ad._conv_rows(pre.shape)
-        s, d = (np.empty((B, rows, E), dtype=pre.dtype) for _ in range(2))
-        for r0 in range(0, L, rows):
-            r1 = min(L, r0 + rows)
-            p = pre[:, r0:r1]
-            g_xc[:, r0:r1] *= ad._silu_slope_into(p, s[:, :r1 - r0], d[:, :r1 - r0])
-            p *= s[:, :r1 - r0]
-        del s, d
+        ad._silu_backward_into(pre, g_xc)
         xct = np.swapaxes(pre, -1, -2)          # xc, as ad.matmul's vjp takes it
         g_wb = ad._unbroadcast(xct @ g_b, wb.shape)
         g_wc = ad._unbroadcast(xct[..., first:] @ g_c, wc.shape)
@@ -458,7 +451,9 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
     longer sequence, and ``selective_scan`` continues the conv and the scan
     from the carried rows and state. ``stack_forward``, the one caller,
     checks the input's rank and the tail, and makes carries only without
-    grad; ``ad.rmsnorm`` refuses an input of another width than d.
+    grad; ``ad.rmsnorm`` refuses an input of another width than d. A
+    non-finite output raises ``NumericFaultError`` naming the block by its
+    ``name``, in a model ``enc.<i>`` or ``dec.<i>``.
     """
     p = params
     T = x_prev.shape[1] if tail is None else tail
@@ -472,7 +467,7 @@ def block_forward(x_prev: Tensor, params: MambaBlockParams,
                                 p.w_dt_up, p.dt_bias, a, p.w_out, carry=carry),
                  _tail(x_prev, T))
     if not np.all(np.isfinite(out.data)):
-        raise NumericFaultError(f"non-finite activation in block {p.index}")
+        raise NumericFaultError(f"non-finite activation in block {p.name}")
     return out
 
 

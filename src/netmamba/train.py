@@ -99,9 +99,12 @@ def _snapshot(params: nm.ModelParams) -> dict[str, np.ndarray]:
     return {name: t.data.copy() for name, t in params.named()}
 
 
-def _restore(params: nm.ModelParams, snap: dict[str, np.ndarray]) -> None:
+def _restore(params: nm.ModelParams, snap: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Install the snapshot's own arrays; returns the arrays they replace."""
+    replaced = {}
     for name, t in params.named():
-        t.data = snap[name].copy()
+        replaced[name], t.data = t.data, snap[name]
+    return replaced
 
 
 def _step(forward, tensors, state: OptimState, lr: float, grad_clip: float) -> float:
@@ -116,11 +119,12 @@ def _step(forward, tensors, state: OptimState, lr: float, grad_clip: float) -> f
     return loss.item()
 
 
-def write_loss_log(path, rows) -> None:
+def write_log(path, header: str, rows) -> None:
+    """A CSV log: ``header``, then (int, float, float) rows."""
     with atomic_write(path, "w") as fh:
-        fh.write("step,loss,lr\n")
-        for step, loss, lr in rows:
-            fh.write(f"{step},{loss:.8g},{lr:.8g}\n")
+        fh.write(header + "\n")
+        for i, a, b in rows:
+            fh.write(f"{i},{a:.8g},{b:.8g}\n")
 
 
 def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
@@ -194,11 +198,10 @@ def pretrain(strides: np.ndarray, cfg: nm.ModelConfig, tcfg: TrainConfig,
         out_dir.mkdir(parents=True, exist_ok=True)
         ckpt.save_model(out_dir / "last.nmckpt", params, step=end_step,
                         opt_tensors=state.tensors())
-        current = _snapshot(params)
-        _restore(params, best_snap)
+        current = _restore(params, best_snap)
         ckpt.save_model(out_dir / "best.nmckpt", params, step=best_step)
         _restore(params, current)
-        write_loss_log(out_dir / "loss_log.csv", log)
+        write_log(out_dir / "loss_log.csv", "step,loss,lr", log)
     return PretrainResult(params=params, log=log, best_step=best_step,
                           best_loss=best_loss)
 
@@ -279,9 +282,6 @@ def finetune(splits: dict[str, tuple[np.ndarray, np.ndarray]],
         ckpt.save_model(out_dir / "best.nmckpt", params, step=best_epoch)
         with atomic_write(out_dir / "metrics.json", "w") as fh:
             fh.write(report.to_json(indent=2) + "\n")
-        with atomic_write(out_dir / "history.csv", "w") as fh:
-            fh.write("epoch,train_loss,val_accuracy\n")
-            for epoch, loss, acc in history:
-                fh.write(f"{epoch},{loss:.8g},{acc:.8g}\n")
+        write_log(out_dir / "history.csv", "epoch,train_loss,val_accuracy", history)
     return FinetuneResult(params=params, report=report, history=history,
                           best_epoch=best_epoch, best_val_acc=best_acc)

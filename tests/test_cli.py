@@ -75,6 +75,13 @@ def workspace(tmp_path):
 def run(argv) -> int:
     return cli.main([str(a) for a in argv])
 
+def with_line(text: str, line: str) -> str:
+    """The config ``text`` with ``line`` in place of the line that sets its
+    key, if any: a config file may set a key once."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in text.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
 def test_extract_golden_determinism(workspace):
     tmp, pcaps, cfg = workspace
     out1, out2 = tmp / "out1", tmp / "out2"
@@ -474,6 +481,23 @@ def test_retired_model_keys_are_unknown_config_keys(tmp_path, capsys, line):
     key = line.split()[0]
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
+def test_a_key_set_twice_in_a_config_file_is_refused_before_reading(
+        tmp_path, monkeypatch, capsys):
+    # the file used to read as its last value, lr = 0.001
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("lr = 0.5\nsteps = 3\nlr = 0.001\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("data read or training started")
+
+    monkeypatch.setattr(cli.datamod, "read_samples", never)
+    monkeypatch.setattr(cli.trainmod, "pretrain", never)
+    assert run(["pretrain", "--data", tmp_path / "train.nmstride",
+                "--output", tmp_path / "pt", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:3: lr is set again, first on line 1\n")
+    assert not (tmp_path / "pt").exists()
+
 @pytest.fixture()
 def extracted(workspace):
     tmp, pcaps, cfg = workspace
@@ -766,6 +790,51 @@ def test_evaluate_malformed_checkpoint_metadata_is_parse_error(tmp_path, capsys,
     path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(header)) + header)
     assert run(["evaluate", "--data", tmp_path, "--checkpoint", path]) == 2
     assert str(path) in capsys.readouterr().err
+
+def _spoil_index(path, spoil) -> None:
+    """Rewrite the checkpoint at ``path`` with ``spoil(entries, data)``
+    returning its tensor index and data bytes."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + hlen])
+    header["tensors"], data = spoil(header["tensors"], raw[12 + hlen:])
+    head = json.dumps(header).encode()
+    path.write_bytes(ckpt.MAGIC + struct.pack("<I", len(head)) + head + data)
+
+def _offset_as_text(entries, data):
+    entries[0]["offset"] = "0"
+    return entries, data
+
+def _shape_of_text(entries, data):
+    entries[0]["shape"] = ["a"]
+    return entries, data
+
+def _second_at_first_offset(entries, data):
+    entries[1]["offset"] = entries[0]["offset"]
+    return entries, data
+
+def _first_listed_twice(entries, data):
+    first = entries[0]
+    size = 4 * int(np.prod(first["shape"]))
+    entries.append({**first, "offset": len(data)})
+    return entries, data + data[:size]
+
+@pytest.mark.parametrize("spoil, named", [
+    (_offset_as_text, "tensor embed.w has offset '0', not 0,"),
+    (_shape_of_text, "tensor embed.w has shape ['a'],"),
+    (_second_at_first_offset, "tensor embed.cls has offset 0, not 256,"),
+    (_first_listed_twice, "tensor index entry 20: 'embed.w' is not a new"),
+], ids=["offset-as-text", "shape-of-text", "overlap", "listed-twice"])
+def test_evaluate_refuses_an_index_entry_the_writer_would_not_write(
+        head_checkpoint, capsys, spoil, named):
+    # the first two died with a traceback; the last two loaded, the overlap
+    # with embed.cls holding embed.w's bytes, the repeat with its second copy
+    data, path = head_checkpoint
+    _spoil_index(path, spoil)
+    assert run(["evaluate", "--data", data, "--checkpoint", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {named}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 def test_flag_overrides_config_file(extracted, capsys):
     tmp, dataset, cfg = extracted
@@ -1072,14 +1141,14 @@ def test_pretrain_resume_refuses_a_step_that_is_no_count(pretrained, tmp_path,
 
 @pytest.mark.parametrize("extra, flags, named", [
     ("", ["--mask-ratio", 0.75], "mask_ratio = 0.5, not 0.75"),
-    ("state_dim = 8\n", [], "state_dim = 4, not 8"),
-    ("use_pos_embed = false\n", [], "use_pos_embed = True, not False"),
-    ("patch_split = true\n", [], "patch_split = False, not True"),
+    ("state_dim = 8", [], "state_dim = 4, not 8"),
+    ("use_pos_embed = false", [], "use_pos_embed = True, not False"),
+    ("patch_split = true", [], "patch_split = False, not True"),
 ], ids=("flag", "config", "config-bool", "tokenizer"))
 def test_pretrain_resume_refuses_a_model_key_the_checkpoint_disagrees_with(
         pretrained, tmp_path, capsys, extra, flags, named):
     cfg, data, last = pretrained
-    cfg.write_text(SMALL_CFG + extra)
+    cfg.write_text(with_line(SMALL_CFG, extra) if extra else SMALL_CFG)
     capsys.readouterr()
     assert run(["pretrain", "--data", data, "--output", tmp_path / "more",
                 "--config", cfg, "--resume", last, "--steps", 4,
@@ -1290,7 +1359,7 @@ def test_a_model_width_below_one_is_refused(
     # a width below 1 used to end in the block's ContractError traceback
     # with exit 1, and a negative depth built no blocks
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL_MODEL + f"{key} = {value}\n")
+    cfg.write_text(with_line(SMALL_MODEL, f"{key} = {value}"))
     argv = command_argv(command, tmp_path, tiny_split) + ["--config", cfg]
     length = {"pretrain": ["--steps", 1], "finetune": ["--epochs", 1]}
     assert run(argv + length.get(command, [])) == 2

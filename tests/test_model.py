@@ -9,7 +9,7 @@ import pytest
 from netmamba import autodiff as ad
 from netmamba import model as nm
 from netmamba import ssm, train
-from netmamba.errors import ConfigError, ContractError, ShapeError
+from netmamba.errors import ConfigError, ContractError, NumericFaultError, ShapeError
 
 DEFAULT_CFG = nm.ModelConfig()
 
@@ -144,6 +144,20 @@ def test_pretrain_loss_zero_when_nothing_masked():
                        masked=np.empty(0, dtype=np.int64))
     _, loss = nm.pretrain_forward(strides, [plan], params)
     assert loss.item() == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf itself
+@pytest.mark.parametrize("stack, name", [("enc_blocks", "enc.0"), ("dec_blocks", "dec.0")])
+def test_pretrain_forward_fault_names_the_stack_of_its_block(stack, name):
+    # both stacks number their blocks from 0, so only the stack tells an
+    # encoder fault from a decoder one
+    rng = np.random.default_rng(6)
+    params = small_params(with_decoder=True)
+    getattr(params, stack)[0].w_out.data[:] = np.inf
+    strides, _ = batch_inputs(rng)
+    plans = [nm.make_mask(SMALL.seq_len, SMALL.mask_ratio, rng) for _ in range(2)]
+    with pytest.raises(NumericFaultError, match=rf"^non-finite activation in block {name}$"):
+        nm.pretrain_forward(strides, plans, params)
 
 
 def test_forwards_refuse_float_strides():

@@ -548,9 +548,9 @@ def test_block_causality():
 
 def test_block_numeric_fault_names_block():
     rng = np.random.default_rng(15)
-    p = ssm.init_mamba_block(small_dims(), rng, index=3)
+    p = ssm.init_mamba_block(small_dims(), rng, name="enc.3")
     x = ad.Tensor(np.full((1, 2, 8), np.nan, dtype=np.float32))
-    with pytest.raises(NumericFaultError, match="block 3"):
+    with pytest.raises(NumericFaultError, match="block enc.3"):
         ssm.block_forward(x, p)
 
 
@@ -728,7 +728,7 @@ def stream_rows(monkeypatch, rows, batch, width):
 
 def stack_inputs(dtype, B=2, L=37, depth=3, seed=60, k=4):
     rng = np.random.default_rng(seed)
-    blocks = [ssm.init_mamba_block(small_dims(k=k), rng, dtype=dtype, index=i)
+    blocks = [ssm.init_mamba_block(small_dims(k=k), rng, dtype=dtype, name=f"enc.{i}")
               for i in range(depth)]
     for p in blocks:   # steps large enough that the carried state matters
         p.dt_bias.data[:] = rng.uniform(0.2, 0.8, size=16)
